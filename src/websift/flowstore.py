@@ -4,10 +4,11 @@ Layout under the store root:
 
     records.log     append-only JSONL, one full record version per line;
                     the latest line for a record id wins
-    index/          sidecar acceleration data (ids.log, meta.json); always
-                    reconstructible from records.log
     blobs/xx/yy/    blob files named by their SHA-1, two-level hex fan-out
+    records.lock    advisory writer lock
 
+Replay rebuilds all in-memory state from records.log; an `index/`
+directory left by older versions is never read and may be deleted.
 One writer owns the store at a time (advisory file lock); readers open
 with writable=False and skip the lock.  Bodies are deduplicated by
 SHA-1 and referenced from records by digest, never inlined.
@@ -220,7 +221,6 @@ class FlowStore:
         self.writable = writable
         if create:
             (self.root / "blobs").mkdir(parents=True, exist_ok=True)
-            (self.root / "index").mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
             raise StoreError(f"store root {self.root} does not exist")
 
@@ -241,8 +241,6 @@ class FlowStore:
         self._log_path = self.root / "records.log"
         self._replay_log()
         self._log_fh = open(self._log_path, "a", encoding="utf-8") if writable else None
-        self._ids_fh = (open(self.root / "index" / "ids.log", "a", encoding="utf-8")
-                        if writable else None)
 
     def _replay_log(self) -> None:
         if not self._log_path.exists():
@@ -262,26 +260,15 @@ class FlowStore:
                     self._next_id = max(self._next_id, rid + 1)
 
     def close(self) -> None:
-        for fh in (self._log_fh, self._ids_fh):
-            if fh is not None:
-                fh.flush()
-                os.fsync(fh.fileno())
-                fh.close()
-        self._log_fh = None
-        self._ids_fh = None
+        if self._log_fh is not None:
+            self._log_fh.flush()
+            os.fsync(self._log_fh.fileno())
+            self._log_fh.close()
+            self._log_fh = None
         if self._lock_fh is not None:
-            if self.writable:
-                self._write_meta()
             fcntl.flock(self._lock_fh.fileno(), fcntl.LOCK_UN)
             self._lock_fh.close()
             self._lock_fh = None
-
-    def _write_meta(self) -> None:
-        meta = {"next_record_id": self._next_id, "record_count": len(self._docs),
-                "blob_count": self.blob_count()}
-        tmp = self.root / "index" / f".meta-{uuid.uuid4().hex}.tmp"
-        tmp.write_text(_dump_line(meta) + "\n", encoding="utf-8")
-        os.replace(tmp, self.root / "index" / "meta.json")
 
     def __enter__(self) -> "FlowStore":
         return self
@@ -360,12 +347,8 @@ class FlowStore:
     def _append(self, doc: dict) -> None:
         if self._log_fh is None:
             raise StoreError("store opened read-only")
-        offset = self._log_fh.tell()
-        line = _dump_line(doc)
-        self._log_fh.write(line + "\n")
+        self._log_fh.write(_dump_line(doc) + "\n")
         self._log_fh.flush()
-        self._ids_fh.write(f"{doc['record_id']} {offset} {len(line)}\n")
-        self._ids_fh.flush()
         self._docs[doc["record_id"]] = doc
 
     def put_record(self, record: FlowRecord) -> int:

@@ -7,6 +7,15 @@ The gateway builds one HttpExchange per RESPMOD and hands it to an
 emission callback; in enforce mode a synchronous verdict can replace the
 response body with a warning page.  Everything runs on plain TCP sockets
 so the two halves can also interoperate with foreign ICAP peers.
+
+ICAP connections are persistent, as RFC 3507 peers such as Squid keep
+them.  The gateway serves messages on a connection until the peer closes
+it or it sits idle for ICAP_IDLE_TIMEOUT seconds; after a parse error it
+answers 400 and closes, since the framing can no longer be trusted.  The
+proxy keeps a small stack of idle gateway connections and reuses them
+across exchanges; a request on a reused connection that gets no response
+byte back (the gateway timed it out meanwhile) is resent once on a fresh
+connection.  Clients still talk to the proxy with `Connection: close`.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ ICAP_VERSION = "ICAP/1.0"
 DEFAULT_ICAP_PORT = 1344
 DEFAULT_PROXY_PORT = 3128
 MAX_BODY_SIZE = 64 * 1024 * 1024
+ICAP_IDLE_TIMEOUT = 30.0      # seconds a gateway connection may wait for its next message
+ICAP_IDLE_CONNECTIONS = 8     # idle gateway connections a proxy keeps for reuse
 ICAP_METHODS = ("OPTIONS", "REQMOD", "RESPMOD")
 SEEDER_TAGS = ("benign", "malware", "phishing")
 
@@ -260,6 +271,24 @@ def _chunk_encode(data: bytes) -> bytes:
     return (b"%x" % len(data)) + CRLF + data + CRLF + b"0" + CRLF + CRLF
 
 
+_HEXDIGITS = frozenset(b"0123456789abcdefABCDEF")
+
+
+def _chunk_size(line: bytes) -> int:
+    """Size from a chunk-size line without its line ending.
+
+    RFC 9112 §7.1: `1*HEXDIG`, then optionally BWS and `;` extensions,
+    which are ignored.  Raises ValueError on anything else; `int(x, 16)`
+    alone would also take "0x2", "+2", "2_0", " 2 " and "-0".
+    """
+    token, semi, _ = line.partition(b";")
+    if semi:
+        token = token.rstrip(b" \t")
+    if not token or not _HEXDIGITS.issuperset(token):
+        raise ValueError(f"bad chunk size {token!r}")
+    return int(token, 16)
+
+
 def _dechunk_at(raw: bytes, start: int, base: int = 0) -> tuple[bytes, int]:
     """Decode a chunked body starting at `start`; returns (data, end).
 
@@ -272,11 +301,10 @@ def _dechunk_at(raw: bytes, start: int, base: int = 0) -> tuple[bytes, int]:
         j = raw.find(CRLF, i)
         if j < 0:
             raise ChunkedBodyError("truncated chunked body: missing size line", base + i)
-        token = raw[i:j].split(b";", 1)[0].strip()
         try:
-            size = int(token, 16)
-        except ValueError:
-            raise ChunkedBodyError(f"bad chunk size {token!r}", base + i)
+            size = _chunk_size(raw[i:j])
+        except ValueError as exc:
+            raise ChunkedBodyError(str(exc), base + i) from None
         i = j + 2
         if size == 0:
             while True:
@@ -324,10 +352,11 @@ def _parse_encapsulated(value: str, position: int) -> list[tuple[str, int]]:
         if not chunk:
             continue
         name, _, num = chunk.partition("=")
-        name = name.strip()
-        if name not in _SECTION_TOKENS or not num.strip().isdigit():
+        name, num = name.strip(), num.strip()
+        # str.isdigit() alone is true for "²", which int() then refuses
+        if name not in _SECTION_TOKENS or not (num.isascii() and num.isdigit()):
             raise EncapsulatedOffsetsError(f"bad Encapsulated entry {chunk!r}", position)
-        entries.append((name, int(num.strip())))
+        entries.append((name, int(num)))
     if not entries:
         raise EncapsulatedOffsetsError("empty Encapsulated header", position)
     if entries[0][1] != 0:
@@ -649,6 +678,8 @@ def _read_icap_wire_message(rfile) -> bytes | None:
         return bytes(head)
     entries = _parse_encapsulated(enc_value, 0)
     body_token, body_off = entries[-1]
+    if body_off > MAX_BODY_SIZE:
+        raise EncapsulatedOffsetsError(f"body offset {body_off} exceeds cap", len(head))
     payload = bytearray(_read_exact(rfile, body_off, len(head)))
     if body_token != "null-body":
         payload += _read_chunked_wire(rfile, len(head) + body_off)
@@ -664,16 +695,19 @@ def _read_exact(rfile, n: int, base: int) -> bytes:
 
 def _read_chunked_wire(rfile, base: int) -> bytes:
     out = bytearray()
+    data_bytes = 0
     while True:
         size_line = rfile.readline()
         if not size_line:
             raise ChunkedBodyError("connection closed before chunk size", base + len(out))
-        out += size_line
-        token = size_line.strip().split(b";", 1)[0]
         try:
-            size = int(token, 16)
-        except ValueError:
-            raise ChunkedBodyError(f"bad chunk size {token!r} on wire", base + len(out))
+            size = _chunk_size(size_line.rstrip(b"\r\n"))
+        except ValueError as exc:
+            raise ChunkedBodyError(f"{exc} on wire", base + len(out)) from None
+        out += size_line
+        data_bytes += size
+        if data_bytes > MAX_BODY_SIZE:
+            raise ChunkedBodyError("chunked body exceeds cap", base + len(out))
         if size == 0:
             while True:
                 line = rfile.readline()
@@ -723,32 +757,53 @@ class IcapGateway:
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
-                try:
-                    raw = _read_icap_wire_message(self.rfile)
-                except IcapParseError:
-                    self.wfile.write(IcapResponse(400, "Bad request",
-                                                  [("ISTag", gateway.istag)]).to_bytes())
-                    return
-                if raw is None:
+                if not gateway._track(self.connection):
                     return
                 try:
-                    msg = parse_icap(raw)
-                    response = serve_icap(
-                        msg, gateway.mode, gateway.verdict_fn, gateway.emit,
-                        gateway.istag, gateway.reqmod_bodies, gateway.warning_page)
-                except IcapParseError:
-                    response = IcapResponse(400, "Bad request", [("ISTag", gateway.istag)])
-                try:
-                    self.wfile.write(response.to_bytes())
+                    self.connection.settimeout(ICAP_IDLE_TIMEOUT)
+                    while gateway._serve_one(self.rfile, self.wfile):
+                        pass
                 except OSError:
-                    pass
+                    pass  # idle timeout, peer reset, or stop() shut the socket down
+                finally:
+                    gateway._untrack(self.connection)
 
         self._server = _ThreadedServer((host, port), Handler)
         self._thread: threading.Thread | None = None
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+        self._stopping = False
 
     @property
     def address(self) -> tuple[str, int]:
         return self._server.server_address[:2]
+
+    def _track(self, sock: socket.socket) -> bool:
+        with self._open_lock:
+            if self._stopping:
+                return False
+            self._open.add(sock)
+            return True
+
+    def _untrack(self, sock: socket.socket) -> None:
+        with self._open_lock:
+            self._open.discard(sock)
+
+    def _serve_one(self, rfile, wfile) -> bool:
+        """Answer one message; False when the connection should close."""
+        try:
+            raw = _read_icap_wire_message(rfile)
+            if raw is None:
+                return False
+            response = serve_icap(parse_icap(raw), self.mode, self.verdict_fn, self.emit,
+                                  self.istag, self.reqmod_bodies, self.warning_page)
+        except IcapParseError:
+            # the framing of whatever follows can no longer be trusted
+            wfile.write(IcapResponse(400, "Bad request", [
+                ("ISTag", self.istag), ("Connection", "close")]).to_bytes())
+            return False
+        wfile.write(response.to_bytes())
+        return True
 
     def start(self) -> "IcapGateway":
         self._thread = threading.Thread(target=self._server.serve_forever,
@@ -757,21 +812,96 @@ class IcapGateway:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, close every open connection, join its handler."""
         self._server.shutdown()
-        self._server.server_close()
+        with self._open_lock:
+            self._stopping = True
+            still_open = list(self._open)
+        for sock in still_open:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._server.server_close()  # joins the handler threads
         if self._thread:
             self._thread.join(timeout=5)
 
 
-def icap_transact(addr: tuple[str, int], raw: bytes, timeout: float = 10.0) -> IcapResponse:
-    """Send one ICAP message and read the response over a fresh connection."""
-    with socket.create_connection(addr, timeout=timeout) as sock:
-        sock.sendall(raw)
-        rfile = sock.makefile("rb")
-        data = _read_icap_wire_message(rfile)
-        if data is None:
-            raise ConnectionError("ICAP peer closed without responding")
-        return parse_icap_response(data)
+class IdleIcapConnections:
+    """Stack of idle, reusable ICAP connections to one gateway."""
+
+    def __init__(self):
+        self._stack: list[_IcapConnection] = []
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def take(self) -> _IcapConnection | None:
+        with self._lock:
+            return self._stack.pop() if self._stack else None
+
+    def give(self, conn: _IcapConnection) -> None:
+        with self._lock:
+            if not self._closed and len(self._stack) < ICAP_IDLE_CONNECTIONS:
+                self._stack.append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            stack, self._stack = self._stack, []
+        for conn in stack:
+            conn.close()
+
+
+class _IcapConnection:
+    def __init__(self, addr: tuple[str, int], timeout: float):
+        self.sock = socket.create_connection(addr, timeout=timeout)
+        self.rfile = self.sock.makefile("rb")
+
+    def send(self, raw: bytes, timeout: float) -> bool:
+        """Send `raw`; True once the first response byte has arrived."""
+        try:
+            self.sock.settimeout(timeout)
+            self.sock.sendall(raw)
+            return bool(self.rfile.peek(1))
+        except ConnectionError:  # reset or broken pipe: nothing came back
+            return False
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+def icap_transact(addr: tuple[str, int], raw: bytes, timeout: float = 10.0,
+                  idle: IdleIcapConnections | None = None) -> IcapResponse:
+    """Send one ICAP message and read its response.
+
+    Without `idle` the message goes over a fresh connection that is closed
+    afterwards.  With it, an idle connection is reused when there is one
+    and handed back after a complete response.  A reused connection that
+    returns not a single response byte was closed by the gateway while
+    idle, so nothing was served: the message is resent once on a fresh
+    connection.  Failures on a fresh connection are never retried.
+    """
+    conn = idle.take() if idle is not None else None
+    try:
+        if conn is None or not conn.send(raw, timeout):
+            if conn is not None:
+                conn.close()
+            conn = _IcapConnection(addr, timeout)
+            if not conn.send(raw, timeout):
+                raise ConnectionError("ICAP peer closed without responding")
+        response = parse_icap_response(_read_icap_wire_message(conn.rfile))
+    except BaseException:
+        if conn is not None:
+            conn.close()
+        raise
+    if idle is not None and (response.header("Connection") or "").lower() != "close":
+        idle.give(conn)
+    else:
+        conn.close()
+    return response
 
 
 # ---------------------------------------------------------------------------
@@ -819,9 +949,9 @@ def _read_chunked_entity(rfile, cap: int) -> tuple[bytes, bool]:
         if not size_line:
             raise ProxyError("connection closed before chunk size")
         try:
-            size = int(size_line.strip().split(b";", 1)[0], 16)
+            size = _chunk_size(size_line.rstrip(b"\r\n"))
         except ValueError:
-            raise ProxyError(f"bad chunk size line {size_line!r}")
+            raise ProxyError(f"bad chunk size line {size_line!r}") from None
         if size == 0:
             while True:
                 line = rfile.readline()
@@ -939,10 +1069,12 @@ def _client_response_bytes(response: HttpResponse, body: bytes) -> bytes:
 class ProxyServer:
     """HTTP/1.1 forward proxy (absolute-URI form, no CONNECT).
 
-    Submits every exchange to the ICAP gateway; `fail_policy` decides what
-    happens when the gateway is unreachable: "closed" rejects with 502,
-    "open" forwards uninspected and, when an emit_fallback is configured,
-    still records the exchange flagged as uninspected.
+    Submits every exchange to the ICAP gateway over reused connections;
+    `fail_policy` decides what happens when the gateway is unreachable:
+    "closed" rejects with 502, "open" forwards uninspected and, when an
+    emit_fallback is configured, still records the exchange flagged as
+    uninspected.  `timeout` bounds every socket wait: the client's
+    request, the origin fetch and each ICAP exchange.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -958,11 +1090,13 @@ class ProxyServer:
         self.timeout = timeout
         self.emit_fallback = emit_fallback
         self.via_token = via_token
+        self._icap_idle = IdleIcapConnections()
         proxy = self
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
                 try:
+                    self.connection.settimeout(proxy.timeout)
                     proxy._handle(self.rfile, self.wfile)
                 except (OSError, ProxyError):
                     pass
@@ -982,9 +1116,10 @@ class ProxyServer:
 
     def stop(self) -> None:
         self._server.shutdown()
-        self._server.server_close()
+        self._server.server_close()  # joins the handler threads
         if self._thread:
             self._thread.join(timeout=5)
+        self._icap_idle.close()
 
     # --- request handling
 
@@ -1036,7 +1171,7 @@ class ProxyServer:
             try:
                 icap_transact(self.gateway_addr,
                               build_reqmod(request, request_body, exchange_id=exchange_id),
-                              self.timeout)
+                              self.timeout, self._icap_idle)
             except (OSError, IcapParseError, ConnectionError):
                 if self.fail_policy == "closed":
                     self._send_error(wfile, 502, "Bad Gateway",
@@ -1075,7 +1210,7 @@ class ProxyServer:
                 icap_resp = icap_transact(
                     self.gateway_addr,
                     encapsulate(exchange, exchange_id=exchange_id, markers=markers),
-                    self.timeout)
+                    self.timeout, self._icap_idle)
                 if icap_resp.status == 200 and icap_resp.section("res-hdr") is not None:
                     client_response = _parse_http_response_head(icap_resp.section("res-hdr"))
                     client_body = icap_resp.section("res-body") or b""

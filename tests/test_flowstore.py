@@ -149,6 +149,28 @@ def test_reopen_preserves_records_and_id_sequence(tmp_path):
         assert rid == 3  # ids never reused across sessions
 
 
+def test_store_writes_only_the_log_and_blobs(tmp_path):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        store.put_record(FlowRecord(body_sha1=store.put_blob(b"x"), extra={"t.a": 1}))
+    assert sorted(p.name for p in root.iterdir()) == ["blobs", "records.lock", "records.log"]
+
+
+def test_legacy_index_directory_is_ignored(tmp_path):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        store.put_record(FlowRecord(extra={"t.a": 1}))
+    index = root / "index"
+    index.mkdir(exist_ok=True)
+    (index / "ids.log").write_text("1 0 99\n7 99 5\n", encoding="utf-8")
+    (index / "meta.json").write_text('{"next_record_id": 40, "record_count": 9}\n',
+                                     encoding="utf-8")
+    with FlowStore(root) as store:
+        assert store.record_count() == 1
+        assert store.put_record(FlowRecord(extra={"t.a": 2})) == 2
+    assert (index / "ids.log").read_text(encoding="utf-8") == "1 0 99\n7 99 5\n"
+
+
 def test_torn_final_line_is_tolerated(tmp_path):
     root = tmp_path / "s"
     with FlowStore(root) as store:

@@ -2,9 +2,11 @@
 
 import datetime as dt
 import hashlib
+import threading
 
 import pytest
 
+from websift import pipeline as pipeline_module, wire
 from websift.agents import proxy_request
 from websift.augment import GeoIpDb, WhoIsDb
 from websift.flowstore import FlowRecord, FlowStore
@@ -385,3 +387,58 @@ def test_run_crawl_records_match_origin_ledger(tmp_path):
             assert doc_round["tickets"] == summary.tickets
     finally:
         site.stop()
+
+
+def _record_threads(monkeypatch, pipeline) -> tuple[set, set]:
+    """Threads that ran a gateway message parse, and proxy request handlers."""
+    gateway_threads, proxy_threads = set(), set()
+    parse, handle = wire.parse_icap, pipeline.proxy._handle
+
+    def traced_parse(raw):
+        gateway_threads.add(threading.current_thread())
+        return parse(raw)
+
+    def traced_handle(rfile, wfile):
+        proxy_threads.add(threading.current_thread())
+        return handle(rfile, wfile)
+
+    monkeypatch.setattr(wire, "parse_icap", traced_parse)
+    monkeypatch.setattr(pipeline.proxy, "_handle", traced_handle)
+    return gateway_threads, proxy_threads
+
+
+def test_stop_capture_leaves_no_handler_thread_alive(site, tmp_path, monkeypatch):
+    with FlowStore(tmp_path / "store") as store:
+        pipeline = Pipeline(store, pipeline_sources(SITE))
+        gateway_threads, proxy_threads = _record_threads(monkeypatch, pipeline)
+        pipeline.start()
+        try:
+            for path in ("/benign", "/mal", "/zipped"):
+                assert fetch_via(pipeline, site.base_url + path)[0] == 200
+        finally:
+            pipeline.stop_capture()
+    assert gateway_threads and len(proxy_threads) == 3
+    assert [t for t in gateway_threads | proxy_threads if t.is_alive()] == []
+
+
+def test_crawl_opens_gateway_connections_per_agent_not_per_record(tmp_path, monkeypatch):
+    # one gateway handler thread serves each ICAP connection for its lifetime
+    doc = generate_site(1500, 0, seed=21)
+    site = SynthWebServer(doc).start()
+    real_pipeline = pipeline_module.Pipeline
+    seen: dict = {}
+
+    def recording_pipeline(*args, **kw):
+        pipeline = real_pipeline(*args, **kw)
+        seen["gateway"], _ = _record_threads(monkeypatch, pipeline)
+        return pipeline
+
+    monkeypatch.setattr(pipeline_module, "Pipeline", recording_pipeline)
+    try:
+        seeds = [site.base_url + p["path"] for p in doc["pages"]]
+        with FlowStore(tmp_path / "store") as store:
+            summary = run_crawl(store, LabelSources(), seeds, n_agents=2, budget=0)
+    finally:
+        site.stop()
+    assert summary.records == 1500 and summary.errors == 0
+    assert 1 <= len(seen["gateway"]) <= 2 * 2  # two agents

@@ -1,9 +1,11 @@
 """ICAP framing, gateway dispatch, and the forward proxy on live sockets."""
 
 import contextlib
+import io
 import socket
 import socketserver
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -206,6 +208,7 @@ def test_options_with_stray_payload_requires_encapsulated():
     b"res-body=0, req-hdr=10",        # body token not last
     b"req-hdr=0, res-bdy=10",         # unknown token
     b"req-hdr=zero, null-body=10",    # non-numeric offset
+    b"req-hdr=0, null-body=\xb2",     # '²' passes str.isdigit(), not int()
     b"",                              # empty value
 ])
 def test_bad_encapsulated_positions_at_header_line(enc):
@@ -265,6 +268,54 @@ def test_truncated_chunked_bodies_raise(tail):
     with pytest.raises(ChunkedBodyError) as exc:
         parse_icap(raw)
     assert exc.value.position >= raw.find(tail)
+
+
+# Each strict refusal here was accepted by int(token, 16).
+@pytest.mark.parametrize("size_line", [b"0x2", b"+2", b"2_0", b" 2 ", b"2 ", b"-0", b""])
+def test_chunk_size_must_be_bare_hex(size_line):
+    with pytest.raises(ValueError):
+        wire._chunk_size(size_line)
+
+
+@pytest.mark.parametrize("size_line,size", [
+    (b"1a", 26), (b"0", 0), (b"A;name=value", 10), (b"2 \t;ext", 2), (b"00f;a;b", 15),
+])
+def test_chunk_size_takes_hex_and_extensions(size_line, size):
+    assert wire._chunk_size(size_line) == size
+
+
+def _dechunk_three_ways(framed: bytes):
+    """The three chunked readers' results on `framed`: data or the error type."""
+    results = []
+    readers = [
+        lambda: wire._dechunk_at(framed, 0)[0],
+        lambda: wire._dechunk_at(wire._read_chunked_wire(io.BytesIO(framed), 0), 0)[0],
+        lambda: wire._read_chunked_entity(io.BytesIO(framed), 1 << 20)[0],
+    ]
+    for read in readers:
+        try:
+            results.append(read())
+        except (ChunkedBodyError, wire.ProxyError):
+            results.append(ValueError)
+    return results
+
+
+@given(st.one_of(st.binary(max_size=4),
+                 st.text("0123456789abcdefABCDEF+-_xX \t", max_size=4).map(str.encode)))
+def test_chunk_size_accepts_exactly_hex_tokens(token):
+    token = token.replace(b";", b"").replace(b"\r", b"").replace(b"\n", b"")
+    is_hex = bool(token) and all(c in b"0123456789abcdefABCDEF" for c in token)
+    try:
+        size = wire._chunk_size(token)
+    except ValueError:
+        assert not is_hex
+    else:
+        assert is_hex and size == int(token, 16)
+    # the buffered and both streaming readers agree on the same framing
+    data = b"d" * (int(token, 16) if is_hex else 1)
+    framed = token + CRLF + data + CRLF + b"0" + CRLF + CRLF
+    expected = data if is_hex else ValueError
+    assert _dechunk_three_ways(framed) == [expected] * 3
 
 
 def test_trailing_bytes_after_final_chunk_rejected():
@@ -649,6 +700,173 @@ def test_gateway_rejects_unknown_mode():
         IcapGateway(mode="observe")
 
 
+def test_gateway_answers_non_ascii_offset_with_400():
+    raw = head_block([b"RESPMOD icap://g/respmod ICAP/1.0",
+                      b"Encapsulated: req-hdr=0, null-body=\xb2"])
+    with running_gateway() as gw:
+        resp = icap_transact(gw.address, raw)
+    assert resp.status == 400
+
+
+def test_wire_reader_refuses_body_offset_above_cap_before_reading():
+    class Source(io.BytesIO):
+        def read(self, n=-1):
+            assert n <= wire.MAX_BODY_SIZE, f"asked to read {n} bytes"
+            return super().read(n)
+
+    raw = head_block([b"RESPMOD icap://g/respmod ICAP/1.0",
+                      b"Encapsulated: req-hdr=0, null-body=%d" % (wire.MAX_BODY_SIZE + 1)])
+    with pytest.raises(EncapsulatedOffsetsError):
+        wire._read_icap_wire_message(Source(raw))
+
+
+def test_wire_reader_refuses_chunks_above_cap_before_reading():
+    req_hdr = head_block([b"GET http://a.test/ HTTP/1.1"])
+    raw = head_block([b"REQMOD icap://g/reqmod ICAP/1.0",
+                      b"Encapsulated: req-hdr=0, req-body=%d" % len(req_hdr)])
+    raw += req_hdr + b"%x\r\n" % (wire.MAX_BODY_SIZE + 1)
+    with pytest.raises(ChunkedBodyError):
+        wire._read_icap_wire_message(io.BytesIO(raw))
+
+
+# --- persistent ICAP connections ---
+
+OPTIONS_RAW = b"OPTIONS icap://g/respmod ICAP/1.0\r\nHost: g\r\n\r\n"
+
+
+def read_icap_response(rfile):
+    data = wire._read_icap_wire_message(rfile)
+    return None if data is None else parse_icap_response(data)
+
+
+def test_gateway_serves_several_exchanges_on_one_connection():
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw:
+        with socket.create_connection(gw.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            statuses = []
+            for n in (1, 2):
+                exchange = make_exchange(url=f"http://site.test/{n}")
+                sock.sendall(build_reqmod(exchange.request, b"form=%d" % n,
+                                          exchange_id=f"k{n}"))
+                statuses.append(read_icap_response(rfile).status)
+                sock.sendall(encapsulate(exchange, exchange_id=f"k{n}"))
+                statuses.append(read_icap_response(rfile).status)
+    assert statuses == [204, 204, 204, 204]
+    assert [e.exchange.request.url for e in emitted] == [
+        "http://site.test/1", "http://site.test/2"]
+    assert [e.request_body for e in emitted] == [b"form=1", b"form=2"]
+
+
+def test_gateway_closes_connection_after_parse_error():
+    with running_gateway() as gw:
+        with socket.create_connection(gw.address, timeout=10) as sock:
+            sock.sendall(b"NOT AN ICAP LINE\r\n\r\n")
+            rfile = sock.makefile("rb")
+            resp = read_icap_response(rfile)
+            assert rfile.read() == b""
+    assert resp.status == 400
+    assert resp.header("Connection") == "close"
+
+
+def test_gateway_closes_idle_connections(monkeypatch):
+    monkeypatch.setattr(wire, "ICAP_IDLE_TIMEOUT", 0.1)
+    with running_gateway() as gw:
+        with socket.create_connection(gw.address, timeout=10) as sock:
+            assert sock.makefile("rb").read() == b""
+
+
+def test_gateway_stop_closes_idle_client_connections():
+    gw = IcapGateway(host="127.0.0.1", port=0).start()
+    with socket.create_connection(gw.address, timeout=10) as sock:
+        sock.sendall(OPTIONS_RAW)
+        rfile = sock.makefile("rb")
+        assert read_icap_response(rfile).status == 200
+        started = time.monotonic()
+        gw.stop()  # the idle timeout is far longer than this wait
+        assert time.monotonic() - started < 2
+        assert rfile.read() == b""
+
+
+class _CountingConnection(wire._IcapConnection):
+    opened = 0
+
+    def __init__(self, addr, timeout):
+        super().__init__(addr, timeout)
+        type(self).opened += 1
+
+
+def test_transact_resends_once_when_the_gateway_closed_an_idle_connection(monkeypatch):
+    monkeypatch.setattr(wire, "_IcapConnection", _CountingConnection)
+    monkeypatch.setattr(_CountingConnection, "opened", 0)
+    monkeypatch.setattr(wire, "ICAP_IDLE_TIMEOUT", 0.1)
+    emitted = []
+    idle = wire.IdleIcapConnections()
+    with running_gateway(emit=emitted.append) as gw:
+        first = icap_transact(gw.address, encapsulate(make_exchange(), exchange_id="a"),
+                              idle=idle)
+        time.sleep(0.4)  # the gateway times the pooled connection out
+        second = icap_transact(gw.address, encapsulate(make_exchange(), exchange_id="b"),
+                               idle=idle)
+        idle.close()
+    assert first.status == second.status == 204
+    assert _CountingConnection.opened == 2
+    assert len(emitted) == 2
+
+
+class _ClosingPeer(socketserver.ThreadingTCPServer):
+    """ICAP peer that answers `answers` messages per connection, then hangs up."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, answers: int):
+        self.answers = answers
+        self.connections = 0
+        super().__init__(("127.0.0.1", 0), _ClosingPeerHandler)
+
+
+class _ClosingPeerHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        self.server.connections += 1
+        for _ in range(self.server.answers):
+            if wire._read_icap_wire_message(self.rfile) is None:
+                return
+            self.wfile.write(IcapResponse(204, "No modifications").to_bytes())
+
+
+@contextlib.contextmanager
+def closing_peer(answers):
+    peer = _ClosingPeer(answers)
+    thread = threading.Thread(target=peer.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield peer
+    finally:
+        peer.shutdown()
+        peer.server_close()
+
+
+def test_transact_never_retries_a_fresh_connection():
+    with closing_peer(answers=0) as peer:
+        with pytest.raises(ConnectionError):
+            icap_transact(peer.server_address, OPTIONS_RAW, idle=wire.IdleIcapConnections())
+    assert peer.connections == 1
+
+
+def test_transact_retries_a_stale_connection_exactly_once():
+    idle = wire.IdleIcapConnections()
+    with closing_peer(answers=1) as peer:
+        assert icap_transact(peer.server_address, OPTIONS_RAW, idle=idle).status == 204
+        assert icap_transact(peer.server_address, OPTIONS_RAW, idle=idle).status == 204
+        peer.answers = 0
+        with pytest.raises(ConnectionError):
+            icap_transact(peer.server_address, OPTIONS_RAW, idle=idle)
+        idle.close()
+    assert peer.connections == 3
+
+
 # --- origin fixture for proxy tests ---
 
 class _OriginServer(socketserver.ThreadingTCPServer):
@@ -922,3 +1140,24 @@ def test_proxy_gateway_enforce_leaves_benign_untouched(origin):
             status, _, body = proxy_fetch(px.address, origin_url(origin))
     assert status == 200
     assert body == b"origin fixture body"
+
+
+def test_proxy_exchanges_share_one_gateway_connection(origin, monkeypatch):
+    monkeypatch.setattr(wire, "_IcapConnection", _CountingConnection)
+    monkeypatch.setattr(_CountingConnection, "opened", 0)
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw:
+        with running_proxy(gateway_addr=gw.address) as px:
+            for _ in range(3):
+                status, _, _ = proxy_fetch(px.address, origin_url(origin))
+                assert status == 200
+    assert len(emitted) == 3
+    assert _CountingConnection.opened == 1
+
+
+def test_proxy_drops_a_silent_client_after_its_timeout():
+    with running_proxy(timeout=0.2) as px:
+        with socket.create_connection(px.address, timeout=10) as sock:
+            started = time.monotonic()
+            assert sock.recv(1) == b""
+            assert time.monotonic() - started < 5
