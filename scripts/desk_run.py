@@ -19,8 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from websift import forest
-from websift.cli import build_report
+from websift.cli import _train_and_evaluate, _training_data, build_report
 from websift.flowstore import FlowStore
 from websift.labels import SignatureSet, SimulatedEngineSet
 from websift.pipeline import LabelSources, run_crawl
@@ -67,31 +66,11 @@ def main(argv=None) -> int:
                                 n_agents=args.agents, budget=args.budget)
             emit("crawl", summary.to_doc())
 
-            samples, labels = [], []
-            for record in store.records():
-                if record.features is None:
-                    continue
-                samples.append(record.features)
-                labels.append(1 if record.labels.ground_truth is True else 0)
+            samples, labels, _ = _training_data(store)
             emit("dataset", {"samples": len(samples),
                              "malicious": sum(labels)})
-
-            train_idx, test_idx = forest.split_dataset(samples, labels,
-                                                       seed=args.seed)
-            config = forest.ForestConfig(n_trees=args.trees, seed=args.seed)
-            model = forest.train_forest([samples[i] for i in train_idx],
-                                        [labels[i] for i in train_idx],
-                                        config)
-            cm = forest.evaluate(model, [samples[i] for i in test_idx],
-                                 [labels[i] for i in test_idx],
-                                 check_overlap=False)
-            emit("train", {
-                "train_size": len(train_idx),
-                "test_size": len(test_idx),
-                "confusion": {"tp": cm.tp, "fp": cm.fp,
-                              "tn": cm.tn, "fn": cm.fn},
-                "metrics": forest.metric_table(cm),
-            })
+            _, trained = _train_and_evaluate(samples, labels, args.trees, args.seed)
+            emit("train", trained)
 
             report = build_report(store)
             emit("report", {

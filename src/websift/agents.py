@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlencode, urljoin, urlsplit
 
 from .features import FormSpec, HtmlDoc, parse_html
+from .wire import MAX_BODY_SIZE, _header, _read_response, _write_head
 
 SEED_FOCUSES = ("benign", "malware", "phishing")
 FALLBACK_CREDENTIALS = ("testuser", "testpass")
@@ -195,44 +196,25 @@ def proxy_request(proxy_addr: tuple[str, int], method: str, url: str,
                   headers: list[tuple[str, str]], body: bytes = b"",
                   timeout: float = 10.0) -> tuple[int, list[tuple[str, str]], bytes]:
     """One absolute-URI request through the forward proxy."""
+    headers = list(headers)
+    if body:
+        headers.append(("Content-Length", str(len(body))))
+    headers.append(("Connection", "close"))
     with socket.create_connection(proxy_addr, timeout=timeout) as sock:
-        lines = [f"{method} {url} HTTP/1.1".encode("latin-1")]
-        for k, v in headers:
-            lines.append(f"{k}: {v}".encode("latin-1"))
-        if body:
-            lines.append(f"Content-Length: {len(body)}".encode("latin-1"))
-        lines.append(b"Connection: close")
-        sock.sendall(b"\r\n".join(lines) + b"\r\n\r\n" + body)
-
-        rfile = sock.makefile("rb")
-        status_line = rfile.readline()
-        parts = status_line.rstrip(b"\r\n").split(b" ", 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(f"bad proxy status line {status_line!r}")
-        status = int(parts[1])
-        resp_headers: list[tuple[str, str]] = []
-        while True:
-            line = rfile.readline()
-            if not line:
-                raise ConnectionError("proxy closed inside response headers")
-            if line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.rstrip(b"\r\n").partition(b":")
-            resp_headers.append((name.decode("latin-1").strip(),
-                                 value.decode("latin-1").strip()))
-        cl = next((v for k, v in resp_headers if k.lower() == "content-length"), None)
-        if cl is not None and cl.isdigit():
-            data = rfile.read(int(cl))
-        else:
-            data = rfile.read()
-        return status, resp_headers, data
+        sock.sendall(_write_head(f"{method} {url} HTTP/1.1", headers) + body)
+        try:
+            response, data, _ = _read_response(sock.makefile("rb"), MAX_BODY_SIZE,
+                                               method == "HEAD")
+        except ValueError as exc:
+            raise ConnectionError(f"bad proxy response: {exc}") from None
+    return response.status, response.headers, data
 
 
 # ---------------------------------------------------------------------------
 # the agent
 
 def _is_html(headers: list[tuple[str, str]]) -> bool:
-    ctype = next((v for k, v in headers if k.lower() == "content-type"), "")
+    ctype = _header(headers, "Content-Type") or ""
     return "html" in ctype.lower() or not ctype
 
 

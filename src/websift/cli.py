@@ -290,6 +290,23 @@ def _training_data(store: FlowStore):
     return samples, labels, records
 
 
+def _train_and_evaluate(samples, labels, trees: int, seed: int, policy: str = "scaled",
+                        bootstrap: bool = True) -> tuple[forest.ForestModel, dict]:
+    """Split, train and evaluate: (model, its split sizes, confusion and metrics)."""
+    train_idx, test_idx = forest.split_dataset(samples, labels, policy=policy, seed=seed)
+    config = forest.ForestConfig(n_trees=trees, seed=seed, bootstrap=bootstrap)
+    model = forest.train_forest([samples[i] for i in train_idx],
+                                [labels[i] for i in train_idx], config)
+    cm = forest.evaluate(model, [samples[i] for i in test_idx],
+                         [labels[i] for i in test_idx], check_overlap=False)
+    return model, {
+        "train_size": len(train_idx),
+        "test_size": len(test_idx),
+        "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
+        "metrics": forest.metric_table(cm),
+    }
+
+
 def cmd_train(args, cfg: Config) -> int:
     store = _open_store(args, cfg, writable=False)
     try:
@@ -298,22 +315,10 @@ def cmd_train(args, cfg: Config) -> int:
         store.close()
     if not samples:
         raise CliError("store has no feature-bearing records to train on")
-    train_idx, test_idx = forest.split_dataset(samples, labels,
-                                               policy=args.policy, seed=args.seed)
-    config = forest.ForestConfig(n_trees=args.trees, seed=args.seed,
-                                 bootstrap=not args.no_bootstrap)
-    model = forest.train_forest([samples[i] for i in train_idx],
-                                [labels[i] for i in train_idx], config)
-    cm = forest.evaluate(model, [samples[i] for i in test_idx],
-                         [labels[i] for i in test_idx], check_overlap=False)
+    model, doc = _train_and_evaluate(samples, labels, args.trees, args.seed,
+                                     args.policy, not args.no_bootstrap)
     forest.save_model(model, args.out)
-    _emit({
-        "model": str(args.out),
-        "train_size": len(train_idx),
-        "test_size": len(test_idx),
-        "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
-        "metrics": forest.metric_table(cm),
-    })
+    _emit({"model": str(args.out), **doc})
     return 0
 
 

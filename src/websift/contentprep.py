@@ -1,17 +1,20 @@
 """Body normalization: undo transfer framing and (chained) content codings.
 
 Stored bodies arrive as on-wire bytes; before scanning or feature
-extraction the chunked transfer framing is removed first, then every
-content coding is undone in reverse header order.  Guards against
-decompression bombs cap the output instead of failing: oversized results
-come back truncated and flagged, since a truncated body is still worth
-scanning while an exception would lose the record.
+extraction the chunked transfer framing is removed first, by the same
+strict de-chunker the wire uses, then every content coding is undone in
+reverse header order.  Guards against decompression bombs cap the output
+instead of failing: oversized results come back truncated and flagged,
+since a truncated body is still worth scanning while an exception would
+lose the record.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+
+from .wire import ChunkedBodyError, _dechunk_at
 
 # Absolute output cap and bomb ratio; a stream is cut off at
 # min(OUTPUT_CAP, BOMB_RATIO * len(compressed input)).
@@ -72,40 +75,6 @@ def declared_media_type(headers) -> str:
     return values[0].split(";", 1)[0].strip().lower()
 
 
-def dechunk(raw: bytes) -> bytes:
-    """Remove HTTP/1.1 chunked transfer framing."""
-    out = bytearray()
-    i = 0
-    n = len(raw)
-    while True:
-        j = raw.find(b"\r\n", i)
-        if j < 0:
-            raise BodyDecodeError("chunked", f"missing chunk size line at byte {i}")
-        size_token = raw[i:j].split(b";", 1)[0].strip()
-        try:
-            size = int(size_token, 16)
-        except ValueError:
-            raise BodyDecodeError("chunked", f"bad chunk size {size_token!r} at byte {i}")
-        i = j + 2
-        if size == 0:
-            # optional trailers, then a blank line
-            while True:
-                k = raw.find(b"\r\n", i)
-                if k < 0:
-                    raise BodyDecodeError("chunked", "missing final CRLF")
-                line = raw[i:k]
-                i = k + 2
-                if not line:
-                    return bytes(out)
-        if i + size + 2 > n:
-            raise BodyDecodeError("chunked", f"truncated chunk data at byte {i}")
-        out += raw[i:i + size]
-        i += size
-        if raw[i:i + 2] != b"\r\n":
-            raise BodyDecodeError("chunked", f"missing chunk terminator at byte {i}")
-        i += 2
-
-
 def _inflate(data: bytes, coding: str, limit: int) -> tuple[bytes, bool]:
     """Undo one gzip/deflate coding, bounded by `limit` output bytes."""
     if coding in ("gzip", "x-gzip"):
@@ -148,7 +117,10 @@ def decode_body(raw: bytes, headers, cap: int = OUTPUT_CAP,
     data = raw
     applied: list[str] = []
     if transfer and transfer[-1] == "chunked":
-        data = dechunk(data)
+        try:
+            data = _dechunk_at(data, 0)[0]
+        except ChunkedBodyError as exc:
+            raise BodyDecodeError("chunked", str(exc)) from None
         applied.append("chunked")
         transfer = transfer[:-1]
 

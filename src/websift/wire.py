@@ -16,6 +16,19 @@ proxy keeps a small stack of idle gateway connections and reuses them
 across exchanges; a request on a reused connection that gets no response
 byte back (the gateway timed it out meanwhile) is resent once on a fresh
 connection.  Clients still talk to the proxy with `Connection: close`.
+
+Framing is done once for both protocols, and every peer is treated as
+hostile.  One writer builds every ICAP and HTTP head, one lenient reader
+parses every HTTP head (ICAP heads keep their own strict parser), one
+buffered de-chunker (`_dechunk_at`) and one streaming de-chunker
+(`_read_chunked`) undo chunked bodies, and both take chunk sizes from the
+strict `_chunk_size` (RFC 9112 `1*HEXDIG`).  Lengths are ASCII digits
+only.  Off a socket no line may exceed MAX_LINE bytes, no head
+MAX_HEAD_SIZE, and body data is read at most READ_PIECE bytes at a time,
+never in whatever size the peer declares.  An ICAP body above
+MAX_BODY_SIZE is refused; an origin body above the proxy's `max_body` is
+cut there and flagged `wire.truncated`.  A gateway keeps at most
+REQMOD_TABLE_SIZE REQMOD bodies waiting for their RESPMOD.
 """
 
 from __future__ import annotations
@@ -33,6 +46,10 @@ ICAP_VERSION = "ICAP/1.0"
 DEFAULT_ICAP_PORT = 1344
 DEFAULT_PROXY_PORT = 3128
 MAX_BODY_SIZE = 64 * 1024 * 1024
+MAX_LINE = 64 * 1024          # longest line read off a socket, line ending included
+MAX_HEAD_SIZE = 256 * 1024    # longest start line plus header block read off a socket
+READ_PIECE = 64 * 1024        # largest single read of body data off a socket
+REQMOD_TABLE_SIZE = 1024      # REQMOD bodies a gateway keeps for their RESPMOD
 ICAP_IDLE_TIMEOUT = 30.0      # seconds a gateway connection may wait for its next message
 ICAP_IDLE_CONNECTIONS = 8     # idle gateway connections a proxy keeps for reuse
 ICAP_METHODS = ("OPTIONS", "REQMOD", "RESPMOD")
@@ -54,21 +71,28 @@ WARNING_PAGE = (
 )
 
 
+def _header(headers, name: str) -> str | None:
+    """First value of header `name`, matched case-insensitively; None if absent."""
+    low = name.lower()
+    for k, v in headers:
+        if k.lower() == low:
+            return v
+    return None
+
+
+class _HeaderLookup:
+    def header(self, name: str) -> str | None:
+        return _header(self.headers, name)
+
+
 # ---------------------------------------------------------------------------
 # core exchange types
 
 @dataclass
-class HttpRequest:
+class HttpRequest(_HeaderLookup):
     method: str
     url: str
     headers: list[tuple[str, str]] = field(default_factory=list)
-
-    def header(self, name: str) -> str | None:
-        low = name.lower()
-        for k, v in self.headers:
-            if k.lower() == low:
-                return v
-        return None
 
     def to_doc(self) -> dict:
         return {"method": self.method, "url": self.url,
@@ -80,17 +104,10 @@ class HttpRequest:
 
 
 @dataclass
-class HttpResponse:
+class HttpResponse(_HeaderLookup):
     status: int
     reason: str = ""
     headers: list[tuple[str, str]] = field(default_factory=list)
-
-    def header(self, name: str) -> str | None:
-        low = name.lower()
-        for k, v in self.headers:
-            if k.lower() == low:
-                return v
-        return None
 
     def to_doc(self) -> dict:
         return {"status": self.status, "reason": self.reason,
@@ -163,7 +180,7 @@ class EmittedExchange:
 # parse errors
 
 class IcapParseError(ValueError):
-    """Base class; `position` is the byte offset the problem was found at."""
+    """Bad framing, ICAP or HTTP; `position` is the byte offset it was found at."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at byte {position})")
@@ -198,20 +215,13 @@ class ChunkedBodyError(IcapParseError):
 # message model
 
 @dataclass
-class IcapMessage:
+class IcapMessage(_HeaderLookup):
     method: str
     uri: str
     version: str
     headers: list[tuple[str, str]]
     encapsulated: list[tuple[str, int]]
     sections: dict[str, bytes]  # body section stored de-chunked
-
-    def header(self, name: str) -> str | None:
-        low = name.lower()
-        for k, v in self.headers:
-            if k.lower() == low:
-                return v
-        return None
 
     def body_token(self) -> str | None:
         for token, _ in self.encapsulated:
@@ -221,19 +231,12 @@ class IcapMessage:
 
 
 @dataclass
-class IcapResponse:
+class IcapResponse(_HeaderLookup):
     status: int
     reason: str
     headers: list[tuple[str, str]] = field(default_factory=list)
     # (token, raw bytes); a *-body section holds the un-chunked payload
     sections: list[tuple[str, bytes]] = field(default_factory=list)
-
-    def header(self, name: str) -> str | None:
-        low = name.lower()
-        for k, v in self.headers:
-            if k.lower() == low:
-                return v
-        return None
 
     def section(self, token: str) -> bytes | None:
         for t, data in self.sections:
@@ -247,22 +250,61 @@ class IcapResponse:
         pos = 0
         has_body = False
         for token, data in self.sections:
-            if token in _BODY_TOKENS:
-                offsets.append(f"{token}={pos}")
-                if token != "null-body":
-                    parts.append(_chunk_encode(data))
-                has_body = True
-            else:
-                offsets.append(f"{token}={pos}")
+            offsets.append(f"{token}={pos}")
+            if token not in _BODY_TOKENS:
                 parts.append(data)
                 pos += len(data)
+            else:
+                has_body = True
+                if token != "null-body":
+                    parts.append(_chunk_encode(data))
         if not has_body:
             offsets.append(f"null-body={pos}")
-        head = [f"{ICAP_VERSION} {self.status} {self.reason}".encode("latin-1")]
-        for k, v in self.headers:
-            head.append(f"{k}: {v}".encode("latin-1"))
-        head.append(b"Encapsulated: " + ", ".join(offsets).encode("latin-1"))
-        return CRLF.join(head) + CRLF + CRLF + b"".join(parts)
+        headers = self.headers + [("Encapsulated", ", ".join(offsets))]
+        return _write_head(f"{ICAP_VERSION} {self.status} {self.reason}", headers) + b"".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# framing shared by ICAP and HTTP
+
+def _write_head(start_line: str, headers) -> bytes:
+    """A start line, one `name: value` line per header and the blank line."""
+    return "".join([start_line, "\r\n", *[f"{k}: {v}\r\n" for k, v in headers],
+                    "\r\n"]).encode("latin-1")
+
+
+def _split_head(head: bytes) -> tuple[bytes, list[tuple[str, str]]]:
+    """(start line, headers) of an HTTP head, leniently.
+
+    Lines may end in CRLF or a bare LF, blank lines are skipped and a line
+    without a colon becomes a header with an empty value.
+    """
+    lines = head.split(b"\n")
+    headers = []
+    for line in lines[1:]:
+        if line and line != b"\r":
+            name, _, value = line.partition(b":")
+            headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
+    return lines[0].rstrip(b"\r"), headers
+
+
+def _digits(value: str) -> int | None:
+    """`value` as a number when it is ASCII decimal digits only, else None.
+
+    str.isdigit() alone is also true for "²", which int() then refuses.
+    """
+    return int(value) if value.isascii() and value.isdigit() else None
+
+
+def _content_length(headers) -> int | None:
+    """The declared Content-Length, None when absent; ValueError when bad."""
+    value = _header(headers, "Content-Length")
+    if value is None:
+        return None
+    length = _digits(value)
+    if length is None:
+        raise ValueError(f"bad Content-Length {value!r}")
+    return length
 
 
 def _chunk_encode(data: bytes) -> bytes:
@@ -352,11 +394,10 @@ def _parse_encapsulated(value: str, position: int) -> list[tuple[str, int]]:
         if not chunk:
             continue
         name, _, num = chunk.partition("=")
-        name, num = name.strip(), num.strip()
-        # str.isdigit() alone is true for "²", which int() then refuses
-        if name not in _SECTION_TOKENS or not (num.isascii() and num.isdigit()):
+        name, offset = name.strip(), _digits(num.strip())
+        if name not in _SECTION_TOKENS or offset is None:
             raise EncapsulatedOffsetsError(f"bad Encapsulated entry {chunk!r}", position)
-        entries.append((name, int(num)))
+        entries.append((name, offset))
     if not entries:
         raise EncapsulatedOffsetsError("empty Encapsulated header", position)
     if entries[0][1] != 0:
@@ -442,11 +483,7 @@ def parse_icap_response(raw: bytes) -> IcapResponse:
     headers = _parse_header_lines(head_lines[1:], len(status_line) + 2)
     payload = raw[payload_off:]
 
-    enc_value = None
-    for k, v in headers:
-        if k.lower() == "encapsulated":
-            enc_value = v
-            break
+    enc_value = _header(headers, "Encapsulated")
     sections: list[tuple[str, bytes]] = []
     if enc_value is not None:
         entries = _parse_encapsulated(enc_value, payload_off)
@@ -459,18 +496,11 @@ def parse_icap_response(raw: bytes) -> IcapResponse:
 # encapsulation of exchanges
 
 def _serialize_request_head(req: HttpRequest) -> bytes:
-    lines = [f"{req.method} {req.url} HTTP/1.1".encode("latin-1")]
-    for k, v in req.headers:
-        lines.append(f"{k}: {v}".encode("latin-1"))
-    return CRLF.join(lines) + CRLF + CRLF
+    return _write_head(f"{req.method} {req.url} HTTP/1.1", req.headers)
 
 
 def _serialize_response_head(resp: HttpResponse) -> bytes:
-    reason = resp.reason or "OK"
-    lines = [f"HTTP/1.1 {resp.status} {reason}".encode("latin-1")]
-    for k, v in resp.headers:
-        lines.append(f"{k}: {v}".encode("latin-1"))
-    return CRLF.join(lines) + CRLF + CRLF
+    return _write_head(f"HTTP/1.1 {resp.status} {resp.reason or 'OK'}", resp.headers)
 
 
 def _metadata_headers(exchange: HttpExchange, exchange_id: str,
@@ -498,12 +528,10 @@ def encapsulate(exchange: HttpExchange, icap_host: str = "gateway",
     else:
         enc = f"req-hdr=0, res-hdr={len(req_hdr)}, null-body={len(req_hdr) + len(res_hdr)}"
         body = b""
-    head = [f"RESPMOD icap://{icap_host}/respmod {ICAP_VERSION}".encode("latin-1"),
-            f"Host: {icap_host}".encode("latin-1")]
-    for k, v in _metadata_headers(exchange, exchange_id, markers or {}):
-        head.append(f"{k}: {v}".encode("latin-1"))
-    head.append(b"Encapsulated: " + enc.encode("latin-1"))
-    return CRLF.join(head) + CRLF + CRLF + req_hdr + res_hdr + body
+    headers = [("Host", icap_host), *_metadata_headers(exchange, exchange_id, markers or {}),
+               ("Encapsulated", enc)]
+    head = _write_head(f"RESPMOD icap://{icap_host}/respmod {ICAP_VERSION}", headers)
+    return head + req_hdr + res_hdr + body
 
 
 def build_reqmod(request: HttpRequest, body: bytes = b"",
@@ -516,38 +544,23 @@ def build_reqmod(request: HttpRequest, body: bytes = b"",
     else:
         enc = f"req-hdr=0, null-body={len(req_hdr)}"
         payload = req_hdr
-    head = [f"REQMOD icap://{icap_host}/reqmod {ICAP_VERSION}".encode("latin-1"),
-            f"Host: {icap_host}".encode("latin-1"),
-            f"X-Exchange-Id: {exchange_id}".encode("latin-1"),
-            b"Encapsulated: " + enc.encode("latin-1")]
-    return CRLF.join(head) + CRLF + CRLF + payload
+    headers = [("Host", icap_host), ("X-Exchange-Id", exchange_id), ("Encapsulated", enc)]
+    return _write_head(f"REQMOD icap://{icap_host}/reqmod {ICAP_VERSION}", headers) + payload
 
 
 def _parse_http_request_head(raw: bytes) -> HttpRequest:
-    lines = raw.rstrip(b"\r\n").split(CRLF)
-    parts = lines[0].split(b" ")
+    start, headers = _split_head(raw)
+    parts = start.split(b" ")
     if len(parts) != 3:
-        raise ValueError(f"malformed encapsulated request line {lines[0]!r}")
-    headers = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, _, value = line.partition(b":")
-        headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
+        raise ValueError(f"malformed request line {start!r}")
     return HttpRequest(parts[0].decode("latin-1"), parts[1].decode("latin-1"), headers)
 
 
 def _parse_http_response_head(raw: bytes) -> HttpResponse:
-    lines = raw.rstrip(b"\r\n").split(CRLF)
-    parts = lines[0].split(b" ", 2)
-    if len(parts) < 2 or not parts[1].isdigit():
-        raise ValueError(f"malformed encapsulated status line {lines[0]!r}")
-    headers = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, _, value = line.partition(b":")
-        headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
+    start, headers = _split_head(raw)
+    parts = start.split(b" ", 2)
+    if len(parts) < 2 or not parts[1].isdigit():  # bytes.isdigit() is ASCII-only
+        raise ValueError(f"malformed status line {start!r}")
     return HttpResponse(int(parts[1]), parts[2].decode("latin-1") if len(parts) > 2 else "",
                         headers)
 
@@ -559,7 +572,6 @@ def exchange_from_respmod(msg: IcapMessage) -> tuple[HttpExchange, str, dict[str
     request = _parse_http_request_head(msg.sections["req-hdr"])
     response = _parse_http_response_head(msg.sections["res-hdr"])
     body = msg.sections.get("res-body", b"")
-    started = msg.header("X-Exchange-Started")
     agent = msg.header("X-Exchange-Agent") or ""
     seeder = msg.header("X-Exchange-Seeder") or "benign"
     markers: dict[str, str] = {}
@@ -571,7 +583,7 @@ def exchange_from_respmod(msg: IcapMessage) -> tuple[HttpExchange, str, dict[str
         request=request,
         response=response,
         body=body,
-        started_at=int(started) if started and started.isdigit() else 0,
+        started_at=_digits(msg.header("X-Exchange-Started") or "") or 0,
         agent_id=agent,
         seeder_tag=seeder if seeder in SEEDER_TAGS else "benign",
     )
@@ -655,68 +667,108 @@ def serve_icap(msg: IcapMessage, mode: str = "collect", verdict_fn=None,
 # ---------------------------------------------------------------------------
 # socket framing helpers
 
-def _read_icap_wire_message(rfile) -> bytes | None:
-    """Read one framed ICAP message from a socket file; None on clean EOF."""
+def _read_line(rfile, error, pos: int) -> bytes:
+    """One line of at most MAX_LINE bytes, b"" at EOF; raises `error` if longer."""
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise error(f"line longer than {MAX_LINE} bytes", pos)
+    return line
+
+
+def _read_head(rfile) -> bytes | None:
+    """Read a start line and its header block up to the blank line ending it.
+
+    Lines may end in CRLF or LF.  Returns None on EOF before the first byte.
+    """
     head = bytearray()
-    first = rfile.readline()
-    if not first:
-        return None
-    head += first
     while True:
-        line = rfile.readline()
+        line = _read_line(rfile, HeaderSyntaxError, len(head))
         if not line:
-            raise TruncatedMessageError("connection closed inside ICAP head", len(head))
+            if not head:
+                return None
+            raise TruncatedMessageError("connection closed inside head", len(head))
         head += line
-        if line == CRLF:
+        if len(head) > MAX_HEAD_SIZE:
+            raise HeaderSyntaxError(f"head longer than {MAX_HEAD_SIZE} bytes", len(head))
+        if line in (CRLF, b"\n") and len(head) > len(line):  # a blank first line is no end
+            return bytes(head)
+
+
+def _read_upto(rfile, n: int) -> bytes:
+    """`n` bytes, fewer only at EOF, read at most READ_PIECE bytes at a time."""
+    pieces = []
+    while n > 0:
+        piece = rfile.read(min(READ_PIECE, n))
+        if not piece:
             break
-    enc_value = None
-    for raw_line in bytes(head).split(CRLF):
-        if raw_line.lower().startswith(b"encapsulated:"):
-            enc_value = raw_line.partition(b":")[2].decode("latin-1").strip()
-            break
-    if enc_value is None:
-        return bytes(head)
-    entries = _parse_encapsulated(enc_value, 0)
-    body_token, body_off = entries[-1]
-    if body_off > MAX_BODY_SIZE:
-        raise EncapsulatedOffsetsError(f"body offset {body_off} exceeds cap", len(head))
-    payload = bytearray(_read_exact(rfile, body_off, len(head)))
-    if body_token != "null-body":
-        payload += _read_chunked_wire(rfile, len(head) + body_off)
-    return bytes(head) + bytes(payload)
+        pieces.append(piece)
+        n -= len(piece)
+    return b"".join(pieces)
 
 
 def _read_exact(rfile, n: int, base: int) -> bytes:
-    data = rfile.read(n)
+    data = _read_upto(rfile, n)
     if len(data) != n:
         raise TruncatedMessageError("connection closed inside payload", base + len(data))
     return data
 
 
-def _read_chunked_wire(rfile, base: int) -> bytes:
+def _read_chunked(rfile, cap: int) -> tuple[bytes, bool]:
+    """De-chunk a body while reading it off a socket file: (data, capped).
+
+    Reading stops once `cap` bytes of data are in hand and the body goes on:
+    the rest is left unread and `capped` is True.  What that means is the
+    caller's business.  Lines must end in CRLF, as for `_dechunk_at`.
+    Error positions count de-chunked bytes.
+    """
     out = bytearray()
-    data_bytes = 0
     while True:
-        size_line = rfile.readline()
-        if not size_line:
-            raise ChunkedBodyError("connection closed before chunk size", base + len(out))
+        line = _read_line(rfile, ChunkedBodyError, len(out))
+        if not line.endswith(CRLF):
+            raise ChunkedBodyError("chunk size line cut short", len(out))
         try:
-            size = _chunk_size(size_line.rstrip(b"\r\n"))
+            size = _chunk_size(line[:-2])
         except ValueError as exc:
-            raise ChunkedBodyError(f"{exc} on wire", base + len(out)) from None
-        out += size_line
-        data_bytes += size
-        if data_bytes > MAX_BODY_SIZE:
-            raise ChunkedBodyError("chunked body exceeds cap", base + len(out))
+            raise ChunkedBodyError(str(exc), len(out)) from None
         if size == 0:
-            while True:
-                line = rfile.readline()
-                if not line:
-                    raise ChunkedBodyError("connection closed in trailers", base + len(out))
-                out += line
-                if line == CRLF:
-                    return bytes(out)
-        out += _read_exact(rfile, size + 2, base + len(out))
+            while line != CRLF:  # trailers, up to the blank line
+                line = _read_line(rfile, ChunkedBodyError, len(out))
+                if not line.endswith(CRLF):
+                    raise ChunkedBodyError("trailer line cut short", len(out))
+            return bytes(out), False
+        take = min(size, cap - len(out))
+        data = _read_upto(rfile, take)
+        out += data
+        if len(data) < take:
+            raise ChunkedBodyError("connection closed inside chunk data", len(out))
+        if take < size:
+            return bytes(out), True
+        if rfile.read(2) != CRLF:
+            raise ChunkedBodyError("missing chunk data terminator", len(out))
+
+
+def _read_icap_wire_message(rfile) -> bytes | None:
+    """Read one ICAP message off a socket file; None on clean EOF.
+
+    A chunked body is de-chunked as it arrives and passed on as one chunk.
+    """
+    head = _read_head(rfile)
+    if head is None:
+        return None
+    enc_value = _header(_split_head(head)[1], "Encapsulated")
+    if enc_value is None:
+        return head
+    entries = _parse_encapsulated(enc_value, 0)
+    body_token, body_off = entries[-1]
+    if body_off > MAX_BODY_SIZE:
+        raise EncapsulatedOffsetsError(f"body offset {body_off} exceeds cap", len(head))
+    payload = _read_exact(rfile, body_off, len(head))
+    if body_token == "null-body":
+        return head + payload
+    body, capped = _read_chunked(rfile, MAX_BODY_SIZE)
+    if capped:
+        raise ChunkedBodyError("chunked body exceeds cap", len(head) + body_off + len(body))
+    return head + payload + _chunk_encode(body)
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +777,28 @@ def _read_chunked_wire(rfile, base: int) -> bytes:
 class _ThreadedServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
+
+
+class _ReqmodBodies(dict):
+    """REQMOD bodies waiting for their RESPMOD, by exchange id.
+
+    A RESPMOD may never come (a fail-open proxy gives up on the gateway),
+    so beyond REQMOD_TABLE_SIZE entries the oldest is dropped.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def __setitem__(self, key: str, body: bytes) -> None:
+        with self._lock:
+            super().__setitem__(key, body)
+            while len(self) > REQMOD_TABLE_SIZE:
+                del self[next(iter(self))]
+
+    def pop(self, key: str, default=None):
+        with self._lock:
+            return super().pop(key, default)
 
 
 class IcapGateway:
@@ -739,7 +813,7 @@ class IcapGateway:
         self.verdict_fn = verdict_fn
         self.warning_page = warning_page
         self.istag = f'"WS-{uuid.uuid4().hex[:12]}"'
-        self.reqmod_bodies: dict[str, bytes] = {}
+        self.reqmod_bodies = _ReqmodBodies()
         self.refused: list[EmittedExchange] = []
         if emit is None:
             self.emit = None
@@ -911,79 +985,35 @@ class ProxyError(Exception):
     pass
 
 
-def _read_http_headers(rfile, base: int) -> list[tuple[str, str]]:
-    headers = []
-    pos = base
-    while True:
-        line = rfile.readline()
-        if not line:
-            raise ProxyError(f"connection closed inside headers at byte {pos}")
-        pos += len(line)
-        if line in (CRLF, b"\n"):
-            return headers
-        name, _, value = line.rstrip(b"\r\n").partition(b":")
-        headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
+def _read_response(rfile, cap: int, head_only: bool = False) -> tuple[HttpResponse, bytes, bool]:
+    """Read an HTTP response off a socket file: (response, entity, truncated).
 
-
-def _read_sized(rfile, length: int, cap: int) -> tuple[bytes, bool]:
-    """Read up to `length` bytes, truncating at cap."""
-    take = min(length, cap)
-    data = rfile.read(take)
-    truncated = False
-    if length > cap:
-        truncated = True
-        remaining = length - cap
-        while remaining > 0:
-            skip = rfile.read(min(65536, remaining))
-            if not skip:
-                break
-            remaining -= len(skip)
-    return data, truncated
-
-
-def _read_chunked_entity(rfile, cap: int) -> tuple[bytes, bool]:
-    out = bytearray()
-    truncated = False
-    while True:
-        size_line = rfile.readline()
-        if not size_line:
-            raise ProxyError("connection closed before chunk size")
-        try:
-            size = _chunk_size(size_line.rstrip(b"\r\n"))
-        except ValueError:
-            raise ProxyError(f"bad chunk size line {size_line!r}") from None
-        if size == 0:
-            while True:
-                line = rfile.readline()
-                if not line or line == CRLF:
-                    return bytes(out), truncated
-        data = rfile.read(size + 2)
-        if len(data) != size + 2:
-            raise ProxyError("connection closed inside chunk")
-        if not truncated:
-            room = cap - len(out)
-            if size > room:
-                out += data[:room]
-                truncated = True
-            else:
-                out += data[:size]
-    # not reached
-
-
-def _read_to_close(rfile, cap: int) -> tuple[bytes, bool]:
-    out = bytearray()
-    truncated = False
-    while True:
-        data = rfile.read(65536)
-        if not data:
-            return bytes(out), truncated
-        if not truncated:
-            room = cap - len(out)
-            if len(data) > room:
-                out += data[:room]
-                truncated = True
-            else:
-                out += data
+    The entity is framed by chunked coding, else Content-Length, else the
+    end of the connection, and at most `cap` bytes of it are read; what
+    lies beyond is left unread, so the connection cannot be reused.  A
+    chunked entity comes back with its framing headers replaced by its
+    Content-Length.  Raises ValueError (IcapParseError is one) on bad
+    framing.
+    """
+    head = _read_head(rfile)
+    if head is None:
+        raise TruncatedMessageError("connection closed before the status line", 0)
+    response = _parse_http_response_head(head)
+    te = [t.strip().lower() for k, v in response.headers
+          if k.lower() == "transfer-encoding" for t in v.split(",")]
+    if "chunked" in te:
+        entity, truncated = _read_chunked(rfile, cap)
+        response.headers = [(k, v) for k, v in response.headers
+                            if k.lower() not in ("transfer-encoding", "content-length")]
+        response.headers.append(("Content-Length", str(len(entity))))
+    elif (length := _content_length(response.headers)) is not None:
+        entity, truncated = _read_upto(rfile, min(length, cap)), length > cap
+    elif head_only or response.status in (204, 304):
+        entity, truncated = b"", False
+    else:
+        entity = _read_upto(rfile, cap + 1)
+        entity, truncated = entity[:cap], len(entity) > cap
+    return response, entity, truncated
 
 
 def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
@@ -1014,42 +1044,17 @@ def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
 
     with socket.create_connection((host, port), timeout=timeout) as sock:
         peer_ip = sock.getpeername()[0]
-        lines = [f"{request.method} {path} HTTP/1.1".encode("latin-1")]
-        for k, v in out_headers:
-            lines.append(f"{k}: {v}".encode("latin-1"))
-        sock.sendall(CRLF.join(lines) + CRLF + CRLF + body)
-        rfile = sock.makefile("rb")
-        status_line = rfile.readline()
-        if not status_line:
-            raise ProxyError("origin closed without a status line")
-        sp = status_line.rstrip(b"\r\n").split(b" ", 2)
-        if len(sp) < 2 or not sp[1].isdigit():
-            raise ProxyError(f"malformed origin status line {status_line!r}")
-        status = int(sp[1])
-        reason = sp[2].decode("latin-1") if len(sp) > 2 else ""
-        headers = _read_http_headers(rfile, len(status_line))
-
-        te = [t.strip().lower() for k, v in headers
-              if k.lower() == "transfer-encoding" for t in v.split(",")]
-        cl = next((v for k, v in headers if k.lower() == "content-length"), None)
-        if "chunked" in te:
-            entity, truncated = _read_chunked_entity(rfile, cap)
-            # normalize framing: entity bytes are unchanged, framing becomes CL
-            headers = [(k, v) for k, v in headers
-                       if k.lower() not in ("transfer-encoding", "content-length")]
-            headers.append(("Content-Length", str(len(entity))))
-        elif cl is not None and cl.strip().isdigit():
-            entity, truncated = _read_sized(rfile, int(cl.strip()), cap)
-        elif request.method == "HEAD" or status in (204, 304):
-            entity, truncated = b"", False
-        else:
-            entity, truncated = _read_to_close(rfile, cap)
-        return HttpResponse(status, reason, headers), entity, truncated, peer_ip
+        sock.sendall(_write_head(f"{request.method} {path} HTTP/1.1", out_headers) + body)
+        try:
+            response, entity, truncated = _read_response(sock.makefile("rb"), cap,
+                                                         request.method == "HEAD")
+        except ValueError as exc:
+            raise ProxyError(f"bad origin response: {exc}") from None
+        return response, entity, truncated, peer_ip
 
 
 def _client_response_bytes(response: HttpResponse, body: bytes) -> bytes:
-    reason = response.reason or "OK"
-    lines = [f"HTTP/1.1 {response.status} {reason}".encode("latin-1")]
+    headers = []
     wrote_cl = False
     for k, v in response.headers:
         if k.lower() in ("transfer-encoding", "connection"):
@@ -1059,11 +1064,11 @@ def _client_response_bytes(response: HttpResponse, body: bytes) -> bytes:
                 continue
             v = str(len(body))
             wrote_cl = True
-        lines.append(f"{k}: {v}".encode("latin-1"))
+        headers.append((k, v))
     if not wrote_cl:
-        lines.append(b"Content-Length: " + str(len(body)).encode("ascii"))
-    lines.append(b"Connection: close")
-    return CRLF.join(lines) + CRLF + CRLF + body
+        headers.append(("Content-Length", str(len(body))))
+    headers.append(("Connection", "close"))
+    return _serialize_response_head(HttpResponse(response.status, response.reason, headers)) + body
 
 
 class ProxyServer:
@@ -1132,30 +1137,24 @@ class ProxyServer:
             pass
 
     def _handle(self, rfile, wfile) -> None:
-        request_line = rfile.readline()
-        if not request_line:
+        try:
+            head = _read_head(rfile)
+            if head is None:
+                return
+            request = _parse_http_request_head(head)
+            length = _content_length(request.headers) or 0
+        except ValueError as exc:  # IcapParseError is one
+            self._send_error(wfile, 400, "Bad Request", str(exc))
             return
-        parts = request_line.rstrip(b"\r\n").split(b" ")
-        if len(parts) != 3:
-            self._send_error(wfile, 400, "Bad Request", "malformed request line")
-            return
-        method = parts[0].decode("latin-1")
-        target = parts[1].decode("latin-1")
-        if method == "CONNECT":
+        if request.method == "CONNECT":
             self._send_error(wfile, 405, "Method Not Allowed",
                              "CONNECT tunneling is not supported")
             return
-        if "://" not in target:
+        if "://" not in request.url:
             self._send_error(wfile, 400, "Bad Request",
                              "proxy requires absolute-URI request targets")
             return
-        headers = _read_http_headers(rfile, len(request_line))
-        request = HttpRequest(method, target, headers)
-
-        cl = request.header("Content-Length")
-        request_body = b""
-        if cl and cl.isdigit() and int(cl) > 0:
-            request_body, _ = _read_sized(rfile, int(cl), self.max_body)
+        request_body = _read_upto(rfile, min(length, self.max_body))
 
         started_at = int(time.time() * 1000)
         agent_id = request.header("X-Websift-Agent") or ""

@@ -1,0 +1,27 @@
+"""Smoke tests for the scripts under scripts/."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_desk_run_prints_its_four_stages(capsys):
+    desk_run = load_script("desk_run")
+    assert desk_run.main(["--benign", "6", "--malicious", "4", "--trees", "2"]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [d["stage"] for d in docs] == ["crawl", "dataset", "train", "report"]
+    crawl, dataset, train, report = docs
+    assert crawl["records"] == 10 and crawl["errors"] == 0
+    assert dataset == {"stage": "dataset", "samples": 10, "malicious": 4}
+    assert train["train_size"] + train["test_size"] == 10
+    assert set(train["confusion"]) == {"tp", "fp", "tn", "fn"}
+    assert report["unique_malicious"] == 4

@@ -4,6 +4,7 @@ import contextlib
 import io
 import socket
 import socketserver
+import sys
 import threading
 import time
 
@@ -284,18 +285,27 @@ def test_chunk_size_takes_hex_and_extensions(size_line, size):
     assert wire._chunk_size(size_line) == size
 
 
+REQMOD_HEAD = head_block([b"REQMOD icap://g/reqmod ICAP/1.0",
+                          b"Encapsulated: req-hdr=0, req-body=31"])
+REQ_HDR = head_block([b"GET http://a.test/ HTTP/1.1"])
+CHUNKED_RESPONSE_HEAD = head_block([b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked"])
+
+
 def _dechunk_three_ways(framed: bytes):
-    """The three chunked readers' results on `framed`: data or the error type."""
+    """`framed` de-chunked buffered, streamed in ICAP use and streamed in
+    origin use: the data or, for any framing error, ValueError."""
+    assert len(REQ_HDR) == 31
     results = []
     readers = [
         lambda: wire._dechunk_at(framed, 0)[0],
-        lambda: wire._dechunk_at(wire._read_chunked_wire(io.BytesIO(framed), 0), 0)[0],
-        lambda: wire._read_chunked_entity(io.BytesIO(framed), 1 << 20)[0],
+        lambda: parse_icap(wire._read_icap_wire_message(
+            io.BytesIO(REQMOD_HEAD + REQ_HDR + framed))).sections["req-body"],
+        lambda: wire._read_response(io.BytesIO(CHUNKED_RESPONSE_HEAD + framed), 1 << 20)[1],
     ]
     for read in readers:
         try:
             results.append(read())
-        except (ChunkedBodyError, wire.ProxyError):
+        except ValueError:  # ChunkedBodyError and the other IcapParseErrors are ValueErrors
             results.append(ValueError)
     return results
 
@@ -895,6 +905,16 @@ class _OriginHandler(socketserver.StreamRequestHandler):
             self.wfile.write(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                              b"6\r\nchunk1\r\n7\r\n chunk2\r\n0\r\n\r\n")
             return
+        if path == "/hugechunk":  # declares 16 MiB, sends 4 KiB, hangs up
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                             b"1000000\r\n" + b"x" * 4096)
+            return
+        if path == "/badlength":
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Length: \xb2\r\n\r\nxy")
+            return
+        if path == "/longline":
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 4096 + b"\r\n\r\n")
+            return
         if path == "/echoheaders":
             payload = "\n".join(f"{k}={v}" for k, v in sorted(received.items())).encode()
         elif path == "/echobody":
@@ -1161,3 +1181,272 @@ def test_proxy_drops_a_silent_client_after_its_timeout():
             started = time.monotonic()
             assert sock.recv(1) == b""
             assert time.monotonic() - started < 5
+
+
+# --- framing limits: bounded reads, strict lengths, a bounded REQMOD table ---
+
+class _BoundedSource(io.BytesIO):
+    """A socket file that fails any read larger than the framing limits allow."""
+
+    def read(self, n=-1):
+        assert 0 <= n <= wire.READ_PIECE, f"asked to read {n} bytes"
+        return super().read(n)
+
+    def readline(self, limit=-1):
+        assert 0 <= limit <= wire.MAX_LINE + 1, f"asked for a {limit}-byte line"
+        return super().readline(limit)
+
+
+MIB_LINE = b"a" * (1 << 20)
+
+
+def test_icap_reader_refuses_a_line_without_crlf():
+    with pytest.raises(HeaderSyntaxError):
+        wire._read_icap_wire_message(_BoundedSource(MIB_LINE))
+    with pytest.raises(HeaderSyntaxError):
+        wire._read_icap_wire_message(_BoundedSource(b"OPTIONS icap://g/x ICAP/1.0\r\n"
+                                                    + MIB_LINE))
+
+
+def test_gateway_answers_an_overlong_line_with_400():
+    out = io.BytesIO()
+    with running_gateway() as gw:
+        assert gw._serve_one(_BoundedSource(MIB_LINE), out) is False
+    resp = parse_icap_response(out.getvalue())
+    assert resp.status == 400
+    assert resp.header("Connection") == "close"
+
+
+def test_http_reader_refuses_a_line_without_crlf():
+    with pytest.raises(HeaderSyntaxError):
+        wire._read_response(_BoundedSource(b"HTTP/1.1 200 OK\r\nX: " + MIB_LINE), 1 << 20)
+
+
+def test_heads_are_capped_in_total(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_HEAD_SIZE", 1000)
+    head = b"HTTP/1.1 200 OK\r\n" + b"X-Fill: 0123456789\r\n" * 60 + b"\r\n"
+    with pytest.raises(HeaderSyntaxError):
+        wire._read_head(_BoundedSource(head))
+
+
+def test_proxy_answers_an_overlong_request_line_with_400():
+    out = io.BytesIO()
+    with running_proxy() as px:
+        px._handle(_BoundedSource(b"GET http://a.test/" + MIB_LINE), out)
+    assert out.getvalue().startswith(b"HTTP/1.1 400 Bad Request\r\n")
+
+
+def test_proxy_turns_an_overlong_origin_line_into_a_fetch_error(origin, monkeypatch):
+    monkeypatch.setattr(wire, "MAX_LINE", 1024)
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw:
+        with running_proxy(gateway_addr=gw.address) as px:
+            status, _, _ = proxy_fetch(px.address, origin_url(origin, "/longline"))
+    assert status == 502
+    assert "line longer than 1024 bytes" in emitted[0].markers["wire.fetch_error"]
+
+
+def test_origin_content_length_must_be_ascii_digits(origin):
+    # "²".isdigit() is true, but int("²") raises
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw:
+        with running_proxy(gateway_addr=gw.address) as px:
+            status, _, body = proxy_fetch(px.address, origin_url(origin, "/badlength"))
+    assert status == 502
+    assert b"bad Content-Length" in body
+    assert "bad Content-Length" in emitted[0].markers["wire.fetch_error"]
+
+
+def test_client_content_length_must_be_ascii_digits(origin):
+    with running_proxy() as px:
+        status, _, body = proxy_fetch(px.address, origin_url(origin),
+                                      headers=[("Content-Length", "\xb2")])
+    assert status == 400
+    assert b"bad Content-Length" in body
+    assert origin.seen == []
+
+
+def test_huge_origin_chunk_is_read_in_pieces_and_truncated():
+    framed = b"1000000\r\n" + b"x" * (3 * wire.READ_PIECE)
+    cap = 2 * wire.READ_PIECE + 5
+    response, entity, truncated = wire._read_response(
+        _BoundedSource(CHUNKED_RESPONSE_HEAD + framed), cap)
+    assert entity == b"x" * cap
+    assert truncated
+    assert response.header("Content-Length") == str(cap)
+    assert response.header("Transfer-Encoding") is None
+
+
+def test_proxy_truncates_and_flags_a_huge_origin_chunk(origin):
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw:
+        with running_proxy(gateway_addr=gw.address, max_body=64) as px:
+            status, headers, body = proxy_fetch(px.address, origin_url(origin, "/hugechunk"))
+    assert status == 200
+    assert body == b"x" * 64
+    assert headers["content-length"] == "64"
+    assert emitted[0].markers["wire.truncated"] == "true"
+    assert emitted[0].exchange.body == b"x" * 64
+
+
+@given(st.lists(st.binary(min_size=1, max_size=20), max_size=4),
+       st.sampled_from([b"", b";ext=1", b" \t;a;b"]),
+       st.sampled_from([b"", b"X-Trail: 1\r\n", b"A: 1\r\nB: 2\r\n"]),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=120)))
+def test_dechunkers_agree_on_whole_and_cut_bodies(pieces, ext, trailers, cut):
+    framed = b"".join(b"%x%s\r\n%s\r\n" % (len(p), ext, p) for p in pieces)
+    framed += b"0\r\n" + trailers + b"\r\n"
+    if cut is not None:
+        framed = framed[:cut]
+    results = _dechunk_three_ways(framed)
+    assert results == [results[0]] * 3
+    if cut is None:
+        assert results[0] == b"".join(pieces)
+
+
+def test_reqmod_table_drops_the_oldest_unmatched_body(monkeypatch):
+    monkeypatch.setattr(wire, "REQMOD_TABLE_SIZE", 4)
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw:
+        idle = wire.IdleIcapConnections()
+        request = HttpRequest("POST", "http://site.test/f", [])
+        for n in range(5):  # no RESPMOD follows, as after a fail-open RESPMOD failure
+            icap_transact(gw.address, build_reqmod(request, b"form=%d" % n,
+                                                   exchange_id=f"r{n}"), idle=idle)
+        assert list(gw.reqmod_bodies) == ["r1", "r2", "r3", "r4"]
+        icap_transact(gw.address, encapsulate(make_exchange(), exchange_id="r4"), idle=idle)
+        idle.close()
+    assert emitted[0].request_body == b"form=4"
+    assert len(gw.reqmod_bodies) == 3
+
+
+def test_reqmod_table_keeps_exactly_its_cap_under_contention(monkeypatch):
+    # unlocked, threads evicting at once drop too much or see the dict change size
+    monkeypatch.setattr(wire, "REQMOD_TABLE_SIZE", 16)
+    table = wire._ReqmodBodies()
+    errors = []
+
+    def fill(tag):
+        try:
+            for n in range(20000):
+                table[f"{tag}-{n}"] = b"x"
+        except Exception as exc:  # surfaced below; a thread would swallow it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fill, args=(t,)) for t in range(8)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(table) == 16
+
+
+# --- byte pins: what the framing writers put on the wire ---
+
+PIN_EXCHANGE = HttpExchange(
+    request=HttpRequest("POST", "http://site.test/form?q=1",
+                        [("Host", "site.test"), ("Content-Length", "3")]),
+    response=HttpResponse(200, "OK", [("Content-Type", "text/html"),
+                                      ("Content-Encoding", "gzip")]),
+    body=b"<html>x</html>", started_at=1_500_000_000_000, agent_id="agent-3",
+    seeder_tag="malware")
+PIN_EMPTY = HttpExchange(request=HttpRequest("GET", "http://a.test/", []),
+                         response=HttpResponse(404, "", []), body=b"")
+
+
+def test_icap_writers_are_byte_stable():
+    assert encapsulate(PIN_EXCHANGE, icap_host="gw", exchange_id="x1",
+                       markers={"wire.truncated": "true", "a": "b"}) == (
+        b"RESPMOD icap://gw/respmod ICAP/1.0\r\nHost: gw\r\nX-Exchange-Id: x1\r\n"
+        b"X-Exchange-Started: 1500000000000\r\nX-Exchange-Agent: agent-3\r\n"
+        b"X-Exchange-Seeder: malware\r\nX-Exchange-Marker: a=b\r\n"
+        b"X-Exchange-Marker: wire.truncated=true\r\n"
+        b"Encapsulated: req-hdr=0, res-hdr=79, res-body=147\r\n\r\n"
+        b"POST http://site.test/form?q=1 HTTP/1.1\r\nHost: site.test\r\n"
+        b"Content-Length: 3\r\n\r\nHTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+        b"Content-Encoding: gzip\r\n\r\ne\r\n<html>x</html>\r\n0\r\n\r\n")
+    assert encapsulate(PIN_EMPTY) == (
+        b"RESPMOD icap://gateway/respmod ICAP/1.0\r\nHost: gateway\r\nX-Exchange-Id: \r\n"
+        b"X-Exchange-Started: 0\r\nX-Exchange-Agent: \r\nX-Exchange-Seeder: benign\r\n"
+        b"Encapsulated: req-hdr=0, res-hdr=31, null-body=50\r\n\r\n"
+        b"GET http://a.test/ HTTP/1.1\r\n\r\nHTTP/1.1 404 OK\r\n\r\n")
+    assert build_reqmod(PIN_EXCHANGE.request, b"a=1", exchange_id="x1") == (
+        b"REQMOD icap://gateway/reqmod ICAP/1.0\r\nHost: gateway\r\nX-Exchange-Id: x1\r\n"
+        b"Encapsulated: req-hdr=0, req-body=79\r\n\r\n"
+        b"POST http://site.test/form?q=1 HTTP/1.1\r\nHost: site.test\r\n"
+        b"Content-Length: 3\r\n\r\n3\r\na=1\r\n0\r\n\r\n")
+    assert build_reqmod(PIN_EMPTY.request) == (
+        b"REQMOD icap://gateway/reqmod ICAP/1.0\r\nHost: gateway\r\nX-Exchange-Id: \r\n"
+        b"Encapsulated: req-hdr=0, null-body=31\r\n\r\nGET http://a.test/ HTTP/1.1\r\n\r\n")
+    assert IcapResponse(204, "No modifications", [("ISTag", '"t"')]).to_bytes() == (
+        b'ICAP/1.0 204 No modifications\r\nISTag: "t"\r\nEncapsulated: null-body=0\r\n\r\n')
+    assert IcapResponse(200, "OK", [("ISTag", '"t"')],
+                        [("res-hdr", b"HTTP/1.1 200 OK\r\n\r\n"),
+                         ("res-body", b"page")]).to_bytes() == (
+        b'ICAP/1.0 200 OK\r\nISTag: "t"\r\nEncapsulated: res-hdr=0, res-body=19\r\n\r\n'
+        b"HTTP/1.1 200 OK\r\n\r\n4\r\npage\r\n0\r\n\r\n")
+
+
+def test_client_response_bytes_are_byte_stable():
+    response = HttpResponse(200, "", [
+        ("Content-Length", "99"), ("Transfer-Encoding", "chunked"),
+        ("Connection", "keep-alive"), ("X-A", "1"), ("content-length", "7")])
+    assert wire._client_response_bytes(response, b"body") == (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\nX-A: 1\r\nConnection: close\r\n\r\nbody")
+    assert wire._client_response_bytes(HttpResponse(502, "Bad Gateway", []), b"") == (
+        b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
+
+
+def _capture_one_request(answer: bytes, send):
+    """Bytes a client sends to a one-shot server answering `answer`."""
+    got = []
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        def serve():
+            conn, _ = server.accept()
+            with conn:
+                data = b""
+                while not data.endswith(b"\r\n\r\nxy") and not data.endswith(b"\r\n\r\nabc"):
+                    data += conn.recv(4096)
+                got.append(data)
+                conn.sendall(answer)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        result = send(server.getsockname())
+        thread.join(timeout=10)
+    return got[0], result
+
+
+def test_agent_request_is_byte_stable():
+    from websift.agents import proxy_request
+    sent, result = _capture_one_request(
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+        lambda addr: proxy_request(addr, "POST", "http://site.test/f",
+                                   [("User-Agent", "ua"), ("Accept", "*/*")], b"abc"))
+    assert sent == (b"POST http://site.test/f HTTP/1.1\r\nUser-Agent: ua\r\nAccept: */*\r\n"
+                    b"Content-Length: 3\r\nConnection: close\r\n\r\nabc")
+    assert result == (200, [("Content-Length", "2")], b"ok")
+
+
+def test_origin_request_is_byte_stable():
+    def fetch(addr):
+        request = HttpRequest("POST", f"http://{addr[0]}:{addr[1]}/p?q=1", [
+            ("Proxy-Connection", "keep-alive"), ("X-Websift-Agent", "a1"),
+            ("Content-Length", "2")])
+        return wire._fetch_upstream(request, b"xy", 5, 1 << 20, "websift")
+
+    sent, (response, entity, truncated, _) = _capture_one_request(
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nX-B: 2\r\n\r\n2\r\nhi\r\n0\r\n\r\n",
+        fetch)
+    host = sent.split(b"Host: ")[1].split(b"\r\n")[0]
+    assert sent == (b"POST /p?q=1 HTTP/1.1\r\nHost: " + host + b"\r\nX-Websift-Agent: a1\r\n"
+                    b"Content-Length: 2\r\nVia: 1.1 websift\r\nConnection: close\r\n\r\nxy")
+    assert response.headers == [("X-B", "2"), ("Content-Length", "2")]
+    assert (entity, truncated) == (b"hi", False)
