@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from websift import forest
+from websift.cli import _train_and_evaluate
 from websift.features import extract_features
 from websift.synthweb import generate_site, load_site_spec, render_page
 
@@ -39,27 +39,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     samples, labels = build_dataset(args.benign, args.malicious, args.seed)
-    train_idx, test_idx = forest.split_dataset(samples, labels, seed=args.seed)
-    train_x = [samples[i] for i in train_idx]
-    train_y = [labels[i] for i in train_idx]
-    test_x = [samples[i] for i in test_idx]
-    test_y = [labels[i] for i in test_idx]
-    print(json.dumps({"train_size": len(train_idx),
-                      "test_size": len(test_idx),
-                      "malicious_total": sum(labels)}), flush=True)
-
+    header_printed = False
     for bootstrap in (True, False):
         for n_trees in args.trees:
-            config = forest.ForestConfig(n_trees=n_trees, seed=args.seed,
+            _, doc = _train_and_evaluate(samples, labels, n_trees, args.seed,
                                          bootstrap=bootstrap)
-            model = forest.train_forest(train_x, train_y, config)
-            cm = forest.evaluate(model, test_x, test_y, check_overlap=False)
+            if not header_printed:  # every cell splits the same way
+                print(json.dumps({"train_size": doc["train_size"],
+                                  "test_size": doc["test_size"],
+                                  "malicious_total": sum(labels)}), flush=True)
+                header_printed = True
             print(json.dumps({
                 "trees": n_trees,
                 "bootstrap": bootstrap,
-                "confusion": {"tp": cm.tp, "fp": cm.fp,
-                              "tn": cm.tn, "fn": cm.fn},
-                "metrics": forest.metric_table(cm),
+                "confusion": doc["confusion"],
+                "metrics": doc["metrics"],
             }, sort_keys=True), flush=True)
     return 0
 

@@ -148,8 +148,8 @@ def plan_interaction(page: HtmlDoc, cfg: AgentConfig,
     """Login first when possible, then document-order interactables.
 
     The login form is consumed by the login action and not submitted a
-    second time.  Cross-origin links never enter the plan; the budget
-    counts every action including the login.
+    second time.  Cross-origin links and references urllib rejects never
+    enter the plan; the budget counts every action including the login.
     """
     host = (urlsplit(base_url).hostname or "").lower()
     user, password = (creds or {}).get(host, FALLBACK_CREDENTIALS)
@@ -163,24 +163,42 @@ def plan_interaction(page: HtmlDoc, cfg: AgentConfig,
 
     queue: list[Action] = []
     if login_form is not None:
-        queue.append(Action("login", urljoin(base_url, login_form.action or ""),
-                            _form_fields(login_form, user, password)))
+        target = _resolve(base_url, login_form.action or "")
+        if target is not None:
+            queue.append(Action("login", target, _form_fields(login_form, user, password)))
     for kind, payload in page.interactables:
         if kind == "link":
-            target = urljoin(base_url, payload)
-            if _origin(target) == base_origin:
+            target = _resolve(base_url, payload)
+            if target is not None and _origin(target) == base_origin:
                 queue.append(Action("follow", target))
         elif kind == "form":
             if payload is login_form:
                 continue
-            queue.append(Action("submit", urljoin(base_url, payload.action or ""),
-                                _form_fields(payload, user, password)))
+            target = _resolve(base_url, payload.action or "")
+            if target is not None:
+                queue.append(Action("submit", target, _form_fields(payload, user, password)))
         elif kind == "button":
-            queue.append(Action("click", urljoin(base_url, payload)))
+            target = _resolve(base_url, payload)
+            if target is not None:
+                queue.append(Action("click", target))
 
     if len(queue) > cfg.interaction_budget:
         return ActionPlan(queue[:cfg.interaction_budget], "budget")
     return ActionPlan(queue, "depleted")
+
+
+def _resolve(base_url: str, ref: str) -> str | None:
+    """`ref` made absolute against `base_url`, or None if urllib rejects it.
+
+    A page may carry any reference: `http://[x/` makes urljoin raise, and
+    a port outside 0-65535 or not a number makes `.port` raise.
+    """
+    try:
+        target = urljoin(base_url, ref)
+        urlsplit(target).port
+    except ValueError:
+        return None
+    return target
 
 
 def _origin(url: str) -> tuple[str, str, int]:

@@ -12,10 +12,9 @@ from .extract import (
     ledger_hash,
 )
 from .htmlparse import ElementNode, FormSpec, HtmlDoc, parse_html
-from .jsparse import AstCounts, JsAst, Node, Token, parse_js, tokenize
+from .jsparse import JsSummary, Token, parse_js, tokenize
 
 __all__ = [
-    "AstCounts",
     "BOOL_FEATURES",
     "ElementNode",
     "FEATURE_ORDER",
@@ -23,10 +22,9 @@ __all__ = [
     "FeatureVector",
     "FormSpec",
     "HtmlDoc",
-    "JsAst",
+    "JsSummary",
     "LEDGER_VERSION",
     "LONG_STRING_LEN",
-    "Node",
     "Token",
     "extract_features",
     "ledger_hash",

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from .entropy import shannon_entropy, shellcode_probability
 from .htmlparse import HtmlDoc, parse_html
-from .jsparse import AstCounts, JsAst, parse_js
+from .jsparse import JsSummary, parse_js
 
 LEDGER_VERSION = "1"
 
@@ -217,34 +217,38 @@ def extract_features(data: bytes, declared_type: str = "") -> FeatureVector:
             js_sources = [text]
             attempted_js = True
 
-    asts: list[JsAst] = [parse_js(src) for src in js_sources]
-    all_ok = all(a.parse_ok for a in asts)
+    scripts: list[JsSummary] = [parse_js(src) for src in js_sources]
+    all_ok = all(js.parse_ok for js in scripts)
     if attempted_js and not all_ok:
         f["parsingerror"] = 1
 
     if doc is not None:
         if js_sources:
             f["ishtmlwithjs"] = 1
-        if any(a.has_e4x for a in asts):
+        if any(js.has_e4x for js in scripts):
             f["ishtmlwithjse4x"] = 1
     elif attempted_js:
         declared_js = _declared_is_js(declared_type)
-        significant = any(a.has_significant_tokens for a in asts)
+        significant = any(js.has_significant_tokens for js in scripts)
         if all_ok and (declared_js or significant):
             f["isjs"] = 1
-            if any(a.has_e4x for a in asts):
+            if any(js.has_e4x for js in scripts):
                 f["isjse4x"] = 1
 
     strings: list[str] = []
-    counts = AstCounts()
-    for ast in asts:
-        strings.extend(ast.strings)
-        counts.add_ast(ast)
-        f["NumKeywords"] += ast.n_keywords
-        f["NumLongVarOrFunNames"] += ast.n_long_names
-    if asts:
-        # subtract the synthetic Program roots so an empty script adds nothing
-        f["NumNodes"] = counts.nodes - len(asts)
+    for js in scripts:
+        strings.extend(js.strings)
+        f["NumKeywords"] += js.n_keywords
+        f["NumLongVarOrFunNames"] += js.n_long_names
+        f["NumNodes"] += js.nodes
+        f["NumFunctionCalls"] += js.direct_calls
+        f["NumBracketCalls"] += js.bracket_calls
+        f["NumBracketLookups"] += js.bracket_lookups
+        f["NumReassignmentOfSpecialObject"] += js.special_reassignments
+        f["NumPackerFunctions"] += js.packer_total()
+        f["NumActiveXObject"] += js.named("ActiveXObject")
+        for feat, fn_name in NAMED_CALL_FEATURES:
+            f[feat] += js.named(fn_name)
 
     f["NumStrings"] = len(strings)
     if strings:
@@ -261,15 +265,6 @@ def extract_features(data: bytes, declared_type: str = "") -> FeatureVector:
         )
         f["ShellcodeProbability"] = shellcode_probability(strings)
         f["NumiframeString"] = sum(1 for s in strings if _count_word(s, "iframe"))
-
-    f["NumFunctionCalls"] = counts.direct_calls
-    f["NumBracketCalls"] = counts.bracket_calls
-    f["NumBracketLookups"] = counts.bracket_lookups
-    f["NumReassignmentOfSpecialObject"] = counts.special_reassignments
-    f["NumPackerFunctions"] = counts.packer_total()
-    f["NumActiveXObject"] = counts.named("ActiveXObject")
-    for feat, fn_name in NAMED_CALL_FEATURES:
-        f[feat] = counts.named(fn_name)
 
     attr_counts = doc.event_attributes if doc is not None else {}
     for name in EVENT_FEATURES:

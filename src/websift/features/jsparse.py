@@ -1,4 +1,4 @@
-"""Tolerant JavaScript tokenizer and lightweight AST builder.
+"""Tolerant JavaScript tokenizer and counting parser.
 
 Tokenization never fails: unknown characters become junk tokens and
 unterminated literals are closed at end of input (flagging a lex error).
@@ -10,7 +10,8 @@ it cannot parse something, leaving `parse_ok` false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 KEYWORDS = frozenset(
     """break case catch class const continue debugger default delete do else
@@ -61,33 +62,36 @@ class Token:
 
 
 @dataclass
-class Node:
-    kind: str
-    children: list["Node"] = field(default_factory=list)
-    name: str | None = None
-    value: str | None = None
+class JsSummary:
+    """What the feature extractor reads from one parsed script source.
 
-    def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
+    `nodes` counts the grammar constructs the parser keeps (the script as a
+    whole is not one of them); the call, lookup, reassignment and packer
+    counts are taken while parsing, from the same constructs.
+    """
 
-
-@dataclass
-class JsAst:
-    """Result of parsing one script source."""
-
-    root: Node
     strings: list[str]
     parse_ok: bool
     has_e4x: bool
-    n_tokens: int
     n_keywords: int
     n_long_names: int
     has_significant_tokens: bool
+    nodes: int
+    direct_calls: int
+    bracket_calls: int
+    bracket_lookups: int
+    special_reassignments: int
+    packer_functions: int
+    named_calls: dict[str, int]
 
-    def node_count(self) -> int:
-        return sum(1 for _ in self.root.walk())
+    def named(self, name: str) -> int:
+        return self.named_calls.get(name, 0)
+
+    def packer_total(self) -> int:
+        hits = self.packer_functions
+        for name in PACKER_CALL_NAMES:
+            hits += self.named(name)
+        return hits
 
 
 class _ParseFail(Exception):
@@ -391,8 +395,16 @@ def tokenize(src: str) -> tuple[list[Token], bool, bool]:
 
 # ---------------------------------------------------------------------------
 # parser
+#
+# The parser keeps no tree. Where a grammar construct is recognized it adds
+# one to `nodes` and to whichever structural count the construct feeds.
+# Expression methods return only what their caller inspects: the kind of
+# the construct (the callee of a call, the target of an assignment) and
+# the name a call through it would carry.
 
 _SIGNIFICANT_PUNCTS = set(";{}()[]=")
+_PREFIX_OPS = ("!", "~", "+", "-", "++", "--")
+_PREFIX_KEYWORDS = ("typeof", "void", "delete", "await", "yield")
 
 
 class _Parser:
@@ -401,6 +413,13 @@ class _Parser:
         self.i = 0
         self.ok = True
         self.depth = 0
+        self.nodes = 0
+        self.direct_calls = 0
+        self.bracket_calls = 0
+        self.bracket_lookups = 0
+        self.special_reassignments = 0
+        self.packer_functions = 0
+        self.call_names: list[str] = []
 
     # --- token helpers
 
@@ -437,18 +456,35 @@ class _Parser:
             return True
         return False
 
+    # --- counts
+
+    def _mark(self) -> tuple[int, ...]:
+        return (self.nodes, self.direct_calls, self.bracket_calls, self.bracket_lookups,
+                self.special_reassignments, self.packer_functions, len(self.call_names))
+
+    def _reset(self, mark: tuple[int, ...]) -> None:
+        """Drop what was counted since `mark`: the parser did not keep it."""
+        (self.nodes, self.direct_calls, self.bracket_calls, self.bracket_lookups,
+         self.special_reassignments, self.packer_functions, n_names) = mark
+        del self.call_names[n_names:]
+
+    def _count_call(self, name: str | None) -> None:
+        self.direct_calls += 1
+        if name is not None:
+            self.call_names.append(name)
+
     # --- entry
 
-    def parse_program(self) -> Node:
-        root = Node("Program")
+    def parse_program(self) -> None:
         while not self.at("eof"):
+            mark = self._mark()
             try:
-                root.children.append(self.statement())
+                self.statement()
             except (_ParseFail, RecursionError):
                 self.ok = False
                 self.depth = 0
+                self._reset(mark)
                 self._resync()
-        return root
 
     def _resync(self):
         # skip to just past the next statement boundary
@@ -460,96 +496,90 @@ class _Parser:
 
     # --- statements
 
-    def statement(self) -> Node:
+    def statement(self) -> None:
         t = self.peek()
-        if t.kind == "punct":
-            if t.text == "{":
-                return self.block()
-            if t.text == ";":
+        kw = t.text if t.kind == "keyword" else None
+        if t.kind == "punct" and t.text == "{":
+            self.block()
+            return
+        if kw in ("var", "let", "const"):
+            self.var_decl()
+            return
+        if kw == "function":
+            self.function_def()
+            return
+        if kw == "class":
+            self.class_def()
+            return
+        # each statement below is one node, plus what it contains
+        if t.kind == "punct" and t.text == ";":
+            self.next()
+        elif kw == "if":
+            self.if_stmt()
+        elif kw == "for":
+            self.for_stmt()
+        elif kw == "while":
+            self.while_stmt()
+        elif kw == "do":
+            self.do_stmt()
+        elif kw in ("return", "throw"):
+            self.next()
+            if not self.at("eof") and not self.at_punct(";") and not self.at_punct("}"):
+                self.expression()
+            self.eat_punct(";")
+        elif kw == "try":
+            self.try_stmt()
+        elif kw == "switch":
+            self.switch_stmt()
+        elif kw in ("break", "continue"):
+            self.next()
+            if self.at("ident"):
                 self.next()
-                return Node("Empty")
-        if t.kind == "keyword":
-            kw = t.text
-            if kw in ("var", "let", "const"):
-                return self.var_decl()
-            if kw == "function":
-                return self.function_def(require_name=False)
-            if kw == "if":
-                return self.if_stmt()
-            if kw == "for":
-                return self.for_stmt()
-            if kw == "while":
-                return self.while_stmt()
-            if kw == "do":
-                return self.do_stmt()
-            if kw in ("return", "throw"):
-                self.next()
-                node = Node("Return" if kw == "return" else "Throw")
-                if not self.at("eof") and not self.at_punct(";") and not self.at_punct("}"):
-                    node.children.append(self.expression())
-                self.eat_punct(";")
-                return node
-            if kw == "try":
-                return self.try_stmt()
-            if kw == "switch":
-                return self.switch_stmt()
-            if kw in ("break", "continue"):
-                self.next()
-                if self.at("ident"):
-                    self.next()
-                self.eat_punct(";")
-                return Node("Jump")
-            if kw == "debugger":
-                self.next()
-                self.eat_punct(";")
-                return Node("Debugger")
-            if kw == "class":
-                return self.class_def()
-            if kw in ("import", "export"):
-                return self.module_stmt()
-        if t.kind == "ident" and self.toks[self.i + 1].kind == "punct" \
+            self.eat_punct(";")
+        elif kw == "debugger":
+            self.next()
+            self.eat_punct(";")
+        elif kw in ("import", "export"):
+            self.module_stmt()
+        elif t.kind == "ident" and self.toks[self.i + 1].kind == "punct" \
                 and self.toks[self.i + 1].text == ":":
             self.next()
             self.next()
-            return Node("Label", [self.statement()], name=t.text)
-        node = Node("ExprStmt", [self.expression()])
-        self.eat_punct(";")
-        return node
+            self.statement()
+        else:
+            self.expression()
+            self.eat_punct(";")
+        self.nodes += 1
 
-    def block(self) -> Node:
+    def block(self) -> None:
         self.expect_punct("{")
-        node = Node("Block")
+        self.nodes += 1
         while not self.at_punct("}"):
             if self.at("eof"):
                 raise _ParseFail()
-            node.children.append(self.statement())
+            self.statement()
         self.next()
-        return node
 
-    def var_decl(self) -> Node:
+    def var_decl(self) -> None:
         self.next()
-        node = Node("VarDecl")
+        self.nodes += 1
         while True:
-            node.children.append(self.declarator())
+            self.declarator()
             if not self.eat_punct(","):
                 break
         self.eat_punct(";")
-        return node
 
-    def declarator(self) -> Node:
+    def declarator(self) -> None:
         t = self.peek()
         if t.kind == "punct" and t.text in ("[", "{"):
             self._skip_balanced()
-            target = Node("Pattern")
         elif t.kind == "ident" or (t.kind == "keyword" and t.text in ("undefined",)):
             self.next()
-            target = Node("Ident", name=t.text)
         else:
             raise _ParseFail()
-        d = Node("Declarator", [target])
+        self.nodes += 2  # the declarator and its target
         if self.eat_punct("="):
-            d.children.append(self.assignment())
-        return d
+            self.assignment()
 
     def _skip_balanced(self):
         open_t = self.next().text
@@ -565,19 +595,17 @@ class _Parser:
         if depth:
             raise _ParseFail()
 
-    def function_def(self, require_name: bool) -> Node:
+    def function_def(self) -> tuple[str, str | None]:
         self.next()  # function
         self.eat_punct("*")
         name = None
         if self.at("ident"):
             name = self.next().text
-        elif require_name:
-            raise _ParseFail()
-        params = self.param_list()
-        body = self.block()
-        node = Node("FunctionDef", [body], name=name)
-        node.value = ",".join(params)
-        return node
+        if tuple(self.param_list()) == PACKER_PARAMS:
+            self.packer_functions += 1
+        self.block()
+        self.nodes += 1
+        return "FunctionDef", name
 
     def param_list(self) -> list[str]:
         self.expect_punct("(")
@@ -598,72 +626,70 @@ class _Parser:
             else:
                 raise _ParseFail()
             if self.eat_punct("="):
-                # default value: consume an assignment expression
+                # default value: consumed, but not counted
+                mark = self._mark()
                 self.assignment()
+                self._reset(mark)
             if not self.at_punct(")"):
                 self.expect_punct(",")
         self.next()
         return params
 
-    def if_stmt(self) -> Node:
+    def if_stmt(self) -> None:
         self.next()
         self.expect_punct("(")
-        cond = self.expression()
+        self.expression()
         self.expect_punct(")")
-        node = Node("If", [cond, self.statement()])
+        self.statement()
         if self.eat_keyword("else"):
-            node.children.append(self.statement())
-        return node
+            self.statement()
 
-    def for_stmt(self) -> Node:
+    def for_stmt(self) -> None:
         self.next()
         self.eat_keyword("await")
         self.expect_punct("(")
-        node = Node("For")
         if not self.at_punct(";"):
             if self.peek().kind == "keyword" and self.peek().text in ("var", "let", "const"):
                 self.next()
-                node.children.append(self.declarator())
+                self.declarator()
             else:
-                node.children.append(self.expression(no_in=True))
+                self.expression(no_in=True)
         if self.at("keyword") and self.peek().text in ("in", "instanceof"):
             self.next()
-            node.children.append(self.expression())
+            self.expression()
         elif self.at("ident") and self.peek().text == "of":
             self.next()
-            node.children.append(self.expression())
+            self.expression()
         else:
             self.expect_punct(";")
             if not self.at_punct(";"):
-                node.children.append(self.expression())
+                self.expression()
             self.expect_punct(";")
             if not self.at_punct(")"):
-                node.children.append(self.expression())
+                self.expression()
         self.expect_punct(")")
-        node.children.append(self.statement())
-        return node
+        self.statement()
 
-    def while_stmt(self) -> Node:
+    def while_stmt(self) -> None:
         self.next()
         self.expect_punct("(")
-        cond = self.expression()
+        self.expression()
         self.expect_punct(")")
-        return Node("While", [cond, self.statement()])
+        self.statement()
 
-    def do_stmt(self) -> Node:
+    def do_stmt(self) -> None:
         self.next()
-        body = self.statement()
+        self.statement()
         if not self.eat_keyword("while"):
             raise _ParseFail()
         self.expect_punct("(")
-        cond = self.expression()
+        self.expression()
         self.expect_punct(")")
         self.eat_punct(";")
-        return Node("DoWhile", [body, cond])
 
-    def try_stmt(self) -> Node:
+    def try_stmt(self) -> None:
         self.next()
-        node = Node("Try", [self.block()])
+        self.block()
         if self.eat_keyword("catch"):
             if self.eat_punct("("):
                 t = self.peek()
@@ -672,47 +698,44 @@ class _Parser:
                 elif t.kind == "ident":
                     self.next()
                 self.expect_punct(")")
-            node.children.append(self.block())
+            self.block()
         if self.eat_keyword("finally"):
-            node.children.append(self.block())
-        return node
+            self.block()
 
-    def switch_stmt(self) -> Node:
+    def switch_stmt(self) -> None:
         self.next()
         self.expect_punct("(")
-        node = Node("Switch", [self.expression()])
+        self.expression()
         self.expect_punct(")")
         self.expect_punct("{")
         while not self.at_punct("}"):
             if self.at("eof"):
                 raise _ParseFail()
             if self.eat_keyword("case"):
-                node.children.append(self.expression())
+                self.expression()
                 self.expect_punct(":")
             elif self.eat_keyword("default"):
                 self.expect_punct(":")
             else:
-                node.children.append(self.statement())
+                self.statement()
         self.next()
-        return node
 
-    def class_def(self) -> Node:
+    def class_def(self) -> tuple[str, str | None]:
         self.next()
         name = None
         if self.at("ident"):
             name = self.next().text
-        node = Node("Class", name=name)
         if self.eat_keyword("extends"):
-            node.children.append(self.unary())
+            self.unary()
         if not self.at_punct("{"):
             raise _ParseFail()
         self._skip_balanced()
-        return node
+        self.nodes += 1
+        return "Class", name
 
-    def module_stmt(self) -> Node:
+    def module_stmt(self) -> None:
         # import/export: consume loosely up to statement end
         self.next()
-        node = Node("Module")
         while not self.at("eof") and not self.at_punct(";"):
             t = self.peek()
             if t.kind == "punct" and t.text in ("{", "(", "["):
@@ -722,43 +745,45 @@ class _Parser:
                 break
             self.next()
         self.eat_punct(";")
-        return node
 
     # --- expressions
 
-    def expression(self, no_in: bool = False) -> Node:
-        node = self.assignment(no_in=no_in)
+    def expression(self, no_in: bool = False) -> None:
+        self.assignment(no_in=no_in)
         while self.at_punct(","):
             self.next()
-            node = Node("Sequence", [node, self.assignment(no_in=no_in)])
-        return node
+            self.assignment(no_in=no_in)
+            self.nodes += 1
 
-    def assignment(self, no_in: bool = False) -> Node:
+    def assignment(self, no_in: bool = False) -> None:
         self.depth += 1
         if self.depth > _MAX_PARSE_DEPTH:
             raise _ParseFail()
         try:
-            left = self.ternary(no_in=no_in)
+            kind, name = self.ternary(no_in=no_in)
             t = self.peek()
             if t.kind == "punct" and t.text in ASSIGN_OPS:
                 self.next()
-                right = self.assignment(no_in=no_in)
-                return Node("Assign", [left, right], value=t.text)
-            return left
+                self.assignment(no_in=no_in)
+                self.nodes += 1
+                if t.text == "=" and (kind == "This" or
+                                      (kind == "Ident" and name in SPECIAL_OBJECTS)):
+                    self.special_reassignments += 1
         finally:
             self.depth -= 1
 
-    def ternary(self, no_in: bool = False) -> Node:
+    def ternary(self, no_in: bool = False) -> tuple[str, str | None]:
         cond = self.binary(1, no_in=no_in)
         if self.at_punct("?"):
             self.next()
-            yes = self.assignment()
+            self.assignment()
             self.expect_punct(":")
-            no = self.assignment(no_in=no_in)
-            return Node("Ternary", [cond, yes, no])
+            self.assignment(no_in=no_in)
+            self.nodes += 1
+            return "Ternary", None
         return cond
 
-    def binary(self, min_bp: int, no_in: bool = False) -> Node:
+    def binary(self, min_bp: int, no_in: bool = False) -> tuple[str, str | None]:
         left = self.unary()
         while True:
             t = self.peek()
@@ -775,38 +800,41 @@ class _Parser:
             if bp < min_bp:
                 break
             self.next()
-            right = self.binary(bp + 1, no_in=no_in)
-            left = Node("Binary", [left, right], value=op)
+            self.binary(bp + 1, no_in=no_in)
+            self.nodes += 1
+            left = "Binary", None
         return left
 
-    def unary(self) -> Node:
+    def unary(self) -> tuple[str, str | None]:
         self.depth += 1
         if self.depth > _MAX_PARSE_DEPTH:
             raise _ParseFail()
         try:
             t = self.peek()
-            if t.kind == "punct" and t.text in ("!", "~", "+", "-", "++", "--"):
+            if (t.kind == "punct" and t.text in _PREFIX_OPS) or \
+                    (t.kind == "keyword" and t.text in _PREFIX_KEYWORDS):
                 self.next()
-                return Node("Unary", [self.unary()], value=t.text)
-            if t.kind == "keyword" and t.text in ("typeof", "void", "delete", "await", "yield"):
-                self.next()
-                if t.text == "yield" and (self.at_punct(";") or self.at_punct(")") or self.at("eof")):
-                    return Node("Unary", value=t.text)
-                return Node("Unary", [self.unary()], value=t.text)
+                if not (t.text == "yield" and
+                        (self.at_punct(";") or self.at_punct(")") or self.at("eof"))):
+                    self.unary()
+                self.nodes += 1
+                return "Unary", None
             if t.kind == "keyword" and t.text == "new":
                 self.next()
+                self.nodes += 1
                 if self.at_punct("."):  # new.target
                     self.next()
                     if self.at("ident"):
                         self.next()
-                    return Node("Ident", name="new.target")
-                return Node("New", [self.unary()])
+                    return "Ident", "new.target"
+                self.unary()
+                return "New", None
             return self.postfix()
         finally:
             self.depth -= 1
 
-    def postfix(self) -> Node:
-        node = self.primary()
+    def postfix(self) -> tuple[str, str | None]:
+        kind, name = self.primary()
         while True:
             t = self.peek()
             if t.kind == "punct" and t.text in (".", "?."):
@@ -815,84 +843,76 @@ class _Parser:
                 if prop.kind not in ("ident", "keyword"):
                     raise _ParseFail()
                 self.next()
-                node = Node("MemberDot", [node], name=prop.text)
+                kind, name = "MemberDot", prop.text
             elif t.kind == "punct" and t.text == "[":
                 self.next()
-                idx = self.expression()
+                self.expression()
                 self.expect_punct("]")
-                node = Node("MemberBracket", [node, idx])
+                self.bracket_lookups += 1
+                kind, name = "MemberBracket", None
             elif t.kind == "punct" and t.text == "(":
-                args = self.arguments()
-                kind = "BracketCall" if node.kind == "MemberBracket" else "Call"
-                call = Node(kind, [node] + args)
-                if node.kind == "Ident":
-                    call.name = node.name
-                elif node.kind == "MemberDot":
-                    call.name = node.name
-                node = call
+                self.arguments()
+                if kind == "MemberBracket":
+                    self.bracket_calls += 1
+                    kind = "BracketCall"
+                else:
+                    if kind not in ("Ident", "MemberDot"):
+                        name = None
+                    self._count_call(name)
+                    kind = "Call"
             elif t.kind == "punct" and t.text in ("++", "--"):
                 self.next()
-                node = Node("Unary", [node], value="post" + t.text)
+                kind, name = "Unary", None
             elif t.kind == "str" and t.text.startswith("`"):
-                # tagged template
+                # tagged template: a call carrying the tag's name, plus its string
                 self.next()
-                node = Node("Call", [node, Node("Str", value=t.value)], name=node.name)
+                self.nodes += 1
+                self._count_call(name)
+                kind = "Call"
             else:
                 break
-        return node
+            self.nodes += 1
+        return kind, name
 
-    def arguments(self) -> list[Node]:
+    def arguments(self) -> None:
         self.expect_punct("(")
-        args: list[Node] = []
         while not self.at_punct(")"):
             if self.at("eof"):
                 raise _ParseFail()
             self.eat_punct("...")
-            args.append(self.assignment())
+            self.assignment()
             if not self.at_punct(")"):
                 self.expect_punct(",")
         self.next()
-        return args
 
-    def primary(self) -> Node:
+    def primary(self) -> tuple[str, str | None]:
         t = self.peek()
         if t.kind == "ident":
             self.next()
+            self.nodes += 1
             if self.at_punct("=>"):
                 self.next()
-                return self.arrow_body(Node("Ident", name=t.text))
-            return Node("Ident", name=t.text)
-        if t.kind == "num":
+                return self.arrow_body()
+            return "Ident", t.text
+        if t.kind in ("num", "str", "regex", "xml"):
             self.next()
-            return Node("Num", value=t.text)
-        if t.kind == "str":
-            self.next()
-            return Node("Str", value=t.value)
-        if t.kind == "regex":
-            self.next()
-            return Node("Regex", value=t.text)
-        if t.kind == "xml":
-            self.next()
-            return Node("Xml", value=t.text)
+            self.nodes += 1
+            return "Literal", None
         if t.kind == "keyword":
             kw = t.text
-            if kw == "this":
-                self.next()
-                return Node("This")
-            if kw in ("true", "false", "null", "undefined"):
-                self.next()
-                return Node("Literal", value=kw)
             if kw == "function":
-                return self.function_def(require_name=False)
+                return self.function_def()
             if kw == "class":
                 return self.class_def()
-            if kw == "super":
-                self.next()
-                return Node("Ident", name="super")
-            if kw == "import":  # dynamic import()
-                self.next()
-                return Node("Ident", name="import")
-            raise _ParseFail()
+            if kw not in ("this", "true", "false", "null", "undefined", "super", "import"):
+                raise _ParseFail()
+            self.next()
+            self.nodes += 1
+            if kw == "this":
+                return "This", None
+            if kw in ("super", "import"):  # super(...) and dynamic import(...)
+                return "Ident", kw
+            return "Literal", None
         if t.kind == "punct":
             if t.text == "(":
                 return self.paren_or_arrow()
@@ -902,7 +922,7 @@ class _Parser:
                 return self.object_literal()
         raise _ParseFail()
 
-    def paren_or_arrow(self) -> Node:
+    def paren_or_arrow(self) -> tuple[str, str | None]:
         # try to spot an arrow function by scanning to the matching paren
         j = self.i
         depth = 0
@@ -924,44 +944,46 @@ class _Parser:
             and self.toks[j + 1].text == "=>"
         )
         if is_arrow:
-            params = self.param_list()
+            self.param_list()
             self.expect_punct("=>")
-            node = self.arrow_body(None)
-            node.value = ",".join(params)
-            return node
+            return self.arrow_body()
         self.expect_punct("(")
-        node = self.expression()
+        self.expression()
         self.expect_punct(")")
-        return Node("Paren", [node])
+        self.nodes += 1
+        return "Paren", None
 
-    def arrow_body(self, param: Node | None) -> Node:
-        body = self.block() if self.at_punct("{") else self.assignment()
-        children = [body] if param is None else [param, body]
-        return Node("Arrow", children)
+    def arrow_body(self) -> tuple[str, str | None]:
+        if self.at_punct("{"):
+            self.block()
+        else:
+            self.assignment()
+        self.nodes += 1
+        return "Arrow", None
 
-    def array_literal(self) -> Node:
+    def array_literal(self) -> tuple[str, str | None]:
         self.expect_punct("[")
-        node = Node("Array")
+        self.nodes += 1
         while not self.at_punct("]"):
             if self.at("eof"):
                 raise _ParseFail()
             if self.eat_punct(","):
                 continue
             self.eat_punct("...")
-            node.children.append(self.assignment())
+            self.assignment()
         self.next()
-        return node
+        return "Array", None
 
-    def object_literal(self) -> Node:
+    def object_literal(self) -> tuple[str, str | None]:
         self.expect_punct("{")
-        node = Node("Object")
+        self.nodes += 1
         while not self.at_punct("}"):
             if self.at("eof"):
                 raise _ParseFail()
             if self.eat_punct(","):
                 continue
             if self.eat_punct("..."):
-                node.children.append(self.assignment())
+                self.assignment()
                 continue
             t = self.peek()
             if t.kind in ("ident", "keyword") and t.text in ("get", "set") \
@@ -970,100 +992,60 @@ class _Parser:
                 t = self.peek()
             if t.kind in ("ident", "keyword", "str", "num"):
                 self.next()
-                key = Node("Key", name=t.text if t.kind != "str" else t.value)
             elif t.kind == "punct" and t.text == "[":
                 self.next()
-                key = Node("Key", [self.assignment()])
+                self.assignment()
                 self.expect_punct("]")
             else:
                 raise _ParseFail()
+            self.nodes += 2  # the property and its key
             if self.eat_punct(":"):
-                node.children.append(Node("Property", [key, self.assignment()]))
-            elif self.at_punct("("):
-                params = self.param_list()
-                body = self.block()
-                fn = Node("FunctionDef", [body], name=key.name)
-                fn.value = ",".join(params)
-                node.children.append(Node("Property", [key, fn]))
-            else:
-                node.children.append(Node("Property", [key]))
+                self.assignment()
+            elif self.at_punct("("):  # method
+                if tuple(self.param_list()) == PACKER_PARAMS:
+                    self.packer_functions += 1
+                self.block()
+                self.nodes += 1
         self.next()
-        return node
+        return "Object", None
 
 
-def parse_js(src: str) -> JsAst:
-    """Parse one script source, always returning a usable JsAst."""
+def parse_js(src: str) -> JsSummary:
+    """Parse one script source, always returning a usable JsSummary."""
     tokens, lex_error, has_e4x = tokenize(src)
     parser = _Parser(tokens)
-    try:
-        root = parser.parse_program()
-        ok = parser.ok
-    except (_ParseFail, RecursionError):  # defensive; parse_program recovers itself
-        root = Node("Program")
-        ok = False
-    if lex_error:
-        ok = False
-    strings = [t.value for t in tokens if t.kind == "str" and t.value is not None]
-    n_keywords = sum(1 for t in tokens if t.kind == "keyword")
-    n_long_names = sum(1 for t in tokens if t.kind == "ident" and len(t.text) >= LONG_NAME_LEN)
-    significant = any(
-        (t.kind == "punct" and t.text in _SIGNIFICANT_PUNCTS) or t.kind == "keyword"
-        for t in tokens
-    )
-    if any(t.kind == "junk" for t in tokens):
-        ok = False
-    return JsAst(
-        root=root,
+    parser.parse_program()
+    ok = parser.ok and not lex_error
+    strings: list[str] = []
+    n_keywords = n_long_names = 0
+    significant = False
+    for t in tokens:
+        kind = t.kind
+        if kind == "str":
+            strings.append(t.value)
+        elif kind == "keyword":
+            n_keywords += 1
+            significant = True
+        elif kind == "ident":
+            if len(t.text) >= LONG_NAME_LEN:
+                n_long_names += 1
+        elif kind == "punct":
+            if t.text in _SIGNIFICANT_PUNCTS:
+                significant = True
+        elif kind == "junk":
+            ok = False
+    return JsSummary(
         strings=strings,
         parse_ok=ok,
         has_e4x=has_e4x,
-        n_tokens=len(tokens) - 1,
         n_keywords=n_keywords,
         n_long_names=n_long_names,
         has_significant_tokens=significant,
+        nodes=parser.nodes,
+        direct_calls=parser.direct_calls,
+        bracket_calls=parser.bracket_calls,
+        bracket_lookups=parser.bracket_lookups,
+        special_reassignments=parser.special_reassignments,
+        packer_functions=parser.packer_functions,
+        named_calls=Counter(parser.call_names),
     )
-
-
-@dataclass
-class AstCounts:
-    """Aggregated structural counts over one or more parsed scripts."""
-
-    nodes: int = 0
-    direct_calls: int = 0
-    bracket_calls: int = 0
-    bracket_lookups: int = 0
-    special_reassignments: int = 0
-    packer_functions: int = 0
-    named_calls: dict[str, int] = field(default_factory=dict)
-
-    def add_ast(self, ast: JsAst) -> None:
-        for node in ast.root.walk():
-            self.nodes += 1
-            k = node.kind
-            if k == "Call":
-                if node.name is not None:
-                    self.direct_calls += 1
-                    self.named_calls[node.name] = self.named_calls.get(node.name, 0) + 1
-                else:
-                    self.direct_calls += 1
-            elif k == "BracketCall":
-                self.bracket_calls += 1
-            elif k == "MemberBracket":
-                self.bracket_lookups += 1
-            elif k == "Assign" and node.value == "=":
-                target = node.children[0]
-                if target.kind == "This" or \
-                        (target.kind == "Ident" and target.name in SPECIAL_OBJECTS):
-                    self.special_reassignments += 1
-            elif k == "FunctionDef":
-                if node.value is not None and tuple(node.value.split(",")) == PACKER_PARAMS:
-                    self.packer_functions += 1
-
-    def named(self, name: str) -> int:
-        return self.named_calls.get(name, 0)
-
-    def packer_total(self) -> int:
-        hits = self.packer_functions
-        for name in PACKER_CALL_NAMES:
-            hits += self.named(name)
-        return hits

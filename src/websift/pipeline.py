@@ -77,13 +77,17 @@ def make_verdict_fn(sources: LabelSources):
     """Synchronous fast verdict for the gateway: blacklist + signatures."""
     def verdict_fn(exchange) -> FastVerdict:
         decoded, _, _ = _decoded_view(exchange)
-        try:
-            return fast_verdict(exchange.request.url, decoded,
-                                sources.blacklist, sources.signatures)
-        except UrlError:
-            hits = sources.signatures.scan(decoded) if sources.signatures else []
-            return FastVerdict(ThreatType.NONE, hits)
+        return _fast_verdict(exchange.request.url, decoded, sources)
     return verdict_fn
+
+
+def _fast_verdict(url: str, decoded: bytes, sources: LabelSources) -> FastVerdict:
+    try:
+        return fast_verdict(url, decoded, sources.blacklist, sources.signatures)
+    except UrlError:
+        # uncanonicalizable URL: the content side still gets scanned
+        hits = sources.signatures.scan(decoded) if sources.signatures else []
+        return FastVerdict(ThreatType.NONE, hits)
 
 
 def commit_emitted(store: FlowStore, emitted: EmittedExchange,
@@ -107,13 +111,7 @@ def commit_emitted(store: FlowStore, emitted: EmittedExchange,
 
     verdict = emitted.verdict
     if verdict is None:
-        try:
-            verdict = fast_verdict(exchange.request.url, decoded,
-                                   sources.blacklist, sources.signatures)
-        except UrlError:
-            # uncanonicalizable URL: the content side still gets scanned
-            hits = sources.signatures.scan(decoded) if sources.signatures else []
-            verdict = FastVerdict(ThreatType.NONE, hits)
+        verdict = _fast_verdict(exchange.request.url, decoded, sources)
     labels = LabelSet(
         blacklist=verdict.blacklist,
         signature_hits=list(verdict.signature_hits),

@@ -1154,6 +1154,11 @@ class ProxyServer:
             self._send_error(wfile, 400, "Bad Request",
                              "proxy requires absolute-URI request targets")
             return
+        try:
+            urlsplit(request.url).port
+        except ValueError as exc:  # unsplittable, or a port outside 0-65535
+            self._send_error(wfile, 400, "Bad Request", f"bad request target: {exc}")
+            return
         request_body = _read_upto(rfile, min(length, self.max_body))
 
         started_at = int(time.time() * 1000)

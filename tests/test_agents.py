@@ -195,6 +195,33 @@ def test_plan_login_form_not_submitted_twice():
     assert submit.fields == {"q": "testuser"}
 
 
+def test_plan_drops_references_urllib_rejects_and_keeps_the_rest():
+    html = """<html><body>
+<a href="http://[x/">v6</a>
+<a href="/one">one</a>
+<a href="http://site.test:99999/">port</a>
+<form action="http://[x/"><input name="q"></form>
+<form action="/search"><input name="q"></form>
+<button formaction="http://site.test:abc/">bad</button>
+<button formaction="/go">Go</button>
+<a href="//site.test:-1/">negative</a>
+<a href="/two">two</a>
+</body></html>"""
+    p = plan(html)
+    assert [(a.kind, a.target) for a in p.actions] == [
+        ("follow", "http://site.test/one"),
+        ("submit", "http://site.test/search"),
+        ("click", "http://site.test/go"),
+        ("follow", "http://site.test/two"),
+    ]
+
+
+def test_plan_drops_a_login_form_whose_action_urllib_rejects():
+    html = LOGIN_PAGE.replace('action="/login"', 'action="http://[x/login"')
+    p = plan(html, creds={})
+    assert [a.kind for a in p.actions] == ["follow", "follow", "follow"]
+
+
 def test_plan_buttons_with_formaction_become_clicks():
     html = '<html><body><button formaction="/go">Go</button></body></html>'
     got = plan(html)

@@ -1,22 +1,18 @@
-"""JavaScript tokenizer/AST: the counts the feature extractor relies on."""
+"""JavaScript tokenizer and parser: the counts the feature extractor relies on."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from websift.features.jsparse import AstCounts, parse_js, tokenize
-
-
-def counts_of(src: str) -> AstCounts:
-    c = AstCounts()
-    c.add_ast(parse_js(src))
-    return c
+from websift.features import extract_features
+from websift.features.jsparse import parse_js, tokenize
 
 
 def test_empty_source_parses():
     ast = parse_js("")
     assert ast.parse_ok
     assert ast.strings == []
-    assert ast.node_count() == 1  # just the Program root
+    assert ast.nodes == 0
 
 
 def test_string_literals_collected_decoded():
@@ -49,7 +45,7 @@ def test_long_name_threshold_is_30():
 
 
 def test_direct_and_named_calls():
-    c = counts_of("foo(); obj.bar(); eval('x');")
+    c = parse_js("foo(); obj.bar(); eval('x');")
     assert c.direct_calls == 3
     assert c.named("foo") == 1
     assert c.named("bar") == 1
@@ -57,24 +53,24 @@ def test_direct_and_named_calls():
 
 
 def test_bracket_calls_and_lookups():
-    c = counts_of("w['ev'+'al'](p); var v = obj['key']; arr[0];")
+    c = parse_js("w['ev'+'al'](p); var v = obj['key']; arr[0];")
     assert c.bracket_calls == 1
     # the call target counts as a lookup too: w['eval'], obj['key'], arr[0]
     assert c.bracket_lookups == 3
 
 
 def test_special_object_reassignment():
-    c = counts_of("window = fake; document = d2; x = 1; location = u;")
+    c = parse_js("window = fake; document = d2; x = 1; location = u;")
     assert c.special_reassignments == 3
 
 
 def test_member_assignment_is_not_special_reassignment():
-    c = counts_of("window.location = u; document.title = 't';")
+    c = parse_js("window.location = u; document.title = 't';")
     assert c.special_reassignments == 0
 
 
 def test_packer_signature_function():
-    c = counts_of("eval(function(p,a,c,k,e,d){return p;}('x',1,2,'y',3,4));")
+    c = parse_js("eval(function(p,a,c,k,e,d){return p;}('x',1,2,'y',3,4));")
     assert c.packer_functions == 1
     assert c.named("eval") == 1
     # packer total folds in unescape/unpack call names
@@ -82,13 +78,13 @@ def test_packer_signature_function():
 
 
 def test_unescape_counts_into_packer_total():
-    c = counts_of("unescape('%41'); unpack(data);")
+    c = parse_js("unescape('%41'); unpack(data);")
     assert c.packer_functions == 0
     assert c.packer_total() == 2
 
 
 def test_wrong_param_order_is_not_packer():
-    c = counts_of("function(a,p,c,k,e,d){return 0;}")
+    c = parse_js("function(a,p,c,k,e,d){return 0;}")
     assert c.packer_functions == 0
 
 
@@ -98,10 +94,8 @@ def test_junk_bytes_fail_parse():
 
 
 def test_recovery_after_bad_statement():
-    ast = parse_js("var = ; foo(); bar();")
-    assert not ast.parse_ok
-    c = AstCounts()
-    c.add_ast(ast)
+    c = parse_js("var = ; foo(); bar();")
+    assert not c.parse_ok
     # statements after the resync point still contribute
     assert c.named("bar") == 1
 
@@ -127,9 +121,7 @@ def test_regex_literal_not_division():
 def test_comments_are_skipped():
     ast = parse_js("// eval('no')\n/* eval('no') */ var x = 1;")
     assert ast.strings == []
-    c = AstCounts()
-    c.add_ast(ast)
-    assert c.named("eval") == 0
+    assert ast.named("eval") == 0
 
 
 def test_significant_tokens_flag():
@@ -139,21 +131,53 @@ def test_significant_tokens_flag():
 
 def test_nested_functions_counted_once_each():
     src = "function outer(){ function inner(){ f(); } inner(); }"
-    c = counts_of(src)
+    c = parse_js(src)
     assert c.direct_calls == 2
 
 
 def test_new_expression_parses():
-    c = counts_of("var o = new ActiveXObject('WScript.Shell');")
+    c = parse_js("var o = new ActiveXObject('WScript.Shell');")
     assert c.named("ActiveXObject") == 1
 
 
 @given(st.text(max_size=600))
 def test_parse_total_on_arbitrary_text(src):
-    ast = parse_js(src)
-    assert ast.node_count() >= 1
-    assert ast.n_keywords >= 0
-    c = AstCounts()
-    c.add_ast(ast)
+    c = parse_js(src)
+    assert c.nodes >= 0
+    assert c.n_keywords >= 0
     assert c.direct_calls >= 0
     assert c.packer_total() >= c.packer_functions
+
+
+# Counts captured from the tree-building parser this one replaced: a
+# parameter default and a failed top-level statement count nothing, a
+# tagged template is one more call carrying the tag's name, and only
+# identifier and dotted callees name a `(...)` call.
+# Columns: nodes, named calls, parse_ok, direct calls, bracket calls,
+# bracket lookups, special reassignments, packer functions.
+@pytest.mark.parametrize("src,want", [
+    ("function f(a=g()){}", (2, {}, True, 0, 0, 0, 0, 0)),
+    ("var = h(); k();", (3, {"k": 1}, False, 1, 0, 0, 0, 0)),
+    ("foo()`x`", (5, {"foo": 2}, True, 2, 0, 0, 0, 0)),
+    ("o={[k()]:1, m(p,a,c,k,e,d){}}", (13, {"k": 1}, True, 1, 0, 0, 0, 1)),
+    ("class A extends mk() {}", (3, {"mk": 1}, True, 1, 0, 0, 0, 0)),
+    ("this = 1; new.target;", (6, {}, True, 0, 0, 0, 1, 0)),
+    ('w["e"](1)["f"]();', (9, {}, True, 0, 2, 2, 0, 0)),
+    ("f()();", (4, {"f": 1}, True, 2, 0, 0, 0, 0)),
+])
+def test_counts_match_the_tree_parser(src, want):
+    c = parse_js(src)
+    assert (c.nodes, dict(c.named_calls), c.parse_ok, c.direct_calls, c.bracket_calls,
+            c.bracket_lookups, c.special_reassignments, c.packer_functions) == want
+
+
+@pytest.mark.parametrize("src,nodes", [
+    ('x="a"' + '+"a"' * 4999, 2 * 5000 + 2),  # ExprStmt, Assign, x, n strings, n-1 '+'
+    ("a" + ".b" * 5000, 5000 + 2),
+    ("f" + "()" * 5000, 5000 + 2),
+], ids=["plus", "dots", "calls"])
+def test_long_chains_extract_without_recursion(src, nodes):
+    vec = extract_features(src.encode(), "application/javascript")
+    assert vec["NumNodes"] == nodes
+    assert vec["parsingerror"] == 0
+    assert parse_js(src).nodes == nodes

@@ -126,6 +126,20 @@ def test_commit_empty_body(store):
     assert record.features.as_dict()["Filesize"] == 0
 
 
+def test_commit_stores_a_page_whose_script_splits_a_string_1000_ways(store):
+    # ~4 KB of `"a"+"a"+...`: deep enough to overflow a recursive walk of
+    # the parse, which used to drop the record after its blob was written
+    script = 'var s="a"' + '+"a"' * 999 + ";"
+    emitted = make_emitted(body=b"<html><script>" + script.encode() + b"</script></html>")
+    record = commit_emitted(store, emitted, LabelSources())
+    assert store.record_count() == 1
+    features = record.features.as_dict()
+    assert features["NumStrings"] == 1000
+    # VarDecl, declarator, `s`, 1000 strings and 999 `+`
+    assert features["NumNodes"] == 2002
+    assert features["parsingerror"] == 0
+
+
 def test_commit_stores_request_body_blob(store):
     emitted = make_emitted(request_body=b"user=a&pass=b")
     record = commit_emitted(store, emitted, LabelSources())

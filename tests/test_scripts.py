@@ -25,3 +25,15 @@ def test_desk_run_prints_its_four_stages(capsys):
     assert train["train_size"] + train["test_size"] == 10
     assert set(train["confusion"]) == {"tp", "fp", "tn", "fn"}
     assert report["unique_malicious"] == 4
+
+
+def test_forest_sweep_prints_one_line_per_cell(capsys):
+    sweep = load_script("forest_sweep")
+    assert sweep.main(["--benign", "12", "--malicious", "8", "--trees", "1", "3"]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert docs[0] == {"train_size": 10, "test_size": 10, "malicious_total": 8}
+    assert [(d["bootstrap"], d["trees"]) for d in docs[1:]] == [
+        (True, 1), (True, 3), (False, 1), (False, 3)]
+    for d in docs[1:]:
+        assert sum(d["confusion"].values()) == 10
+        assert set(d["metrics"]) == {"benign", "malware"}

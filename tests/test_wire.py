@@ -1037,6 +1037,18 @@ def test_proxy_rejects_connect_and_relative_targets(origin):
         assert status == 400
 
 
+@pytest.mark.parametrize("target", [
+    "http://[x/", "http://a.test:99999/", "http://a.test:-1/", "http://a.test:abc/"])
+def test_proxy_answers_a_target_urllib_rejects_with_400(origin, target):
+    with running_proxy() as px:
+        status, _, body = proxy_fetch(px.address, target)
+        assert status == 400
+        assert b"bad request target" in body
+        # the proxy keeps serving
+        status, _, _ = proxy_fetch(px.address, origin_url(origin))
+        assert status == 200
+
+
 def test_proxy_truncates_oversized_bodies(origin):
     with running_proxy(max_body=64) as px:
         status, headers, body = proxy_fetch(px.address, origin_url(origin, "/big"))
