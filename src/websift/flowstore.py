@@ -2,13 +2,22 @@
 
 Layout under the store root:
 
-    records.log     append-only JSONL, one full record version per line;
-                    the latest line for a record id wins
+    records.log     append-only JSONL; a record's first line holds the
+                    full document, each later line only record_id and
+                    the top-level fields that changed
     blobs/xx/yy/    blob files named by their SHA-1, two-level hex fan-out
     records.lock    advisory writer lock
 
-Replay rebuilds all in-memory state from records.log; an `index/`
-directory left by older versions is never read and may be deleted.
+Replay rebuilds all in-memory state from records.log by merging each
+line onto its record's current document ({**current, **line}); a full
+line therefore replaces the document, so logs of full lines only replay
+as they always did.  An update that changes nothing appends nothing.
+Replay is strict: only the final line may be torn or unreadable, and a
+writable open cuts such a line before appending.  Logs holding partial
+lines cannot be read by versions that predate them; export_jsonl is the
+interchange format.  An `index/` directory left by older versions is
+never read and may be deleted.
+
 One writer owns the store at a time (advisory file lock); readers open
 with writable=False and skip the lock.  Bodies are deduplicated by
 SHA-1 and referenced from records by digest, never inlined.
@@ -39,6 +48,8 @@ _EXTRA_KEY_RE = re.compile(r"^[a-z0-9_]+\.[A-Za-z0-9_.\-]+$")
 _PATH_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*(\.[A-Za-z0-9_\-]+)*$")
 
 QUERY_OPS = ("eq", "exists", "range", "prefix")
+_RECORD_FIELDS = frozenset({"exchange", "body_sha1", "decoded_sha1", "labels",
+                           "augment", "features", "extra"})
 
 
 class StoreError(RuntimeError):
@@ -148,6 +159,20 @@ def _dump_line(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _changed_fields(new: dict, current: dict) -> dict:
+    """The fields of new whose JSON encoding differs from current's.
+
+    == is the cheap first test, but it equates 1, 1.0 and True, so the
+    fields it finds equal are confirmed by encoding; JSON values are
+    self-delimiting, so equal encodings of the dicts of those fields mean
+    equal encodings of each.
+    """
+    same = [name for name, value in new.items() if value == current.get(name)]
+    if _dump_line({n: new[n] for n in same}) != _dump_line({n: current.get(n) for n in same}):
+        same = [n for n in same if _dump_line(new[n]) == _dump_line(current.get(n))]
+    return {name: value for name, value in new.items() if name not in same}
+
+
 # ---------------------------------------------------------------------------
 # dotted-path resolution; extra keys may themselves contain dots
 
@@ -239,25 +264,64 @@ class FlowStore:
         self._docs: dict[int, dict] = {}
         self._next_id = 1
         self._log_path = self.root / "records.log"
-        self._replay_log()
-        self._log_fh = open(self._log_path, "a", encoding="utf-8") if writable else None
+        self._log_fh = None
+        try:
+            intact = self._replay_log()
+        except StoreError:
+            self.close()  # release the writer lock
+            raise
+        if writable:
+            self._log_fh = open(self._log_path, "a", encoding="utf-8")
+            fd = self._log_fh.fileno()
+            if os.fstat(fd).st_size > intact:
+                # cut a torn final line so the next append starts a line of its own
+                os.ftruncate(fd, intact)
+                os.fsync(fd)
 
-    def _replay_log(self) -> None:
+    def _replay_log(self) -> int:
+        """Merge every line onto its record; return the intact prefix's byte length.
+
+        Only the final line may be torn or unreadable: it is skipped, and
+        a bad line anywhere before it raises StoreError.
+        """
         if not self._log_path.exists():
-            return
-        with open(self._log_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # tolerate a torn final line from a crash
-                rid = doc.get("record_id")
-                if isinstance(rid, int) and rid > 0:
-                    self._docs[rid] = doc
-                    self._next_id = max(self._next_id, rid + 1)
+            return 0
+        intact = 0
+        bad = None
+        with open(self._log_path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if bad is not None:
+                    raise StoreError(f"{self._log_path} line {bad[0]}: {bad[1]}")
+                problem = self._replay_line(raw)
+                if problem is None:
+                    intact += len(raw)
+                else:
+                    bad = (lineno, problem)
+        return intact
+
+    def _replay_line(self, raw: bytes) -> str | None:
+        """Apply one log line; return what is wrong with it, or None once applied."""
+        if not raw.endswith(b"\n"):
+            return "torn line (no newline)"
+        try:
+            line = json.loads(raw)
+        except ValueError:
+            return "line does not decode"
+        if not isinstance(line, dict):
+            return "line is not a JSON object"
+        rid = line.get("record_id")
+        if type(rid) is not int or rid <= 0:
+            return f"bad record_id {rid!r}"
+        if rid not in self._docs and not _RECORD_FIELDS <= line.keys():
+            return f"partial line for record {rid}, which has no earlier line"
+        self._merge(line)
+        self._next_id = max(self._next_id, rid + 1)
+        return None
+
+    def _merge(self, line: dict) -> None:
+        """The one replay rule: a line's fields replace the record's."""
+        rid = line["record_id"]
+        self._docs[rid] = {**self._docs.get(rid, {}), **line}
 
     def close(self) -> None:
         if self._log_fh is not None:
@@ -344,12 +408,14 @@ class FlowStore:
                 raise ValueError(
                     f"extra key {key!r} must be namespaced like 'source.name'")
 
-    def _append(self, doc: dict) -> None:
+    def _append(self, record_id: int, fields: dict) -> None:
+        """Write one log line and merge it onto the record's document."""
         if self._log_fh is None:
             raise StoreError("store opened read-only")
-        self._log_fh.write(_dump_line(doc) + "\n")
+        line = {**fields, "record_id": record_id}
+        self._log_fh.write(_dump_line(line) + "\n")
         self._log_fh.flush()
-        self._docs[doc["record_id"]] = doc
+        self._merge(line)
 
     def put_record(self, record: FlowRecord) -> int:
         if record.record_id not in (0, None):
@@ -357,20 +423,20 @@ class FlowStore:
         self._validate_record(record)
         record.record_id = self._next_id
         self._next_id += 1
-        self._append(record.to_doc())
+        self._append(record.record_id, record.to_doc())
         return record.record_id
 
     def update_record(self, record_id: int, **fields) -> FlowRecord:
-        """Append a new version of the record; the latest version wins."""
+        """Append the fields whose JSON changed; append nothing if none did."""
         record = self.get_record(record_id)
-        allowed = {"exchange", "body_sha1", "decoded_sha1", "labels",
-                   "augment", "features", "extra"}
         for name, value in fields.items():
-            if name not in allowed:
+            if name not in _RECORD_FIELDS:
                 raise ValueError(f"cannot update field {name!r}")
             setattr(record, name, value)
         self._validate_record(record)
-        self._append(record.to_doc())
+        changed = _changed_fields(record.to_doc(), self._docs[record_id])
+        if changed:
+            self._append(record_id, changed)
         return record
 
     def get_record(self, record_id: int) -> FlowRecord:
@@ -434,7 +500,7 @@ class FlowStore:
                     raise StoreError(f"line {lineno}: bad record_id {rid!r}")
                 # digests are carried as data; blob bytes transfer separately
                 self._validate_record(record, require_blobs=False)
-                self._append(record.to_doc())
+                self._append(rid, record.to_doc())
                 self._next_id = max(self._next_id, rid + 1)
                 count += 1
         return count

@@ -1155,8 +1155,11 @@ class ProxyServer:
                              "proxy requires absolute-URI request targets")
             return
         try:
-            urlsplit(request.url).port
-        except ValueError as exc:  # unsplittable, or a port outside 0-65535
+            parts = urlsplit(request.url)
+            parts.port
+            # getaddrinfo IDNA-encodes the host; an empty or 64+ char label fails there
+            (parts.hostname or "").encode("idna")
+        except ValueError as exc:  # unsplittable, a port outside 0-65535, or such a host
             self._send_error(wfile, 400, "Bad Request", f"bad request target: {exc}")
             return
         request_body = _read_upto(rfile, min(length, self.max_body))

@@ -2,9 +2,10 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from websift.flowstore import (
     EMPTY_SHA1,
@@ -21,7 +22,11 @@ from websift.flowstore import (
     format_timestamp_ms,
     parse_timestamp_ms,
 )
+from websift.labels import LabelSet, ScanTicket, ThreatType
 from websift.wire import HttpExchange, HttpRequest, HttpResponse
+
+# a store written when every log line held a full record document
+FULL_LINE_STORE = Path(__file__).resolve().parent / "data" / "full_line_store"
 
 
 def make_exchange(url="http://site.test/", status=200, started_at=1_500_000_000_000):
@@ -181,6 +186,134 @@ def test_torn_final_line_is_tolerated(tmp_path):
         assert store.record_count() == 1
         rid = store.put_record(FlowRecord())
         assert rid == 2
+    # the torn text was cut, so the new record did not land on its line
+    with FlowStore(root) as store:
+        assert store.record_count() == 2
+        assert store.get_record(2).to_doc() == FlowRecord(record_id=2).to_doc()
+
+
+def test_readonly_open_tolerates_and_keeps_a_torn_final_line(tmp_path):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        store.put_record(FlowRecord(extra={"t.a": 1}))
+    log = root / "records.log"
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write('{"record_id": 1, "extra": {"t.a": 2}}')  # no newline: not yet complete
+    before = log.read_bytes()
+    with FlowStore(root, writable=False) as reader:
+        assert reader.get_record(1).extra == {"t.a": 1}
+    assert log.read_bytes() == before  # a writer may still be appending it
+
+
+BAD_LINES = [
+    pytest.param('{"record_id": 1, "ext', "does not decode", id="garbage"),
+    pytest.param('[1, 2]', "not a JSON object", id="non-object"),
+    pytest.param('{"record_id": 0, "extra": {}}', "bad record_id 0", id="id-zero"),
+    pytest.param('{"record_id": "1", "extra": {}}', "bad record_id '1'", id="id-string"),
+    pytest.param('{"extra": {}}', "bad record_id None", id="id-missing"),
+    pytest.param('{"record_id": 9, "extra": {"t.a": 2}}', "no earlier line", id="orphan-partial"),
+]
+
+
+@pytest.mark.parametrize("bad_line, problem", BAD_LINES)
+def test_bad_line_before_the_final_line_raises_with_its_number(tmp_path, bad_line, problem):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        store.put_record(FlowRecord(extra={"t.a": 1}))
+    log = root / "records.log"
+    good = log.read_text(encoding="utf-8")
+    log.write_text(good + bad_line + "\n" + good, encoding="utf-8")
+    # the second writable open also fails on the log, so the first released the lock
+    for writable in (True, True, False):
+        with pytest.raises(StoreError, match=f"line 2: .*{problem}") as exc:
+            FlowStore(root, writable=writable)
+        assert not isinstance(exc.value, StoreLockError)
+    assert log.read_text(encoding="utf-8") == good + bad_line + "\n" + good
+
+
+@pytest.mark.parametrize("bad_line, problem", BAD_LINES)
+def test_bad_final_line_is_skipped_and_cut_by_a_writer(tmp_path, bad_line, problem):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        store.put_record(FlowRecord(extra={"t.a": 1}))
+    log = root / "records.log"
+    good = log.read_bytes()
+    log.write_bytes(good + bad_line.encode("utf-8") + b"\n")
+    with FlowStore(root, writable=False) as reader:
+        assert reader.record_count() == 1
+    with FlowStore(root) as store:
+        assert log.read_bytes() == good
+        assert store.put_record(FlowRecord(extra={"t.a": 2})) == 2
+    with FlowStore(root) as store:
+        assert [r.extra for r in store.records()] == [{"t.a": 1}, {"t.a": 2}]
+
+
+# --- what an update writes ---
+
+def test_noop_update_leaves_the_log_unchanged(tmp_path):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        rid = store.put_record(FlowRecord(exchange=make_exchange(), extra={"t.a": 1}))
+        store.flush()
+        before = (root / "records.log").read_bytes()
+        record = store.get_record(rid)
+        got = store.update_record(rid, exchange=record.exchange, labels=LabelSet(),
+                                  extra={"t.a": 1}, features=None)
+        store.update_record(rid)
+        assert got.to_doc() == record.to_doc()
+    assert (root / "records.log").read_bytes() == before
+
+
+def test_label_only_update_writes_only_record_id_and_labels(tmp_path):
+    root = tmp_path / "s"
+    labels = LabelSet(signature_hits=["sig.a"], scan_ticket=ScanTicket())
+    with FlowStore(root) as store:
+        rid = store.put_record(FlowRecord(exchange=make_exchange(), extra={"t.a": 1}))
+        store.update_record(rid, labels=labels)
+    lines = (root / "records.log").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[1]) == {"record_id": rid, "labels": labels.to_doc()}
+    with FlowStore(root) as store:
+        got = store.get_record(rid)
+        assert got.labels.to_doc() == labels.to_doc()
+        assert got.exchange.request.url == "http://site.test/"
+        assert got.extra == {"t.a": 1}
+
+
+@pytest.mark.parametrize("old, new", [(1, 1.0), (1, True), (1.0, True), (0.0, -0.0)])
+def test_update_to_an_equal_value_with_other_json_is_written(tmp_path, old, new):
+    # == holds for each pair, but their JSON differs and must survive a reopen
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        rid = store.put_record(FlowRecord(extra={"t.a": old}))
+        store.update_record(rid, extra={"t.a": new})
+    assert len((root / "records.log").read_bytes().splitlines()) == 2
+    with FlowStore(root) as store:
+        assert json.dumps(store.get_record(rid).extra["t.a"]) == json.dumps(new)
+
+
+def test_log_of_full_lines_replays_and_exports_as_before(tmp_path):
+    pinned = (FULL_LINE_STORE / "records.log").read_bytes()
+    latest = {}
+    for line in pinned.splitlines():
+        doc = json.loads(line)
+        latest[doc["record_id"]] = doc
+    root = tmp_path / "s"
+    root.mkdir()
+    (root / "records.log").write_bytes(pinned)
+    with FlowStore(root, writable=False, create=False) as store:
+        assert [r.to_doc() for r in store.records()] == [latest[1], latest[2]]
+        store.export_jsonl(tmp_path / "out.jsonl")
+    assert (tmp_path / "out.jsonl").read_bytes() == \
+        (FULL_LINE_STORE / "export.jsonl").read_bytes()
+    # a writer appends after the old lines and leaves them as they are
+    with FlowStore(root) as store:
+        assert store.put_blob(b"<html>x</html>") == latest[1]["body_sha1"]
+        store.update_record(2, extra={"t.a": 1})
+        store.update_record(1, extra={})
+    log = (root / "records.log").read_bytes()
+    assert log.startswith(pinned)
+    assert json.loads(log[len(pinned):]) == {"record_id": 1, "extra": {}}
 
 
 def test_exchange_round_trips_through_store(tmp_path):
@@ -390,3 +523,58 @@ def test_blob_round_trip_property(tmp_path_factory, data):
         sha1 = store.put_blob(data)
         assert store.get_blob(sha1).data == data
         assert sha1 == hashlib.sha1(data).hexdigest()
+
+
+# --- log replay matches the in-memory state ---
+
+_VALUES = [1, 1.0, True, 0, False, 0.0, -0.0, "1", None, [1], {"k": 1}]
+_LABELS = [LabelSet(), LabelSet(blacklist=ThreatType.MALWARE),
+           LabelSet(signature_hits=["sig.a"]), LabelSet(ground_truth=False)]
+
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(_VALUES)),
+    st.tuples(st.just("extra"), st.integers(0, 5), st.sampled_from(_VALUES)),
+    st.tuples(st.just("labels"), st.integers(0, 5), st.sampled_from(range(len(_LABELS)))),
+    st.tuples(st.just("body"), st.integers(0, 5), st.sampled_from([None, 0, 1])),
+), max_size=25)
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, sort_keys=True)
+
+
+@settings(deadline=None)
+@given(_ops)
+def test_replay_matches_in_memory_state_property(tmp_path_factory, ops):
+    root = tmp_path_factory.mktemp("replay")
+    lines = 0
+    with FlowStore(root) as store:
+        blobs = [store.put_blob(b"a"), store.put_blob(b"b")]
+        store.put_record(FlowRecord(extra={"t.a": 0}))
+        lines += 1
+        for op, *args in ops:
+            if op == "put":
+                store.put_record(FlowRecord(extra={"t.a": args[0]}))
+                lines += 1
+                continue
+            rid = args[0] % store.record_count() + 1
+            if op == "extra":
+                fields = {"extra": {"t.a": args[1]}}
+            elif op == "labels":
+                fields = {"labels": LabelSet.from_doc(_LABELS[args[1]].to_doc())}
+            else:
+                fields = {"body_sha1": None if args[1] is None else blobs[args[1]]}
+            wanted = store.get_record(rid)
+            before = _json(wanted.to_doc())
+            for name, value in fields.items():
+                setattr(wanted, name, value)
+            store.update_record(rid, **fields)
+            after = _json(store.get_record(rid).to_doc())
+            assert after == _json(wanted.to_doc())
+            lines += after != before
+        memory = {r.record_id: _json(r.to_doc()) for r in store.records()}
+        next_id = store._next_id
+    assert len((root / "records.log").read_bytes().splitlines()) == lines
+    with FlowStore(root, writable=False) as reopened:
+        assert {r.record_id: _json(r.to_doc()) for r in reopened.records()} == memory
+        assert reopened._next_id == next_id

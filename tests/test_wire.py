@@ -1049,6 +1049,17 @@ def test_proxy_answers_a_target_urllib_rejects_with_400(origin, target):
         assert status == 200
 
 
+def test_proxy_answers_a_host_idna_rejects_with_400(origin):
+    # getaddrinfo would raise UnicodeError (a ValueError) on these hosts
+    with running_proxy() as px:
+        for target in ("http://a..b/", f"http://{'x' * 64}.test/"):
+            status, _, body = proxy_fetch(px.address, target)
+            assert status == 400
+            assert b"bad request target" in body
+        status, _, _ = proxy_fetch(px.address, origin_url(origin))
+        assert status == 200
+
+
 def test_proxy_truncates_oversized_bodies(origin):
     with running_proxy(max_body=64) as px:
         status, headers, body = proxy_fetch(px.address, origin_url(origin, "/big"))
