@@ -295,12 +295,6 @@ class Agent:
         return [self.visit(seeder.next_seed()) for _ in range(seed_cap)]
 
 
-def run_agent(cfg: AgentConfig, proxy_addr: tuple[str, int], seeder: Seeder,
-              seed_cap: int,
-              creds: dict[str, tuple[str, str]] | None = None) -> list[VisitSummary]:
-    return Agent(cfg, proxy_addr, creds).run(seeder, seed_cap)
-
-
 # ---------------------------------------------------------------------------
 # supervision
 

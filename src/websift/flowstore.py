@@ -5,7 +5,8 @@ Layout under the store root:
     records.log     append-only JSONL; a record's first line holds the
                     full document, each later line only record_id and
                     the top-level fields that changed
-    blobs/xx/yy/    blob files named by their SHA-1, two-level hex fan-out
+    blobs/pack      append-only blob frames: 20-byte raw SHA-1, 4-byte
+                    big-endian length, then the bytes
     records.lock    advisory writer lock
 
 Replay rebuilds all in-memory state from records.log by merging each
@@ -17,6 +18,17 @@ writable open cuts such a line before appending.  Logs holding partial
 lines cannot be read by versions that predate them; export_jsonl is the
 interchange format.  An `index/` directory left by older versions is
 never read and may be deleted.
+
+Blobs are indexed in memory (raw digest -> frame offset) from the frame
+headers, scanned after the log replay so that every frame a replayed
+line names has been scanned.  put_blob only appends; every log line goes
+through _append, which first flushes and fsyncs the pack if it holds
+unsynced frames, so no line ever names a blob that is not durable.  A
+pack tail that does not parse is skipped, and cut by a writable open,
+by the same rule as a torn final log line; if it lost a blob that a
+replayed record names, the pack is corrupt and the open raises
+StoreError.  Loose blobs/xx/yy/<sha1> files written by older versions
+stay readable; blobs in a pack cannot be read by those versions.
 
 One writer owns the store at a time (advisory file lock); readers open
 with writable=False and skip the lock.  Bodies are deduplicated by
@@ -31,7 +43,7 @@ import hashlib
 import json
 import os
 import re
-import uuid
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +54,8 @@ from .wire import HttpExchange
 
 BLOB_CAP = 64 * 1024 * 1024
 EMPTY_SHA1 = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+
+_FRAME = struct.Struct(">20sI")  # raw SHA-1 digest, byte length
 
 _SHA1_RE = re.compile(r"^[0-9a-f]{40}$")
 _EXTRA_KEY_RE = re.compile(r"^[a-z0-9_]+\.[A-Za-z0-9_.\-]+$")
@@ -155,6 +169,14 @@ def parse_timestamp_ms(text: str) -> int:
     return round(stamp.timestamp() * 1000)
 
 
+def _cut_torn_tail(fh, intact: int) -> None:
+    """Truncate fh's file to its intact prefix so the next append starts clean."""
+    fd = fh.fileno()
+    if os.fstat(fd).st_size > intact:
+        os.ftruncate(fd, intact)
+        os.fsync(fd)
+
+
 def _dump_line(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -245,7 +267,7 @@ class FlowStore:
         self.root = Path(root)
         self.writable = writable
         if create:
-            (self.root / "blobs").mkdir(parents=True, exist_ok=True)
+            self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
             raise StoreError(f"store root {self.root} does not exist")
 
@@ -265,18 +287,20 @@ class FlowStore:
         self._next_id = 1
         self._log_path = self.root / "records.log"
         self._log_fh = None
+        self._blobs: dict[bytes, int] = {}
+        self._pack_path = self.root / "blobs" / "pack"
+        self._pack_fh = None
+        self._pack_size = 0
+        self._pack_unsynced = False
         try:
             intact = self._replay_log()
+            self._open_pack()
         except StoreError:
             self.close()  # release the writer lock
             raise
         if writable:
             self._log_fh = open(self._log_path, "a", encoding="utf-8")
-            fd = self._log_fh.fileno()
-            if os.fstat(fd).st_size > intact:
-                # cut a torn final line so the next append starts a line of its own
-                os.ftruncate(fd, intact)
-                os.fsync(fd)
+            _cut_torn_tail(self._log_fh, intact)
 
     def _replay_log(self) -> int:
         """Merge every line onto its record; return the intact prefix's byte length.
@@ -323,12 +347,55 @@ class FlowStore:
         rid = line["record_id"]
         self._docs[rid] = {**self._docs.get(rid, {}), **line}
 
+    def _open_pack(self) -> None:
+        """Index the pack's intact frames; a writer then cuts the tail after them."""
+        if self.writable:
+            self._pack_path.parent.mkdir(exist_ok=True)
+            self._pack_fh = open(self._pack_path, "a+b")
+            # frames a writer that died left in the page cache are not yet durable
+            self._pack_unsynced = True
+        elif self._pack_path.exists():
+            self._pack_fh = open(self._pack_path, "rb")
+        else:
+            return
+        fd = self._pack_fh.fileno()
+        size = os.fstat(fd).st_size
+        offset = 0
+        while size - offset >= _FRAME.size:
+            digest, length = _FRAME.unpack(os.pread(fd, _FRAME.size, offset))
+            end = offset + _FRAME.size + length
+            if length > BLOB_CAP or end > size:
+                break
+            self._blobs[digest] = offset
+            offset = end
+        self._pack_size = offset
+        if offset == size:
+            return
+        # a torn tail only ever holds frames that no line names yet
+        for rid, doc in self._docs.items():
+            for name in ("body_sha1", "decoded_sha1"):
+                sha1 = doc.get(name)
+                if sha1 is not None and not self.has_blob(sha1):
+                    raise StoreError(
+                        f"{self._pack_path} is corrupt after byte {offset}: "
+                        f"record {rid} {name} {sha1} is not in the frames before it")
+        if self.writable:
+            _cut_torn_tail(self._pack_fh, offset)
+
+    def _sync_pack(self) -> None:
+        if self._pack_unsynced:
+            self._pack_fh.flush()
+            os.fsync(self._pack_fh.fileno())
+            self._pack_unsynced = False
+
     def close(self) -> None:
         if self._log_fh is not None:
-            self._log_fh.flush()
-            os.fsync(self._log_fh.fileno())
+            self.flush()
             self._log_fh.close()
             self._log_fh = None
+        if self._pack_fh is not None:
+            self._pack_fh.close()
+            self._pack_fh = None
         if self._lock_fh is not None:
             fcntl.flock(self._lock_fh.fileno(), fcntl.LOCK_UN)
             self._lock_fh.close()
@@ -341,52 +408,70 @@ class FlowStore:
         self.close()
 
     def flush(self) -> None:
+        """Make every blob and line written so far durable."""
         if self._log_fh is not None:
+            self._sync_pack()
             self._log_fh.flush()
             os.fsync(self._log_fh.fileno())
 
     # --- blobs
 
-    def _blob_path(self, sha1: str) -> Path:
+    def _loose_blob_path(self, sha1: str) -> Path:
+        """Where versions before the pack kept a blob: a two-level hex fan-out."""
         return self.root / "blobs" / sha1[:2] / sha1[2:4] / sha1
 
     def put_blob(self, data: bytes) -> str:
+        """Append data's frame to the pack unless it holds it; return the SHA-1.
+
+        The frame is made durable by the next _append or flush, before
+        any line can name it.
+        """
         if not self.writable:
             raise StoreError("store opened read-only")
         if len(data) > BLOB_CAP:
             raise BlobTooLargeError(f"blob of {len(data)} bytes exceeds cap {BLOB_CAP}")
-        sha1 = hashlib.sha1(data).hexdigest()
-        path = self._blob_path(sha1)
-        if path.exists():
-            return sha1
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".tmp-{uuid.uuid4().hex}"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        return sha1
+        digest = hashlib.sha1(data).digest()
+        if digest not in self._blobs:
+            self._pack_fh.write(_FRAME.pack(digest, len(data)))
+            self._pack_fh.write(data)
+            self._blobs[digest] = self._pack_size
+            self._pack_size += _FRAME.size + len(data)
+            self._pack_unsynced = True
+        return digest.hex()
 
     def has_blob(self, sha1: str) -> bool:
-        return bool(_SHA1_RE.match(sha1 or "")) and self._blob_path(sha1).exists()
+        if not _SHA1_RE.match(sha1 or ""):
+            return False
+        return bytes.fromhex(sha1) in self._blobs or self._loose_blob_path(sha1).exists()
 
     def get_blob(self, sha1: str) -> ContentBlob:
         if not _SHA1_RE.match(sha1 or ""):
             raise BlobNotFoundError(sha1)
-        path = self._blob_path(sha1)
-        if not path.exists():
-            raise BlobNotFoundError(sha1)
-        data = path.read_bytes()
+        offset = self._blobs.get(bytes.fromhex(sha1))
+        if offset is not None:
+            data = self._read_frame(offset)
+        else:
+            try:
+                data = self._loose_blob_path(sha1).read_bytes()
+            except FileNotFoundError:
+                raise BlobNotFoundError(sha1) from None
         actual = hashlib.sha1(data).hexdigest()
         if actual != sha1:
             raise BlobCorruptError(
                 f"blob {sha1} reads back with digest {actual}")
         return ContentBlob(sha1=sha1, size=len(data), data=data)
 
+    def _read_frame(self, offset: int) -> bytes:
+        self._pack_fh.flush()  # a frame put but not yet synced may sit in the buffer
+        fd = self._pack_fh.fileno()
+        _, length = _FRAME.unpack(os.pread(fd, _FRAME.size, offset))
+        if length > BLOB_CAP:
+            raise BlobCorruptError(f"pack frame at byte {offset} claims {length} bytes")
+        return os.pread(fd, length, offset + _FRAME.size)
+
     def blob_count(self) -> int:
-        base = self.root / "blobs"
-        return sum(1 for p in base.glob("??/??/*") if p.is_file())
+        """Blobs in the pack; loose blobs of older stores are not counted."""
+        return len(self._blobs)
 
     # --- records
 
@@ -412,6 +497,7 @@ class FlowStore:
         """Write one log line and merge it onto the record's document."""
         if self._log_fh is None:
             raise StoreError("store opened read-only")
+        self._sync_pack()  # every blob a line may name is durable before it
         line = {**fields, "record_id": record_id}
         self._log_fh.write(_dump_line(line) + "\n")
         self._log_fh.flush()

@@ -344,10 +344,6 @@ class SignatureSet:
             return cls.from_text(fh.read())
 
 
-def signature_scan(data: bytes, sigdb: SignatureSet) -> list[str]:
-    return sigdb.scan(data)
-
-
 # ---------------------------------------------------------------------------
 # scan tickets
 

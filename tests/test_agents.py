@@ -357,13 +357,9 @@ def test_agent_visit_404_stops_after_seed(site, proxy):
     assert summary.actions_executed == 0
 
 
-def test_agent_unreachable_proxy_reports_error(site):
-    import socket
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        dead = probe.getsockname()[1]
+def test_agent_unreachable_proxy_reports_error(site, dead_port):
     cfg = AgentConfig(agent_id="agent-8")
-    summary = Agent(cfg, ("127.0.0.1", dead), creds={}).visit(
+    summary = Agent(cfg, ("127.0.0.1", dead_port), creds={}).visit(
         SeedEntry(f"{site.base_url}/landing", "benign"))
     assert summary.requests_made == 0
     assert summary.errors and "seed fetch failed" in summary.errors[0]

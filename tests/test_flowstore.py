@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -80,10 +81,115 @@ def test_blob_cap_enforced(tmp_path, monkeypatch):
 def test_corrupted_blob_detected_on_read(tmp_path):
     with FlowStore(tmp_path / "s") as store:
         sha1 = store.put_blob(b"original")
-        path = store._blob_path(sha1)
-        path.write_bytes(b"tampered")
+        store.flush()
+        pack = tmp_path / "s" / "blobs" / "pack"
+        frame = bytearray(pack.read_bytes())
+        assert frame[24:] == b"original"
+        frame[-1] ^= 0x01
+        pack.write_bytes(bytes(frame))
         with pytest.raises(BlobCorruptError):
             store.get_blob(sha1)
+
+
+def test_loose_blob_of_an_older_store_is_read_and_referenced(tmp_path):
+    root = tmp_path / "s"
+    data = b"written before the pack"
+    sha1 = hashlib.sha1(data).hexdigest()
+    loose = root / "blobs" / sha1[:2] / sha1[2:4] / sha1
+    loose.parent.mkdir(parents=True)
+    loose.write_bytes(data)
+    with FlowStore(root) as store:
+        assert store.has_blob(sha1)
+        assert store.get_blob(sha1).data == data
+        rid = store.put_record(FlowRecord(body_sha1=sha1))
+    with FlowStore(root, writable=False) as reader:
+        assert reader.get_blob(reader.get_record(rid).body_sha1).data == data
+
+
+def test_unreferenced_blob_reads_back_from_the_live_writer(tmp_path):
+    with FlowStore(tmp_path / "s") as store:
+        sha1 = store.put_blob(b"not named by any record yet")
+        assert store.has_blob(sha1)
+        assert store.get_blob(sha1).data == b"not named by any record yet"
+        assert store.blob_count() == 1
+
+
+def test_pack_is_synced_before_the_line_that_names_a_new_blob(tmp_path, monkeypatch):
+    calls = []
+
+    class LogSpy:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            calls.append(("log write", json.loads(text).get("body_sha1")))
+            return self.fh.write(text)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    with FlowStore(tmp_path / "s") as store:
+        store.put_record(FlowRecord())
+        store._log_fh = LogSpy(store._log_fh)
+        pack_fd = store._pack_fh.fileno()
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            calls.append(("pack fsync",) if fd == pack_fd else ("other fsync",))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        sha1 = store.put_blob(b"new body")
+        store.put_record(FlowRecord(body_sha1=sha1))
+        store.put_record(FlowRecord(body_sha1=sha1))  # nothing new to sync
+        store._log_fh = store._log_fh.fh
+    assert calls[:3] == [("pack fsync",), ("log write", sha1), ("log write", sha1)]
+
+
+def test_pack_cut_inside_its_last_frame_is_skipped_and_cut_by_a_writer(tmp_path):
+    root = tmp_path / "s"
+    pack = root / "blobs" / "pack"
+    with FlowStore(root) as store:
+        for data in (b"first body", b"second body"):
+            store.put_record(FlowRecord(body_sha1=store.put_blob(data)))
+        store.flush()
+        start = pack.stat().st_size
+        store.put_blob(b"last frame, never referenced")  # a crash can tear only such a frame
+    whole = pack.read_bytes()
+    last = hashlib.sha1(b"last frame, never referenced").hexdigest()
+    for cut in range(start + 1, len(whole)):
+        pack.write_bytes(whole[:cut])
+        with FlowStore(root, writable=False) as reader:
+            assert [reader.get_blob(r.body_sha1).data for r in reader.records()] == \
+                [b"first body", b"second body"]
+            assert not reader.has_blob(last)
+        assert pack.stat().st_size == cut
+        with FlowStore(root) as store:
+            assert pack.stat().st_size == start
+            assert store.blob_count() == 2
+    with FlowStore(root) as store:
+        assert store.put_blob(b"last frame, never referenced") == last
+    with FlowStore(root, writable=False) as reader:
+        assert reader.get_blob(last).data == b"last frame, never referenced"
+    assert pack.read_bytes() == whole
+
+
+@pytest.mark.parametrize("length", [2 ** 32 - 1, 64 * 1024 * 1024 + 1, 10_000])
+def test_damaged_middle_frame_losing_a_referenced_blob_fails_the_open(tmp_path, length):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        for data in (b"first body", b"second body", b"third body"):
+            store.put_record(FlowRecord(body_sha1=store.put_blob(data)))
+    pack = root / "blobs" / "pack"
+    damaged = bytearray(pack.read_bytes())
+    second = 24 + len(b"first body")
+    damaged[second + 20:second + 24] = length.to_bytes(4, "big")
+    pack.write_bytes(bytes(damaged))
+    for writable in (True, True, False):
+        with pytest.raises(StoreError, match="record 2 body_sha1") as exc:
+            FlowStore(root, writable=writable)
+        assert not isinstance(exc.value, StoreLockError)
+    assert pack.read_bytes() == damaged
 
 
 # --- records ---

@@ -363,15 +363,11 @@ def test_pipeline_enforce_blocks_but_stores_original(site, tmp_path):
         assert store.get_blob(record.body_sha1).data == original
 
 
-def test_pipeline_records_fetch_errors(site, tmp_path):
-    import socket
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        dead = probe.getsockname()[1]
+def test_pipeline_records_fetch_errors(site, tmp_path, dead_port):
     with FlowStore(tmp_path / "store") as store:
         pipeline = Pipeline(store, LabelSources()).start()
         try:
-            status, _, _ = fetch_via(pipeline, f"http://127.0.0.1:{dead}/x")
+            status, _, _ = fetch_via(pipeline, f"http://127.0.0.1:{dead_port}/x")
         finally:
             pipeline.stop_capture()
         assert status == 502

@@ -37,3 +37,15 @@ def test_forest_sweep_prints_one_line_per_cell(capsys):
     for d in docs[1:]:
         assert sum(d["confusion"].values()) == 10
         assert set(d["metrics"]) == {"benign", "malware"}
+
+
+def test_enforce_demo_blocks_the_page_and_keeps_its_body(capsys):
+    demo = load_script("enforce_demo")
+    assert demo.main(["--seed", "5"]) == 0
+    blocked, passed, stored = [json.loads(line)
+                               for line in capsys.readouterr().out.splitlines()]
+    assert blocked["status"] == 200
+    assert blocked["blocked_header"] and blocked["client_saw_warning_page"]
+    assert passed["status"] == 200 and passed["passed_through_unmodified"]
+    assert stored["record_for"] == blocked["fetch"]
+    assert stored["wire_body_preserved"] and stored["page_recovered_after_decode"]

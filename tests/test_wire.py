@@ -981,12 +981,6 @@ def proxy_fetch(addr, url, method="GET", headers=(), body=b""):
     return status, received, rest
 
 
-def _unused_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
 # --- proxy without a gateway ---
 
 def test_proxy_forwards_origin_body(origin):
@@ -1022,9 +1016,9 @@ def test_proxy_adds_via_and_strips_hop_by_hop(origin):
     assert b"via=1.1 websift" in body
 
 
-def test_proxy_upstream_refused_yields_502(origin):
+def test_proxy_upstream_refused_yields_502(origin, dead_port):
     with running_proxy() as px:
-        status, _, body = proxy_fetch(px.address, f"http://127.0.0.1:{_unused_port()}/x")
+        status, _, body = proxy_fetch(px.address, f"http://127.0.0.1:{dead_port}/x")
     assert status == 502
     assert b"upstream fetch failed" in body
 
@@ -1098,11 +1092,11 @@ def test_proxy_gateway_unknown_seeder_coerced_to_benign(origin):
     assert emitted[0].exchange.seeder_tag == "benign"
 
 
-def test_proxy_gateway_emits_fetch_errors(origin):
+def test_proxy_gateway_emits_fetch_errors(origin, dead_port):
     emitted = []
     with running_gateway(emit=emitted.append) as gw:
         with running_proxy(gateway_addr=gw.address) as px:
-            status, _, _ = proxy_fetch(px.address, f"http://127.0.0.1:{_unused_port()}/x")
+            status, _, _ = proxy_fetch(px.address, f"http://127.0.0.1:{dead_port}/x")
     assert status == 502
     assert len(emitted) == 1
     assert emitted[0].exchange.response.status == 502
@@ -1136,17 +1130,17 @@ def test_proxy_gateway_flags_truncation(origin):
     assert emitted[0].exchange.body == b"x" * 64
 
 
-def test_proxy_fail_closed_when_gateway_down(origin):
-    dead = ("127.0.0.1", _unused_port())
+def test_proxy_fail_closed_when_gateway_down(origin, dead_port):
+    dead = ("127.0.0.1", dead_port)
     with running_proxy(gateway_addr=dead, fail_policy="closed") as px:
         status, _, body = proxy_fetch(px.address, origin_url(origin))
     assert status == 502
     assert b"fail-closed" in body
 
 
-def test_proxy_fail_open_flags_uninspected(origin):
+def test_proxy_fail_open_flags_uninspected(origin, dead_port):
     fallback = []
-    dead = ("127.0.0.1", _unused_port())
+    dead = ("127.0.0.1", dead_port)
     with running_proxy(gateway_addr=dead, fail_policy="open",
                        emit_fallback=fallback.append) as px:
         status, _, body = proxy_fetch(px.address, origin_url(origin))
