@@ -7,17 +7,32 @@ buttons in document order until the interaction budget runs out.  Only
 same-origin links are followed, one level deep from the seed.  A
 supervisor restarts agents whose newest stored record is older than a
 threshold.
+
+During `run` an agent keeps one persistent connection to the proxy, as
+a browser does, and sends no Connection header on it; the proxy closes
+it only by its own rules (see wire).  A GET or HEAD whose reused
+connection the proxy had closed while idle is resent once on a fresh
+connection; a POST is not resent, since the proxy may have served it.
+Outside `run`, and for callers of proxy_request that pass no connection
+stack, each request has its own connection and says `Connection: close`.
 """
 
 from __future__ import annotations
 
 import csv
-import socket
 from dataclasses import dataclass, field
 from urllib.parse import urlencode, urljoin, urlsplit
 
 from .features import FormSpec, HtmlDoc, parse_html
-from .wire import MAX_BODY_SIZE, _header, _read_response, _write_head
+from .wire import (
+    MAX_BODY_SIZE,
+    IdleConnections,
+    _header,
+    _read_response,
+    _says_close,
+    _transact,
+    _write_head,
+)
 
 SEED_FOCUSES = ("benign", "malware", "phishing")
 FALLBACK_CREDENTIALS = ("testuser", "testpass")
@@ -212,20 +227,36 @@ def _origin(url: str) -> tuple[str, str, int]:
 
 def proxy_request(proxy_addr: tuple[str, int], method: str, url: str,
                   headers: list[tuple[str, str]], body: bytes = b"",
-                  timeout: float = 10.0) -> tuple[int, list[tuple[str, str]], bytes]:
-    """One absolute-URI request through the forward proxy."""
+                  timeout: float = 10.0, *, idle: IdleConnections | None = None,
+                  ) -> tuple[int, list[tuple[str, str]], bytes]:
+    """One absolute-URI request through the forward proxy.
+
+    Without `idle` the request goes over a fresh connection and says
+    `Connection: close`.  With it, the request says nothing about the
+    connection: one from `idle` is reused, or a fresh one opened, and it
+    goes back to `idle` when the proxy keeps it open.  A GET or HEAD on a
+    reused connection the proxy had closed is resent once on a fresh one.
+    """
     headers = list(headers)
     if body:
         headers.append(("Content-Length", str(len(body))))
-    headers.append(("Connection", "close"))
-    with socket.create_connection(proxy_addr, timeout=timeout) as sock:
-        sock.sendall(_write_head(f"{method} {url} HTTP/1.1", headers) + body)
+    if idle is None:
+        headers.append(("Connection", "close"))
+    head_only = method == "HEAD"
+
+    def read(rfile):
         try:
-            response, data, _ = _read_response(sock.makefile("rb"), MAX_BODY_SIZE,
-                                               method == "HEAD")
+            response, data, truncated = _read_response(rfile, MAX_BODY_SIZE, head_only)
         except ValueError as exc:
             raise ConnectionError(f"bad proxy response: {exc}") from None
-    return response.status, response.headers, data
+        # a body framed by the end of the connection leaves nothing to reuse
+        framed = (response.header("Content-Length") is not None or head_only
+                  or response.status in (204, 304))
+        keep = framed and not truncated and not _says_close(response.headers)
+        return (response.status, response.headers, data), keep
+
+    return _transact(proxy_addr, _write_head(f"{method} {url} HTTP/1.1", headers) + body,
+                     timeout, idle, read, resend=method in ("GET", "HEAD"))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +276,7 @@ class Agent:
         self.creds = creds if creds is not None else (
             load_credentials(cfg.credentials_path) if cfg.credentials_path else {})
         self.timeout = timeout
+        self._idle: IdleConnections | None = None  # the proxy connection, during run
 
     def _headers(self) -> list[tuple[str, str]]:
         w, h = self.cfg.viewport
@@ -260,7 +292,7 @@ class Agent:
                  extra_headers: list[tuple[str, str]] | None = None):
         headers = self._headers() + list(extra_headers or [])
         return proxy_request(self.proxy_addr, method, url, headers, body,
-                             self.timeout)
+                             self.timeout, idle=self._idle)
 
     def visit(self, seed: SeedEntry) -> VisitSummary:
         summary = VisitSummary(seed=seed.url)
@@ -292,7 +324,13 @@ class Agent:
         return summary
 
     def run(self, seeder: Seeder, seed_cap: int) -> list[VisitSummary]:
-        return [self.visit(seeder.next_seed()) for _ in range(seed_cap)]
+        """Visit `seed_cap` seeds over one proxy connection, closed at the end."""
+        self._idle = IdleConnections()
+        try:
+            return [self.visit(seeder.next_seed()) for _ in range(seed_cap)]
+        finally:
+            self._idle.close()
+            self._idle = None
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,23 @@ class FeatureVector:
         return {"ledger": LEDGER_VERSION, "values": self.as_row()}
 
     @classmethod
-    def from_doc(cls, doc: Mapping) -> "FeatureVector":
+    def from_doc(cls, doc: Mapping, trusted: bool = False) -> "FeatureVector":
+        """The vector a to_doc() document holds.
+
+        `trusted` skips the per-value checks, for documents this program
+        wrote from a vector that passed them, such as those a FlowStore
+        loads; the ledger and the value count are still checked.
+        """
         if doc.get("ledger") != LEDGER_VERSION:
             raise ValueError(f"feature ledger mismatch: {doc.get('ledger')!r}")
         values = doc["values"]
         if len(values) != len(FEATURE_ORDER):
             raise ValueError(f"expected {len(FEATURE_ORDER)} values, got {len(values)}")
-        return cls(dict(zip(FEATURE_ORDER, values)))
+        if not trusted:
+            return cls(dict(zip(FEATURE_ORDER, values)))
+        vector = cls.__new__(cls)
+        vector._values = dict(zip(FEATURE_ORDER, values))
+        return vector
 
     @classmethod
     def from_row(cls, row: Iterable[float]) -> "FeatureVector":

@@ -25,14 +25,17 @@ line names has been scanned.  put_blob only appends; every log line goes
 through _append, which first flushes and fsyncs the pack if it holds
 unsynced frames, so no line ever names a blob that is not durable.  A
 pack tail that does not parse is skipped, and cut by a writable open,
-by the same rule as a torn final log line; if it lost a blob that a
-replayed record names, the pack is corrupt and the open raises
-StoreError.  Loose blobs/xx/yy/<sha1> files written by older versions
-stay readable; blobs in a pack cannot be read by those versions.
+by the same rule as a torn final log line; if the tail holds the digest
+of a blob that a replayed record names and the intact frames lack, the
+pack is corrupt and the open raises StoreError.  Loose blobs/xx/yy/<sha1>
+files written by older versions stay readable; blobs in a pack cannot be
+read by those versions.
 
 One writer owns the store at a time (advisory file lock); readers open
 with writable=False and skip the lock.  Bodies are deduplicated by
-SHA-1 and referenced from records by digest, never inlined.
+SHA-1 and referenced from records by digest, never inlined.  Records the
+store hands out are built from its documents without checking each
+feature value again: every write path validated them first.
 """
 
 from __future__ import annotations
@@ -137,7 +140,9 @@ class FlowRecord:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "FlowRecord":
+    def from_doc(cls, doc: dict, trusted: bool = False) -> "FlowRecord":
+        """The record a to_doc() document holds; `trusted` as for FeatureVector.from_doc."""
+        features = doc.get("features")
         return cls(
             record_id=doc["record_id"],
             exchange=HttpExchange.from_doc(doc["exchange"]) if doc.get("exchange") else None,
@@ -145,7 +150,7 @@ class FlowRecord:
             decoded_sha1=doc.get("decoded_sha1"),
             labels=LabelSet.from_doc(doc.get("labels") or {}),
             augment=AugmentInfo.from_doc(doc["augment"]) if doc.get("augment") else None,
-            features=FeatureVector.from_doc(doc["features"]) if doc.get("features") else None,
+            features=FeatureVector.from_doc(features, trusted) if features else None,
             extra=dict(doc.get("extra") or {}),
         )
 
@@ -175,6 +180,23 @@ def _cut_torn_tail(fh, intact: int) -> None:
     if os.fstat(fd).st_size > intact:
         os.ftruncate(fd, intact)
         os.fsync(fd)
+
+
+def _first_found(fd: int, start: int, end: int, digests) -> bytes | None:
+    """One of the raw `digests` that occurs in the file between start and end, or None.
+
+    The range is read a piece at a time, each piece overlapping the next
+    by a digest's length.
+    """
+    if not digests:
+        return None
+    step = 1 << 20
+    for pos in range(start, end, step):
+        piece = os.pread(fd, min(step + 20, end - pos), pos)
+        for digest in digests:
+            if digest in piece:
+                return digest
+    return None
 
 
 def _dump_line(doc: dict) -> str:
@@ -371,14 +393,20 @@ class FlowStore:
         self._pack_size = offset
         if offset == size:
             return
-        # a torn tail only ever holds frames that no line names yet
+        # A torn tail only ever holds frames that no line names yet, so the
+        # pack is corrupt if the tail holds a named blob the index lacks.  A
+        # named blob that is nowhere is no sign of that: import_jsonl stores
+        # records without their blobs.
+        missing = {}
         for rid, doc in self._docs.items():
             for name in ("body_sha1", "decoded_sha1"):
                 sha1 = doc.get(name)
-                if sha1 is not None and not self.has_blob(sha1):
-                    raise StoreError(
-                        f"{self._pack_path} is corrupt after byte {offset}: "
-                        f"record {rid} {name} {sha1} is not in the frames before it")
+                if _SHA1_RE.match(sha1 or "") and not self.has_blob(sha1):
+                    missing.setdefault(bytes.fromhex(sha1), f"record {rid} {name} {sha1}")
+        found = _first_found(fd, offset, size, missing)
+        if found is not None:
+            raise StoreError(f"{self._pack_path} is corrupt after byte {offset}: "
+                             f"{missing[found]} is in no intact frame")
         if self.writable:
             _cut_torn_tail(self._pack_fh, offset)
 
@@ -529,11 +557,11 @@ class FlowStore:
         doc = self._docs.get(record_id)
         if doc is None:
             raise RecordNotFoundError(record_id)
-        return FlowRecord.from_doc(doc)
+        return FlowRecord.from_doc(doc, trusted=True)
 
     def records(self):
         for rid in sorted(self._docs):
-            yield FlowRecord.from_doc(self._docs[rid])
+            yield FlowRecord.from_doc(self._docs[rid], trusted=True)
 
     def record_count(self) -> int:
         return len(self._docs)
@@ -547,7 +575,7 @@ class FlowStore:
         for rid in sorted(self._docs):
             doc = self._docs[rid]
             if all(_match_clause(doc, *clause) for clause in checked):
-                out.append(FlowRecord.from_doc(doc))
+                out.append(FlowRecord.from_doc(doc, trusted=True))
         return out
 
     def export_jsonl(self, path, clauses=None) -> int:

@@ -8,14 +8,24 @@ emission callback; in enforce mode a synchronous verdict can replace the
 response body with a warning page.  Everything runs on plain TCP sockets
 so the two halves can also interoperate with foreign ICAP peers.
 
-ICAP connections are persistent, as RFC 3507 peers such as Squid keep
-them.  The gateway serves messages on a connection until the peer closes
-it or it sits idle for ICAP_IDLE_TIMEOUT seconds; after a parse error it
-answers 400 and closes, since the framing can no longer be trusted.  The
-proxy keeps a small stack of idle gateway connections and reuses them
-across exchanges; a request on a reused connection that gets no response
-byte back (the gateway timed it out meanwhile) is resent once on a fresh
-connection.  Clients still talk to the proxy with `Connection: close`.
+Both hops into the gateway are persistent.  Each server serves messages
+on a connection until a message says to close, the peer closes, or the
+connection sits idle past the server's timeout (ICAP_IDLE_TIMEOUT for
+the gateway, the proxy's `timeout`); `stop()` ends the reading side of
+every open connection, so idle ones close at once.  The gateway answers
+a parse error with 400 and closes, since the framing can no longer be
+trusted.  The proxy keeps a client connection open after an HTTP/1.1
+request without a `close` token (RFC 9112 §9.3) and closes it after
+HTTP/1.0, `Connection: close`, a request with a Transfer-Encoding (its
+chunked body is not read) or a Content-Length above `max_body` (the rest
+is left unread), any 400/405/502 error, or a failed write; only a closing
+response carries `Connection: close`.  Clients keep idle connections in
+an IdleConnections stack: the proxy its gateway connections, each agent
+its one proxy connection.  A message on a reused connection that gets
+not one response byte back (the peer timed it out meanwhile) was never
+served, so it is resent once on a fresh connection; HTTP resends only
+GET and HEAD (RFC 9112 §9.3.1).  The proxy's origin fetches stay one
+connection each, with `Connection: close`.
 
 Framing is done once for both protocols, and every peer is treated as
 hostile.  One writer builds every ICAP and HTTP head, one lenient reader
@@ -51,7 +61,7 @@ MAX_HEAD_SIZE = 256 * 1024    # longest start line plus header block read off a 
 READ_PIECE = 64 * 1024        # largest single read of body data off a socket
 REQMOD_TABLE_SIZE = 1024      # REQMOD bodies a gateway keeps for their RESPMOD
 ICAP_IDLE_TIMEOUT = 30.0      # seconds a gateway connection may wait for its next message
-ICAP_IDLE_CONNECTIONS = 8     # idle gateway connections a proxy keeps for reuse
+ICAP_IDLE_CONNECTIONS = 8     # idle connections an IdleConnections stack keeps for reuse
 ICAP_METHODS = ("OPTIONS", "REQMOD", "RESPMOD")
 SEEDER_TAGS = ("benign", "malware", "phishing")
 
@@ -286,6 +296,13 @@ def _split_head(head: bytes) -> tuple[bytes, list[tuple[str, str]]]:
             name, _, value = line.partition(b":")
             headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
     return lines[0].rstrip(b"\r"), headers
+
+
+def _says_close(headers) -> bool:
+    """Whether a Connection header carries the `close` token (RFC 9112 §9.6)."""
+    return any(k.lower() == "connection" and
+               any(t.strip().lower() == "close" for t in v.split(","))
+               for k, v in headers)
 
 
 def _digits(value: str) -> int | None:
@@ -548,12 +565,14 @@ def build_reqmod(request: HttpRequest, body: bytes = b"",
     return _write_head(f"REQMOD icap://{icap_host}/reqmod {ICAP_VERSION}", headers) + payload
 
 
-def _parse_http_request_head(raw: bytes) -> HttpRequest:
+def _parse_http_request_head(raw: bytes) -> tuple[HttpRequest, str]:
+    """(request, protocol version from the request line)."""
     start, headers = _split_head(raw)
     parts = start.split(b" ")
     if len(parts) != 3:
         raise ValueError(f"malformed request line {start!r}")
-    return HttpRequest(parts[0].decode("latin-1"), parts[1].decode("latin-1"), headers)
+    return (HttpRequest(parts[0].decode("latin-1"), parts[1].decode("latin-1"), headers),
+            parts[2].decode("latin-1"))
 
 
 def _parse_http_response_head(raw: bytes) -> HttpResponse:
@@ -569,7 +588,7 @@ def exchange_from_respmod(msg: IcapMessage) -> tuple[HttpExchange, str, dict[str
     """Rebuild (exchange, exchange_id, markers) from a parsed RESPMOD."""
     if "req-hdr" not in msg.sections or "res-hdr" not in msg.sections:
         raise ValueError("RESPMOD must carry req-hdr and res-hdr sections")
-    request = _parse_http_request_head(msg.sections["req-hdr"])
+    request, _ = _parse_http_request_head(msg.sections["req-hdr"])
     response = _parse_http_response_head(msg.sections["res-hdr"])
     body = msg.sections.get("res-body", b"")
     agent = msg.header("X-Exchange-Agent") or ""
@@ -774,9 +793,81 @@ def _read_icap_wire_message(rfile) -> bytes | None:
 # ---------------------------------------------------------------------------
 # gateway server
 
+class _ConnectionHandler(socketserver.StreamRequestHandler):
+    """Serves messages on one connection until the server's serve_one says stop."""
+
+    def handle(self):
+        try:
+            self.connection.settimeout(self.server.conn_timeout)
+            while self.server.serve_one(self.rfile, self.wfile):
+                pass
+        except OSError:
+            pass  # idle timeout, peer reset, or stop() shut the reading down
+
+
 class _ThreadedServer(socketserver.ThreadingTCPServer):
+    """One thread per persistent connection, every read bounded by `timeout`.
+
+    `serve_one(rfile, wfile)` answers one message and returns whether the
+    connection stays open.  The server tracks its open connections and
+    their handler threads so that stop() can end them: it shuts down
+    their reading side, so a handler waiting for the next message sees
+    end of file at once, while one that already holds its message still
+    writes the answer; then it joins them for at most `timeout` in all.
+    (Handler threads are daemons, which server_close() does not join.)
+    """
+
     daemon_threads = True
     allow_reuse_address = True
+
+    def __init__(self, address, serve_one, timeout: float):
+        self.serve_one = serve_one
+        self.conn_timeout = timeout
+        self._open: dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
+        self._stopping = False
+        self._thread: threading.Thread | None = None
+        super().__init__(address, _ConnectionHandler)
+
+    def finish_request(self, request, client_address):
+        """Serve one connection on its handler thread, tracked while it is open."""
+        with self._open_lock:
+            if self._stopping:
+                return
+            self._open[request] = threading.current_thread()
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            with self._open_lock:
+                del self._open[request]
+
+    def start(self) -> None:
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
+        self._thread.start()
+
+    def stop(self) -> None:
+        """Stop accepting, end the reading of every open connection, join its handler.
+
+        The joins share one deadline, `timeout` from now: a handler still
+        busy then (say, on an origin that trickles its answer a byte at a
+        time) is left behind as a daemon thread rather than hang stop().
+        """
+        self.shutdown()
+        with self._open_lock:
+            self._stopping = True
+            still_open = list(self._open.items())
+        for sock, _ in still_open:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        deadline = time.monotonic() + self.conn_timeout
+        for _, handler in still_open:
+            handler.join(max(0.0, deadline - time.monotonic()))
+        self.server_close()
+        if self._thread:
+            self._thread.join(timeout=5)
 
 
 class _ReqmodBodies(dict):
@@ -827,41 +918,11 @@ class IcapGateway:
                     self.refused.append(emitted)
                     raise
             self.emit = _emit
-        gateway = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self):
-                if not gateway._track(self.connection):
-                    return
-                try:
-                    self.connection.settimeout(ICAP_IDLE_TIMEOUT)
-                    while gateway._serve_one(self.rfile, self.wfile):
-                        pass
-                except OSError:
-                    pass  # idle timeout, peer reset, or stop() shut the socket down
-                finally:
-                    gateway._untrack(self.connection)
-
-        self._server = _ThreadedServer((host, port), Handler)
-        self._thread: threading.Thread | None = None
-        self._open: set[socket.socket] = set()
-        self._open_lock = threading.Lock()
-        self._stopping = False
+        self._server = _ThreadedServer((host, port), self._serve_one, ICAP_IDLE_TIMEOUT)
 
     @property
     def address(self) -> tuple[str, int]:
         return self._server.server_address[:2]
-
-    def _track(self, sock: socket.socket) -> bool:
-        with self._open_lock:
-            if self._stopping:
-                return False
-            self._open.add(sock)
-            return True
-
-    def _untrack(self, sock: socket.socket) -> None:
-        with self._open_lock:
-            self._open.discard(sock)
 
     def _serve_one(self, rfile, wfile) -> bool:
         """Answer one message; False when the connection should close."""
@@ -880,40 +941,27 @@ class IcapGateway:
         return True
 
     def start(self) -> "IcapGateway":
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        kwargs={"poll_interval": 0.05}, daemon=True)
-        self._thread.start()
+        self._server.start()
         return self
 
     def stop(self) -> None:
-        """Stop accepting, close every open connection, join its handler."""
-        self._server.shutdown()
-        with self._open_lock:
-            self._stopping = True
-            still_open = list(self._open)
-        for sock in still_open:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        self._server.server_close()  # joins the handler threads
-        if self._thread:
-            self._thread.join(timeout=5)
+        """Stop accepting, end every open connection, join its handler."""
+        self._server.stop()
 
 
-class IdleIcapConnections:
-    """Stack of idle, reusable ICAP connections to one gateway."""
+class IdleConnections:
+    """Stack of idle, reusable client connections to one peer."""
 
     def __init__(self):
-        self._stack: list[_IcapConnection] = []
+        self._stack: list[_Connection] = []
         self._lock = threading.Lock()
         self._closed = False
 
-    def take(self) -> _IcapConnection | None:
+    def take(self) -> _Connection | None:
         with self._lock:
             return self._stack.pop() if self._stack else None
 
-    def give(self, conn: _IcapConnection) -> None:
+    def give(self, conn: _Connection) -> None:
         with self._lock:
             if not self._closed and len(self._stack) < ICAP_IDLE_CONNECTIONS:
                 self._stack.append(conn)
@@ -928,7 +976,9 @@ class IdleIcapConnections:
             conn.close()
 
 
-class _IcapConnection:
+class _Connection:
+    """A client socket and the buffered reader over it."""
+
     def __init__(self, addr: tuple[str, int], timeout: float):
         self.sock = socket.create_connection(addr, timeout=timeout)
         self.rfile = self.sock.makefile("rb")
@@ -947,35 +997,55 @@ class _IcapConnection:
         self.sock.close()
 
 
-def icap_transact(addr: tuple[str, int], raw: bytes, timeout: float = 10.0,
-                  idle: IdleIcapConnections | None = None) -> IcapResponse:
-    """Send one ICAP message and read its response.
+def _transact(addr: tuple[str, int], raw: bytes, timeout: float,
+              idle: IdleConnections | None, read, resend: bool = True):
+    """Send one message and return what `read(rfile)` makes of its response.
 
-    Without `idle` the message goes over a fresh connection that is closed
-    afterwards.  With it, an idle connection is reused when there is one
-    and handed back after a complete response.  A reused connection that
-    returns not a single response byte was closed by the gateway while
-    idle, so nothing was served: the message is resent once on a fresh
-    connection.  Failures on a fresh connection are never retried.
+    `read` returns (result, keep): whether the response left the
+    connection fit for another message.  Without `idle` the message goes
+    over a fresh connection that is closed afterwards.  With it, an idle
+    connection is reused when there is one and handed back when `keep`.
+    A reused connection that returns not a single response byte was
+    closed by the peer while idle, so nothing was served: when `resend`
+    allows, the message is resent once on a fresh connection.  Failures
+    on a fresh connection are never retried.
     """
     conn = idle.take() if idle is not None else None
     try:
-        if conn is None or not conn.send(raw, timeout):
-            if conn is not None:
-                conn.close()
-            conn = _IcapConnection(addr, timeout)
+        if conn is not None and not conn.send(raw, timeout):
+            conn.close()
+            conn = None
+            if not resend:
+                raise ConnectionError("peer closed the idle connection")
+        if conn is None:
+            conn = _Connection(addr, timeout)
             if not conn.send(raw, timeout):
-                raise ConnectionError("ICAP peer closed without responding")
-        response = parse_icap_response(_read_icap_wire_message(conn.rfile))
+                raise ConnectionError("peer closed without responding")
+        result, keep = read(conn.rfile)
     except BaseException:
         if conn is not None:
             conn.close()
         raise
-    if idle is not None and (response.header("Connection") or "").lower() != "close":
+    if idle is not None and keep:
         idle.give(conn)
     else:
         conn.close()
-    return response
+    return result
+
+
+def _read_icap_response(rfile) -> tuple[IcapResponse, bool]:
+    response = parse_icap_response(_read_icap_wire_message(rfile))
+    return response, not _says_close(response.headers)
+
+
+def icap_transact(addr: tuple[str, int], raw: bytes, timeout: float = 10.0,
+                  idle: IdleConnections | None = None) -> IcapResponse:
+    """Send one ICAP message and read its response (see _transact).
+
+    A gateway connection is kept unless the response says
+    `Connection: close`.
+    """
+    return _transact(addr, raw, timeout, idle, _read_icap_response)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,7 +1123,7 @@ def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
         return response, entity, truncated, peer_ip
 
 
-def _client_response_bytes(response: HttpResponse, body: bytes) -> bytes:
+def _client_response_bytes(response: HttpResponse, body: bytes, close: bool = True) -> bytes:
     headers = []
     wrote_cl = False
     for k, v in response.headers:
@@ -1067,7 +1137,8 @@ def _client_response_bytes(response: HttpResponse, body: bytes) -> bytes:
         headers.append((k, v))
     if not wrote_cl:
         headers.append(("Content-Length", str(len(body))))
-    headers.append(("Connection", "close"))
+    if close:
+        headers.append(("Connection", "close"))
     return _serialize_response_head(HttpResponse(response.status, response.reason, headers)) + body
 
 
@@ -1079,7 +1150,8 @@ class ProxyServer:
     "closed" rejects with 502, "open" forwards uninspected and, when an
     emit_fallback is configured, still records the exchange flagged as
     uninspected.  `timeout` bounds every socket wait: the client's
-    request, the origin fetch and each ICAP exchange.
+    request (and the wait for its next one on a persistent connection),
+    the origin fetch and each ICAP exchange.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -1095,74 +1167,69 @@ class ProxyServer:
         self.timeout = timeout
         self.emit_fallback = emit_fallback
         self.via_token = via_token
-        self._icap_idle = IdleIcapConnections()
-        proxy = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self):
-                try:
-                    self.connection.settimeout(proxy.timeout)
-                    proxy._handle(self.rfile, self.wfile)
-                except (OSError, ProxyError):
-                    pass
-
-        self._server = _ThreadedServer((host, port), Handler)
-        self._thread: threading.Thread | None = None
+        self._icap_idle = IdleConnections()
+        # _handle is looked up per request, so it can be replaced on the instance
+        self._server = _ThreadedServer((host, port),
+                                       lambda rfile, wfile: self._handle(rfile, wfile),
+                                       timeout)
 
     @property
     def address(self) -> tuple[str, int]:
         return self._server.server_address[:2]
 
     def start(self) -> "ProxyServer":
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        kwargs={"poll_interval": 0.05}, daemon=True)
-        self._thread.start()
+        self._server.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()  # joins the handler threads
-        if self._thread:
-            self._thread.join(timeout=5)
+        self._server.stop()
         self._icap_idle.close()
 
     # --- request handling
 
-    def _send_error(self, wfile, status: int, reason: str, text: str) -> None:
+    def _send_error(self, wfile, status: int, reason: str, text: str) -> bool:
+        """Answer with an error and `Connection: close`; False, to close the connection."""
         body = text.encode("utf-8")
         resp = HttpResponse(status, reason, [("Content-Type", "text/plain; charset=utf-8")])
         try:
             wfile.write(_client_response_bytes(resp, body))
         except OSError:
             pass
+        return False
 
-    def _handle(self, rfile, wfile) -> None:
+    def _handle(self, rfile, wfile) -> bool:
+        """Answer one client request; True when the connection stays open for the next.
+
+        It stays open after an HTTP/1.1 request without a `close` token
+        whose body was read whole and framed by Content-Length, once the
+        response went out.  Every error response closes it.
+        """
         try:
             head = _read_head(rfile)
             if head is None:
-                return
-            request = _parse_http_request_head(head)
+                return False
+            request, version = _parse_http_request_head(head)
             length = _content_length(request.headers) or 0
         except ValueError as exc:  # IcapParseError is one
-            self._send_error(wfile, 400, "Bad Request", str(exc))
-            return
+            return self._send_error(wfile, 400, "Bad Request", str(exc))
         if request.method == "CONNECT":
-            self._send_error(wfile, 405, "Method Not Allowed",
-                             "CONNECT tunneling is not supported")
-            return
+            return self._send_error(wfile, 405, "Method Not Allowed",
+                                    "CONNECT tunneling is not supported")
         if "://" not in request.url:
-            self._send_error(wfile, 400, "Bad Request",
-                             "proxy requires absolute-URI request targets")
-            return
+            return self._send_error(wfile, 400, "Bad Request",
+                                    "proxy requires absolute-URI request targets")
         try:
             parts = urlsplit(request.url)
             parts.port
             # getaddrinfo IDNA-encodes the host; an empty or 64+ char label fails there
             (parts.hostname or "").encode("idna")
         except ValueError as exc:  # unsplittable, a port outside 0-65535, or such a host
-            self._send_error(wfile, 400, "Bad Request", f"bad request target: {exc}")
-            return
+            return self._send_error(wfile, 400, "Bad Request", f"bad request target: {exc}")
         request_body = _read_upto(rfile, min(length, self.max_body))
+        # a chunked body is not read, and a capped one not to its end: what
+        # is left of either must never be parsed as the next request
+        keep = (version == "HTTP/1.1" and not _says_close(request.headers)
+                and request.header("Transfer-Encoding") is None and length <= self.max_body)
 
         started_at = int(time.time() * 1000)
         agent_id = request.header("X-Websift-Agent") or ""
@@ -1181,9 +1248,8 @@ class ProxyServer:
                               self.timeout, self._icap_idle)
             except (OSError, IcapParseError, ConnectionError):
                 if self.fail_policy == "closed":
-                    self._send_error(wfile, 502, "Bad Gateway",
-                                     "inspection gateway unreachable (fail-closed)")
-                    return
+                    return self._send_error(wfile, 502, "Bad Gateway",
+                                            "inspection gateway unreachable (fail-closed)")
                 inspected = False
                 markers["wire.uninspected"] = "true"
 
@@ -1223,9 +1289,8 @@ class ProxyServer:
                     client_body = icap_resp.section("res-body") or b""
             except (OSError, IcapParseError, ConnectionError, ValueError):
                 if self.fail_policy == "closed":
-                    self._send_error(wfile, 502, "Bad Gateway",
-                                     "inspection gateway unreachable (fail-closed)")
-                    return
+                    return self._send_error(wfile, 502, "Bad Gateway",
+                                            "inspection gateway unreachable (fail-closed)")
                 inspected = False
                 markers["wire.uninspected"] = "true"
 
@@ -1237,6 +1302,7 @@ class ProxyServer:
                 pass
 
         try:
-            wfile.write(_client_response_bytes(client_response, client_body))
+            wfile.write(_client_response_bytes(client_response, client_body, close=not keep))
         except OSError:
-            pass
+            return False
+        return keep

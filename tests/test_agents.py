@@ -1,7 +1,12 @@
 """Agent planning, seed rotation, supervision, and proxied visits."""
 
+import time
+
 import pytest
 
+from test_wire import count_accepted, record_handlers
+
+from websift import pipeline as pipeline_module
 from websift.agents import (
     FALLBACK_CREDENTIALS,
     HEARTBEAT_THRESHOLD,
@@ -18,8 +23,16 @@ from websift.agents import (
 )
 from websift.features import parse_html
 from websift.flowstore import FlowRecord, FlowStore
-from websift.synthweb import SynthWebServer, render_page
-from websift.wire import HttpExchange, HttpRequest, HttpResponse, ProxyServer
+from websift.pipeline import LabelSources, Pipeline, run_crawl
+from websift.synthweb import SynthWebServer, generate_site, render_page
+from websift.wire import (
+    HttpExchange,
+    HttpRequest,
+    HttpResponse,
+    IcapGateway,
+    IdleConnections,
+    ProxyServer,
+)
 
 BASE = "http://site.test/landing"
 
@@ -372,3 +385,134 @@ def test_agent_run_consumes_seeds_in_order(site, proxy):
     assert [s.seed for s in summaries] == [
         f"{site.base_url}/a", f"{site.base_url}/b", f"{site.base_url}/a"]
     assert [e["path"] for e in site.ledger()] == ["/a", "/b", "/a"]
+
+
+# --- one persistent proxy connection per agent ---
+
+def test_agent_run_keeps_one_proxy_connection_and_closes_it(site, monkeypatch):
+    px = ProxyServer(host="127.0.0.1", port=0)
+    accepted = count_accepted(monkeypatch, px)
+    handlers = record_handlers(monkeypatch, px)
+    px.start()
+    try:
+        cfg = AgentConfig(agent_id="agent-10", interaction_budget=10)
+        summaries = Agent(cfg, px.address, creds={}).run(
+            Seeder([f"{site.base_url}/landing", f"{site.base_url}/a"], "benign"), seed_cap=2)
+        assert [s.requests_made for s in summaries] == [4, 1]
+        assert [e["path"] for e in site.ledger()] == ["/landing", "/login", "/a", "/b", "/a"]
+        assert len(accepted) == 1
+        # run closed its connection, so the proxy's handler ends without waiting
+        handlers[0].join(timeout=1)
+        assert not handlers[0].is_alive()
+    finally:
+        px.stop()
+
+
+@pytest.fixture
+def inspected_proxy():
+    """A factory of proxies with a gateway, and what the gateway emitted."""
+    emitted = []
+    gw = IcapGateway(emit=emitted.append).start()
+    started = []
+
+    def start(**kw):
+        started.append(ProxyServer(gateway_addr=gw.address, **kw).start())
+        return started[-1]
+
+    try:
+        yield start, emitted
+    finally:
+        for px in started:
+            px.stop()
+        gw.stop()
+
+
+def test_a_run_sends_no_connection_header(site, inspected_proxy):
+    start, emitted = inspected_proxy
+    px = start()
+    cfg = AgentConfig(agent_id="agent-11", interaction_budget=0)
+    Agent(cfg, px.address, creds={}).run(Seeder([f"{site.base_url}/a"], "benign"), 2)
+    proxy_request(px.address, "GET", f"{site.base_url}/b", [])
+    heads = [e.exchange.request.headers for e in emitted]
+    assert [h for h in heads[0] if h[0].lower() == "connection"] == []
+    assert [h for h in heads[1] if h[0].lower() == "connection"] == []
+    assert ("Connection", "close") in heads[2]
+
+
+def test_crawl_serves_each_agent_over_one_proxy_connection(tmp_path, monkeypatch):
+    doc = generate_site(1500, 0, seed=21)
+    origin = SynthWebServer(doc).start()
+    real_pipeline = pipeline_module.Pipeline
+    accepted: list = []
+
+    def recording_pipeline(*args, **kw):
+        pipeline = real_pipeline(*args, **kw)
+        accepted.append(count_accepted(monkeypatch, pipeline.proxy))
+        return pipeline
+
+    monkeypatch.setattr(pipeline_module, "Pipeline", recording_pipeline)
+    try:
+        seeds = [origin.base_url + p["path"] for p in doc["pages"]]
+        with FlowStore(tmp_path / "store") as store:
+            summary = run_crawl(store, LabelSources(), seeds, n_agents=2, budget=0)
+    finally:
+        origin.stop()
+    assert summary.records == 1500 and summary.errors == 0
+    assert summary.agent_requests == 1500
+    assert 1 <= len(accepted[0]) <= 2
+
+
+def test_a_get_on_a_connection_the_proxy_timed_out_is_resent_once(site, inspected_proxy,
+                                                                  monkeypatch):
+    start, emitted = inspected_proxy
+    px = start(timeout=0.2)  # drops a client idle for 0.2 s
+    accepted = count_accepted(monkeypatch, px)
+    idle = IdleConnections()
+    try:
+        assert proxy_request(px.address, "GET", f"{site.base_url}/a", [], idle=idle)[0] == 200
+        time.sleep(0.6)  # the proxy drops the pooled connection
+        assert proxy_request(px.address, "GET", f"{site.base_url}/b", [], idle=idle)[0] == 200
+    finally:
+        idle.close()
+    assert len(accepted) == 2
+    assert [e["path"] for e in site.ledger()] == ["/a", "/b"]
+    assert [e.exchange.request.url for e in emitted] == [f"{site.base_url}/a",
+                                                         f"{site.base_url}/b"]
+
+
+def test_a_post_on_a_connection_the_proxy_timed_out_is_not_resent(site, inspected_proxy,
+                                                                  monkeypatch):
+    start, emitted = inspected_proxy
+    px = start(timeout=0.2)  # drops a client idle for 0.2 s
+    accepted = count_accepted(monkeypatch, px)
+    idle = IdleConnections()
+    try:
+        assert proxy_request(px.address, "GET", f"{site.base_url}/a", [], idle=idle)[0] == 200
+        time.sleep(0.6)
+        with pytest.raises(ConnectionError):
+            proxy_request(px.address, "POST", f"{site.base_url}/login", [], b"user=u",
+                          idle=idle)
+    finally:
+        idle.close()
+    assert len(accepted) == 1
+    assert [e["path"] for e in site.ledger()] == ["/a"]
+    assert len(emitted) == 1
+
+
+def test_stop_capture_ends_an_idle_agent_connection_at_once(site, tmp_path, monkeypatch):
+    with FlowStore(tmp_path / "store") as store:
+        pipeline = Pipeline(store)
+        handlers = record_handlers(monkeypatch, pipeline.proxy)
+        pipeline.start()
+        idle = IdleConnections()
+        try:
+            status, _, _ = proxy_request(pipeline.proxy_addr, "GET", f"{site.base_url}/a", [],
+                                         idle=idle)
+            assert status == 200
+            started = time.monotonic()
+            pipeline.stop_capture()
+            assert time.monotonic() - started < 1
+        finally:
+            idle.close()
+        assert store.record_count() == 1
+    assert len(handlers) == 1 and not handlers[0].is_alive()

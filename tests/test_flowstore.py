@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_golden_corpus import GOLDEN
+
+from websift.features import FEATURE_ORDER, FeatureVector, extract_features
 from websift.flowstore import (
     EMPTY_SHA1,
     BlobCorruptError,
@@ -190,6 +193,34 @@ def test_damaged_middle_frame_losing_a_referenced_blob_fails_the_open(tmp_path, 
             FlowStore(root, writable=writable)
         assert not isinstance(exc.value, StoreLockError)
     assert pack.read_bytes() == damaged
+
+
+def test_imported_record_without_its_blob_survives_a_torn_pack_tail(tmp_path):
+    # import_jsonl keeps a record's digests without its blob bytes
+    export = tmp_path / "one.jsonl"
+    with FlowStore(tmp_path / "src") as src:
+        src.put_record(FlowRecord(body_sha1=src.put_blob(b"page body")))
+        src.export_jsonl(export)
+    root = tmp_path / "dst"
+    pack = root / "blobs" / "pack"
+    with FlowStore(root) as store:
+        store.import_jsonl(export)
+        store.put_blob(b"a frame no line names")
+    pack.write_bytes(pack.read_bytes()[:-3])
+    for writable in (False, True):
+        with FlowStore(root, writable=writable) as store:
+            record = store.get_record(1)
+            assert not store.has_blob(record.body_sha1)
+            assert store.blob_count() == 0
+    assert pack.stat().st_size == 0
+
+    # the same open fails once the tail holds the missing blob's digest
+    with FlowStore(root) as store:
+        store.put_blob(b"page body")
+    pack.write_bytes(pack.read_bytes()[:-3])
+    for writable in (False, True):
+        with pytest.raises(StoreError, match="record 1 body_sha1"):
+            FlowStore(root, writable=writable)
 
 
 # --- records ---
@@ -606,6 +637,40 @@ def test_import_rejects_bad_lines(tmp_path):
     with FlowStore(tmp_path / "s2") as store:
         with pytest.raises(StoreError):
             store.import_jsonl(nonpositive)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("NumWords", -1), ("TotalEntropy", 8.5), ("ShellcodeProbability", 1.5),
+    ("ishtml", 2), ("NumNodes", 1.5)])
+def test_import_still_validates_feature_values(tmp_path, name, value):
+    out = tmp_path / "dump.jsonl"
+    with FlowStore(tmp_path / "src") as store:
+        store.put_record(FlowRecord(features=extract_features(b"<p>x</p>", "text/html")))
+        store.export_jsonl(out)
+    doc = json.loads(out.read_text())
+    doc["features"]["values"][FEATURE_ORDER.index(name)] = value
+    out.write_text(json.dumps(doc) + "\n")
+    with FlowStore(tmp_path / "dst") as dst:
+        with pytest.raises(ValueError, match=name):
+            dst.import_jsonl(out)
+        assert dst.record_count() == 0
+
+
+def test_loaded_feature_vectors_equal_freshly_validated_ones(tmp_path):
+    vectors = [extract_features(body, ctype) for _, body, ctype, _ in GOLDEN]
+    with FlowStore(tmp_path / "s") as store:
+        for vector in vectors:
+            store.put_record(FlowRecord(features=vector))
+    with FlowStore(tmp_path / "s", writable=False) as store:
+        loaded = [r.features for r in store.records()]
+        queried = [r.features for r in store.query([])]
+        single = [store.get_record(i + 1).features for i in range(len(vectors))]
+    for got in (loaded, queried, single):
+        assert got == vectors
+        # type for type too: a float feature stays a float, a count an int
+        assert [[type(v) for v in g.as_row()] for g in got] == \
+            [[type(v) for v in w.as_row()] for w in vectors]
+        assert [FeatureVector.from_doc(g.to_doc()) for g in got] == vectors
 
 
 # --- timestamps ---

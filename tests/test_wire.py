@@ -798,7 +798,7 @@ def test_gateway_stop_closes_idle_client_connections():
         assert rfile.read() == b""
 
 
-class _CountingConnection(wire._IcapConnection):
+class _CountingConnection(wire._Connection):
     opened = 0
 
     def __init__(self, addr, timeout):
@@ -807,11 +807,11 @@ class _CountingConnection(wire._IcapConnection):
 
 
 def test_transact_resends_once_when_the_gateway_closed_an_idle_connection(monkeypatch):
-    monkeypatch.setattr(wire, "_IcapConnection", _CountingConnection)
+    monkeypatch.setattr(wire, "_Connection", _CountingConnection)
     monkeypatch.setattr(_CountingConnection, "opened", 0)
     monkeypatch.setattr(wire, "ICAP_IDLE_TIMEOUT", 0.1)
     emitted = []
-    idle = wire.IdleIcapConnections()
+    idle = wire.IdleConnections()
     with running_gateway(emit=emitted.append) as gw:
         first = icap_transact(gw.address, encapsulate(make_exchange(), exchange_id="a"),
                               idle=idle)
@@ -861,12 +861,12 @@ def closing_peer(answers):
 def test_transact_never_retries_a_fresh_connection():
     with closing_peer(answers=0) as peer:
         with pytest.raises(ConnectionError):
-            icap_transact(peer.server_address, OPTIONS_RAW, idle=wire.IdleIcapConnections())
+            icap_transact(peer.server_address, OPTIONS_RAW, idle=wire.IdleConnections())
     assert peer.connections == 1
 
 
 def test_transact_retries_a_stale_connection_exactly_once():
-    idle = wire.IdleIcapConnections()
+    idle = wire.IdleConnections()
     with closing_peer(answers=1) as peer:
         assert icap_transact(peer.server_address, OPTIONS_RAW, idle=idle).status == 204
         assert icap_transact(peer.server_address, OPTIONS_RAW, idle=idle).status == 204
@@ -963,6 +963,7 @@ def proxy_fetch(addr, url, method="GET", headers=(), body=b""):
     lines += [f"{k}: {v}" for k, v in headers]
     if body:
         lines.append(f"Content-Length: {len(body)}")
+    lines.append("Connection: close")  # an HTTP/1.1 connection stays open otherwise
     with socket.create_connection(addr, timeout=10) as sock:
         sock.sendall("\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body)
         data = b""
@@ -1180,7 +1181,7 @@ def test_proxy_gateway_enforce_leaves_benign_untouched(origin):
 
 
 def test_proxy_exchanges_share_one_gateway_connection(origin, monkeypatch):
-    monkeypatch.setattr(wire, "_IcapConnection", _CountingConnection)
+    monkeypatch.setattr(wire, "_Connection", _CountingConnection)
     monkeypatch.setattr(_CountingConnection, "opened", 0)
     emitted = []
     with running_gateway(emit=emitted.append) as gw:
@@ -1198,6 +1199,220 @@ def test_proxy_drops_a_silent_client_after_its_timeout():
             started = time.monotonic()
             assert sock.recv(1) == b""
             assert time.monotonic() - started < 5
+
+
+# --- persistent client connections ---
+
+def count_accepted(monkeypatch, server) -> list:
+    """Connections `server` accepts from now on, by client address."""
+    accepted = []
+    accept = server._server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        accept(request, client_address)
+
+    monkeypatch.setattr(server._server, "process_request", counting)
+    return accepted
+
+
+def record_handlers(monkeypatch, px) -> list:
+    """Threads that run the proxy's request handler, one per connection."""
+    threads = []
+    handle = px._handle
+
+    def traced(rfile, wfile):
+        if threading.current_thread() not in threads:
+            threads.append(threading.current_thread())
+        return handle(rfile, wfile)
+
+    monkeypatch.setattr(px, "_handle", traced)
+    return threads
+
+
+def read_reply(rfile) -> tuple[HttpResponse, bytes]:
+    response, body, _ = wire._read_response(rfile, 1 << 20)
+    return response, body
+
+
+def closed_by_peer(rfile) -> bool:
+    """True once the peer has closed: end of file, or a reset for bytes it left unread."""
+    try:
+        return rfile.read(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def test_proxy_serves_several_requests_on_one_client_connection(origin, monkeypatch):
+    emitted = []
+    urls = [origin_url(origin, "/p0"), origin_url(origin, "/echobody"), origin_url(origin, "/p2")]
+    with running_gateway(emit=emitted.append) as gw:
+        with running_proxy(gateway_addr=gw.address) as px:
+            accepted = count_accepted(monkeypatch, px)
+            with socket.create_connection(px.address, timeout=10) as sock, \
+                    sock.makefile("rb") as rfile:
+                replies = []
+                for method, url, body in zip(["GET", "POST", "GET"], urls, [b"", b"a=1", b""]):
+                    length = f"Content-Length: {len(body)}\r\n" if body else ""
+                    sock.sendall(f"{method} {url} HTTP/1.1\r\n{length}\r\n".encode() + body)
+                    replies.append(read_reply(rfile))
+    assert [(r.status, r.header("Connection"), body) for r, body in replies] == [
+        (200, None, b"origin fixture body"), (200, None, b"a=1"),
+        (200, None, b"origin fixture body")]
+    assert [e.exchange.request.url for e in emitted] == urls
+    assert len(accepted) == 1
+
+
+class _ReqmodOnlyHandler(socketserver.StreamRequestHandler):
+    """ICAP peer that answers REQMOD and hangs up on any other message."""
+
+    def handle(self):
+        while (raw := wire._read_icap_wire_message(self.rfile)) and raw.startswith(b"REQMOD"):
+            self.wfile.write(IcapResponse(204, "No modifications").to_bytes())
+
+
+@contextlib.contextmanager
+def reqmod_only_peer():
+    peer = _ClosingPeer(0)
+    peer.RequestHandlerClass = _ReqmodOnlyHandler
+    thread = threading.Thread(target=peer.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield peer
+    finally:
+        peer.shutdown()
+        peer.server_close()
+
+
+# first request ({url} is the origin's, {dead} a refusing port), proxy settings, status
+CLOSING_REQUESTS = {
+    "http-1.0": ("GET {url} HTTP/1.0\r\n\r\n", {}, 200),
+    "connection-close": ("GET {url} HTTP/1.1\r\nConnection: close\r\n\r\n", {}, 200),
+    "close-among-tokens": ("GET {url} HTTP/1.1\r\nConnection: keep-alive, Close\r\n\r\n",
+                           {}, 200),
+    # the proxy does not read chunked request bodies: what follows is chunk data
+    "transfer-encoding": ("POST {url} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                          {}, 200),
+    # 16 of 200 body bytes are read; the smuggled request is the unread rest.
+    # No origin listens, so the answer is a fetch-error 502, which keeps a
+    # connection open on its own.
+    "body-over-max-body": ("POST http://127.0.0.1:{dead}/ HTTP/1.1\r\n"
+                           "Content-Length: 200\r\n\r\n" + "x" * 16, {"max_body": 16}, 502),
+    "400-bad-request-line": ("NONSENSE\r\n\r\n", {}, 400),
+    "400-bad-content-length": ("GET {url} HTTP/1.1\r\nContent-Length: 1x\r\n\r\n", {}, 400),
+    "400-relative-target": ("GET /relative HTTP/1.1\r\n\r\n", {}, 400),
+    "400-bad-target": ("GET http://a.test:99999/ HTTP/1.1\r\n\r\n", {}, 400),
+    "405-connect": ("CONNECT a.test:443 HTTP/1.1\r\n\r\n", {}, 405),
+    "502-reqmod-fails-closed": ("GET {url} HTTP/1.1\r\n\r\n", {"gateway": "dead"}, 502),
+    "502-respmod-fails-closed": ("GET {url} HTTP/1.1\r\n\r\n", {"gateway": "reqmod-only"},
+                                 502),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSING_REQUESTS))
+def test_proxy_closes_after_a_request_it_must_not_keep_reading(origin, dead_port, case):
+    first, settings, status = CLOSING_REQUESTS[case]
+    settings = dict(settings)
+    smuggled = f"GET {origin_url(origin, '/smuggled')} HTTP/1.1\r\n\r\n"
+    with contextlib.ExitStack() as stack:
+        gateway = settings.pop("gateway", None)
+        if gateway == "dead":
+            settings["gateway_addr"] = ("127.0.0.1", dead_port)
+        elif gateway == "reqmod-only":
+            settings["gateway_addr"] = stack.enter_context(reqmod_only_peer()).server_address
+        px = stack.enter_context(running_proxy(**settings))
+        sock = stack.enter_context(socket.create_connection(px.address, timeout=10))
+        rfile = stack.enter_context(sock.makefile("rb"))
+        first = first.format(url=origin_url(origin), dead=dead_port)
+        sock.sendall((first + smuggled).encode("latin-1"))
+        response, _ = read_reply(rfile)
+        assert response.status == status
+        assert response.header("Connection") == "close"
+        assert closed_by_peer(rfile)
+    assert "/smuggled" not in [path for _, path, _, _ in origin.seen]
+
+
+def test_proxy_stop_ends_an_idle_persistent_client_at_once(origin, monkeypatch):
+    px = ProxyServer(host="127.0.0.1", port=0)  # its 10 s timeout would hold the client
+    handlers = record_handlers(monkeypatch, px)
+    px.start()
+    with socket.create_connection(px.address, timeout=10) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(f"GET {origin_url(origin)} HTTP/1.1\r\n\r\n".encode())
+        assert read_reply(rfile)[0].status == 200
+        started = time.monotonic()
+        px.stop()
+        assert time.monotonic() - started < 1
+        assert closed_by_peer(rfile)
+    assert len(handlers) == 1 and not handlers[0].is_alive()
+
+
+def test_proxy_stop_lets_a_request_in_progress_finish(monkeypatch):
+    # an origin that answers only once stop() has begun
+    release = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as slow_origin:
+        def answer():
+            conn, _ = slow_origin.accept()
+            with conn:
+                conn.recv(4096)
+                release.wait(10)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nlate")
+
+        origin_thread = threading.Thread(target=answer)
+        origin_thread.start()
+        px = ProxyServer(host="127.0.0.1", port=0).start()
+        host, port = slow_origin.getsockname()
+        with socket.create_connection(px.address, timeout=10) as sock, \
+                sock.makefile("rb") as rfile:
+            sock.sendall(f"GET http://{host}:{port}/ HTTP/1.1\r\n\r\n".encode())
+            time.sleep(0.2)  # the request is read and waits on the origin
+            stopper = threading.Thread(target=px.stop)
+            stopper.start()
+            time.sleep(0.2)
+            release.set()
+            response, body = read_reply(rfile)
+            stopper.join(timeout=10)
+            origin_thread.join(timeout=10)
+            assert (response.status, body) == (200, b"late")
+            assert closed_by_peer(rfile)
+    assert not stopper.is_alive() and not origin_thread.is_alive()
+
+
+def test_proxy_stop_gives_up_on_an_origin_that_trickles_its_body(monkeypatch):
+    # one body byte per 0.1 s never trips the proxy's 0.5 s per-read bound
+    done = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as slow_origin:
+        def trickle():
+            conn, _ = slow_origin.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n")
+                while not done.wait(0.1):
+                    conn.sendall(b"x")
+
+        origin_thread = threading.Thread(target=trickle)
+        origin_thread.start()
+        px = ProxyServer(host="127.0.0.1", port=0, timeout=0.5)
+        handlers = record_handlers(monkeypatch, px)
+        px.start()
+        host, port = slow_origin.getsockname()
+        stopper = threading.Thread(target=px.stop)
+        try:
+            with socket.create_connection(px.address, timeout=10) as sock:
+                sock.sendall(f"GET http://{host}:{port}/ HTTP/1.1\r\n\r\n".encode())
+                time.sleep(0.3)  # the handler is reading the trickle
+                stopper.start()
+                stopper.join(timeout=1.5)
+                assert not stopper.is_alive()
+                assert len(handlers) == 1 and handlers[0].is_alive()
+        finally:
+            done.set()
+            origin_thread.join(timeout=10)
+            if stopper.is_alive():
+                stopper.join(timeout=10)
+    # the handler left behind ends once the origin hangs up
+    handlers[0].join(timeout=10)
+    assert not origin_thread.is_alive() and not handlers[0].is_alive()
 
 
 # --- framing limits: bounded reads, strict lengths, a bounded REQMOD table ---
@@ -1325,7 +1540,7 @@ def test_reqmod_table_drops_the_oldest_unmatched_body(monkeypatch):
     monkeypatch.setattr(wire, "REQMOD_TABLE_SIZE", 4)
     emitted = []
     with running_gateway(emit=emitted.append) as gw:
-        idle = wire.IdleIcapConnections()
+        idle = wire.IdleConnections()
         request = HttpRequest("POST", "http://site.test/f", [])
         for n in range(5):  # no RESPMOD follows, as after a fail-open RESPMOD failure
             icap_transact(gw.address, build_reqmod(request, b"form=%d" % n,
