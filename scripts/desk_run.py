@@ -66,7 +66,7 @@ def main(argv=None) -> int:
                                 n_agents=args.agents, budget=args.budget)
             emit("crawl", summary.to_doc())
 
-            samples, labels, _ = _training_data(store)
+            samples, labels = _training_data(store)
             emit("dataset", {"samples": len(samples),
                              "malicious": sum(labels)})
             _, trained = _train_and_evaluate(samples, labels, args.trees, args.seed)

@@ -1,12 +1,12 @@
 """Headless user agents: seed consumption, login-then-interact, supervision.
 
-Agents fetch seed URLs through the forward proxy, parse the returned
-HTML with the tolerant parser, and execute a deterministic action plan:
-one login first when a password form exists, then links, forms and
-buttons in document order until the interaction budget runs out.  Only
-same-origin links are followed, one level deep from the seed.  A
-supervisor restarts agents whose newest stored record is older than a
-threshold.
+Agents fetch seed URLs through the forward proxy, undo the content
+codings of the returned HTML, parse it with the tolerant parser, and
+execute a deterministic action plan: one login first when a password
+form exists, then links, forms and buttons in document order until the
+interaction budget runs out.  Only same-origin links are followed, one
+level deep from the seed.  A supervisor restarts agents whose newest
+stored record is older than a threshold.
 
 During `run` an agent keeps one persistent connection to the proxy, as
 a browser does, and sends no Connection header on it; the proxy closes
@@ -23,6 +23,7 @@ import csv
 from dataclasses import dataclass, field
 from urllib.parse import urlencode, urljoin, urlsplit
 
+from .contentprep import BodyDecodeError, decode_body
 from .features import FormSpec, HtmlDoc, parse_html
 from .wire import (
     MAX_BODY_SIZE,
@@ -176,12 +177,16 @@ def plan_interaction(page: HtmlDoc, cfg: AgentConfig,
             login_form = payload
             break
 
+    # one action past the budget decides the stop reason; later ones are never resolved
+    limit = cfg.interaction_budget
     queue: list[Action] = []
     if login_form is not None:
         target = _resolve(base_url, login_form.action or "")
         if target is not None:
             queue.append(Action("login", target, _form_fields(login_form, user, password)))
     for kind, payload in page.interactables:
+        if len(queue) > limit:
+            break
         if kind == "link":
             target = _resolve(base_url, payload)
             if target is not None and _origin(target) == base_origin:
@@ -197,8 +202,8 @@ def plan_interaction(page: HtmlDoc, cfg: AgentConfig,
             if target is not None:
                 queue.append(Action("click", target))
 
-    if len(queue) > cfg.interaction_budget:
-        return ActionPlan(queue[:cfg.interaction_budget], "budget")
+    if len(queue) > limit:
+        return ActionPlan(queue[:limit], "budget")
     return ActionPlan(queue, "depleted")
 
 
@@ -236,6 +241,8 @@ def proxy_request(proxy_addr: tuple[str, int], method: str, url: str,
     connection: one from `idle` is reused, or a fresh one opened, and it
     goes back to `idle` when the proxy keeps it open.  A GET or HEAD on a
     reused connection the proxy had closed is resent once on a fresh one.
+    Each read waits at most `timeout`, and the whole response must arrive
+    within wire.RESPONSE_DEADLINE_TIMEOUTS of them, else TimeoutError.
     """
     headers = list(headers)
     if body:
@@ -244,9 +251,10 @@ def proxy_request(proxy_addr: tuple[str, int], method: str, url: str,
         headers.append(("Connection", "close"))
     head_only = method == "HEAD"
 
-    def read(rfile):
+    def read(conn):
         try:
-            response, data, truncated = _read_response(rfile, MAX_BODY_SIZE, head_only)
+            response, data, truncated = _read_response(conn.rfile, MAX_BODY_SIZE,
+                                                       head_only, conn.sock)
         except ValueError as exc:
             raise ConnectionError(f"bad proxy response: {exc}") from None
         # a body framed by the end of the connection leaves nothing to reuse
@@ -305,6 +313,10 @@ class Agent:
         if status != 200 or not _is_html(headers):
             return summary
 
+        try:
+            data = decode_body(data, headers).data
+        except BodyDecodeError:
+            pass  # parse what came, as a browser shows what it can
         page = parse_html(data.decode("utf-8", "replace"))
         plan = plan_interaction(page, self.cfg, self.creds, seed.url)
         summary.stop_reason = plan.stop_reason

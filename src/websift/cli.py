@@ -203,7 +203,7 @@ def cmd_extract(args, cfg: Config) -> int:
     store = _open_store(args, cfg)
     done = 0
     try:
-        for record in list(store.records()):
+        for record in store.records():
             if record.features is not None and not args.force:
                 continue
             updates = {}
@@ -248,7 +248,7 @@ def cmd_label(args, cfg: Config) -> int:
                 record.labels.scan_ticket.requeue()
                 record.labels.ground_truth = None
                 store.update_record(rid, labels=record.labels)
-        for record in list(store.records()):
+        for record in store.records():
             if not args.relabel and not _labels_untouched(record.labels):
                 continue
             if record.exchange is None:
@@ -279,15 +279,15 @@ def cmd_label(args, cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _training_data(store: FlowStore):
-    samples, labels, records = [], [], []
+def _training_data(store: FlowStore) -> tuple[list, list[int]]:
+    """(feature vectors, 1 for malicious ground truth else 0) of the feature-bearing records."""
+    samples, labels = [], []
     for record in store.records():
         if record.features is None:
             continue
         samples.append(record.features)
         labels.append(1 if record.labels.ground_truth is True else 0)
-        records.append(record)
-    return samples, labels, records
+    return samples, labels
 
 
 def _train_and_evaluate(samples, labels, trees: int, seed: int, policy: str = "scaled",
@@ -310,7 +310,7 @@ def _train_and_evaluate(samples, labels, trees: int, seed: int, policy: str = "s
 def cmd_train(args, cfg: Config) -> int:
     store = _open_store(args, cfg, writable=False)
     try:
-        samples, labels, _ = _training_data(store)
+        samples, labels = _training_data(store)
     finally:
         store.close()
     if not samples:
@@ -336,7 +336,7 @@ def cmd_classify(args, cfg: Config) -> int:
         return 0
     store = _open_store(args, cfg, writable=bool(args.update))
     try:
-        for record in list(store.records()):
+        for record in store.records():
             if record.features is None:
                 continue
             if args.record is not None and record.record_id != args.record:

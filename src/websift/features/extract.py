@@ -88,6 +88,14 @@ _JS_HINT_RE = re.compile(
 
 _WORD_PATTERNS: dict[str, re.Pattern[str]] = {}
 
+# every KEYWORD_FAMILY word at once, group i + 1 matching word i
+_KEYWORD_RE = re.compile(
+    r"(?<![0-9A-Za-z_$])(?:"
+    + "|".join(f"({re.escape(word)})" for _, word in KEYWORD_FAMILY)
+    + r")(?![0-9A-Za-z_$])",
+    re.IGNORECASE,
+)
+
 
 def _count_word(text: str, word: str) -> int:
     pat = _WORD_PATTERNS.get(word)
@@ -98,6 +106,20 @@ def _count_word(text: str, word: str) -> int:
         )
         _WORD_PATTERNS[word] = pat
     return len(pat.findall(text))
+
+
+def _count_keywords(text: str) -> list[int]:
+    """_count_word(text, word) for each KEYWORD_FAMILY word, in one pass.
+
+    Two matches each bounded by non-identifier characters cannot overlap,
+    so one scan finds what the scans per word find.  A match is credited
+    by its group number, never by its lowered text: under IGNORECASE the
+    long s and the Kelvin sign match "s" and "k" but do not lower to them.
+    """
+    counts = [0] * len(KEYWORD_FAMILY)
+    for match in _KEYWORD_RE.finditer(text):
+        counts[match.lastindex - 1] += 1
+    return counts
 
 
 def ledger_hash() -> str:
@@ -205,8 +227,8 @@ def extract_features(data: bytes, declared_type: str = "") -> FeatureVector:
     f["NumWords"] = len(text.split())
     lines = text.split("\n")
     f["AvgLinesize"] = (sum(len(ln) for ln in lines) / len(lines)) if text else 0.0
-    for feat, word in KEYWORD_FAMILY:
-        f[feat] = _count_word(text, word)
+    for (feat, _), count in zip(KEYWORD_FAMILY, _count_keywords(text)):
+        f[feat] = count
     f["IP_address"] = len(_IP_RE.findall(text))
 
     doc: HtmlDoc | None = None

@@ -31,6 +31,15 @@ pack is corrupt and the open raises StoreError.  Loose blobs/xx/yy/<sha1>
 files written by older versions stay readable; blobs in a pack cannot be
 read by those versions.
 
+In memory each record is one JSON document, and documents repeat the
+same strings: engine names and verdicts, header names and values.  Every
+line _merge applies, replayed or appended, has each dict key and string
+value swapped for the store's own copy of an equal string, so a store
+holds one copy of each distinct string across all its documents.  The
+copies live in a per-store table, not in sys.intern's, so they are freed
+with the store: strings from the wire are hostile and interned ones are
+immortal on recent CPython.  Nothing written to disk changes.
+
 One writer owns the store at a time (advisory file lock); readers open
 with writable=False and skip the lock.  Bodies are deduplicated by
 SHA-1 and referenced from records by digest, never inlined.  Records the
@@ -199,6 +208,32 @@ def _first_found(fd: int, start: int, end: int, digests) -> bytes | None:
     return None
 
 
+def _share_strings(node, share):
+    """node with each dict key and string s in it replaced by share(s, s).
+
+    `share` is a table's setdefault, so s becomes the table's copy of it.
+    Dicts are rebuilt, lists changed in place; any other value, a number
+    above all, costs one type test and no call.
+    """
+    if type(node) is dict:
+        out = {}
+        for key, value in node.items():
+            kind = type(value)
+            if kind is str:
+                value = share(value, value)
+            elif kind is dict or kind is list:
+                value = _share_strings(value, share)
+            out[share(key, key)] = value
+        return out
+    for i, value in enumerate(node):
+        kind = type(value)
+        if kind is str:
+            node[i] = share(value, value)
+        elif kind is dict or kind is list:
+            node[i] = _share_strings(value, share)
+    return node
+
+
 def _dump_line(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -306,6 +341,7 @@ class FlowStore:
                     f"another writer holds {lock_path}") from None
 
         self._docs: dict[int, dict] = {}
+        self._strings: dict[str, str] = {}  # one copy of each string the documents hold
         self._next_id = 1
         self._log_path = self.root / "records.log"
         self._log_fh = None
@@ -365,9 +401,13 @@ class FlowStore:
         return None
 
     def _merge(self, line: dict) -> None:
-        """The one replay rule: a line's fields replace the record's."""
+        """The one replay rule: a line's fields replace the record's.
+
+        The line's strings are swapped for the store's shared copies first.
+        """
         rid = line["record_id"]
-        self._docs[rid] = {**self._docs.get(rid, {}), **line}
+        shared = _share_strings(line, self._strings.setdefault)
+        self._docs[rid] = {**self._docs.get(rid, {}), **shared}
 
     def _open_pack(self) -> None:
         """Index the pack's intact frames; a writer then cuts the tail after them."""
@@ -560,6 +600,11 @@ class FlowStore:
         return FlowRecord.from_doc(doc, trusted=True)
 
     def records(self):
+        """Every record in id order, built one at a time as the caller steps.
+
+        The ids are a snapshot taken at the first step, so the caller may
+        update each record it is handed before it asks for the next.
+        """
         for rid in sorted(self._docs):
             yield FlowRecord.from_doc(self._docs[rid], trusted=True)
 

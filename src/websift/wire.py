@@ -17,15 +17,20 @@ a parse error with 400 and closes, since the framing can no longer be
 trusted.  The proxy keeps a client connection open after an HTTP/1.1
 request without a `close` token (RFC 9112 §9.3) and closes it after
 HTTP/1.0, `Connection: close`, a request with a Transfer-Encoding (its
-chunked body is not read) or a Content-Length above `max_body` (the rest
-is left unread), any 400/405/502 error, or a failed write; only a closing
-response carries `Connection: close`.  Clients keep idle connections in
-an IdleConnections stack: the proxy its gateway connections, each agent
-its one proxy connection.  A message on a reused connection that gets
-not one response byte back (the peer timed it out meanwhile) was never
+chunked body is not read), any 400/405/413/502 error, or a failed write;
+a Content-Length above `max_body` gets 413 before any inspection or
+fetch, with the body left unread.  Only a closing response carries
+`Connection: close`.  Clients keep idle connections in an
+IdleConnections stack: the proxy its gateway connections, each agent its
+one proxy connection.  A message on a reused connection that gets not
+one response byte back (the peer timed it out meanwhile) was never
 served, so it is resent once on a fresh connection; HTTP resends only
 GET and HEAD (RFC 9112 §9.3.1).  The proxy's origin fetches stay one
-connection each, with `Connection: close`.
+connection each, with `Connection: close`.  Each read off a socket waits
+at most the reader's timeout, and an HTTP response, whether the proxy
+reads it from an origin or an agent from the proxy, must arrive whole
+within RESPONSE_DEADLINE_TIMEOUTS of them; an origin that misses the
+deadline gets the client a 502 flagged `wire.fetch_error`.
 
 Framing is done once for both protocols, and every peer is treated as
 hostile.  One writer builds every ICAP and HTTP head, one lenient reader
@@ -62,6 +67,7 @@ READ_PIECE = 64 * 1024        # largest single read of body data off a socket
 REQMOD_TABLE_SIZE = 1024      # REQMOD bodies a gateway keeps for their RESPMOD
 ICAP_IDLE_TIMEOUT = 30.0      # seconds a gateway connection may wait for its next message
 ICAP_IDLE_CONNECTIONS = 8     # idle connections an IdleConnections stack keeps for reuse
+RESPONSE_DEADLINE_TIMEOUTS = 6  # an HTTP response must arrive whole within this many read timeouts
 ICAP_METHODS = ("OPTIONS", "REQMOD", "RESPMOD")
 SEEDER_TAGS = ("benign", "malware", "phishing")
 
@@ -999,16 +1005,17 @@ class _Connection:
 
 def _transact(addr: tuple[str, int], raw: bytes, timeout: float,
               idle: IdleConnections | None, read, resend: bool = True):
-    """Send one message and return what `read(rfile)` makes of its response.
+    """Send one message and return what `read(conn)` makes of its response.
 
-    `read` returns (result, keep): whether the response left the
-    connection fit for another message.  Without `idle` the message goes
-    over a fresh connection that is closed afterwards.  With it, an idle
-    connection is reused when there is one and handed back when `keep`.
-    A reused connection that returns not a single response byte was
-    closed by the peer while idle, so nothing was served: when `resend`
-    allows, the message is resent once on a fresh connection.  Failures
-    on a fresh connection are never retried.
+    `read` reads the response off the _Connection and returns (result,
+    keep): whether it left the connection fit for another message.
+    Without `idle` the message goes over a fresh connection that is
+    closed afterwards.  With it, an idle connection is reused when there
+    is one and handed back when `keep`.  A reused connection that returns
+    not a single response byte was closed by the peer while idle, so
+    nothing was served: when `resend` allows, the message is resent once
+    on a fresh connection.  Failures on a fresh connection are never
+    retried.
     """
     conn = idle.take() if idle is not None else None
     try:
@@ -1021,7 +1028,7 @@ def _transact(addr: tuple[str, int], raw: bytes, timeout: float,
             conn = _Connection(addr, timeout)
             if not conn.send(raw, timeout):
                 raise ConnectionError("peer closed without responding")
-        result, keep = read(conn.rfile)
+        result, keep = read(conn)
     except BaseException:
         if conn is not None:
             conn.close()
@@ -1033,8 +1040,8 @@ def _transact(addr: tuple[str, int], raw: bytes, timeout: float,
     return result
 
 
-def _read_icap_response(rfile) -> tuple[IcapResponse, bool]:
-    response = parse_icap_response(_read_icap_wire_message(rfile))
+def _read_icap_response(conn: _Connection) -> tuple[IcapResponse, bool]:
+    response = parse_icap_response(_read_icap_wire_message(conn.rfile))
     return response, not _says_close(response.headers)
 
 
@@ -1055,7 +1062,64 @@ class ProxyError(Exception):
     pass
 
 
-def _read_response(rfile, cap: int, head_only: bool = False) -> tuple[HttpResponse, bytes, bool]:
+class _TimedReader:
+    """A socket's buffered reader whose reads must all end by one deadline.
+
+    The deadline is RESPONSE_DEADLINE_TIMEOUTS times the socket's timeout
+    from now.  Each read on the socket waits at most what is left of it,
+    and a readline or read goes to the socket once per piece the peer
+    sends, so a peer that trickles bytes cannot stretch a call past the
+    deadline.  Past it, a read raises TimeoutError.
+    """
+
+    def __init__(self, sock: socket.socket, rfile):
+        self._sock = sock
+        self._rfile = rfile
+        self._timeout = sock.gettimeout()
+        self._allowed = RESPONSE_DEADLINE_TIMEOUTS * self._timeout
+        self._deadline = time.monotonic() + self._allowed
+
+    def _once(self, method, n: int) -> bytes:
+        """method(n) on the buffered reader, which reads the socket at most once."""
+        left = self._deadline - time.monotonic()
+        try:
+            if left <= 0:
+                raise TimeoutError
+            if left < self._timeout:
+                self._sock.settimeout(left)
+            return method(n)
+        except TimeoutError:
+            if time.monotonic() < self._deadline:
+                raise  # one read waited its whole timeout
+            raise TimeoutError(f"response not complete within {self._allowed:g} s") from None
+
+    def readline(self, limit: int) -> bytes:
+        """One line of at most `limit` bytes, b"" at EOF."""
+        line = b""
+        while len(line) < limit:
+            buffered = self._once(self._rfile.peek, 1)
+            if not buffered:
+                break
+            want = limit - len(line)
+            end = buffered.find(b"\n", 0, want)
+            line += self._rfile.read(min(len(buffered), want) if end < 0 else end + 1)
+            if end >= 0:
+                break
+        return line
+
+    def read(self, n: int) -> bytes:
+        """`n` bytes, fewer only at EOF."""
+        data = self._once(self._rfile.read1, n)
+        while data and len(data) < n:
+            piece = self._once(self._rfile.read1, n - len(data))
+            if not piece:
+                break
+            data += piece
+        return data
+
+
+def _read_response(rfile, cap: int, head_only: bool = False,
+                   sock: socket.socket | None = None) -> tuple[HttpResponse, bytes, bool]:
     """Read an HTTP response off a socket file: (response, entity, truncated).
 
     The entity is framed by chunked coding, else Content-Length, else the
@@ -1063,8 +1127,12 @@ def _read_response(rfile, cap: int, head_only: bool = False) -> tuple[HttpRespon
     lies beyond is left unread, so the connection cannot be reused.  A
     chunked entity comes back with its framing headers replaced by its
     Content-Length.  Raises ValueError (IcapParseError is one) on bad
-    framing.
+    framing.  Given `sock`, the socket `rfile` reads, the whole response
+    must arrive within RESPONSE_DEADLINE_TIMEOUTS of its timeouts, or
+    TimeoutError is raised (see _TimedReader).
     """
+    if sock is not None:
+        rfile = _TimedReader(sock, rfile)
     head = _read_head(rfile)
     if head is None:
         raise TruncatedMessageError("connection closed before the status line", 0)
@@ -1116,8 +1184,8 @@ def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
         peer_ip = sock.getpeername()[0]
         sock.sendall(_write_head(f"{request.method} {path} HTTP/1.1", out_headers) + body)
         try:
-            response, entity, truncated = _read_response(sock.makefile("rb"), cap,
-                                                         request.method == "HEAD")
+            response, entity, truncated = _read_response(
+                sock.makefile("rb"), cap, request.method == "HEAD", sock)
         except ValueError as exc:
             raise ProxyError(f"bad origin response: {exc}") from None
         return response, entity, truncated, peer_ip
@@ -1151,7 +1219,8 @@ class ProxyServer:
     emit_fallback is configured, still records the exchange flagged as
     uninspected.  `timeout` bounds every socket wait: the client's
     request (and the wait for its next one on a persistent connection),
-    the origin fetch and each ICAP exchange.
+    the origin fetch and each ICAP exchange; the origin's whole response
+    must arrive within RESPONSE_DEADLINE_TIMEOUTS times `timeout`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -1202,7 +1271,8 @@ class ProxyServer:
 
         It stays open after an HTTP/1.1 request without a `close` token
         whose body was read whole and framed by Content-Length, once the
-        response went out.  Every error response closes it.
+        response went out.  Every error response closes it; a body above
+        `max_body` gets 413 before any inspection or fetch.
         """
         try:
             head = _read_head(rfile)
@@ -1225,11 +1295,15 @@ class ProxyServer:
             (parts.hostname or "").encode("idna")
         except ValueError as exc:  # unsplittable, a port outside 0-65535, or such a host
             return self._send_error(wfile, 400, "Bad Request", f"bad request target: {exc}")
-        request_body = _read_upto(rfile, min(length, self.max_body))
-        # a chunked body is not read, and a capped one not to its end: what
-        # is left of either must never be parsed as the next request
+        if length > self.max_body:
+            # the body is left unread; the origin is never asked to wait for it
+            return self._send_error(wfile, 413, "Content Too Large",
+                                    f"request body of {length} bytes exceeds {self.max_body}")
+        request_body = _read_upto(rfile, length)
+        # a chunked body is not read: what is left of it must never be
+        # parsed as the next request
         keep = (version == "HTTP/1.1" and not _says_close(request.headers)
-                and request.header("Transfer-Encoding") is None and length <= self.max_body)
+                and request.header("Transfer-Encoding") is None)
 
         started_at = int(time.time() * 1000)
         agent_id = request.header("X-Websift-Agent") or ""

@@ -1,11 +1,16 @@
 """Agent planning, seed rotation, supervision, and proxied visits."""
 
+import gzip
+import socket
+import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
-from test_wire import count_accepted, record_handlers
+from test_wire import count_accepted, record_handlers, trickling_peer
 
+from websift import agents as agents_module
 from websift import pipeline as pipeline_module
 from websift.agents import (
     FALLBACK_CREDENTIALS,
@@ -26,6 +31,7 @@ from websift.flowstore import FlowRecord, FlowStore
 from websift.pipeline import LabelSources, Pipeline, run_crawl
 from websift.synthweb import SynthWebServer, generate_site, render_page
 from websift.wire import (
+    RESPONSE_DEADLINE_TIMEOUTS,
     HttpExchange,
     HttpRequest,
     HttpResponse,
@@ -249,6 +255,44 @@ def test_plan_form_with_relative_action_resolves_against_base():
     assert got.actions[0].target == "http://site.test/dir/next"
 
 
+# references a page may carry: same-origin, cross-origin, and ones urllib rejects
+_REFS = ("/a", "b?q=1", "http://site.test/abs", "//site.test/c", "#top",
+         "http://other.test/x", "https://site.test/tls", "http://[x/", "http://site.test:99999/")
+_ELEMENTS = st.one_of(
+    st.builds('<a href="{}">x</a>'.format, st.sampled_from(_REFS)),
+    st.builds('<button formaction="{}">b</button>'.format, st.sampled_from(_REFS)),
+    st.builds('<form action="{}"><input name="q">{}</form>'.format, st.sampled_from(_REFS),
+              st.sampled_from(["", '<input type="password" name="p">'])),
+)
+
+
+@given(st.lists(_ELEMENTS, max_size=12), st.integers(min_value=0, max_value=14))
+def test_plan_equals_the_full_plan_cut_to_the_budget(elements, budget):
+    html = "<html><body>" + "".join(elements) + "</body></html>"
+    full = plan(html, budget=len(elements) + 1)
+    assert full.stop_reason == "depleted"
+    got = plan(html, budget=budget)
+    assert got.actions == full.actions[:budget]
+    assert got.stop_reason == ("budget" if len(full.actions) > budget else "depleted")
+
+
+def test_plan_resolves_no_reference_past_the_one_after_its_budget(monkeypatch):
+    resolved = []
+    real_resolve = agents_module._resolve
+
+    def counting_resolve(base_url, ref):
+        resolved.append(ref)
+        return real_resolve(base_url, ref)
+
+    monkeypatch.setattr(agents_module, "_resolve", counting_resolve)
+    html = "<html><body>" + "".join(f'<a href="/p{i}">p</a>' for i in range(50)) + "</body></html>"
+    for budget in (0, 2):
+        resolved.clear()
+        got = plan(html, budget=budget)
+        assert len(got.actions) == budget and got.stop_reason == "budget"
+        assert resolved == [f"/p{i}" for i in range(budget + 1)]
+
+
 # --- supervision ---
 
 def test_supervise_restarts_only_strictly_stale_agents():
@@ -385,6 +429,58 @@ def test_agent_run_consumes_seeds_in_order(site, proxy):
     assert [s.seed for s in summaries] == [
         f"{site.base_url}/a", f"{site.base_url}/b", f"{site.base_url}/a"]
     assert [e["path"] for e in site.ledger()] == ["/a", "/b", "/a"]
+
+
+def test_agent_interacts_with_a_gzip_page(proxy):
+    links = "".join(f'<a href="/p{i}">p</a>' for i in range(4))
+    site = SynthWebServer({"seed": 8, "pages": [
+        {"path": "/zipped", "gzip": True, "body": f"<html><body>{links}</body></html>"},
+        *({"path": f"/p{i}"} for i in range(4)),
+    ]}).start()
+    try:
+        status, headers, raw = proxy_request(proxy.address, "GET", f"{site.base_url}/zipped", [])
+        assert (status, gzip.decompress(raw)[:12]) == (200, b"<html><body>")
+        assert ("Content-Encoding", "gzip") in headers
+        cfg = AgentConfig(agent_id="agent-12", interaction_budget=3)
+        summary = Agent(cfg, proxy.address, creds={}).visit(
+            SeedEntry(f"{site.base_url}/zipped", "benign"))
+        assert (summary.actions_executed, summary.stop_reason) == (3, "budget")
+        assert [e["path"] for e in site.ledger()] == ["/zipped", "/zipped", "/p0", "/p1", "/p2"]
+    finally:
+        site.stop()
+
+
+def test_agent_parses_the_raw_bytes_of_a_body_that_does_not_decode(proxy):
+    # says gzip, is plain HTML: the agent still follows its links
+    with socket.create_server(("127.0.0.1", 0)) as origin:
+        def serve():
+            for _ in range(2):
+                conn, _ = origin.accept()
+                with conn:
+                    conn.recv(4096)
+                    body = b'<html><body><a href="/next">n</a></body></html>'
+                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+                                 b"Content-Encoding: gzip\r\nContent-Length: %d\r\n\r\n"
+                                 % len(body) + body)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        host, port = origin.getsockname()
+        cfg = AgentConfig(agent_id="agent-13", interaction_budget=3)
+        summary = Agent(cfg, proxy.address, creds={}).visit(
+            SeedEntry(f"http://{host}:{port}/", "benign"))
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (summary.requests_made, summary.actions_executed, summary.errors) == (2, 1, [])
+
+
+def test_proxy_request_gives_up_on_a_proxy_that_trickles_past_the_deadline():
+    with trickling_peer(b"HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n") as addr:
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match="not complete within 1.8 s"):
+            proxy_request(addr, "GET", "http://site.test/", [], timeout=0.3,
+                          idle=IdleConnections())
+        assert time.monotonic() - started < RESPONSE_DEADLINE_TIMEOUTS * 0.3 + 1.5
 
 
 # --- one persistent proxy connection per agent ---

@@ -12,6 +12,7 @@ from websift.features import (
     extract_features,
     ledger_hash,
 )
+from websift.features.extract import KEYWORD_FAMILY, _count_keywords, _count_word
 
 # Frozen ledger digest; any change to the column set or order must be a
 # deliberate ledger revision, not an accident.
@@ -88,6 +89,29 @@ def test_keyword_family_counts_raw_text():
 def test_keyword_boundary_excludes_identifier_glue():
     fv = extract_features(b"myeval eval_x _eval eval$ eval")
     assert fv["Numeval"] == 1
+
+
+# the keywords' letters and their case variants, identifier glue, separators, and
+# characters that case-fold onto ASCII letters without lowering to them
+_KEYWORD_ALPHABET = "evalscriptfomjbhyEVALSCRIPTFOMJBHY_$09 .<>\n\u017f\u212a\u0131\u0130"
+_KEYWORD_PIECES = [word for _, word in KEYWORD_FAMILY] + ["\u017fcript", "i\u0130rame"]
+_KEYWORD_TEXT = st.lists(st.one_of(st.text(_KEYWORD_ALPHABET, max_size=6),
+                                   st.sampled_from(_KEYWORD_PIECES)),
+                         max_size=30).map("".join)
+
+
+@settings(max_examples=400)
+@given(_KEYWORD_TEXT)
+def test_one_keyword_pass_counts_what_each_word_scan_counts(text):
+    assert _count_keywords(text) == [_count_word(text, word) for _, word in KEYWORD_FAMILY]
+
+
+def test_keyword_pass_credits_case_folded_matches_to_their_word():
+    # U+017F (long s) matches "s" under IGNORECASE but lowers to itself
+    text = "\u017fcript SCRIPT evil.eval $eval frames"
+    counts = dict(zip((feat for feat, _ in KEYWORD_FAMILY), _count_keywords(text)))
+    assert counts["script"] == 2 and counts["evil"] == 1 and counts["Numeval"] == 1
+    assert counts["frame"] == 0
 
 
 def test_ip_address_regex():

@@ -26,7 +26,8 @@ from websift.flowstore import (
     format_timestamp_ms,
     parse_timestamp_ms,
 )
-from websift.labels import LabelSet, ScanTicket, ThreatType
+from websift import flowstore
+from websift.labels import ENGINE_NAMES, LabelSet, ScanTicket, ThreatType
 from websift.wire import HttpExchange, HttpRequest, HttpResponse
 
 # a store written when every log line held a full record document
@@ -451,6 +452,66 @@ def test_log_of_full_lines_replays_and_exports_as_before(tmp_path):
     log = (root / "records.log").read_bytes()
     assert log.startswith(pinned)
     assert json.loads(log[len(pinned):]) == {"record_id": 1, "extra": {}}
+
+
+def _fresh(text: str) -> str:
+    """An equal string that is a new object, as each decoded log line makes its own."""
+    return "".join(list(text))
+
+
+def _scanned_record(url: str) -> FlowRecord:
+    """A record with a 55-engine report built from strings of its own."""
+    report = {_fresh(name): _fresh("malicious" if i < 3 else "clean")
+              for i, name in enumerate(ENGINE_NAMES)}
+    ticket = ScanTicket()
+    ticket.to_in_progress("scan-" + url)
+    ticket.to_finished(3, report)
+    return FlowRecord(exchange=make_exchange(url),
+                      labels=LabelSet(signature_hits=["sig.a"], scan_ticket=ticket))
+
+
+def _report_strings(store: FlowStore, rid: int) -> list[str]:
+    doc = store._docs[rid]
+    report = doc["labels"]["scan_ticket"]["report"]
+    headers = doc["exchange"]["request"]["headers"] + doc["exchange"]["response"]["headers"]
+    return [s for pair in report.items() for s in pair] + [s for pair in headers for s in pair]
+
+
+def test_documents_share_one_copy_of_each_string(tmp_path):
+    with FlowStore(tmp_path / "s") as store:
+        store.put_record(_scanned_record("http://a.test/"))
+        store.put_record(_scanned_record("http://b.test/"))
+        first, second = _report_strings(store, 1), _report_strings(store, 2)
+        assert first == second and len(first) == 2 * 55 + 4
+        assert all(a is b for a, b in zip(first, second))
+    with FlowStore(tmp_path / "s", writable=False) as reopened:
+        first, second = _report_strings(reopened, 1), _report_strings(reopened, 2)
+        assert all(a is b for a, b in zip(first, second))
+        # records handed out hold the shared copies too
+        one, two = (reopened.get_record(rid).labels.scan_ticket.report for rid in (1, 2))
+        assert all(a is b for a, b in zip(one, two))
+        assert all(one[k] is two[k] for k in one)
+
+
+def _write_and_export(root: Path) -> tuple[bytes, bytes]:
+    with FlowStore(root) as store:
+        for url in ("http://a.test/", "http://b.test/", "http://a.test/"):
+            store.put_record(_scanned_record(url))
+        record = store.get_record(2)
+        record.labels.scan_ticket.requeue()
+        store.update_record(2, labels=record.labels, extra={"t.note": ["clean", {"k": "v"}]})
+        store.export_jsonl(root.parent / "live.jsonl")
+    with FlowStore(root, writable=False) as reopened:
+        reopened.export_jsonl(root.parent / "reopened.jsonl")
+    exported = (root.parent / "live.jsonl").read_bytes()
+    assert (root.parent / "reopened.jsonl").read_bytes() == exported
+    return (root / "records.log").read_bytes(), exported
+
+
+def test_sharing_strings_changes_no_byte_written(tmp_path, monkeypatch):
+    shared = _write_and_export(tmp_path / "shared" / "s")
+    monkeypatch.setattr(flowstore, "_share_strings", lambda node, share: node)
+    assert _write_and_export(tmp_path / "plain" / "s") == shared
 
 
 def test_exchange_round_trips_through_store(tmp_path):

@@ -1294,11 +1294,9 @@ CLOSING_REQUESTS = {
     # the proxy does not read chunked request bodies: what follows is chunk data
     "transfer-encoding": ("POST {url} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
                           {}, 200),
-    # 16 of 200 body bytes are read; the smuggled request is the unread rest.
-    # No origin listens, so the answer is a fetch-error 502, which keeps a
-    # connection open on its own.
-    "body-over-max-body": ("POST http://127.0.0.1:{dead}/ HTTP/1.1\r\n"
-                           "Content-Length: 200\r\n\r\n" + "x" * 16, {"max_body": 16}, 502),
+    # the body is not read, so the smuggled request sits in its unread rest
+    "body-over-max-body": ("POST {url} HTTP/1.1\r\n"
+                           "Content-Length: 200\r\n\r\n" + "x" * 16, {"max_body": 16}, 413),
     "400-bad-request-line": ("NONSENSE\r\n\r\n", {}, 400),
     "400-bad-content-length": ("GET {url} HTTP/1.1\r\nContent-Length: 1x\r\n\r\n", {}, 400),
     "400-relative-target": ("GET /relative HTTP/1.1\r\n\r\n", {}, 400),
@@ -1413,6 +1411,95 @@ def test_proxy_stop_gives_up_on_an_origin_that_trickles_its_body(monkeypatch):
     # the handler left behind ends once the origin hangs up
     handlers[0].join(timeout=10)
     assert not origin_thread.is_alive() and not handlers[0].is_alive()
+
+
+def test_proxy_answers_a_body_over_max_body_with_413_at_once(origin, monkeypatch):
+    transacts = []
+    real_transact = wire.icap_transact
+    monkeypatch.setattr(wire, "icap_transact",
+                        lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address, max_body=16) as px, \
+            socket.create_connection(px.address, timeout=10) as sock, \
+            sock.makefile("rb") as rfile:
+        started = time.monotonic()
+        sock.sendall(f"POST {origin_url(origin, '/echobody')} HTTP/1.1\r\n"
+                     "Content-Length: 200\r\n\r\n".encode() + b"x" * 16)
+        response, body = read_reply(rfile)
+        assert time.monotonic() - started < 2  # the proxy's timeout is 10 s
+        assert (response.status, response.header("Connection")) == (413, "close")
+        assert b"exceeds 16" in body
+        assert closed_by_peer(rfile)
+    assert origin.seen == [] and transacts == [] and emitted == []
+
+
+@contextlib.contextmanager
+def trickling_peer(head: bytes, every: float = 0.1):
+    """A one-connection server that sends `head` whole, then one "x" per `every` s."""
+    done = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        def trickle():
+            try:
+                conn, _ = server.accept()
+                with conn:
+                    conn.recv(4096)
+                    conn.sendall(head)
+                    while not done.wait(every):
+                        conn.sendall(b"x")
+            except OSError:
+                pass  # nobody connected within the timeout, or the reader gave up
+
+        server.settimeout(10)
+        thread = threading.Thread(target=trickle)
+        thread.start()
+        try:
+            yield server.getsockname()
+        finally:
+            done.set()
+            thread.join(timeout=10)
+
+
+TRICKLES = {
+    "body": b"HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n",
+    "chunk": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n186a0\r\n",
+    "head": b"HTTP/1.1 200 OK\r\nX-Slow: ",
+}
+
+
+@pytest.mark.parametrize("part", list(TRICKLES))
+def test_proxy_gives_up_on_an_origin_that_trickles_past_the_deadline(part):
+    # one byte per 0.1 s never trips the 0.3 s per-read bound
+    emitted = []
+    with trickling_peer(TRICKLES[part]) as (host, port), \
+            running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address, timeout=0.3) as px:
+        started = time.monotonic()
+        status, _, body = proxy_fetch(px.address, f"http://{host}:{port}/")
+        took = time.monotonic() - started
+    allowed = wire.RESPONSE_DEADLINE_TIMEOUTS * 0.3
+    assert allowed - 0.1 < took < allowed + 1.5
+    assert status == 502
+    assert b"not complete within 1.8 s" in body
+    assert "not complete within" in emitted[0].markers["wire.fetch_error"]
+
+
+def test_timed_reader_reads_what_a_plain_reader_reads():
+    raw = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nX-A: 1\r\n\r\n"
+           + b"".join(b"%x\r\n%s\r\n" % (n, b"y" * n) for n in (1, 70000, 3)) + b"0\r\n\r\n")
+    left, right = socket.socketpair()
+    with left, right:
+        sender = threading.Thread(target=lambda: [right.sendall(raw[i:i + 997])
+                                                  for i in range(0, len(raw), 997)])
+        sender.start()
+        left.settimeout(5)
+        with left.makefile("rb") as rfile:
+            got = wire._read_response(rfile, 1 << 20, sock=left)
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+    want = wire._read_response(io.BytesIO(raw), 1 << 20)
+    assert (got[0].headers, got[1:]) == (want[0].headers, want[1:])
+    assert len(got[1]) == 70004
 
 
 # --- framing limits: bounded reads, strict lengths, a bounded REQMOD table ---
