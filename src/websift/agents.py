@@ -90,6 +90,7 @@ class VisitSummary:
     seed: str
     requests_made: int = 0
     actions_executed: int = 0
+    # the plan's stop reason; "budget" without a parse when the budget is 0
     stop_reason: str = "depleted"
     errors: list[str] = field(default_factory=list)
 
@@ -111,16 +112,6 @@ class Seeder:
 
     def __len__(self) -> int:
         return len(self._urls)
-
-    @classmethod
-    def from_file(cls, path, focus: str) -> "Seeder":
-        urls = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    urls.append(line)
-        return cls(urls, focus)
 
     def next_seed(self) -> SeedEntry:
         url = self._urls[self._position % len(self._urls)]
@@ -310,6 +301,9 @@ class Agent:
             summary.errors.append(f"seed fetch failed: {exc}")
             return summary
         summary.requests_made += 1
+        if self.cfg.interaction_budget == 0:
+            summary.stop_reason = "budget"
+            return summary
         if status != 200 or not _is_html(headers):
             return summary
 

@@ -29,7 +29,6 @@ from .labels import (
     SimulatedEngineSet,
     ThreatType,
     UrlBlacklist,
-    UrlError,
     fast_verdict,
     schedule_multiengine,
 )
@@ -254,11 +253,8 @@ def cmd_label(args, cfg: Config) -> int:
             if record.exchange is None:
                 continue
             data, _ = _decoded_bytes(store, record)
-            try:
-                verdict = fast_verdict(record.exchange.request.url, data,
-                                       sources.blacklist, sources.signatures)
-            except UrlError:
-                continue
+            verdict = fast_verdict(record.exchange.request.url, data,
+                                   sources.blacklist, sources.signatures)
             labels = record.labels
             labels.blacklist = verdict.blacklist
             labels.signature_hits = list(verdict.signature_hits)

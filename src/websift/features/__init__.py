@@ -11,12 +11,11 @@ from .extract import (
     extract_features,
     ledger_hash,
 )
-from .htmlparse import ElementNode, FormSpec, HtmlDoc, parse_html
+from .htmlparse import FormSpec, HtmlDoc, parse_html
 from .jsparse import JsSummary, Token, parse_js, tokenize
 
 __all__ = [
     "BOOL_FEATURES",
-    "ElementNode",
     "FEATURE_ORDER",
     "FLOAT_FEATURES",
     "FeatureVector",

@@ -1,10 +1,12 @@
 """Tolerant HTML parsing: never fails, auto-closes dangling tags.
 
-Built on html.parser with a stack so that unclosed elements become
-parents of whatever follows them and unknown tags are kept as ordinary
-elements.  Besides the element tree the parser collects everything the
-feature extractor and the interaction planner need: script sources,
-event attributes, forms, links, and buttons in document order.
+Built on html.parser with a stack of open tag names, so that an end tag
+closes the nearest open element of its name and every element opened
+after it, a stray end tag closes nothing, and unknown tags count as
+ordinary elements.  No element tree is kept: the parser collects only
+what the feature extractor and the interaction planner read, namely
+node and script counts, script sources, event attributes, and links,
+forms and buttons in document order.
 """
 
 from __future__ import annotations
@@ -21,49 +23,33 @@ VOID_ELEMENTS = frozenset(
 
 
 @dataclass
-class ElementNode:
-    tag: str
-    attrs: list[tuple[str, str | None]] = field(default_factory=list)
-    children: list["ElementNode"] = field(default_factory=list)
-    text_parts: list[str] = field(default_factory=list)
-
-    def attr(self, name: str) -> str | None:
-        for k, v in self.attrs:
-            if k == name:
-                return v if v is not None else ""
-        return None
-
-    def text(self) -> str:
-        return "".join(self.text_parts)
-
-
-@dataclass
 class FormSpec:
     action: str
-    method: str
     fields: list[tuple[str, str]]  # (name, type)
     has_password: bool
 
 
 @dataclass
 class HtmlDoc:
-    root: ElementNode
     node_count: int = 0  # element nodes plus non-blank text runs
-    element_count: int = 0
     script_tag_count: int = 0
     data_url_script_count: int = 0
     script_sources: list[str] = field(default_factory=list)
     event_attributes: dict[str, int] = field(default_factory=dict)
-    form_count: int = 0
-    iframe_count: int = 0
-    links: list[str] = field(default_factory=list)
-    forms: list[FormSpec] = field(default_factory=list)
     # document-order interaction candidates: ("link", href) | ("form", FormSpec)
     # | ("button", formaction)
     interactables: list[tuple[str, object]] = field(default_factory=list)
 
     def event_total(self) -> int:
         return sum(self.event_attributes.values())
+
+
+def _attr(attrs: list[tuple[str, str | None]], name: str) -> str | None:
+    """The first `name` attribute's value; "" when it has none, None when absent."""
+    for k, v in attrs:
+        if k == name:
+            return v if v is not None else ""
+    return None
 
 
 def _decode_data_url(url: str) -> str | None:
@@ -82,61 +68,47 @@ def _decode_data_url(url: str) -> str | None:
     return raw.decode("utf-8", "replace")
 
 
-class _TreeBuilder(HTMLParser):
+class _Collector(HTMLParser):
     def __init__(self, doc: HtmlDoc):
         super().__init__(convert_charrefs=True)
         self.doc = doc
-        self.stack: list[ElementNode] = [doc.root]
+        self.open_tags: list[str] = []
         self.script_depth = 0
         self.script_buffer: list[str] = []
         self.script_has_src = False
         self.form_stack: list[FormSpec] = []
 
-    # --- element plumbing
-
     def _open(self, tag: str, attrs, self_closing: bool):
         doc = self.doc
-        node = ElementNode(tag, list(attrs))
-        self.stack[-1].children.append(node)
-        doc.element_count += 1
         doc.node_count += 1
         for name, value in attrs:
             if name.startswith("on") and len(name) > 2:
                 doc.event_attributes[name] = doc.event_attributes.get(name, 0) + 1
-        if tag == "iframe":
-            doc.iframe_count += 1
-        elif tag == "a":
-            href = node.attr("href")
+        if tag == "a":
+            href = _attr(attrs, "href")
             if href:
-                doc.links.append(href)
                 doc.interactables.append(("link", href))
         elif tag == "form":
-            spec = FormSpec(
-                action=node.attr("action") or "",
-                method=(node.attr("method") or "get").lower(),
-                fields=[],
-                has_password=False,
-            )
-            doc.form_count += 1
-            doc.forms.append(spec)
+            spec = FormSpec(action=_attr(attrs, "action") or "", fields=[],
+                            has_password=False)
             doc.interactables.append(("form", spec))
             if not self_closing:
                 self.form_stack.append(spec)
         elif tag == "input":
             if self.form_stack:
-                name = node.attr("name")
-                ftype = (node.attr("type") or "text").lower()
+                name = _attr(attrs, "name")
+                ftype = (_attr(attrs, "type") or "text").lower()
                 if name:
                     self.form_stack[-1].fields.append((name, ftype))
                 if ftype == "password":
                     self.form_stack[-1].has_password = True
         elif tag == "button":
-            formaction = node.attr("formaction")
+            formaction = _attr(attrs, "formaction")
             if formaction:
                 doc.interactables.append(("button", formaction))
         elif tag == "script":
             doc.script_tag_count += 1
-            src = node.attr("src")
+            src = _attr(attrs, "src")
             if src and src.lower().startswith("data:"):
                 doc.data_url_script_count += 1
                 decoded = _decode_data_url(src)
@@ -144,7 +116,7 @@ class _TreeBuilder(HTMLParser):
                     doc.script_sources.append(decoded)
             self.script_has_src = bool(src)
         if not self_closing and tag not in VOID_ELEMENTS:
-            self.stack.append(node)
+            self.open_tags.append(tag)
             if tag == "script":
                 self.script_depth += 1
                 self.script_buffer = []
@@ -159,22 +131,22 @@ class _TreeBuilder(HTMLParser):
 
     def handle_endtag(self, tag):
         # close the nearest matching open element, auto-closing intermediates
-        for idx in range(len(self.stack) - 1, 0, -1):
-            if self.stack[idx].tag == tag:
-                while len(self.stack) > idx:
-                    closed = self.stack.pop()
-                    self._element_closed(closed)
+        open_tags = self.open_tags
+        for idx in range(len(open_tags) - 1, -1, -1):
+            if open_tags[idx] == tag:
+                while len(open_tags) > idx:
+                    self._element_closed(open_tags.pop())
                 return
         # stray end tag: ignored
 
-    def _element_closed(self, node: ElementNode):
-        if node.tag == "script":
+    def _element_closed(self, tag: str):
+        if tag == "script":
             self.script_depth -= 1
             if not self.script_has_src or self.script_buffer:
                 self.doc.script_sources.append("".join(self.script_buffer))
             self.script_buffer = []
             self.script_has_src = False
-        elif node.tag == "form" and self.form_stack:
+        elif tag == "form" and self.form_stack:
             self.form_stack.pop()
 
     def handle_data(self, data):
@@ -182,23 +154,21 @@ class _TreeBuilder(HTMLParser):
             self.script_buffer.append(data)
         if data.strip():
             self.doc.node_count += 1
-        if data:
-            self.stack[-1].text_parts.append(data)
 
     def finish(self):
-        while len(self.stack) > 1:
-            self._element_closed(self.stack.pop())
+        while self.open_tags:
+            self._element_closed(self.open_tags.pop())
 
 
 def parse_html(text: str) -> HtmlDoc:
     """Parse `text` into an HtmlDoc.  Never raises on malformed markup."""
-    doc = HtmlDoc(root=ElementNode("#document"))
-    builder = _TreeBuilder(doc)
+    doc = HtmlDoc()
+    collector = _Collector(doc)
     try:
-        builder.feed(text)
-        builder.close()
+        collector.feed(text)
+        collector.close()
     except Exception:
         # html.parser is robust, but totality matters more than completeness
         pass
-    builder.finish()
+    collector.finish()
     return doc

@@ -56,6 +56,7 @@ import json
 import os
 import re
 import struct
+from copy import deepcopy
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,7 +161,9 @@ class FlowRecord:
             labels=LabelSet.from_doc(doc.get("labels") or {}),
             augment=AugmentInfo.from_doc(doc["augment"]) if doc.get("augment") else None,
             features=FeatureVector.from_doc(features, trusted) if features else None,
-            extra=dict(doc.get("extra") or {}),
+            # nested values are copied so a caller's edits never reach the store
+            extra={key: deepcopy(value) if type(value) in (dict, list) else value
+                   for key, value in (doc.get("extra") or {}).items()},
         )
 
 

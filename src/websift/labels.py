@@ -484,7 +484,14 @@ class LabelSet:
 
 def fast_verdict(url: str, decoded: bytes, blacklist: UrlBlacklist | None,
                  sigdb: SignatureSet | None) -> FastVerdict:
-    category = blacklist_lookup(url, blacklist) if blacklist is not None else ThreatType.NONE
+    """Blacklist category and signature hits; a URL that cannot be
+    canonicalized is listed under NONE, and its content is still scanned."""
+    category = ThreatType.NONE
+    if blacklist is not None:
+        try:
+            category = blacklist_lookup(url, blacklist)
+        except UrlError:
+            pass
     hits = sigdb.scan(decoded) if sigdb is not None else []
     return FastVerdict(category, hits)
 

@@ -24,9 +24,7 @@ from .labels import (
     LabelSet,
     SignatureSet,
     SimulatedEngineSet,
-    ThreatType,
     UrlBlacklist,
-    UrlError,
     fast_verdict,
     fetch_worker_step,
     schedule_multiengine,
@@ -77,17 +75,9 @@ def make_verdict_fn(sources: LabelSources):
     """Synchronous fast verdict for the gateway: blacklist + signatures."""
     def verdict_fn(exchange) -> FastVerdict:
         decoded, _, _ = _decoded_view(exchange)
-        return _fast_verdict(exchange.request.url, decoded, sources)
+        return fast_verdict(exchange.request.url, decoded, sources.blacklist,
+                            sources.signatures)
     return verdict_fn
-
-
-def _fast_verdict(url: str, decoded: bytes, sources: LabelSources) -> FastVerdict:
-    try:
-        return fast_verdict(url, decoded, sources.blacklist, sources.signatures)
-    except UrlError:
-        # uncanonicalizable URL: the content side still gets scanned
-        hits = sources.signatures.scan(decoded) if sources.signatures else []
-        return FastVerdict(ThreatType.NONE, hits)
 
 
 def commit_emitted(store: FlowStore, emitted: EmittedExchange,
@@ -111,7 +101,8 @@ def commit_emitted(store: FlowStore, emitted: EmittedExchange,
 
     verdict = emitted.verdict
     if verdict is None:
-        verdict = _fast_verdict(exchange.request.url, decoded, sources)
+        verdict = fast_verdict(exchange.request.url, decoded, sources.blacklist,
+                               sources.signatures)
     labels = LabelSet(
         blacklist=verdict.blacklist,
         signature_hits=list(verdict.signature_hits),

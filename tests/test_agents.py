@@ -98,15 +98,6 @@ def test_seeder_rejects_empty_or_unknown():
         Seeder(["http://a.test/"], focus="ads")
 
 
-def test_seeder_from_file_skips_comments(tmp_path):
-    path = tmp_path / "seeds.txt"
-    path.write_text("# malware feed\nhttp://a.test/\n\n  http://b.test/\n",
-                    encoding="utf-8")
-    seeder = Seeder.from_file(path, "phishing")
-    assert len(seeder) == 2
-    assert seeder.next_seed() == SeedEntry("http://a.test/", "phishing")
-
-
 # --- credentials ---
 
 def test_load_credentials_parses_csv(tmp_path):
@@ -429,6 +420,37 @@ def test_agent_run_consumes_seeds_in_order(site, proxy):
     assert [s.seed for s in summaries] == [
         f"{site.base_url}/a", f"{site.base_url}/b", f"{site.base_url}/a"]
     assert [e["path"] for e in site.ledger()] == ["/a", "/b", "/a"]
+
+
+def count_parses(monkeypatch):
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_html(text)
+
+    monkeypatch.setattr(agents_module, "parse_html", counting_parse)
+    return calls
+
+
+def test_agent_at_budget_zero_fetches_each_seed_and_parses_nothing(site, proxy, monkeypatch):
+    calls = count_parses(monkeypatch)
+    cfg = AgentConfig(agent_id="agent-13", interaction_budget=0)
+    seeder = Seeder([f"{site.base_url}/landing", f"{site.base_url}/missing"], "benign")
+    summaries = Agent(cfg, proxy.address, creds={}).run(seeder, seed_cap=2)
+    assert calls == []
+    assert [(s.requests_made, s.actions_executed, s.stop_reason) for s in summaries] == [
+        (1, 0, "budget"), (1, 0, "budget")]
+    assert [e["path"] for e in site.ledger()] == ["/landing", "/missing"]
+
+
+def test_agent_at_budget_one_parses_the_seed_page(site, proxy, monkeypatch):
+    calls = count_parses(monkeypatch)
+    cfg = AgentConfig(agent_id="agent-14", interaction_budget=1)
+    summary = Agent(cfg, proxy.address, creds={}).visit(
+        SeedEntry(f"{site.base_url}/landing", "benign"))
+    assert len(calls) == 1
+    assert (summary.requests_made, summary.stop_reason) == (2, "budget")
 
 
 def test_agent_interacts_with_a_gzip_page(proxy):

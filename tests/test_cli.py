@@ -9,11 +9,12 @@ import pytest
 
 from websift import forest
 from websift.augment import AugmentInfo
-from websift.cli import main
+from websift.cli import _read_seed_file, main
 from websift.features import extract_features
 from websift.flowstore import FlowRecord, FlowStore
-from websift.labels import LabelSet, ScanTicket, TicketStatus
+from websift.labels import LabelSet, ScanTicket, ThreatType, TicketStatus
 from websift.synthweb import (
+    SIGNATURE_MARKER,
     SIGNATURE_NAME,
     SynthWebServer,
     engine_fixture_for,
@@ -174,6 +175,13 @@ def live_site(tmp_path):
         server.stop()
 
 
+def test_seed_file_skips_comments_blank_lines_and_surrounding_spaces(tmp_path):
+    path = tmp_path / "seeds.txt"
+    path.write_text("# malware feed\nhttp://a.test/\n\n  http://b.test/  \n",
+                    encoding="utf-8")
+    assert _read_seed_file(str(path)) == ["http://a.test/", "http://b.test/"]
+
+
 def test_crawl_zero_seeds_is_a_clean_noop(tmp_path, capsys):
     code, docs, _ = run_cli(capsys, "--store", str(tmp_path / "store"), "crawl")
     assert code == 0
@@ -281,6 +289,26 @@ def test_label_applies_fast_sources_and_runs_workers(tmp_path, capsys):
     code, docs, _ = run_cli(capsys, "--store", str(store_path), "label",
                             "--signatures", str(sigs), "--engines", str(engines))
     assert docs[-1] == {"relabeled": 1, "submitted": 0, "fetched": 0, "cycles": 1}
+
+
+def test_relabel_scans_the_body_of_a_record_whose_url_does_not_canonicalize(tmp_path, capsys):
+    # capture scans such a record's content; relabeling must not skip it
+    store_path = tmp_path / "store"
+    with FlowStore(store_path) as store:
+        rid = put_body_record(store, b"<html>" + SIGNATURE_MARKER + b"</html>",
+                              url="http://:80/x")
+    blacklist = tmp_path / "blacklist.txt"
+    blacklist.write_text("# nothing listed\n", encoding="utf-8")
+    sigs = tmp_path / "sigs.txt"
+    sigs.write_text(signature_line() + "\n", encoding="utf-8")
+    code, docs, _ = run_cli(capsys, "--store", str(store_path), "label", "--relabel",
+                            "--blacklist", str(blacklist), "--signatures", str(sigs))
+    assert code == 0
+    assert docs[-1]["relabeled"] == 1
+    with FlowStore(store_path, writable=False) as store:
+        labels = store.get_record(rid).labels
+        assert labels.blacklist is ThreatType.NONE
+        assert labels.signature_hits == [SIGNATURE_NAME]
 
 
 def test_label_requeue_rescans_and_archives(tmp_path, capsys):

@@ -1,22 +1,27 @@
-"""Tolerant HTML parsing: tree shape, script capture, interaction targets."""
+"""Tolerant HTML parsing: node counts, script capture, interaction targets."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from websift.features.htmlparse import parse_html
+from websift.features.htmlparse import _attr, parse_html
+
+
+def fields(html):
+    """The fields of each form in `html`, in document order."""
+    return [spec.fields for kind, spec in parse_html(html).interactables if kind == "form"]
 
 
 def test_empty_document():
     doc = parse_html("")
     assert doc.node_count == 0
-    assert doc.element_count == 0
-    assert doc.root.tag == "#document"
+    assert doc.script_tag_count == 0
+    assert doc.script_sources == []
+    assert doc.interactables == []
 
 
 def test_node_count_elements_plus_text_runs():
     # 3 elements (html, body, p) + 1 non-blank text run
     doc = parse_html("<html><body><p>hello</p></body></html>")
-    assert doc.element_count == 3
     assert doc.node_count == 4
 
 
@@ -27,28 +32,31 @@ def test_blank_text_runs_do_not_count():
 
 def test_unclosed_tags_auto_close():
     doc = parse_html("<div><span>text")
-    assert doc.element_count == 2
-    div = doc.root.children[0]
-    assert div.tag == "div"
-    assert div.children[0].tag == "span"
-    assert div.children[0].text() == "text"
+    assert doc.node_count == 3
+    # a form still open at the end keeps every field after it
+    assert fields("<div><form action=/f><input name=a>") == [[("a", "text")]]
 
 
 def test_stray_end_tag_ignored():
     doc = parse_html("</div><p>ok</p>")
-    assert doc.element_count == 1
-    assert doc.root.children[0].tag == "p"
+    assert doc.node_count == 2
+    # a stray </form> before a form closes nothing
+    assert fields("</form><form action=/f><input name=a></form>") == [[("a", "text")]]
 
 
 def test_end_tag_closes_nearest_match():
-    # </div> must close span implicitly
-    doc = parse_html("<div><span>a</div><p>b</p>")
-    assert [c.tag for c in doc.root.children] == ["div", "p"]
+    # </div> closes the form opened inside the div, so b is no field
+    assert fields("<div><form action=/f></div><input name=b>") == [[]]
+    # the inner form closes first; x belongs to the outer one
+    assert fields("<form action=/a><form action=/b></form><input name=x></form>") == [
+        [("x", "text")], []]
 
 
 def test_void_elements_take_no_children():
     doc = parse_html("<br><p>x</p>")
-    assert [c.tag for c in doc.root.children] == ["br", "p"]
+    assert doc.node_count == 3
+    # a void element is never open, so its end tag is stray and closes nothing
+    assert fields("<br><form action=/f></br><input name=a>") == [[("a", "text")]]
 
 
 def test_inline_script_source_captured():
@@ -93,14 +101,16 @@ def test_plain_on_attribute_is_not_an_event():
     assert doc.event_attributes == {}
 
 
-def test_iframe_count():
-    doc = parse_html('<iframe src="a"></iframe><iframe src="b"></iframe>')
-    assert doc.iframe_count == 2
-
-
 def test_links_collected_in_order():
-    doc = parse_html('<a href="/x">x</a><a>skip</a><a href="/y">y</a>')
-    assert doc.links == ["/x", "/y"]
+    doc = parse_html('<a href="/x">x</a><a>skip</a><a href>empty</a><a href="/y">y</a>')
+    assert doc.interactables == [("link", "/x"), ("link", "/y")]
+
+
+def test_repeated_attribute_first_wins():
+    doc = parse_html('<a href="/first" href="/second">x</a>')
+    assert doc.interactables == [("link", "/first")]
+    assert fields('<form><input name="a" name="b" type="password" type="text"></form>') == [
+        [("a", "password")]]
 
 
 def test_form_fields_and_password_flag():
@@ -111,22 +121,25 @@ def test_form_fields_and_password_flag():
         '<input type="submit">'
         "</form>"
     )
-    form = doc.forms[0]
+    kind, form = doc.interactables[0]
+    assert kind == "form"
     assert form.action == "/login"
-    assert form.method == "post"
     assert form.fields == [("user", "text"), ("pass", "password")]
     assert form.has_password
 
 
 def test_input_without_type_defaults_to_text():
-    doc = parse_html('<form><input name="q"></form>')
-    assert doc.forms[0].fields == [("q", "text")]
-    assert not doc.forms[0].has_password
+    doc = parse_html('<form><input name="q"><input name="r" type></form>')
+    _, form = doc.interactables[0]
+    assert form.action == ""
+    assert form.fields == [("q", "text"), ("r", "text")]
+    assert not form.has_password
 
 
 def test_inputs_outside_forms_ignored():
-    doc = parse_html('<input name="stray"><form action="/s"></form>')
-    assert doc.forms[0].fields == []
+    assert fields('<input name="stray"><form action="/s"></form>') == [[]]
+    # a self-closed form holds no fields
+    assert fields('<form action="/s"/><input name="after">') == [[]]
 
 
 def test_interactables_document_order():
@@ -143,7 +156,7 @@ def test_interactables_document_order():
 
 
 def test_button_without_formaction_not_interactable():
-    doc = parse_html("<button>plain</button>")
+    doc = parse_html("<button>plain</button><button formaction>bare</button>")
     assert doc.interactables == []
 
 
@@ -153,17 +166,21 @@ def test_uppercase_tags_normalized():
     assert doc.script_sources == ["x=1;"]
 
 
-def test_attribute_access_helper():
-    doc = parse_html('<a href="/z" data-k>link</a>')
-    a = doc.root.children[0]
-    assert a.attr("href") == "/z"
-    assert a.attr("data-k") == ""
-    assert a.attr("missing") is None
+def test_attribute_lookup_rule():
+    attrs = [("href", "/z"), ("data-k", None), ("href", "/later")]
+    assert _attr(attrs, "href") == "/z"
+    assert _attr(attrs, "data-k") == ""
+    assert _attr(attrs, "missing") is None
+
+
+def test_uppercase_attribute_names_normalized():
+    doc = parse_html('<A HREF="/z" data-k>link</A><BUTTON FormAction="/b">')
+    assert doc.interactables == [("link", "/z"), ("button", "/b")]
 
 
 @given(st.text(max_size=800))
 def test_parse_total_on_arbitrary_text(text):
     doc = parse_html(text)
-    assert doc.node_count >= doc.element_count >= 0
+    assert doc.node_count >= doc.script_tag_count + len(doc.interactables)
     assert doc.script_tag_count >= doc.data_url_script_count
     assert doc.event_total() == sum(doc.event_attributes.values())

@@ -281,6 +281,20 @@ def test_update_record_appends_new_version(tmp_path):
         assert store.get_record(rid).extra["wire.status"] == 404
 
 
+def test_handed_out_extra_does_not_share_nested_values_with_the_store(tmp_path):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        store.put_record(FlowRecord(extra={"t.a": [1], "t.b": {"k": [2]}}))
+        extra = store.get_record(1).extra
+        extra["t.a"].append(2)
+        extra["t.b"]["k"].append(3)
+        assert store.get_record(1).extra == {"t.a": [1], "t.b": {"k": [2]}}
+        assert next(store.records()).extra["t.a"] == [1]
+        store.update_record(1, extra=extra)
+    with FlowStore(root) as store:
+        assert store.get_record(1).extra == {"t.a": [1, 2], "t.b": {"k": [2, 3]}}
+
+
 def test_reopen_preserves_records_and_id_sequence(tmp_path):
     root = tmp_path / "s"
     with FlowStore(root) as store:
