@@ -4,9 +4,10 @@ Agents fetch seed URLs through the forward proxy, undo the content
 codings of the returned HTML, parse it with the tolerant parser, and
 execute a deterministic action plan: one login first when a password
 form exists, then links, forms and buttons in document order until the
-interaction budget runs out.  Only same-origin links are followed, one
-level deep from the seed.  A supervisor restarts agents whose newest
-stored record is older than a threshold.
+interaction budget runs out; at budget 0 an agent only fetches its seeds.
+Only same-origin links are followed, one level deep from the seed.  A
+supervisor restarts agents whose newest stored record is older than a
+threshold.
 
 During `run` an agent keeps one persistent connection to the proxy, as
 a browser does, and sends no Connection header on it; the proxy closes
