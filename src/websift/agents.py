@@ -1,13 +1,11 @@
-"""Headless user agents: seed consumption, login-then-interact, supervision.
+"""Headless user agents: seed consumption and login-then-interact.
 
 Agents fetch seed URLs through the forward proxy, undo the content
 codings of the returned HTML, parse it with the tolerant parser, and
 execute a deterministic action plan: one login first when a password
 form exists, then links, forms and buttons in document order until the
 interaction budget runs out; at budget 0 an agent only fetches its seeds.
-Only same-origin links are followed, one level deep from the seed.  A
-supervisor restarts agents whose newest stored record is older than a
-threshold.
+Only same-origin links are followed, one level deep from the seed.
 
 During `run` an agent keeps one persistent connection to the proxy, as
 a browser does, and sends no Connection header on it; the proxy closes
@@ -40,7 +38,6 @@ SEED_FOCUSES = ("benign", "malware", "phishing")
 FALLBACK_CREDENTIALS = ("testuser", "testpass")
 DEFAULT_VIEWPORT = (1366, 768)
 DEFAULT_USER_AGENT = "Mozilla/5.0 (X11; Linux x86_64) websift-agent/0.1"
-HEARTBEAT_THRESHOLD = 600.0
 
 AGENT_HEADER = "X-Websift-Agent"
 SEEDER_HEADER = "X-Websift-Seeder"
@@ -339,25 +336,3 @@ class Agent:
             self._idle.close()
             self._idle = None
 
-
-# ---------------------------------------------------------------------------
-# supervision
-
-def supervise(heartbeats: dict[str, float], now: float,
-              threshold: float = HEARTBEAT_THRESHOLD) -> list[str]:
-    """Agent ids whose heartbeat is strictly older than the threshold.
-
-    The heartbeat is the timestamp of the agent's newest stored record;
-    agents with no records yet use their start time.
-    """
-    return sorted(agent_id for agent_id, beat in heartbeats.items()
-                  if now - beat > threshold)
-
-
-def heartbeat_from_store(store, agent_id: str, default: float) -> float:
-    """Newest record timestamp (seconds) for an agent, else the default."""
-    records = store.query([("exchange.agent_id", "eq", agent_id)])
-    if not records:
-        return default
-    newest = max(r.exchange.started_at for r in records if r.exchange)
-    return newest / 1000.0

@@ -167,6 +167,9 @@ def parse_html(text: str) -> HtmlDoc:
     try:
         collector.feed(text)
         collector.close()
+        if collector.cdata_elem and collector.rawdata:
+            # html.parser holds a <script> or <style> left open back for its end tag
+            collector.handle_data(collector.rawdata)
     except Exception:
         # html.parser is robust, but totality matters more than completeness
         pass

@@ -40,6 +40,11 @@ copies live in a per-store table, not in sys.intern's, so they are freed
 with the store: strings from the wire are hostile and interned ones are
 immortal on recent CPython.  Nothing written to disk changes.
 
+_merge also keeps the one index the store has, ticket status -> record
+ids, moving a record whenever a line changes its scan ticket's status.
+query(status) reads it, so it builds only the records it returns,
+whatever the store's size.
+
 One writer owns the store at a time (advisory file lock); readers open
 with writable=False and skip the lock.  Bodies are deduplicated by
 SHA-1 and referenced from records by digest, never inlined.  Records the
@@ -72,9 +77,7 @@ _FRAME = struct.Struct(">20sI")  # raw SHA-1 digest, byte length
 
 _SHA1_RE = re.compile(r"^[0-9a-f]{40}$")
 _EXTRA_KEY_RE = re.compile(r"^[a-z0-9_]+\.[A-Za-z0-9_.\-]+$")
-_PATH_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*(\.[A-Za-z0-9_\-]+)*$")
 
-QUERY_OPS = ("eq", "exists", "range", "prefix")
 _RECORD_FIELDS = frozenset({"exchange", "body_sha1", "decoded_sha1", "labels",
                            "augment", "features", "extra"})
 
@@ -104,10 +107,6 @@ class RecordNotFoundError(KeyError):
 
 
 class DanglingBlobError(ValueError):
-    pass
-
-
-class QueryError(ValueError):
     pass
 
 
@@ -212,11 +211,12 @@ def _first_found(fd: int, start: int, end: int, digests) -> bytes | None:
 
 
 def _share_strings(node, share):
-    """node with each dict key and string s in it replaced by share(s, s).
+    """A copy of node with each dict key and string s in it replaced by share(s, s).
 
     `share` is a table's setdefault, so s becomes the table's copy of it.
-    Dicts are rebuilt, lists changed in place; any other value, a number
-    above all, costs one type test and no call.
+    Dicts and lists are rebuilt, so the copy holds none of the caller's
+    containers; any other value, a number above all, costs one type test
+    and no call.
     """
     if type(node) is dict:
         out = {}
@@ -228,13 +228,23 @@ def _share_strings(node, share):
                 value = _share_strings(value, share)
             out[share(key, key)] = value
         return out
-    for i, value in enumerate(node):
+    out = []
+    for value in node:
         kind = type(value)
         if kind is str:
-            node[i] = share(value, value)
+            value = share(value, value)
         elif kind is dict or kind is list:
-            node[i] = _share_strings(value, share)
-    return node
+            value = _share_strings(value, share)
+        out.append(value)
+    return out
+
+
+def _ticket_status(doc: dict) -> str | None:
+    """The status of the document's scan ticket; None when it has none."""
+    labels = doc.get("labels")
+    ticket = labels.get("scan_ticket") if type(labels) is dict else None
+    status = ticket.get("status") if type(ticket) is dict else None
+    return status if type(status) is str else None
 
 
 def _dump_line(doc: dict) -> str:
@@ -253,70 +263,6 @@ def _changed_fields(new: dict, current: dict) -> dict:
     if _dump_line({n: new[n] for n in same}) != _dump_line({n: current.get(n) for n in same}):
         same = [n for n in same if _dump_line(new[n]) == _dump_line(current.get(n))]
     return {name: value for name, value in new.items() if name not in same}
-
-
-# ---------------------------------------------------------------------------
-# dotted-path resolution; extra keys may themselves contain dots
-
-_MISSING = object()
-
-
-def _resolve_path(doc, parts: list[str]):
-    node = doc
-    i = 0
-    while i < len(parts):
-        if not isinstance(node, dict):
-            return _MISSING
-        remaining = ".".join(parts[i:])
-        if remaining in node:
-            return node[remaining]
-        if parts[i] in node:
-            node = node[parts[i]]
-            i += 1
-            continue
-        return _MISSING
-    return node
-
-
-def _match_clause(doc: dict, path: str, op: str, value) -> bool:
-    got = _resolve_path(doc, path.split("."))
-    if op == "exists":
-        want = True if value is None else bool(value)
-        present = got is not _MISSING and got is not None and got != [] and got != {}
-        return present == want
-    if got is _MISSING or got is None:
-        return False
-    if op == "eq":
-        return got == value
-    if op == "range":
-        lo, hi = value
-        if not isinstance(got, (int, float)) or isinstance(got, bool):
-            return False
-        if lo is not None and got < lo:
-            return False
-        if hi is not None and got > hi:
-            return False
-        return True
-    if op == "prefix":
-        return isinstance(got, str) and got.startswith(value)
-    raise QueryError(f"unknown query op {op!r}")
-
-
-def _check_clauses(clauses) -> list[tuple[str, str, object]]:
-    checked = []
-    for clause in clauses:
-        if not isinstance(clause, (tuple, list)) or len(clause) != 3:
-            raise QueryError(f"clause must be (path, op, value): {clause!r}")
-        path, op, value = clause
-        if not isinstance(path, str) or not _PATH_RE.match(path):
-            raise QueryError(f"malformed field path {path!r}")
-        if op not in QUERY_OPS:
-            raise QueryError(f"unknown query op {op!r}")
-        if op == "range":
-            if not isinstance(value, (tuple, list)) or len(value) != 2:
-                raise QueryError("range value must be a (low, high) pair")
-        checked.append((path, op, value))
-    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +291,7 @@ class FlowStore:
 
         self._docs: dict[int, dict] = {}
         self._strings: dict[str, str] = {}  # one copy of each string the documents hold
+        self._by_status: dict[str, set[int]] = {}  # ticket status -> record ids
         self._next_id = 1
         self._log_path = self.root / "records.log"
         self._log_fh = None
@@ -406,11 +353,20 @@ class FlowStore:
     def _merge(self, line: dict) -> None:
         """The one replay rule: a line's fields replace the record's.
 
-        The line's strings are swapped for the store's shared copies first.
+        The line's strings are swapped for the store's shared copies first,
+        and the record moves to its new ticket status in the status index.
         """
         rid = line["record_id"]
         shared = _share_strings(line, self._strings.setdefault)
-        self._docs[rid] = {**self._docs.get(rid, {}), **shared}
+        old = self._docs.get(rid, {})
+        doc = self._docs[rid] = {**old, **shared}
+        if "labels" in shared:
+            before, after = _ticket_status(old), _ticket_status(doc)
+            if before != after:
+                if before is not None:
+                    self._by_status[before].discard(rid)
+                if after is not None:
+                    self._by_status.setdefault(after, set()).add(rid)
 
     def _open_pack(self) -> None:
         """Index the pack's intact frames; a writer then cuts the tail after them."""
@@ -616,21 +572,18 @@ class FlowStore:
 
     # --- query and export
 
-    def query(self, clauses) -> list[FlowRecord]:
-        """Conjunction of (path, op, value) clauses; ops: eq, exists, range, prefix."""
-        checked = _check_clauses(clauses)
-        out = []
-        for rid in sorted(self._docs):
-            doc = self._docs[rid]
-            if all(_match_clause(doc, *clause) for clause in checked):
-                out.append(FlowRecord.from_doc(doc, trusted=True))
-        return out
+    def query(self, status: str, limit: int | None = None) -> list[FlowRecord]:
+        """The records whose scan ticket has `status`, lowest ids first, at most `limit`.
 
-    def export_jsonl(self, path, clauses=None) -> int:
-        records = self.query(clauses or [])
+        Only those records are built: the status index names them.
+        """
+        ids = sorted(self._by_status.get(status, ()))[:limit]
+        return [FlowRecord.from_doc(self._docs[rid], trusted=True) for rid in ids]
+
+    def export_jsonl(self, path) -> int:
         count = 0
         with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
+            for record in self.records():
                 doc = record.to_doc()
                 doc["schema"] = "flow-record/1"
                 if doc.get("exchange"):

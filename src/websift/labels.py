@@ -567,15 +567,12 @@ class SimulatedEngineSet:
 
 
 # ---------------------------------------------------------------------------
-# worker steps (duck-typed over the flow store)
+# worker steps over a FlowStore
 
-def submit_worker_step(store, engines: SimulatedEngineSet,
-                       capacity: int = SUBMIT_CAPACITY) -> int:
-    """Move up to `capacity` unscanned tickets to scan_in_progress."""
-    records = store.query([("labels.scan_ticket.status", "eq",
-                            TicketStatus.UNSCANNED.value)])
-    moved = 0
-    for record in sorted(records, key=lambda r: r.record_id)[:capacity]:
+def submit_worker_step(store, engines: SimulatedEngineSet) -> int:
+    """Move up to SUBMIT_CAPACITY unscanned tickets to scan_in_progress, lowest ids first."""
+    records = store.query(TicketStatus.UNSCANNED.value, SUBMIT_CAPACITY)
+    for record in records:
         labels = record.labels
         ticket = labels.scan_ticket
         sha1 = record.decoded_sha1 or record.body_sha1
@@ -585,20 +582,13 @@ def submit_worker_step(store, engines: SimulatedEngineSet,
         except EngineError:
             ticket.to_error()
         store.update_record(record.record_id, labels=labels)
-        moved += 1
-    return moved
+    return len(records)
 
 
-def fetch_worker_step(store, engines: SimulatedEngineSet,
-                      capacity: int | None = None) -> int:
+def fetch_worker_step(store, engines: SimulatedEngineSet) -> int:
     """Finish in-progress tickets whose reports are ready."""
-    records = store.query([("labels.scan_ticket.status", "eq",
-                            TicketStatus.SCAN_IN_PROGRESS.value)])
-    picked = sorted(records, key=lambda r: r.record_id)
-    if capacity is not None:
-        picked = picked[:capacity]
-    moved = 0
-    for record in picked:
+    records = store.query(TicketStatus.SCAN_IN_PROGRESS.value)
+    for record in records:
         labels = record.labels
         ticket = labels.scan_ticket
         try:
@@ -608,5 +598,4 @@ def fetch_worker_step(store, engines: SimulatedEngineSet,
             ticket.to_error()
         labels.ground_truth = ground_truth(ticket)
         store.update_record(record.record_id, labels=labels)
-        moved += 1
-    return moved
+    return len(records)

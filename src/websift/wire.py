@@ -29,8 +29,10 @@ GET and HEAD (RFC 9112 §9.3.1).  The proxy's origin fetches stay one
 connection each, with `Connection: close`.  Each read off a socket waits
 at most the reader's timeout, and an HTTP response, whether the proxy
 reads it from an origin or an agent from the proxy, must arrive whole
-within RESPONSE_DEADLINE_TIMEOUTS of them; an origin that misses the
-deadline gets the client a 502 flagged `wire.fetch_error`.
+within RESPONSE_DEADLINE_TIMEOUTS of them, as must the head and body of
+each request a client sends the proxy; an origin that misses the
+deadline gets the client a 502 flagged `wire.fetch_error`, a client
+that misses it has its connection closed.
 
 Framing is done once for both protocols, and every peer is treated as
 hostile.  One writer builds every ICAP and HTTP head, one lenient reader
@@ -67,7 +69,7 @@ READ_PIECE = 64 * 1024        # largest single read of body data off a socket
 REQMOD_TABLE_SIZE = 1024      # REQMOD bodies a gateway keeps for their RESPMOD
 ICAP_IDLE_TIMEOUT = 30.0      # seconds a gateway connection may wait for its next message
 ICAP_IDLE_CONNECTIONS = 8     # idle connections an IdleConnections stack keeps for reuse
-RESPONSE_DEADLINE_TIMEOUTS = 6  # an HTTP response must arrive whole within this many read timeouts
+RESPONSE_DEADLINE_TIMEOUTS = 6  # an HTTP message must arrive whole within this many read timeouts
 ICAP_METHODS = ("OPTIONS", "REQMOD", "RESPMOD")
 SEEDER_TAGS = ("benign", "malware", "phishing")
 
@@ -805,7 +807,7 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
     def handle(self):
         try:
             self.connection.settimeout(self.server.conn_timeout)
-            while self.server.serve_one(self.rfile, self.wfile):
+            while self.server.serve_one(self.connection, self.rfile, self.wfile):
                 pass
         except OSError:
             pass  # idle timeout, peer reset, or stop() shut the reading down
@@ -814,12 +816,13 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
 class _ThreadedServer(socketserver.ThreadingTCPServer):
     """One thread per persistent connection, every read bounded by `timeout`.
 
-    `serve_one(rfile, wfile)` answers one message and returns whether the
-    connection stays open.  The server tracks its open connections and
-    their handler threads so that stop() can end them: it shuts down
-    their reading side, so a handler waiting for the next message sees
-    end of file at once, while one that already holds its message still
-    writes the answer; then it joins them for at most `timeout` in all.
+    `serve_one(sock, rfile, wfile)` answers one message on the connection
+    `sock` and returns whether the connection stays open.  The server
+    tracks its open connections and their handler threads so that stop()
+    can end them: it shuts down their reading side, so a handler waiting
+    for the next message sees end of file at once, while one that already
+    holds its message still writes the answer; then it joins them for at
+    most `timeout` in all.
     (Handler threads are daemons, which server_close() does not join.)
     """
 
@@ -924,7 +927,9 @@ class IcapGateway:
                     self.refused.append(emitted)
                     raise
             self.emit = _emit
-        self._server = _ThreadedServer((host, port), self._serve_one, ICAP_IDLE_TIMEOUT)
+        self._server = _ThreadedServer((host, port),
+                                       lambda sock, rfile, wfile: self._serve_one(rfile, wfile),
+                                       ICAP_IDLE_TIMEOUT)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -1080,18 +1085,27 @@ class _TimedReader:
         self._deadline = time.monotonic() + self._allowed
 
     def _once(self, method, n: int) -> bytes:
-        """method(n) on the buffered reader, which reads the socket at most once."""
+        """method(n) on the buffered reader, which reads the socket at most once.
+
+        A read that may not wait a whole timeout runs with the socket's
+        timeout lowered to what is left, and puts it back after, since the
+        connection may serve further messages.
+        """
         left = self._deadline - time.monotonic()
+        lowered = 0 < left < self._timeout
         try:
             if left <= 0:
                 raise TimeoutError
-            if left < self._timeout:
+            if lowered:
                 self._sock.settimeout(left)
             return method(n)
         except TimeoutError:
             if time.monotonic() < self._deadline:
                 raise  # one read waited its whole timeout
             raise TimeoutError(f"response not complete within {self._allowed:g} s") from None
+        finally:
+            if lowered:
+                self._sock.settimeout(self._timeout)
 
     def readline(self, limit: int) -> bytes:
         """One line of at most `limit` bytes, b"" at EOF."""
@@ -1219,8 +1233,10 @@ class ProxyServer:
     emit_fallback is configured, still records the exchange flagged as
     uninspected.  `timeout` bounds every socket wait: the client's
     request (and the wait for its next one on a persistent connection),
-    the origin fetch and each ICAP exchange; the origin's whole response
-    must arrive within RESPONSE_DEADLINE_TIMEOUTS times `timeout`.
+    the origin fetch and each ICAP exchange.  The head and body of each
+    client request, counted from the start of the wait for it, and the
+    origin's whole response must each arrive within
+    RESPONSE_DEADLINE_TIMEOUTS times `timeout`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -1237,10 +1253,12 @@ class ProxyServer:
         self.emit_fallback = emit_fallback
         self.via_token = via_token
         self._icap_idle = IdleConnections()
-        # _handle is looked up per request, so it can be replaced on the instance
-        self._server = _ThreadedServer((host, port),
-                                       lambda rfile, wfile: self._handle(rfile, wfile),
-                                       timeout)
+        # _handle is looked up per request, so it can be replaced on the instance;
+        # each request's head and body must arrive by a deadline of their own
+        self._server = _ThreadedServer(
+            (host, port),
+            lambda sock, rfile, wfile: self._handle(_TimedReader(sock, rfile), wfile),
+            timeout)
 
     @property
     def address(self) -> tuple[str, int]:

@@ -1,4 +1,4 @@
-"""Agent planning, seed rotation, supervision, and proxied visits."""
+"""Agent planning, seed rotation, and proxied visits."""
 
 import gzip
 import socket
@@ -14,27 +14,21 @@ from websift import agents as agents_module
 from websift import pipeline as pipeline_module
 from websift.agents import (
     FALLBACK_CREDENTIALS,
-    HEARTBEAT_THRESHOLD,
     Agent,
     AgentConfig,
     AgentConfigError,
     SeedEntry,
     Seeder,
-    heartbeat_from_store,
     load_credentials,
     plan_interaction,
     proxy_request,
-    supervise,
 )
 from websift.features import parse_html
-from websift.flowstore import FlowRecord, FlowStore
+from websift.flowstore import FlowStore
 from websift.pipeline import LabelSources, Pipeline, run_crawl
 from websift.synthweb import SynthWebServer, generate_site, render_page
 from websift.wire import (
     RESPONSE_DEADLINE_TIMEOUTS,
-    HttpExchange,
-    HttpRequest,
-    HttpResponse,
     IcapGateway,
     IdleConnections,
     ProxyServer,
@@ -282,41 +276,6 @@ def test_plan_resolves_no_reference_past_the_one_after_its_budget(monkeypatch):
         got = plan(html, budget=budget)
         assert len(got.actions) == budget and got.stop_reason == "budget"
         assert resolved == [f"/p{i}" for i in range(budget + 1)]
-
-
-# --- supervision ---
-
-def test_supervise_restarts_only_strictly_stale_agents():
-    now = 10_000.0
-    heartbeats = {
-        "agent-c": now - 601.0,
-        "agent-a": now - 700.0,
-        "agent-b": now - 600.0,
-        "agent-d": now - 599.0,
-    }
-    assert supervise(heartbeats, now) == ["agent-a", "agent-c"]
-    assert supervise(heartbeats, now, threshold=550.0) == \
-        ["agent-a", "agent-b", "agent-c", "agent-d"]
-    assert HEARTBEAT_THRESHOLD == 600.0
-
-
-def _exchange(agent_id, started_at):
-    return HttpExchange(
-        request=HttpRequest("GET", "http://site.test/", [("Host", "site.test")]),
-        response=HttpResponse(200, "OK", []),
-        started_at=started_at,
-        agent_id=agent_id,
-    )
-
-
-def test_heartbeat_from_store_uses_newest_record(tmp_path):
-    with FlowStore(tmp_path / "store") as store:
-        store.put_record(FlowRecord(exchange=_exchange("agent-1", 1_500_000_000_000)))
-        store.put_record(FlowRecord(exchange=_exchange("agent-1", 1_500_000_042_000)))
-        store.put_record(FlowRecord(exchange=_exchange("agent-2", 1_600_000_000_000)))
-        assert heartbeat_from_store(store, "agent-1", 7.0) == 1_500_000_042.0
-        assert heartbeat_from_store(store, "agent-2", 7.0) == 1_600_000_000.0
-        assert heartbeat_from_store(store, "agent-9", 7.0) == 7.0
 
 
 # --- live visits through the proxy ---

@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from websift.features import extract_features
 from websift.features.htmlparse import _attr, parse_html
 
 
@@ -63,6 +64,17 @@ def test_inline_script_source_captured():
     doc = parse_html("<script>var a = 1;</script>")
     assert doc.script_tag_count == 1
     assert doc.script_sources == ["var a = 1;"]
+
+
+def test_unclosed_script_keeps_its_source():
+    # html.parser holds script text back until it sees the end tag
+    doc = parse_html("<html><script>eval(unescape(x))")
+    assert doc.script_tag_count == 1
+    assert doc.script_sources == ["eval(unescape(x))"]
+    # html and script elements plus the script's text run, as when closed
+    assert doc.node_count == parse_html("<html><script>eval(unescape(x))</script>").node_count
+    features = extract_features(b"<html><script>eval(unescape(x))", "text/html").as_dict()
+    assert features["ishtmlwithjs"] == 1 and features["Numeval"] == 1
 
 
 def test_script_with_src_contributes_no_source():

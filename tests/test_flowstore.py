@@ -1,4 +1,4 @@
-"""Record/blob store: dedup, durability, locking, query, export."""
+"""Record/blob store: dedup, durability, locking, the status index, export."""
 
 import hashlib
 import json
@@ -19,7 +19,6 @@ from websift.flowstore import (
     DanglingBlobError,
     FlowRecord,
     FlowStore,
-    QueryError,
     RecordNotFoundError,
     StoreError,
     StoreLockError,
@@ -27,7 +26,16 @@ from websift.flowstore import (
     parse_timestamp_ms,
 )
 from websift import flowstore
-from websift.labels import ENGINE_NAMES, LabelSet, ScanTicket, ThreatType
+from websift.labels import (
+    ENGINE_NAMES,
+    LabelSet,
+    ScanTicket,
+    SimulatedEngineSet,
+    ThreatType,
+    TicketStatus,
+    fetch_worker_step,
+    submit_worker_step,
+)
 from websift.wire import HttpExchange, HttpRequest, HttpResponse
 
 # a store written when every log line held a full record document
@@ -293,6 +301,22 @@ def test_handed_out_extra_does_not_share_nested_values_with_the_store(tmp_path):
         store.update_record(1, extra=extra)
     with FlowStore(root) as store:
         assert store.get_record(1).extra == {"t.a": [1, 2], "t.b": {"k": [2, 3]}}
+
+
+def test_stored_extra_does_not_share_nested_values_with_the_caller(tmp_path):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        record = FlowRecord(extra={"t.a": [1], "t.b": {"k": [2]}})
+        store.put_record(record)
+        record.extra["t.a"].append(9)
+        record.extra["t.b"]["k"].append(9)
+        assert store.get_record(1).extra == {"t.a": [1], "t.b": {"k": [2]}}
+        lst = [3]
+        store.update_record(1, extra={"t.a": lst})
+        lst.append(9)
+        assert store.get_record(1).extra == {"t.a": [3]}
+    with FlowStore(root) as store:
+        assert store.get_record(1).extra == {"t.a": [3]}
 
 
 def test_reopen_preserves_records_and_id_sequence(tmp_path):
@@ -573,94 +597,31 @@ def test_readonly_open_of_missing_store_fails(tmp_path):
         FlowStore(tmp_path / "absent", writable=False, create=False)
 
 
-# --- query ---
+# --- the status index ---
 
-def seeded_store(tmp_path):
-    store = FlowStore(tmp_path / "q")
-    store.put_record(FlowRecord(
-        exchange=make_exchange("http://alpha.test/a", 200),
-        extra={"wire.status": 200, "wire.note": "clean run"}))
-    store.put_record(FlowRecord(
-        exchange=make_exchange("http://beta.test/b", 404),
-        extra={"wire.status": 404}))
-    store.put_record(FlowRecord(extra={"agent.depth": 3}))
-    return store
+def _ticketed(status=TicketStatus.UNSCANNED):
+    return FlowRecord(labels=LabelSet(signature_hits=["sig.a"],
+                                      scan_ticket=ScanTicket(status=status)))
 
 
-def test_query_eq_on_dotted_extra_key(tmp_path):
-    with seeded_store(tmp_path) as store:
-        got = store.query([("extra.wire.status", "eq", 404)])
-        assert [r.record_id for r in got] == [2]
-
-
-def test_query_eq_on_nested_document_field(tmp_path):
-    with seeded_store(tmp_path) as store:
-        got = store.query([("exchange.response.status", "eq", 200)])
-        assert [r.record_id for r in got] == [1]
-
-
-def test_full_dotted_key_takes_precedence_over_nesting(tmp_path):
+def test_query_returns_ticket_status_matches_lowest_ids_first(tmp_path):
     with FlowStore(tmp_path / "s") as store:
-        # extra legally holds a literal dotted key; the full key must win
-        # over any structural descent with the same spelling
-        store.put_record(FlowRecord(extra={"a.b": 1}))
-        assert len(store.query([("extra.a.b", "eq", 1)])) == 1
-        assert len(store.query([("extra.a.b", "eq", 2)])) == 0
-
-
-def test_query_exists(tmp_path):
-    with seeded_store(tmp_path) as store:
-        got = store.query([("extra.wire.note", "exists", True)])
-        assert [r.record_id for r in got] == [1]
-        absent = store.query([("extra.wire.note", "exists", False)])
-        assert [r.record_id for r in absent] == [2, 3]
-        no_exchange = store.query([("exchange", "exists", False)])
-        assert [r.record_id for r in no_exchange] == [3]
-
-
-def test_query_range(tmp_path):
-    with seeded_store(tmp_path) as store:
-        got = store.query([("extra.wire.status", "range", (300, 500))])
-        assert [r.record_id for r in got] == [2]
-        open_low = store.query([("extra.wire.status", "range", (None, 250))])
-        assert [r.record_id for r in open_low] == [1]
-        open_high = store.query([("extra.wire.status", "range", (100, None))])
-        assert [r.record_id for r in open_high] == [1, 2]
-
-
-def test_query_range_excludes_bools(tmp_path):
-    with FlowStore(tmp_path / "s") as store:
-        store.put_record(FlowRecord(extra={"t.flag": True}))
-        assert store.query([("extra.t.flag", "range", (0, 2))]) == []
-
-
-def test_query_prefix(tmp_path):
-    with seeded_store(tmp_path) as store:
-        got = store.query([("exchange.request.url", "prefix", "http://alpha")])
-        assert [r.record_id for r in got] == [1]
-
-
-def test_query_conjunction(tmp_path):
-    with seeded_store(tmp_path) as store:
-        got = store.query([
-            ("exchange", "exists", True),
-            ("extra.wire.status", "range", (200, 404)),
-            ("exchange.request.url", "prefix", "http://"),
-        ])
-        assert [r.record_id for r in got] == [1, 2]
-
-
-@pytest.mark.parametrize("clauses", [
-    [("extra.x", "between", 1)],            # unknown op
-    [("1bad.path", "eq", 1)],               # malformed path
-    [("extra x", "eq", 1)],                 # space in path
-    [("extra.x", "range", 5)],              # range needs a pair
-    [("extra.x", "eq")],                    # not a 3-tuple
-])
-def test_query_rejects_malformed_clauses(tmp_path, clauses):
-    with FlowStore(tmp_path / "s") as store:
-        with pytest.raises(QueryError):
-            store.query(clauses)
+        for record in (_ticketed(), FlowRecord(), _ticketed(TicketStatus.ERROR),
+                       _ticketed(), _ticketed(), _ticketed()):
+            store.put_record(record)
+        # a record updated last still comes back in id order
+        store.update_record(1, extra={"t.a": 1})
+        assert [r.record_id for r in store.query("unscanned")] == [1, 4, 5, 6]
+        assert [r.record_id for r in store.query("unscanned", 2)] == [1, 4]
+        assert [r.record_id for r in store.query("error")] == [3]
+        assert store.query("scan_finished") == []
+        # moving a ticket, or dropping it, moves the record in the index
+        labels = store.get_record(3).labels
+        labels.scan_ticket.requeue()
+        store.update_record(3, labels=labels)
+        store.update_record(4, labels=LabelSet(signature_hits=["sig.a"]))
+        assert [r.record_id for r in store.query("unscanned")] == [1, 3, 5, 6]
+        assert store.query("error") == []
 
 
 # --- export / import ---
@@ -689,14 +650,6 @@ def test_export_import_round_trip(tmp_path):
         assert [r.to_doc() for r in dst.records()] == originals
         # ids are preserved, and the sequence continues past them
         assert dst.put_record(FlowRecord()) == 3
-
-
-def test_export_respects_clauses(tmp_path):
-    out = tmp_path / "dump.jsonl"
-    with seeded_store(tmp_path) as store:
-        assert store.export_jsonl(out, [("extra.wire.status", "eq", 404)]) == 1
-    doc = json.loads(out.read_text().splitlines()[0])
-    assert doc["record_id"] == 2
 
 
 def test_import_rejects_bad_lines(tmp_path):
@@ -735,10 +688,12 @@ def test_loaded_feature_vectors_equal_freshly_validated_ones(tmp_path):
     vectors = [extract_features(body, ctype) for _, body, ctype, _ in GOLDEN]
     with FlowStore(tmp_path / "s") as store:
         for vector in vectors:
-            store.put_record(FlowRecord(features=vector))
+            record = _ticketed()
+            record.features = vector
+            store.put_record(record)
     with FlowStore(tmp_path / "s", writable=False) as store:
         loaded = [r.features for r in store.records()]
-        queried = [r.features for r in store.query([])]
+        queried = [r.features for r in store.query("unscanned")]
         single = [store.get_record(i + 1).features for i in range(len(vectors))]
     for got in (loaded, queried, single):
         assert got == vectors
@@ -824,3 +779,79 @@ def test_replay_matches_in_memory_state_property(tmp_path_factory, ops):
     with FlowStore(root, writable=False) as reopened:
         assert {r.record_id: _json(r.to_doc()) for r in reopened.records()} == memory
         assert reopened._next_id == next_id
+
+
+# --- the status index matches a scan of every record ---
+
+_STATUSES = [s.value for s in TicketStatus]
+
+_index_ops = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.booleans(), st.sampled_from([None, b"ok", b"too big"])),
+    st.tuples(st.just("submit")),
+    st.tuples(st.just("fetch")),
+    st.tuples(st.just("requeue"), st.integers(0, 20)),
+    st.tuples(st.just("drop"), st.integers(0, 20)),
+    st.tuples(st.just("import"), st.lists(
+        st.tuples(st.integers(1, 12), st.sampled_from([None] + _STATUSES)), max_size=4)),
+    st.tuples(st.just("torn")),
+), max_size=30)
+
+
+def _check_index(store: FlowStore) -> None:
+    for status in _STATUSES:
+        scanned = [r.record_id for r in store.records()
+                   if r.labels.scan_ticket and r.labels.scan_ticket.status.value == status]
+        assert [r.record_id for r in store.query(status)] == scanned
+
+
+def _import_file(path: Path, entries) -> Path:
+    lines = []
+    for rid, status in entries:
+        record = FlowRecord() if status is None else _ticketed(TicketStatus(status))
+        record.record_id = rid
+        lines.append(json.dumps(record.to_doc()))
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+@settings(deadline=None, max_examples=60)
+@given(_index_ops)
+def test_query_matches_a_scan_of_every_record_property(tmp_path_factory, ops):
+    root = tmp_path_factory.mktemp("index")
+    engines = SimulatedEngineSet(size_cap=2)
+    store = FlowStore(root)
+    try:
+        for n, (op, *args) in enumerate(ops):
+            ids = sorted(store._docs)  # imports leave gaps
+            if op == "put":
+                ticket, body = args
+                sha1 = store.put_blob(body) if body is not None else None
+                record = _ticketed() if ticket else FlowRecord()
+                record.body_sha1 = sha1
+                store.put_record(record)
+            elif op == "submit":
+                submit_worker_step(store, engines)
+            elif op == "fetch":
+                fetch_worker_step(store, engines)
+            elif op in ("requeue", "drop") and ids:
+                rid = ids[args[0] % len(ids)]
+                labels = store.get_record(rid).labels
+                ticket = labels.scan_ticket
+                if op == "drop":
+                    labels.scan_ticket = None
+                elif ticket and ticket.status in (TicketStatus.SCAN_FINISHED,
+                                                  TicketStatus.ERROR):
+                    ticket.requeue()
+                store.update_record(rid, labels=labels)
+            elif op == "import":
+                store.import_jsonl(_import_file(root.parent / f"import-{n}.jsonl", args[0]))
+            elif op == "torn":
+                store.close()
+                with open(root / "records.log", "a", encoding="utf-8") as fh:
+                    fh.write('{"record_id": 1, "labels": {"scan_ticket": ')
+                store = FlowStore(root)
+            _check_index(store)
+    finally:
+        store.close()
+    with FlowStore(root, writable=False) as reopened:
+        _check_index(reopened)

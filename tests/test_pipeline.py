@@ -254,6 +254,28 @@ def test_run_label_cycles_idle_store_is_one_cycle(store):
         {"submitted": 0, "fetched": 0, "cycles": 1}
 
 
+def test_settle_builds_a_few_records_per_ticket_whatever_the_store_size(store, monkeypatch):
+    tickets = 0
+    for i in range(10_000):
+        labels = LabelSet()
+        if i % 50 == 0:
+            labels = LabelSet(signature_hits=["Pipe.Sig"], scan_ticket=ScanTicket())
+            tickets += 1
+        store.put_record(FlowRecord(labels=labels))
+    built = []
+    from_doc = FlowRecord.from_doc.__func__
+
+    def counting(cls, doc, trusted=False):
+        built.append(doc["record_id"])
+        return from_doc(cls, doc, trusted)
+
+    monkeypatch.setattr(FlowRecord, "from_doc", classmethod(counting))
+    stats = run_label_cycles(store, SimulatedEngineSet())
+    assert stats == {"submitted": tickets, "fetched": tickets, "cycles": tickets // 4 + 1}
+    # one query hit and one get_record in each of the two steps
+    assert len(built) <= 4 * tickets + 4
+
+
 # --- seed partitioning ---
 
 def test_partition_seeds_round_robin():

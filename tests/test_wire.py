@@ -1484,6 +1484,50 @@ def test_proxy_gives_up_on_an_origin_that_trickles_past_the_deadline(part):
     assert "not complete within" in emitted[0].markers["wire.fetch_error"]
 
 
+def test_proxy_closes_a_client_that_trickles_its_request_past_the_deadline(monkeypatch):
+    # one byte per 0.1 s never trips the 0.3 s per-read bound
+    done = threading.Event()
+
+    def trickle(sock):
+        try:
+            sock.sendall(b"GET http://a.test/")
+            while not done.wait(0.1):
+                sock.sendall(b"x")
+        except OSError:
+            pass  # the proxy closed the connection
+
+    px = ProxyServer(host="127.0.0.1", port=0, timeout=0.3)
+    handlers = record_handlers(monkeypatch, px)
+    px.start()
+    try:
+        with socket.create_connection(px.address, timeout=10) as sock:
+            sender = threading.Thread(target=trickle, args=(sock,))
+            sender.start()
+            try:
+                time.sleep(2.5)  # the deadline is 6 x 0.3 s from the first read
+                assert len(handlers) == 1
+                assert not px._server._open and not handlers[0].is_alive()
+            finally:
+                done.set()
+                sender.join(timeout=10)
+            assert not sender.is_alive()
+    finally:
+        px.stop()
+
+
+def test_timed_reader_puts_back_the_timeout_it_lowered():
+    left, right = socket.socketpair()
+    with left, right:
+        left.settimeout(0.3)
+        reader = wire._TimedReader(left, left.makefile("rb"))
+        right.sendall(b"ab")
+        time.sleep(1.6)  # 0.2 s of the 1.8 s deadline is left
+        assert reader.read(2) == b"ab" and left.gettimeout() == 0.3
+        with pytest.raises(TimeoutError):
+            reader.read(1)
+        assert left.gettimeout() == 0.3
+
+
 def test_timed_reader_reads_what_a_plain_reader_reads():
     raw = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nX-A: 1\r\n\r\n"
            + b"".join(b"%x\r\n%s\r\n" % (n, b"y" * n) for n in (1, 70000, 3)) + b"0\r\n\r\n")
