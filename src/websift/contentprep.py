@@ -11,10 +11,11 @@ lose the record.
 
 from __future__ import annotations
 
+import io
 import zlib
 from dataclasses import dataclass, field
 
-from .wire import ChunkedBodyError, _dechunk_at
+from .wire import ChunkedBodyError, _read_chunked
 
 # Absolute output cap and bomb ratio; a stream is cut off at
 # min(OUTPUT_CAP, BOMB_RATIO * len(compressed input)).
@@ -118,7 +119,8 @@ def decode_body(raw: bytes, headers, cap: int = OUTPUT_CAP,
     applied: list[str] = []
     if transfer and transfer[-1] == "chunked":
         try:
-            data = _dechunk_at(data, 0)[0]
+            # de-chunked data is shorter than its framing, so this cap never binds
+            data = _read_chunked(io.BytesIO(data), len(data), 0)[0]
         except ChunkedBodyError as exc:
             raise BodyDecodeError("chunked", str(exc)) from None
         applied.append("chunked")

@@ -35,21 +35,28 @@ deadline gets the client a 502 flagged `wire.fetch_error`, a client
 that misses it has its connection closed.
 
 Framing is done once for both protocols, and every peer is treated as
-hostile.  One writer builds every ICAP and HTTP head, one lenient reader
-parses every HTTP head (ICAP heads keep their own strict parser), one
-buffered de-chunker (`_dechunk_at`) and one streaming de-chunker
-(`_read_chunked`) undo chunked bodies, and both take chunk sizes from the
-strict `_chunk_size` (RFC 9112 `1*HEXDIG`).  Lengths are ASCII digits
-only.  Off a socket no line may exceed MAX_LINE bytes, no head
-MAX_HEAD_SIZE, and body data is read at most READ_PIECE bytes at a time,
-never in whatever size the peer declares.  An ICAP body above
-MAX_BODY_SIZE is refused; an origin body above the proxy's `max_body` is
-cut there and flagged `wire.truncated`.  A gateway keeps at most
-REQMOD_TABLE_SIZE REQMOD bodies waiting for their RESPMOD.
+hostile.  One writer builds every ICAP and HTTP head and one lenient
+reader parses every HTTP head.  An ICAP message is read in one pass,
+straight into an IcapMessage or IcapResponse: its head is parsed once
+(only CRLF ends a line), the sections its Encapsulated header declares
+are read as they arrive and its body is de-chunked as it is read.  One
+de-chunker (`_read_chunked`) undoes every chunked body, ICAP, HTTP or
+stored, and takes chunk sizes from the strict `_chunk_size` (RFC 9112
+`1*HEXDIG`).  Lengths are ASCII digits only.  Off a socket no line may
+exceed MAX_LINE bytes, no head MAX_HEAD_SIZE, and body data is read at
+most READ_PIECE bytes at a time, never in whatever size the peer
+declares.  The HTTP deadline holds for ICAP messages in both directions:
+a peer that trickles a message to the gateway has its connection closed,
+and a gateway that trickles its answer to the proxy counts as
+unreachable.  An ICAP body above MAX_BODY_SIZE is refused; an origin
+body above the proxy's `max_body` is cut there and flagged
+`wire.truncated`.  A gateway keeps at most REQMOD_TABLE_SIZE REQMOD
+bodies waiting for their RESPMOD.
 """
 
 from __future__ import annotations
 
+import io
 import socket
 import socketserver
 import threading
@@ -69,7 +76,7 @@ READ_PIECE = 64 * 1024        # largest single read of body data off a socket
 REQMOD_TABLE_SIZE = 1024      # REQMOD bodies a gateway keeps for their RESPMOD
 ICAP_IDLE_TIMEOUT = 30.0      # seconds a gateway connection may wait for its next message
 ICAP_IDLE_CONNECTIONS = 8     # idle connections an IdleConnections stack keeps for reuse
-RESPONSE_DEADLINE_TIMEOUTS = 6  # an HTTP message must arrive whole within this many read timeouts
+RESPONSE_DEADLINE_TIMEOUTS = 6  # a message must arrive whole within this many read timeouts
 ICAP_METHODS = ("OPTIONS", "REQMOD", "RESPMOD")
 SEEDER_TAGS = ("benign", "malware", "phishing")
 
@@ -356,62 +363,6 @@ def _chunk_size(line: bytes) -> int:
     return int(token, 16)
 
 
-def _dechunk_at(raw: bytes, start: int, base: int = 0) -> tuple[bytes, int]:
-    """Decode a chunked body starting at `start`; returns (data, end).
-
-    `base` rebases error positions so they refer to the full message.
-    """
-    out = bytearray()
-    i = start
-    n = len(raw)
-    while True:
-        j = raw.find(CRLF, i)
-        if j < 0:
-            raise ChunkedBodyError("truncated chunked body: missing size line", base + i)
-        try:
-            size = _chunk_size(raw[i:j])
-        except ValueError as exc:
-            raise ChunkedBodyError(str(exc), base + i) from None
-        i = j + 2
-        if size == 0:
-            while True:
-                k = raw.find(CRLF, i)
-                if k < 0:
-                    raise ChunkedBodyError("truncated chunked body: missing final CRLF",
-                                           base + i)
-                line = raw[i:k]
-                i = k + 2
-                if not line:
-                    return bytes(out), i
-        if i + size + 2 > n:
-            raise ChunkedBodyError("truncated chunked body: incomplete chunk data", base + i)
-        out += raw[i:i + size]
-        i += size
-        if raw[i:i + 2] != CRLF:
-            raise ChunkedBodyError("missing chunk data terminator", base + i)
-        i += 2
-
-
-def _parse_head(raw: bytes) -> tuple[list[bytes], int]:
-    """Split the ICAP head into lines; returns (lines, payload offset)."""
-    end = raw.find(b"\r\n\r\n")
-    if end < 0:
-        raise TruncatedMessageError("incomplete ICAP head", len(raw))
-    return raw[:end].split(CRLF), end + 4
-
-
-def _parse_header_lines(lines: list[bytes], base_pos: int) -> list[tuple[str, str]]:
-    headers = []
-    pos = base_pos
-    for line in lines:
-        if b":" not in line:
-            raise HeaderSyntaxError(f"malformed header line {line!r}", pos)
-        name, _, value = line.partition(b":")
-        headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
-        pos += len(line) + 2
-    return headers
-
-
 def _parse_encapsulated(value: str, position: int) -> list[tuple[str, int]]:
     entries: list[tuple[str, int]] = []
     for chunk in value.split(","):
@@ -433,88 +384,90 @@ def _parse_encapsulated(value: str, position: int) -> list[tuple[str, int]]:
     body_tokens = [t for t, _ in entries if t in _BODY_TOKENS]
     if len(body_tokens) != 1 or entries[-1][0] not in _BODY_TOKENS:
         raise EncapsulatedOffsetsError("exactly one body token must come last", position)
+    if offsets[-1] > MAX_BODY_SIZE:
+        raise EncapsulatedOffsetsError(f"body offset {offsets[-1]} exceeds cap", position)
     return entries
 
 
-def _split_sections(payload: bytes, entries: list[tuple[str, int]],
-                    payload_base: int) -> dict[str, bytes]:
+def _read_icap(source, start_line):
+    """Read one ICAP message in one pass: (start-line fields, headers, entries, sections).
+
+    `source` is a binary reader at the start of a message, or a whole
+    message as bytes, which must then hold nothing after it.  The head is
+    read under the MAX_LINE and MAX_HEAD_SIZE caps, and only CRLF ends its
+    lines; `start_line` parses the first.  The sections Encapsulated
+    declares are read as they come, a *-body section de-chunked, up to
+    MAX_BODY_SIZE.  Error positions are byte offsets into the message.
+    """
+    whole = isinstance(source, bytes)
+    rfile = io.BytesIO(source) if whole else source
+    head = _read_head(rfile)
+    if head is None:
+        raise TruncatedMessageError("no ICAP message", 0)
+    if not head.endswith(CRLF + CRLF):
+        raise HeaderSyntaxError("ICAP head line not ended by CRLF", len(head))
+    lines = head[:-4].split(CRLF)
+    fields = start_line(lines[0])
+    headers: list[tuple[str, str]] = []
+    entries: list[tuple[str, int]] = []
+    pos = len(lines[0]) + 2
+    for line in lines[1:]:
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise HeaderSyntaxError(f"malformed header line {line!r}", pos)
+        headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
+        if not entries and name.lower() == b"encapsulated":
+            if b"\n" in value:  # a reader that ends lines at LF would frame it otherwise
+                raise EncapsulatedOffsetsError("bare LF in Encapsulated header", pos)
+            entries = _parse_encapsulated(headers[-1][1], pos)
+        pos += len(line) + 2
+    pos = len(head)
+    # fields[0] is a request's method; a response's is its status
+    if not entries and fields[0] in ("REQMOD", "RESPMOD"):
+        raise MissingEncapsulatedError(f"{fields[0]} requires an Encapsulated header", pos)
     sections: dict[str, bytes] = {}
-    for idx, (token, off) in enumerate(entries):
-        if token in _BODY_TOKENS:
-            if token == "null-body":
-                if len(payload) != off:
-                    raise EncapsulatedOffsetsError(
-                        "payload length disagrees with null-body offset",
-                        payload_base + len(payload))
-            else:
-                if off > len(payload):
-                    raise TruncatedMessageError("payload shorter than body offset",
-                                                payload_base + len(payload))
-                data, end = _dechunk_at(payload, off, payload_base)
-                if end != len(payload):
-                    raise ChunkedBodyError("trailing bytes after final chunk",
-                                           payload_base + end)
-                sections[token] = data
-            return sections
-        next_off = entries[idx + 1][1]
-        if next_off > len(payload):
-            raise TruncatedMessageError("payload shorter than declared sections",
-                                        payload_base + len(payload))
-        sections[token] = payload[off:next_off]
-    return sections
+    for (token, off), (_, next_off) in zip(entries, entries[1:]):
+        sections[token] = _read_exact(rfile, next_off - off, pos)
+        pos += next_off - off
+    body = entries[-1][0] if entries else None
+    if body not in (None, "null-body"):
+        sections[body], capped = _read_chunked(rfile, MAX_BODY_SIZE, pos)
+        if capped:
+            raise ChunkedBodyError("chunked body exceeds cap", pos)
+    if whole and (end := rfile.tell()) < len(source):
+        if body is None:
+            raise MissingEncapsulatedError("a payload requires an Encapsulated header", end)
+        if body == "null-body":
+            raise EncapsulatedOffsetsError("payload longer than the null-body offset",
+                                           len(source))
+        raise ChunkedBodyError("trailing bytes after final chunk", end)
+    return fields, headers, entries, sections
 
 
-def parse_icap(raw: bytes) -> IcapMessage:
-    """Parse a complete ICAP request message."""
-    head_lines, payload_off = _parse_head(raw)
-    request_line = head_lines[0]
-    parts = request_line.split(b" ")
+def _request_line(line: bytes) -> tuple[str, str, str]:
+    parts = line.split(b" ")
     if len(parts) != 3 or not parts[2].startswith(b"ICAP/") or not parts[0]:
-        raise RequestLineError(f"malformed request line {request_line!r}", 0)
-    method = parts[0].decode("latin-1")
-    uri = parts[1].decode("latin-1")
-    version = parts[2].decode("latin-1")
-    headers = _parse_header_lines(head_lines[1:], len(request_line) + 2)
-    payload = raw[payload_off:]
+        raise RequestLineError(f"malformed request line {line!r}", 0)
+    return tuple(p.decode("latin-1") for p in parts)
 
-    enc_value = None
-    enc_pos = len(request_line) + 2
-    for line in head_lines[1:]:
-        if line.lower().startswith(b"encapsulated:"):
-            enc_value = line.partition(b":")[2].decode("latin-1").strip()
-            break
-        enc_pos += len(line) + 2
 
-    if enc_value is None:
-        if method in ("REQMOD", "RESPMOD") or payload:
-            raise MissingEncapsulatedError(
-                f"{method} requires an Encapsulated header", payload_off)
-        return IcapMessage(method, uri, version, headers, [], {})
+def _status_line(line: bytes) -> tuple[int, str]:
+    parts = line.split(b" ", 2)
+    if len(parts) < 2 or not parts[0].startswith(b"ICAP/") or not parts[1].isdigit():
+        raise RequestLineError(f"malformed status line {line!r}", 0)
+    return int(parts[1]), parts[2].decode("latin-1") if len(parts) > 2 else ""
 
-    entries = _parse_encapsulated(enc_value, enc_pos)
-    sections = _split_sections(payload, entries, payload_off)
+
+def parse_icap(source) -> IcapMessage:
+    """Parse one ICAP request: a whole message as bytes, or the next one off a reader."""
+    (method, uri, version), headers, entries, sections = _read_icap(source, _request_line)
     return IcapMessage(method, uri, version, headers, entries, sections)
 
 
-def parse_icap_response(raw: bytes) -> IcapResponse:
-    """Parse a complete ICAP response message."""
-    head_lines, payload_off = _parse_head(raw)
-    status_line = head_lines[0]
-    parts = status_line.split(b" ", 2)
-    if len(parts) < 2 or not parts[0].startswith(b"ICAP/") or not parts[1].isdigit():
-        raise RequestLineError(f"malformed status line {status_line!r}", 0)
-    status = int(parts[1])
-    reason = parts[2].decode("latin-1") if len(parts) > 2 else ""
-    headers = _parse_header_lines(head_lines[1:], len(status_line) + 2)
-    payload = raw[payload_off:]
-
-    enc_value = _header(headers, "Encapsulated")
-    sections: list[tuple[str, bytes]] = []
-    if enc_value is not None:
-        entries = _parse_encapsulated(enc_value, payload_off)
-        split = _split_sections(payload, entries, payload_off)
-        sections = [(t, data) for t, data in split.items()]
-    return IcapResponse(status, reason, headers, sections)
+def parse_icap_response(source) -> IcapResponse:
+    """Parse one ICAP response: a whole message as bytes, or the next one off a reader."""
+    (status, reason), headers, _, sections = _read_icap(source, _status_line)
+    return IcapResponse(status, reason, headers, list(sections.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -740,62 +693,42 @@ def _read_exact(rfile, n: int, base: int) -> bytes:
     return data
 
 
-def _read_chunked(rfile, cap: int) -> tuple[bytes, bool]:
-    """De-chunk a body while reading it off a socket file: (data, capped).
+def _read_chunked(rfile, cap: int, pos: int) -> tuple[bytes, bool]:
+    """De-chunk a body as it is read: (data, capped).
 
     Reading stops once `cap` bytes of data are in hand and the body goes on:
     the rest is left unread and `capped` is True.  What that means is the
-    caller's business.  Lines must end in CRLF, as for `_dechunk_at`.
-    Error positions count de-chunked bytes.
+    caller's business.  Lines must end in CRLF.  The body starts at byte
+    `pos` of its message, and error positions count from there.
     """
     out = bytearray()
     while True:
-        line = _read_line(rfile, ChunkedBodyError, len(out))
+        line = _read_line(rfile, ChunkedBodyError, pos)
         if not line.endswith(CRLF):
-            raise ChunkedBodyError("chunk size line cut short", len(out))
+            raise ChunkedBodyError("chunk size line cut short", pos)
         try:
             size = _chunk_size(line[:-2])
         except ValueError as exc:
-            raise ChunkedBodyError(str(exc), len(out)) from None
+            raise ChunkedBodyError(str(exc), pos) from None
+        pos += len(line)
         if size == 0:
             while line != CRLF:  # trailers, up to the blank line
-                line = _read_line(rfile, ChunkedBodyError, len(out))
+                line = _read_line(rfile, ChunkedBodyError, pos)
                 if not line.endswith(CRLF):
-                    raise ChunkedBodyError("trailer line cut short", len(out))
+                    raise ChunkedBodyError("trailer line cut short", pos)
+                pos += len(line)
             return bytes(out), False
         take = min(size, cap - len(out))
         data = _read_upto(rfile, take)
         out += data
+        pos += len(data)
         if len(data) < take:
-            raise ChunkedBodyError("connection closed inside chunk data", len(out))
+            raise ChunkedBodyError("chunk data cut short", pos)
         if take < size:
             return bytes(out), True
         if rfile.read(2) != CRLF:
-            raise ChunkedBodyError("missing chunk data terminator", len(out))
-
-
-def _read_icap_wire_message(rfile) -> bytes | None:
-    """Read one ICAP message off a socket file; None on clean EOF.
-
-    A chunked body is de-chunked as it arrives and passed on as one chunk.
-    """
-    head = _read_head(rfile)
-    if head is None:
-        return None
-    enc_value = _header(_split_head(head)[1], "Encapsulated")
-    if enc_value is None:
-        return head
-    entries = _parse_encapsulated(enc_value, 0)
-    body_token, body_off = entries[-1]
-    if body_off > MAX_BODY_SIZE:
-        raise EncapsulatedOffsetsError(f"body offset {body_off} exceeds cap", len(head))
-    payload = _read_exact(rfile, body_off, len(head))
-    if body_token == "null-body":
-        return head + payload
-    body, capped = _read_chunked(rfile, MAX_BODY_SIZE)
-    if capped:
-        raise ChunkedBodyError("chunked body exceeds cap", len(head) + body_off + len(body))
-    return head + payload + _chunk_encode(body)
+            raise ChunkedBodyError("missing chunk data terminator", pos)
+        pos += 2
 
 
 # ---------------------------------------------------------------------------
@@ -927,9 +860,11 @@ class IcapGateway:
                     self.refused.append(emitted)
                     raise
             self.emit = _emit
-        self._server = _ThreadedServer((host, port),
-                                       lambda sock, rfile, wfile: self._serve_one(rfile, wfile),
-                                       ICAP_IDLE_TIMEOUT)
+        # each message, counted from the wait for it, must arrive by a deadline of its own
+        self._server = _ThreadedServer(
+            (host, port),
+            lambda sock, rfile, wfile: self._serve_one(_TimedReader(sock, rfile), wfile),
+            ICAP_IDLE_TIMEOUT)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -937,11 +872,10 @@ class IcapGateway:
 
     def _serve_one(self, rfile, wfile) -> bool:
         """Answer one message; False when the connection should close."""
+        if not rfile.peek(1):
+            return False  # the peer closed the connection
         try:
-            raw = _read_icap_wire_message(rfile)
-            if raw is None:
-                return False
-            response = serve_icap(parse_icap(raw), self.mode, self.verdict_fn, self.emit,
+            response = serve_icap(parse_icap(rfile), self.mode, self.verdict_fn, self.emit,
                                   self.istag, self.reqmod_bodies, self.warning_page)
         except IcapParseError:
             # the framing of whatever follows can no longer be trusted
@@ -1046,7 +980,7 @@ def _transact(addr: tuple[str, int], raw: bytes, timeout: float,
 
 
 def _read_icap_response(conn: _Connection) -> tuple[IcapResponse, bool]:
-    response = parse_icap_response(_read_icap_wire_message(conn.rfile))
+    response = parse_icap_response(_TimedReader(conn.sock, conn.rfile))
     return response, not _says_close(response.headers)
 
 
@@ -1107,11 +1041,15 @@ class _TimedReader:
             if lowered:
                 self._sock.settimeout(self._timeout)
 
+    def peek(self, n: int) -> bytes:
+        """The buffered bytes, read off the socket first if there are none; b"" at EOF."""
+        return self._once(self._rfile.peek, n)
+
     def readline(self, limit: int) -> bytes:
         """One line of at most `limit` bytes, b"" at EOF."""
         line = b""
         while len(line) < limit:
-            buffered = self._once(self._rfile.peek, 1)
+            buffered = self.peek(1)
             if not buffered:
                 break
             want = limit - len(line)
@@ -1154,7 +1092,7 @@ def _read_response(rfile, cap: int, head_only: bool = False,
     te = [t.strip().lower() for k, v in response.headers
           if k.lower() == "transfer-encoding" for t in v.split(",")]
     if "chunked" in te:
-        entity, truncated = _read_chunked(rfile, cap)
+        entity, truncated = _read_chunked(rfile, cap, len(head))
         response.headers = [(k, v) for k, v in response.headers
                             if k.lower() not in ("transfer-encoding", "content-length")]
         response.headers.append(("Content-Length", str(len(entity))))
@@ -1234,9 +1172,9 @@ class ProxyServer:
     uninspected.  `timeout` bounds every socket wait: the client's
     request (and the wait for its next one on a persistent connection),
     the origin fetch and each ICAP exchange.  The head and body of each
-    client request, counted from the start of the wait for it, and the
-    origin's whole response must each arrive within
-    RESPONSE_DEADLINE_TIMEOUTS times `timeout`.
+    client request, counted from the start of the wait for it, the
+    origin's whole response and each ICAP response from the gateway must
+    each arrive within RESPONSE_DEADLINE_TIMEOUTS times `timeout`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,

@@ -9,9 +9,10 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from websift import wire
+from websift.contentprep import decode_body
 from websift.wire import (
     ChunkedBodyError,
     EncapsulatedOffsetsError,
@@ -213,14 +214,13 @@ def test_options_with_stray_payload_requires_encapsulated():
     b"",                              # empty value
 ])
 def test_bad_encapsulated_positions_at_header_line(enc):
-    raw = head_block([
-        b"RESPMOD icap://g/respmod ICAP/1.0",
-        b"Host: g",
-        b"Encapsulated: " + enc,
-    ]) + b"x" * 64
-    with pytest.raises(EncapsulatedOffsetsError) as exc:
-        parse_icap(raw)
-    assert exc.value.position == raw.find(b"Encapsulated:")
+    # requests and responses go through the one reader
+    for start_line, parse in [(b"RESPMOD icap://g/respmod ICAP/1.0", parse_icap),
+                              (b"ICAP/1.0 200 OK", parse_icap_response)]:
+        raw = head_block([start_line, b"Host: g", b"Encapsulated: " + enc]) + b"x" * 64
+        with pytest.raises(EncapsulatedOffsetsError) as exc:
+            parse(raw)
+        assert exc.value.position == raw.find(b"Encapsulated:")
 
 
 def test_null_body_offset_must_match_payload_length():
@@ -292,14 +292,15 @@ CHUNKED_RESPONSE_HEAD = head_block([b"HTTP/1.1 200 OK", b"Transfer-Encoding: chu
 
 
 def _dechunk_three_ways(framed: bytes):
-    """`framed` de-chunked buffered, streamed in ICAP use and streamed in
-    origin use: the data or, for any framing error, ValueError."""
+    """`framed` de-chunked by each caller of the one de-chunker: a stored
+    body's decoding, an ICAP message read off a stream and an origin
+    response.  The data or, for any framing error, ValueError.  Each leaves
+    what follows the final chunk unread."""
     assert len(REQ_HDR) == 31
     results = []
     readers = [
-        lambda: wire._dechunk_at(framed, 0)[0],
-        lambda: parse_icap(wire._read_icap_wire_message(
-            io.BytesIO(REQMOD_HEAD + REQ_HDR + framed))).sections["req-body"],
+        lambda: decode_body(framed, [("Transfer-Encoding", "chunked")]).data,
+        lambda: parse_icap(io.BytesIO(REQMOD_HEAD + REQ_HDR + framed)).sections["req-body"],
         lambda: wire._read_response(io.BytesIO(CHUNKED_RESPONSE_HEAD + framed), 1 << 20)[1],
     ]
     for read in readers:
@@ -727,7 +728,7 @@ def test_wire_reader_refuses_body_offset_above_cap_before_reading():
     raw = head_block([b"RESPMOD icap://g/respmod ICAP/1.0",
                       b"Encapsulated: req-hdr=0, null-body=%d" % (wire.MAX_BODY_SIZE + 1)])
     with pytest.raises(EncapsulatedOffsetsError):
-        wire._read_icap_wire_message(Source(raw))
+        parse_icap(Source(raw))
 
 
 def test_wire_reader_refuses_chunks_above_cap_before_reading():
@@ -736,17 +737,12 @@ def test_wire_reader_refuses_chunks_above_cap_before_reading():
                       b"Encapsulated: req-hdr=0, req-body=%d" % len(req_hdr)])
     raw += req_hdr + b"%x\r\n" % (wire.MAX_BODY_SIZE + 1)
     with pytest.raises(ChunkedBodyError):
-        wire._read_icap_wire_message(io.BytesIO(raw))
+        parse_icap(io.BytesIO(raw))
 
 
 # --- persistent ICAP connections ---
 
 OPTIONS_RAW = b"OPTIONS icap://g/respmod ICAP/1.0\r\nHost: g\r\n\r\n"
-
-
-def read_icap_response(rfile):
-    data = wire._read_icap_wire_message(rfile)
-    return None if data is None else parse_icap_response(data)
 
 
 def test_gateway_serves_several_exchanges_on_one_connection():
@@ -759,9 +755,9 @@ def test_gateway_serves_several_exchanges_on_one_connection():
                 exchange = make_exchange(url=f"http://site.test/{n}")
                 sock.sendall(build_reqmod(exchange.request, b"form=%d" % n,
                                           exchange_id=f"k{n}"))
-                statuses.append(read_icap_response(rfile).status)
+                statuses.append(parse_icap_response(rfile).status)
                 sock.sendall(encapsulate(exchange, exchange_id=f"k{n}"))
-                statuses.append(read_icap_response(rfile).status)
+                statuses.append(parse_icap_response(rfile).status)
     assert statuses == [204, 204, 204, 204]
     assert [e.exchange.request.url for e in emitted] == [
         "http://site.test/1", "http://site.test/2"]
@@ -773,7 +769,7 @@ def test_gateway_closes_connection_after_parse_error():
         with socket.create_connection(gw.address, timeout=10) as sock:
             sock.sendall(b"NOT AN ICAP LINE\r\n\r\n")
             rfile = sock.makefile("rb")
-            resp = read_icap_response(rfile)
+            resp = parse_icap_response(rfile)
             assert rfile.read() == b""
     assert resp.status == 400
     assert resp.header("Connection") == "close"
@@ -791,7 +787,7 @@ def test_gateway_stop_closes_idle_client_connections():
     with socket.create_connection(gw.address, timeout=10) as sock:
         sock.sendall(OPTIONS_RAW)
         rfile = sock.makefile("rb")
-        assert read_icap_response(rfile).status == 200
+        assert parse_icap_response(rfile).status == 200
         started = time.monotonic()
         gw.stop()  # the idle timeout is far longer than this wait
         assert time.monotonic() - started < 2
@@ -840,8 +836,9 @@ class _ClosingPeerHandler(socketserver.StreamRequestHandler):
     def handle(self):
         self.server.connections += 1
         for _ in range(self.server.answers):
-            if wire._read_icap_wire_message(self.rfile) is None:
+            if not self.rfile.peek(1):
                 return
+            parse_icap(self.rfile)
             self.wfile.write(IcapResponse(204, "No modifications").to_bytes())
 
 
@@ -1267,7 +1264,7 @@ class _ReqmodOnlyHandler(socketserver.StreamRequestHandler):
     """ICAP peer that answers REQMOD and hangs up on any other message."""
 
     def handle(self):
-        while (raw := wire._read_icap_wire_message(self.rfile)) and raw.startswith(b"REQMOD"):
+        while self.rfile.peek(1) and parse_icap(self.rfile).method == "REQMOD":
             self.wfile.write(IcapResponse(204, "No modifications").to_bytes())
 
 
@@ -1435,8 +1432,9 @@ def test_proxy_answers_a_body_over_max_body_with_413_at_once(origin, monkeypatch
 
 
 @contextlib.contextmanager
-def trickling_peer(head: bytes, every: float = 0.1):
-    """A one-connection server that sends `head` whole, then one "x" per `every` s."""
+def trickling_peer(head: bytes, every: float = 0.1, seconds: float = 30.0):
+    """A one-connection server that sends `head` whole, then one "x" per `every` s
+    for at most `seconds`, then hangs up."""
     done = threading.Event()
     with socket.create_server(("127.0.0.1", 0)) as server:
         def trickle():
@@ -1445,7 +1443,8 @@ def trickling_peer(head: bytes, every: float = 0.1):
                 with conn:
                     conn.recv(4096)
                     conn.sendall(head)
-                    while not done.wait(every):
+                    stop = time.monotonic() + seconds
+                    while not done.wait(every) and time.monotonic() < stop:
                         conn.sendall(b"x")
             except OSError:
                 pass  # nobody connected within the timeout, or the reader gave up
@@ -1482,6 +1481,42 @@ def test_proxy_gives_up_on_an_origin_that_trickles_past_the_deadline(part):
     assert status == 502
     assert b"not complete within 1.8 s" in body
     assert "not complete within" in emitted[0].markers["wire.fetch_error"]
+
+
+def test_icap_client_gives_up_on_a_gateway_that_trickles_past_the_deadline():
+    # one byte per 0.1 s never trips the 0.3 s per-read bound; without a
+    # deadline the client waits until the peer hangs up after 4 s
+    with trickling_peer(b"ICAP/1.0 204 No modifications\r\nX-Slow: ", seconds=4.0) as addr:
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match="not complete within 1.8 s"):
+            icap_transact(addr, OPTIONS_RAW, timeout=0.3)
+        took = time.monotonic() - started
+    assert took < wire.RESPONSE_DEADLINE_TIMEOUTS * 0.3 + 1.0
+
+
+def test_gateway_closes_a_peer_that_trickles_its_message_past_the_deadline(monkeypatch):
+    # one byte per 0.1 s never trips the 0.3 s per-read bound
+    monkeypatch.setattr(wire, "ICAP_IDLE_TIMEOUT", 0.3)
+    done = threading.Event()
+
+    def trickle(sock):
+        try:
+            sock.sendall(b"OPTIONS icap://g/x ICAP/1.0\r\nX-Slow: ")
+            while not done.wait(0.1):
+                sock.sendall(b"x")
+        except OSError:
+            pass  # the gateway closed the connection
+
+    with running_gateway() as gw, socket.create_connection(gw.address, timeout=10) as sock:
+        sender = threading.Thread(target=trickle, args=(sock,))
+        sender.start()
+        try:
+            time.sleep(2.5)  # the deadline is 6 x 0.3 s from the wait for the message
+            assert not gw._server._open
+        finally:
+            done.set()
+            sender.join(timeout=10)
+        assert not sender.is_alive()
 
 
 def test_proxy_closes_a_client_that_trickles_its_request_past_the_deadline(monkeypatch):
@@ -1559,16 +1594,18 @@ class _BoundedSource(io.BytesIO):
         assert 0 <= limit <= wire.MAX_LINE + 1, f"asked for a {limit}-byte line"
         return super().readline(limit)
 
+    def peek(self, n=1):
+        return self.getvalue()[self.tell():]
+
 
 MIB_LINE = b"a" * (1 << 20)
 
 
 def test_icap_reader_refuses_a_line_without_crlf():
     with pytest.raises(HeaderSyntaxError):
-        wire._read_icap_wire_message(_BoundedSource(MIB_LINE))
+        parse_icap(_BoundedSource(MIB_LINE))
     with pytest.raises(HeaderSyntaxError):
-        wire._read_icap_wire_message(_BoundedSource(b"OPTIONS icap://g/x ICAP/1.0\r\n"
-                                                    + MIB_LINE))
+        parse_icap(_BoundedSource(b"OPTIONS icap://g/x ICAP/1.0\r\n" + MIB_LINE))
 
 
 def test_gateway_answers_an_overlong_line_with_400():
@@ -1665,6 +1702,49 @@ def test_dechunkers_agree_on_whole_and_cut_bodies(pieces, ext, trailers, cut):
     assert results == [results[0]] * 3
     if cut is None:
         assert results[0] == b"".join(pieces)
+
+
+FUZZ_SEEDS = [
+    b"",
+    OPTIONS_RAW,
+    encapsulate(make_exchange(), exchange_id="f1"),
+    build_reqmod(HttpRequest("POST", "http://a.test/f", []), b"form=1", exchange_id="f2"),
+    b"GET http://a.test/ HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc",
+]
+
+
+def test_live_servers_answer_or_close_whatever_bytes_they_get(monkeypatch):
+    monkeypatch.setattr(wire, "ICAP_IDLE_TIMEOUT", 0.5)
+
+    def no_origin(*args):  # a request that parses is never fetched
+        raise wire.ProxyError("no origin here")
+
+    monkeypatch.setattr(wire, "_fetch_upstream", no_origin)
+    # the proxy inspects through a gateway of its own: its pooled connections
+    # stay open there
+    with running_gateway() as gw, running_gateway() as inspector, \
+            running_proxy(gateway_addr=inspector.address, timeout=0.5) as px:
+        servers = {"gateway": gw, "proxy": px}
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.sampled_from(list(servers)), st.sampled_from(FUZZ_SEEDS),
+               st.integers(min_value=0, max_value=400), st.binary(max_size=40))
+        def check(name, seed, cut, noise):
+            server = servers[name]
+            with socket.create_connection(server.address, timeout=5) as sock:
+                try:
+                    sock.sendall(seed[:cut] + noise)
+                    sock.shutdown(socket.SHUT_WR)
+                    while sock.recv(65536):  # an answer, if any, then the close
+                        pass
+                except ConnectionResetError:
+                    pass  # closed with some of our bytes unread
+            deadline = time.monotonic() + 2
+            while server._server._open and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._server._open
+
+        check()
 
 
 def test_reqmod_table_drops_the_oldest_unmatched_body(monkeypatch):
