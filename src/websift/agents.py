@@ -231,7 +231,8 @@ def proxy_request(proxy_addr: tuple[str, int], method: str, url: str,
     goes back to `idle` when the proxy keeps it open.  A GET or HEAD on a
     reused connection the proxy had closed is resent once on a fresh one.
     Each read waits at most `timeout`, and the whole response must arrive
-    within wire.RESPONSE_DEADLINE_TIMEOUTS of them, else TimeoutError.
+    within wire.RESPONSE_DEADLINE_TIMEOUTS of them, counted from the send,
+    else TimeoutError.
     """
     headers = list(headers)
     if body:
@@ -242,8 +243,7 @@ def proxy_request(proxy_addr: tuple[str, int], method: str, url: str,
 
     def read(conn):
         try:
-            response, data, truncated = _read_response(conn.rfile, MAX_BODY_SIZE,
-                                                       head_only, conn.sock)
+            response, data, truncated = _read_response(conn.rfile, MAX_BODY_SIZE, head_only)
         except ValueError as exc:
             raise ConnectionError(f"bad proxy response: {exc}") from None
         # a body framed by the end of the connection leaves nothing to reuse

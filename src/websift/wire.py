@@ -26,13 +26,20 @@ one proxy connection.  A message on a reused connection that gets not
 one response byte back (the peer timed it out meanwhile) was never
 served, so it is resent once on a fresh connection; HTTP resends only
 GET and HEAD (RFC 9112 §9.3.1).  The proxy's origin fetches stay one
-connection each, with `Connection: close`.  Each read off a socket waits
-at most the reader's timeout, and an HTTP response, whether the proxy
-reads it from an origin or an agent from the proxy, must arrive whole
-within RESPONSE_DEADLINE_TIMEOUTS of them, as must the head and body of
-each request a client sends the proxy; an origin that misses the
-deadline gets the client a 502 flagged `wire.fetch_error`, a client
-that misses it has its connection closed.
+connection each, with `Connection: close`.
+
+Every socket read goes through one reader: an io.BufferedReader over
+`_DeadlineReader`, so lines, lengths and peeks are cut from the buffer
+and only a refill reads the socket.  Each refill waits at most the
+socket's timeout, and each message must arrive whole within
+RESPONSE_DEADLINE_TIMEOUTS of them.  A server's deadline counts from the
+wait for the message (each request a client sends the proxy, each ICAP
+message sent to the gateway); a client's from the send (an origin's
+response to the proxy, the gateway's answer to the proxy, the proxy's
+answer to an agent).  An origin that misses the deadline gets the client
+a 502 flagged `wire.fetch_error`, a client that misses it has its
+connection closed.  An HTTP response to HEAD, and any 204 or 304, ends
+at its head (RFC 9112 §6.3), whatever its framing headers say.
 
 Framing is done once for both protocols, and every peer is treated as
 hostile.  One writer builds every ICAP and HTTP head and one lenient
@@ -45,11 +52,10 @@ stored, and takes chunk sizes from the strict `_chunk_size` (RFC 9112
 `1*HEXDIG`).  Lengths are ASCII digits only.  Off a socket no line may
 exceed MAX_LINE bytes, no head MAX_HEAD_SIZE, and body data is read at
 most READ_PIECE bytes at a time, never in whatever size the peer
-declares.  The HTTP deadline holds for ICAP messages in both directions:
-a peer that trickles a message to the gateway has its connection closed,
-and a gateway that trickles its answer to the proxy counts as
-unreachable.  An ICAP body above MAX_BODY_SIZE is refused; an origin
-body above the proxy's `max_body` is cut there and flagged
+declares.  A peer that trickles a message to the gateway has its
+connection closed, and a gateway that trickles its answer to the proxy
+counts as unreachable.  An ICAP body above MAX_BODY_SIZE is refused; an
+origin body above the proxy's `max_body` is cut there and flagged
 `wire.truncated`.  A gateway keeps at most REQMOD_TABLE_SIZE REQMOD
 bodies waiting for their RESPMOD.
 """
@@ -647,6 +653,52 @@ def serve_icap(msg: IcapMessage, mode: str = "collect", verdict_fn=None,
 # ---------------------------------------------------------------------------
 # socket framing helpers
 
+class _DeadlineReader(io.RawIOBase):
+    """A socket's raw reader, for io.BufferedReader, with one deadline per message.
+
+    expect() starts a message: it must arrive whole within
+    RESPONSE_DEADLINE_TIMEOUTS times the socket's timeout from then.  The
+    reader is built armed.  Each readinto is one recv_into that waits at
+    most what is left of the deadline, so a peer that trickles bytes cannot
+    stretch a message past it; past it, a read raises TimeoutError.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self.expect()
+
+    def readable(self) -> bool:
+        return True
+
+    def expect(self) -> None:
+        self._timeout = self._sock.gettimeout()
+        self._allowed = RESPONSE_DEADLINE_TIMEOUTS * self._timeout
+        self._deadline = time.monotonic() + self._allowed
+
+    def readinto(self, buf) -> int:
+        """One recv_into `buf`: the bytes read, 0 at EOF.
+
+        A wait that may not last a whole timeout runs with the socket's
+        timeout lowered to what is left, and puts it back after, since the
+        connection may carry further messages.
+        """
+        left = self._deadline - time.monotonic()
+        lowered = 0 < left < self._timeout
+        try:
+            if left <= 0:
+                raise TimeoutError
+            if lowered:
+                self._sock.settimeout(left)
+            return self._sock.recv_into(buf)
+        except TimeoutError:
+            if time.monotonic() < self._deadline:
+                raise  # one read waited its whole timeout
+            raise TimeoutError(f"message not complete within {self._allowed:g} s") from None
+        finally:
+            if lowered:
+                self._sock.settimeout(self._timeout)
+
+
 def _read_line(rfile, error, pos: int) -> bytes:
     """One line of at most MAX_LINE bytes, b"" at EOF; raises `error` if longer."""
     line = rfile.readline(MAX_LINE + 1)
@@ -734,23 +786,30 @@ def _read_chunked(rfile, cap: int, pos: int) -> tuple[bytes, bool]:
 # ---------------------------------------------------------------------------
 # gateway server
 
-class _ConnectionHandler(socketserver.StreamRequestHandler):
-    """Serves messages on one connection until the server's serve_one says stop."""
+class _ConnectionHandler(socketserver.BaseRequestHandler):
+    """Serves messages on one connection until the server's serve_one says stop.
+
+    Each message's deadline counts from the wait for it.
+    """
 
     def handle(self):
+        self.request.settimeout(self.server.conn_timeout)
+        rfile = io.BufferedReader(_DeadlineReader(self.request))
+        wfile = socketserver._SocketWriter(self.request)  # what StreamRequestHandler writes to
         try:
-            self.connection.settimeout(self.server.conn_timeout)
-            while self.server.serve_one(self.connection, self.rfile, self.wfile):
-                pass
+            while True:
+                rfile.raw.expect()
+                if not self.server.serve_one(rfile, wfile):
+                    return
         except OSError:
-            pass  # idle timeout, peer reset, or stop() shut the reading down
+            pass  # idle timeout, deadline, peer reset, or stop() shut the reading down
 
 
 class _ThreadedServer(socketserver.ThreadingTCPServer):
     """One thread per persistent connection, every read bounded by `timeout`.
 
-    `serve_one(sock, rfile, wfile)` answers one message on the connection
-    `sock` and returns whether the connection stays open.  The server
+    `serve_one(rfile, wfile)` answers one message on a connection and
+    returns whether the connection stays open.  The server
     tracks its open connections and their handler threads so that stop()
     can end them: it shuts down their reading side, so a handler waiting
     for the next message sees end of file at once, while one that already
@@ -795,7 +854,9 @@ class _ThreadedServer(socketserver.ThreadingTCPServer):
         busy then (say, on an origin that trickles its answer a byte at a
         time) is left behind as a daemon thread rather than hang stop().
         """
-        self.shutdown()
+        if self._thread is not None:  # shutdown() waits for serve_forever to return
+            self.shutdown()
+            self._thread.join(timeout=5)
         with self._open_lock:
             self._stopping = True
             still_open = list(self._open.items())
@@ -808,8 +869,6 @@ class _ThreadedServer(socketserver.ThreadingTCPServer):
         for _, handler in still_open:
             handler.join(max(0.0, deadline - time.monotonic()))
         self.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
 
 
 class _ReqmodBodies(dict):
@@ -860,11 +919,7 @@ class IcapGateway:
                     self.refused.append(emitted)
                     raise
             self.emit = _emit
-        # each message, counted from the wait for it, must arrive by a deadline of its own
-        self._server = _ThreadedServer(
-            (host, port),
-            lambda sock, rfile, wfile: self._serve_one(_TimedReader(sock, rfile), wfile),
-            ICAP_IDLE_TIMEOUT)
+        self._server = _ThreadedServer((host, port), self._serve_one, ICAP_IDLE_TIMEOUT)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -922,17 +977,21 @@ class IdleConnections:
 
 
 class _Connection:
-    """A client socket and the buffered reader over it."""
+    """A client socket and the deadline-bound buffered reader over it."""
 
     def __init__(self, addr: tuple[str, int], timeout: float):
         self.sock = socket.create_connection(addr, timeout=timeout)
-        self.rfile = self.sock.makefile("rb")
+        self.rfile = io.BufferedReader(_DeadlineReader(self.sock))
 
     def send(self, raw: bytes, timeout: float) -> bool:
-        """Send `raw`; True once the first response byte has arrived."""
+        """Send `raw`; True once the first response byte has arrived.
+
+        The response's deadline counts from the send.
+        """
         try:
             self.sock.settimeout(timeout)
             self.sock.sendall(raw)
+            self.rfile.raw.expect()
             return bool(self.rfile.peek(1))
         except ConnectionError:  # reset or broken pipe: nothing came back
             return False
@@ -980,7 +1039,7 @@ def _transact(addr: tuple[str, int], raw: bytes, timeout: float,
 
 
 def _read_icap_response(conn: _Connection) -> tuple[IcapResponse, bool]:
-    response = parse_icap_response(_TimedReader(conn.sock, conn.rfile))
+    response = parse_icap_response(conn.rfile)
     return response, not _says_close(response.headers)
 
 
@@ -1001,105 +1060,32 @@ class ProxyError(Exception):
     pass
 
 
-class _TimedReader:
-    """A socket's buffered reader whose reads must all end by one deadline.
-
-    The deadline is RESPONSE_DEADLINE_TIMEOUTS times the socket's timeout
-    from now.  Each read on the socket waits at most what is left of it,
-    and a readline or read goes to the socket once per piece the peer
-    sends, so a peer that trickles bytes cannot stretch a call past the
-    deadline.  Past it, a read raises TimeoutError.
-    """
-
-    def __init__(self, sock: socket.socket, rfile):
-        self._sock = sock
-        self._rfile = rfile
-        self._timeout = sock.gettimeout()
-        self._allowed = RESPONSE_DEADLINE_TIMEOUTS * self._timeout
-        self._deadline = time.monotonic() + self._allowed
-
-    def _once(self, method, n: int) -> bytes:
-        """method(n) on the buffered reader, which reads the socket at most once.
-
-        A read that may not wait a whole timeout runs with the socket's
-        timeout lowered to what is left, and puts it back after, since the
-        connection may serve further messages.
-        """
-        left = self._deadline - time.monotonic()
-        lowered = 0 < left < self._timeout
-        try:
-            if left <= 0:
-                raise TimeoutError
-            if lowered:
-                self._sock.settimeout(left)
-            return method(n)
-        except TimeoutError:
-            if time.monotonic() < self._deadline:
-                raise  # one read waited its whole timeout
-            raise TimeoutError(f"response not complete within {self._allowed:g} s") from None
-        finally:
-            if lowered:
-                self._sock.settimeout(self._timeout)
-
-    def peek(self, n: int) -> bytes:
-        """The buffered bytes, read off the socket first if there are none; b"" at EOF."""
-        return self._once(self._rfile.peek, n)
-
-    def readline(self, limit: int) -> bytes:
-        """One line of at most `limit` bytes, b"" at EOF."""
-        line = b""
-        while len(line) < limit:
-            buffered = self.peek(1)
-            if not buffered:
-                break
-            want = limit - len(line)
-            end = buffered.find(b"\n", 0, want)
-            line += self._rfile.read(min(len(buffered), want) if end < 0 else end + 1)
-            if end >= 0:
-                break
-        return line
-
-    def read(self, n: int) -> bytes:
-        """`n` bytes, fewer only at EOF."""
-        data = self._once(self._rfile.read1, n)
-        while data and len(data) < n:
-            piece = self._once(self._rfile.read1, n - len(data))
-            if not piece:
-                break
-            data += piece
-        return data
-
-
-def _read_response(rfile, cap: int, head_only: bool = False,
-                   sock: socket.socket | None = None) -> tuple[HttpResponse, bytes, bool]:
+def _read_response(rfile, cap: int, head_only: bool = False) -> tuple[HttpResponse, bytes, bool]:
     """Read an HTTP response off a socket file: (response, entity, truncated).
 
-    The entity is framed by chunked coding, else Content-Length, else the
-    end of the connection, and at most `cap` bytes of it are read; what
-    lies beyond is left unread, so the connection cannot be reused.  A
-    chunked entity comes back with its framing headers replaced by its
-    Content-Length.  Raises ValueError (IcapParseError is one) on bad
-    framing.  Given `sock`, the socket `rfile` reads, the whole response
-    must arrive within RESPONSE_DEADLINE_TIMEOUTS of its timeouts, or
-    TimeoutError is raised (see _TimedReader).
+    A response to HEAD (`head_only`), a 204 and a 304 end at the head (RFC
+    9112 §6.3).  Any other entity is framed by chunked coding, else
+    Content-Length, else the end of the connection, and at most `cap`
+    bytes of it are read; what lies beyond is left unread, so the
+    connection cannot be reused.  A chunked entity comes back with its
+    framing headers replaced by its Content-Length.  Raises ValueError
+    (IcapParseError is one) on bad framing.
     """
-    if sock is not None:
-        rfile = _TimedReader(sock, rfile)
     head = _read_head(rfile)
     if head is None:
         raise TruncatedMessageError("connection closed before the status line", 0)
     response = _parse_http_response_head(head)
     te = [t.strip().lower() for k, v in response.headers
           if k.lower() == "transfer-encoding" for t in v.split(",")]
-    if "chunked" in te:
+    if head_only or response.status in (204, 304):
+        entity, truncated = b"", False
+    elif "chunked" in te:
         entity, truncated = _read_chunked(rfile, cap, len(head))
         response.headers = [(k, v) for k, v in response.headers
                             if k.lower() not in ("transfer-encoding", "content-length")]
         response.headers.append(("Content-Length", str(len(entity))))
     elif (length := _content_length(response.headers)) is not None:
         entity, truncated = _read_upto(rfile, min(length, cap)), length > cap
-    elif head_only or response.status in (204, 304):
-        entity, truncated = b"", False
     else:
         entity = _read_upto(rfile, cap + 1)
         entity, truncated = entity[:cap], len(entity) > cap
@@ -1136,8 +1122,9 @@ def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
         peer_ip = sock.getpeername()[0]
         sock.sendall(_write_head(f"{request.method} {path} HTTP/1.1", out_headers) + body)
         try:
+            # the response's deadline counts from the send
             response, entity, truncated = _read_response(
-                sock.makefile("rb"), cap, request.method == "HEAD", sock)
+                io.BufferedReader(_DeadlineReader(sock)), cap, request.method == "HEAD")
         except ValueError as exc:
             raise ProxyError(f"bad origin response: {exc}") from None
         return response, entity, truncated, peer_ip
@@ -1171,10 +1158,10 @@ class ProxyServer:
     emit_fallback is configured, still records the exchange flagged as
     uninspected.  `timeout` bounds every socket wait: the client's
     request (and the wait for its next one on a persistent connection),
-    the origin fetch and each ICAP exchange.  The head and body of each
-    client request, counted from the start of the wait for it, the
-    origin's whole response and each ICAP response from the gateway must
-    each arrive within RESPONSE_DEADLINE_TIMEOUTS times `timeout`.
+    the origin fetch and each ICAP exchange.  Each of these messages must
+    arrive whole within RESPONSE_DEADLINE_TIMEOUTS times `timeout`: a
+    client request counted from the wait for it, the origin's response
+    and each ICAP response from the gateway counted from the send.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -1191,12 +1178,9 @@ class ProxyServer:
         self.emit_fallback = emit_fallback
         self.via_token = via_token
         self._icap_idle = IdleConnections()
-        # _handle is looked up per request, so it can be replaced on the instance;
-        # each request's head and body must arrive by a deadline of their own
+        # _handle is looked up per request, so it can be replaced on the instance
         self._server = _ThreadedServer(
-            (host, port),
-            lambda sock, rfile, wfile: self._handle(_TimedReader(sock, rfile), wfile),
-            timeout)
+            (host, port), lambda rfile, wfile: self._handle(rfile, wfile), timeout)
 
     @property
     def address(self) -> tuple[str, int]:

@@ -1190,6 +1190,21 @@ def test_proxy_exchanges_share_one_gateway_connection(origin, monkeypatch):
     assert _CountingConnection.opened == 1
 
 
+def test_proxy_reads_a_pooled_gateway_connection_under_a_fresh_deadline(origin, monkeypatch):
+    monkeypatch.setattr(wire, "ICAP_IDLE_TIMEOUT", 3.0)  # the gateway keeps the idle connection
+    monkeypatch.setattr(wire, "_Connection", _CountingConnection)
+    monkeypatch.setattr(_CountingConnection, "opened", 0)
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw:
+        with running_proxy(gateway_addr=gw.address, timeout=0.3) as px:
+            first, _, _ = proxy_fetch(px.address, origin_url(origin))
+            time.sleep(2.0)  # idle past one 6 x 0.3 s deadline
+            second, _, _ = proxy_fetch(px.address, origin_url(origin))
+    assert (first, second) == (200, 200)
+    assert len(emitted) == 2
+    assert _CountingConnection.opened == 1
+
+
 def test_proxy_drops_a_silent_client_after_its_timeout():
     with running_proxy(timeout=0.2) as px:
         with socket.create_connection(px.address, timeout=10) as sock:
@@ -1410,6 +1425,16 @@ def test_proxy_stop_gives_up_on_an_origin_that_trickles_its_body(monkeypatch):
     assert not origin_thread.is_alive() and not handlers[0].is_alive()
 
 
+@pytest.mark.parametrize("server", [ProxyServer, IcapGateway])
+def test_stop_before_start_closes_the_listening_socket(server):
+    unstarted = server(host="127.0.0.1", port=0)
+    stopper = threading.Thread(target=unstarted.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=3)
+    assert not stopper.is_alive()
+    assert unstarted._server.socket.fileno() == -1
+
+
 def test_proxy_answers_a_body_over_max_body_with_413_at_once(origin, monkeypatch):
     transacts = []
     real_transact = wire.icap_transact
@@ -1483,6 +1508,15 @@ def test_proxy_gives_up_on_an_origin_that_trickles_past_the_deadline(part):
     assert "not complete within" in emitted[0].markers["wire.fetch_error"]
 
 
+@pytest.mark.parametrize("method,status", [("HEAD", 200), ("GET", 204), ("GET", 304)])
+def test_proxy_ends_a_bodiless_response_at_its_head(method, status):
+    # the origin declares a length it never sends and keeps the connection open
+    head = b"HTTP/1.1 %d X\r\nContent-Length: 100\r\n\r\n" % status
+    with trickling_peer(head, every=30) as (host, port), running_proxy(timeout=0.5) as px:
+        got, _, body = proxy_fetch(px.address, f"http://{host}:{port}/", method=method)
+    assert (got, body) == (status, b"")
+
+
 def test_icap_client_gives_up_on_a_gateway_that_trickles_past_the_deadline():
     # one byte per 0.1 s never trips the 0.3 s per-read bound; without a
     # deadline the client waits until the peer hangs up after 4 s
@@ -1550,11 +1584,35 @@ def test_proxy_closes_a_client_that_trickles_its_request_past_the_deadline(monke
         px.stop()
 
 
-def test_timed_reader_puts_back_the_timeout_it_lowered():
+def test_gateway_gives_each_message_on_a_connection_a_deadline_of_its_own(monkeypatch):
+    monkeypatch.setattr(wire, "ICAP_IDLE_TIMEOUT", 0.3)
+    with running_gateway() as gw, socket.create_connection(gw.address, timeout=10) as sock, \
+            sock.makefile("rb") as rfile:
+        statuses = []
+        for _ in range(8):
+            time.sleep(0.25)  # 8 messages take 2 s, past one 6 x 0.3 s deadline
+            sock.sendall(OPTIONS_RAW)
+            statuses.append(parse_icap_response(rfile).status)
+    assert statuses == [200] * 8
+
+
+def test_proxy_gives_each_request_on_a_connection_a_deadline_of_its_own(origin):
+    with running_proxy(timeout=0.3) as px, \
+            socket.create_connection(px.address, timeout=10) as sock, \
+            sock.makefile("rb") as rfile:
+        statuses = []
+        for _ in range(8):
+            time.sleep(0.25)  # 8 requests take 2 s, past one 6 x 0.3 s deadline
+            sock.sendall(f"GET {origin_url(origin)} HTTP/1.1\r\n\r\n".encode())
+            statuses.append(read_reply(rfile)[0].status)
+    assert statuses == [200] * 8
+
+
+def test_deadline_reader_puts_back_the_timeout_it_lowered():
     left, right = socket.socketpair()
     with left, right:
         left.settimeout(0.3)
-        reader = wire._TimedReader(left, left.makefile("rb"))
+        reader = io.BufferedReader(wire._DeadlineReader(left))
         right.sendall(b"ab")
         time.sleep(1.6)  # 0.2 s of the 1.8 s deadline is left
         assert reader.read(2) == b"ab" and left.gettimeout() == 0.3
@@ -1563,7 +1621,7 @@ def test_timed_reader_puts_back_the_timeout_it_lowered():
         assert left.gettimeout() == 0.3
 
 
-def test_timed_reader_reads_what_a_plain_reader_reads():
+def test_deadline_reader_reads_what_a_plain_reader_reads():
     raw = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nX-A: 1\r\n\r\n"
            + b"".join(b"%x\r\n%s\r\n" % (n, b"y" * n) for n in (1, 70000, 3)) + b"0\r\n\r\n")
     left, right = socket.socketpair()
@@ -1572,8 +1630,8 @@ def test_timed_reader_reads_what_a_plain_reader_reads():
                                                   for i in range(0, len(raw), 997)])
         sender.start()
         left.settimeout(5)
-        with left.makefile("rb") as rfile:
-            got = wire._read_response(rfile, 1 << 20, sock=left)
+        with io.BufferedReader(wire._DeadlineReader(left)) as rfile:
+            got = wire._read_response(rfile, 1 << 20)
         sender.join(timeout=10)
         assert not sender.is_alive()
     want = wire._read_response(io.BytesIO(raw), 1 << 20)
