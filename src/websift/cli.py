@@ -364,21 +364,22 @@ def _date_of(epoch_ms: int) -> str:
 
 
 def build_report(store: FlowStore, trend_features=DEFAULT_TREND_FEATURES) -> dict:
-    """Aggregates over ground-truth-malicious records, unique by body SHA-1."""
-    unique: dict[str, object] = {}
-    for record in store.records():
-        if record.labels.ground_truth is not True or not record.body_sha1:
-            continue
-        if record.body_sha1 not in unique:
-            unique[record.body_sha1] = record
-    rows = list(unique.values())
+    """Aggregates over ground-truth-malicious records, unique by body SHA-1.
 
+    One pass over the store: a record counts when it is the first, by id,
+    to carry its body SHA-1.
+    """
+    seen: set[str] = set()
     progress: dict[str, int] = {}
     countries: dict[str, int] = {}
     signatures: dict[str, int] = {}
     trends: dict[tuple[str, str], list[float]] = {}
     ctypes: dict[str, int] = {}
-    for record in rows:
+    for record in store.records():
+        if (record.labels.ground_truth is not True or not record.body_sha1
+                or record.body_sha1 in seen):
+            continue
+        seen.add(record.body_sha1)
         if record.exchange is not None:
             day = _date_of(record.exchange.started_at)
             progress[day] = progress.get(day, 0) + 1
@@ -392,9 +393,8 @@ def build_report(store: FlowStore, trend_features=DEFAULT_TREND_FEATURES) -> dic
             signatures[name] = signatures.get(name, 0) + 1
         if record.features is not None and record.exchange is not None:
             month = _month_of(record.exchange.started_at)
-            doc = record.features.as_dict()
             for feat in trend_features:
-                trends.setdefault((month, feat), []).append(float(doc[feat]))
+                trends.setdefault((month, feat), []).append(float(record.features[feat]))
 
     def top10(counter: dict[str, int]) -> list[list]:
         ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -415,7 +415,7 @@ def build_report(store: FlowStore, trend_features=DEFAULT_TREND_FEATURES) -> dic
         "feature_trends": trend_rows,
         "content_type_breakdown": sorted(
             ([k, v] for k, v in ctypes.items()), key=lambda kv: (-kv[1], kv[0])),
-        "unique_malicious": len(rows),
+        "unique_malicious": len(seen),
     }
 
 

@@ -68,7 +68,9 @@ NAMED_CALL_FEATURES = (
     ("NumattachEvent", "attachEvent"),
 )
 
-_IP_RE = re.compile(r"(?<![0-9.])(?:\d{1,3}\.){3}\d{1,3}(?![0-9.])")
+# a dotted quad not touching another digit or dot; led by the bare \d so
+# the scan can skip to a digit before it tests the character behind it
+_IP_RE = re.compile(r"\d(?<![0-9.]\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3}(?![0-9.])")
 
 # a document is treated as HTML when it contains at least one tag with a
 # recognized name; unknown tags alone do not flip the flag
@@ -88,8 +90,11 @@ _JS_HINT_RE = re.compile(
 
 _WORD_PATTERNS: dict[str, re.Pattern[str]] = {}
 
-# every KEYWORD_FAMILY word at once, group i + 1 matching word i
+# every KEYWORD_FAMILY word at once, group i + 1 matching word i; the
+# lookahead for the words' first letters lets the scan skip to a candidate
+# before it tests the lookbehind
 _KEYWORD_RE = re.compile(
+    r"(?=[" + "".join(sorted({word[0] for _, word in KEYWORD_FAMILY})) + r"])"
     r"(?<![0-9A-Za-z_$])(?:"
     + "|".join(f"({re.escape(word)})" for _, word in KEYWORD_FAMILY)
     + r")(?![0-9A-Za-z_$])",
@@ -128,10 +133,18 @@ def ledger_hash() -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-class FeatureVector:
-    """Immutable mapping of the 58 feature names to numeric values."""
+# feature name -> its column in FEATURE_ORDER
+_COLUMN = {name: i for i, name in enumerate(FEATURE_ORDER)}
 
-    __slots__ = ("_values",)
+
+class FeatureVector:
+    """Immutable mapping of the 58 feature names to numeric values.
+
+    The values are one tuple in ledger column order, so a vector costs a
+    row, not a dict, and a store can hand out the row it holds.
+    """
+
+    __slots__ = ("_row",)
 
     def __init__(self, values: Mapping[str, float]):
         got = set(values)
@@ -140,7 +153,7 @@ class FeatureVector:
             missing = sorted(want - got)
             extra = sorted(got - want)
             raise ValueError(f"feature set mismatch: missing={missing} extra={extra}")
-        checked: dict[str, float] = {}
+        row: list[float] = []
         for name in FEATURE_ORDER:
             v = values[name]
             if isinstance(v, bool):
@@ -157,27 +170,27 @@ class FeatureVector:
                 raise ValueError(f"{name}: probability above 1: {v!r}")
             if name not in FLOAT_FEATURES and int(v) != v:
                 raise ValueError(f"{name}: expected integral value, got {v!r}")
-            checked[name] = int(v) if name not in FLOAT_FEATURES else float(v)
-        self._values = checked
+            row.append(int(v) if name not in FLOAT_FEATURES else float(v))
+        self._row = tuple(row)
 
     def __getitem__(self, name: str) -> float:
-        return self._values[name]
+        return self._row[_COLUMN[name]]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FeatureVector) and self._values == other._values
+        return isinstance(other, FeatureVector) and self._row == other._row
 
     def __repr__(self) -> str:
-        return f"FeatureVector({self._values!r})"
+        return f"FeatureVector({self.as_dict()!r})"
 
     def as_row(self) -> list[float]:
         """Values in ledger column order."""
-        return [self._values[name] for name in FEATURE_ORDER]
+        return list(self._row)
 
     def as_dict(self) -> dict[str, float]:
-        return dict(self._values)
+        return dict(zip(FEATURE_ORDER, self._row))
 
     def to_doc(self) -> dict:
-        return {"ledger": LEDGER_VERSION, "values": self.as_row()}
+        return {"ledger": LEDGER_VERSION, "values": self._row}
 
     @classmethod
     def from_doc(cls, doc: Mapping, trusted: bool = False) -> "FeatureVector":
@@ -185,7 +198,8 @@ class FeatureVector:
 
         `trusted` skips the per-value checks, for documents this program
         wrote from a vector that passed them, such as those a FlowStore
-        loads; the ledger and the value count are still checked.
+        loads, and keeps a stored tuple as the vector's row; the ledger
+        and the value count are still checked.
         """
         if doc.get("ledger") != LEDGER_VERSION:
             raise ValueError(f"feature ledger mismatch: {doc.get('ledger')!r}")
@@ -195,7 +209,7 @@ class FeatureVector:
         if not trusted:
             return cls(dict(zip(FEATURE_ORDER, values)))
         vector = cls.__new__(cls)
-        vector._values = dict(zip(FEATURE_ORDER, values))
+        vector._row = tuple(values)
         return vector
 
     @classmethod

@@ -31,14 +31,19 @@ pack is corrupt and the open raises StoreError.  Loose blobs/xx/yy/<sha1>
 files written by older versions stay readable; blobs in a pack cannot be
 read by those versions.
 
-In memory each record is one JSON document, and documents repeat the
-same strings: engine names and verdicts, header names and values.  Every
-line _merge applies, replayed or appended, has each dict key and string
-value swapped for the store's own copy of an equal string, so a store
-holds one copy of each distinct string across all its documents.  The
-copies live in a per-store table, not in sys.intern's, so they are freed
-with the store: strings from the wire are hostile and interned ones are
-immortal on recent CPython.  Nothing written to disk changes.
+In memory each record is one frozen JSON document, and documents repeat
+the same values: engine names and verdicts, header names and values, an
+agent's whole header list.  Every line _merge applies, replayed or
+appended, is frozen first by _share_strings: lists become tuples, and
+each dict key, string value and textual tuple (one holding only strings
+or such tuples) is swapped for the store's own copy of an equal one, so
+a store holds one copy of each across all its documents.  Tuples holding
+numbers are never shared, since 1, 1.0 and True are equal.  The copies
+live in a per-store table, not in sys.intern's, so they are freed when
+the store closes: strings from the wire are hostile and interned ones
+are immortal on recent CPython.  Records handed out get mutable copies
+of the lists and dicts a caller may change.  Nothing written to disk
+changes.
 
 _merge also keeps the one index the store has, ticket status -> record
 ids, moving a record whenever a line changes its scan ticket's status.
@@ -61,7 +66,6 @@ import json
 import os
 import re
 import struct
-from copy import deepcopy
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,8 +164,8 @@ class FlowRecord:
             labels=LabelSet.from_doc(doc.get("labels") or {}),
             augment=AugmentInfo.from_doc(doc["augment"]) if doc.get("augment") else None,
             features=FeatureVector.from_doc(features, trusted) if features else None,
-            # nested values are copied so a caller's edits never reach the store
-            extra={key: deepcopy(value) if type(value) in (dict, list) else value
+            # nested values are thawed so a caller's edits never reach the store
+            extra={key: _thaw(value) if type(value) in (dict, list, tuple) else value
                    for key, value in (doc.get("extra") or {}).items()},
         )
 
@@ -210,33 +214,59 @@ def _first_found(fd: int, start: int, end: int, digests) -> bytes | None:
     return None
 
 
-def _share_strings(node, share):
-    """A copy of node with each dict key and string s in it replaced by share(s, s).
+def _share_strings(node: dict, share) -> dict:
+    """A frozen copy of the dict node, with its strings and textual tuples shared.
 
-    `share` is a table's setdefault, so s becomes the table's copy of it.
-    Dicts and lists are rebuilt, so the copy holds none of the caller's
-    containers; any other value, a number above all, costs one type test
-    and no call.
+    `share` is a table's setdefault.  Each dict key and string s becomes
+    share(s, s), the table's copy of it; each list or tuple becomes a
+    tuple, and a textual one (its items all strings or textual tuples)
+    becomes the table's copy too.  A tuple holding a number is never
+    shared: 1, 1.0 and True are equal and hash alike, so sharing (1,)
+    could hand out (1.0,) and change the bytes written.  Dicts are
+    rebuilt, so the copy holds none of the caller's containers; any other
+    value, a number above all, costs one type test and no call.
     """
-    if type(node) is dict:
-        out = {}
-        for key, value in node.items():
-            kind = type(value)
-            if kind is str:
-                value = share(value, value)
-            elif kind is dict or kind is list:
-                value = _share_strings(value, share)
-            out[share(key, key)] = value
-        return out
-    out = []
-    for value in node:
+    out = {}
+    for key, value in node.items():
         kind = type(value)
         if kind is str:
             value = share(value, value)
-        elif kind is dict or kind is list:
+        elif kind is dict:
             value = _share_strings(value, share)
-        out.append(value)
+        elif kind is list or kind is tuple:
+            value = _share_items(value, share)[0]
+        out[share(key, key)] = value
     return out
+
+
+def _share_items(items, share) -> tuple[tuple, bool]:
+    """(the frozen tuple of items, whether it is textual), as for _share_strings."""
+    out = []
+    textual = True
+    for value in items:
+        kind = type(value)
+        if kind is str:
+            value = share(value, value)
+        elif kind is list or kind is tuple:
+            value, nested = _share_items(value, share)
+            textual = textual and nested
+        else:
+            if kind is dict:
+                value = _share_strings(value, share)
+            textual = False
+        out.append(value)
+    out = tuple(out)
+    return (share(out, out) if textual else out), textual
+
+
+def _thaw(value):
+    """A mutable copy of a frozen value: tuples become lists, dicts are copied."""
+    kind = type(value)
+    if kind is tuple or kind is list:
+        return [_thaw(item) for item in value]
+    if kind is dict:
+        return {key: _thaw(item) for key, item in value.items()}
+    return value
 
 
 def _ticket_status(doc: dict) -> str | None:
@@ -290,7 +320,7 @@ class FlowStore:
                     f"another writer holds {lock_path}") from None
 
         self._docs: dict[int, dict] = {}
-        self._strings: dict[str, str] = {}  # one copy of each string the documents hold
+        self._shared: dict = {}  # one copy of each string and textual tuple the documents hold
         self._by_status: dict[str, set[int]] = {}  # ticket status -> record ids
         self._next_id = 1
         self._log_path = self.root / "records.log"
@@ -346,21 +376,24 @@ class FlowStore:
             return f"bad record_id {rid!r}"
         if rid not in self._docs and not _RECORD_FIELDS <= line.keys():
             return f"partial line for record {rid}, which has no earlier line"
-        self._merge(line)
+        self._merge(self._freeze(line))
         self._next_id = max(self._next_id, rid + 1)
         return None
+
+    def _freeze(self, doc: dict) -> dict:
+        """doc frozen, with the store's shared copies of its strings and textual tuples."""
+        return _share_strings(doc, self._shared.setdefault)
 
     def _merge(self, line: dict) -> None:
         """The one replay rule: a line's fields replace the record's.
 
-        The line's strings are swapped for the store's shared copies first,
-        and the record moves to its new ticket status in the status index.
+        The line is one _freeze returned, and the record moves to its new
+        ticket status in the status index.
         """
         rid = line["record_id"]
-        shared = _share_strings(line, self._strings.setdefault)
         old = self._docs.get(rid, {})
-        doc = self._docs[rid] = {**old, **shared}
-        if "labels" in shared:
+        doc = self._docs[rid] = {**old, **line}
+        if "labels" in line:
             before, after = _ticket_status(old), _ticket_status(doc)
             if before != after:
                 if before is not None:
@@ -416,6 +449,7 @@ class FlowStore:
             self._pack_unsynced = False
 
     def close(self) -> None:
+        """Release the lock and files, and drop the documents and indexes held in memory."""
         if self._log_fh is not None:
             self.flush()
             self._log_fh.close()
@@ -427,6 +461,10 @@ class FlowStore:
             fcntl.flock(self._lock_fh.fileno(), fcntl.LOCK_UN)
             self._lock_fh.close()
             self._lock_fh = None
+        self._docs = {}
+        self._shared = {}
+        self._by_status = {}
+        self._blobs = {}
 
     def __enter__(self) -> "FlowStore":
         return self
@@ -521,7 +559,7 @@ class FlowStore:
                     f"extra key {key!r} must be namespaced like 'source.name'")
 
     def _append(self, record_id: int, fields: dict) -> None:
-        """Write one log line and merge it onto the record's document."""
+        """Write one log line and merge it onto the record's document; fields are frozen."""
         if self._log_fh is None:
             raise StoreError("store opened read-only")
         self._sync_pack()  # every blob a line may name is durable before it
@@ -536,7 +574,7 @@ class FlowStore:
         self._validate_record(record)
         record.record_id = self._next_id
         self._next_id += 1
-        self._append(record.record_id, record.to_doc())
+        self._append(record.record_id, self._freeze(record.to_doc()))
         return record.record_id
 
     def update_record(self, record_id: int, **fields) -> FlowRecord:
@@ -547,7 +585,8 @@ class FlowStore:
                 raise ValueError(f"cannot update field {name!r}")
             setattr(record, name, value)
         self._validate_record(record)
-        changed = _changed_fields(record.to_doc(), self._docs[record_id])
+        # frozen first: a tuple never equals the list it was made from
+        changed = _changed_fields(self._freeze(record.to_doc()), self._docs[record_id])
         if changed:
             self._append(record_id, changed)
         return record
@@ -615,7 +654,7 @@ class FlowStore:
                     raise StoreError(f"line {lineno}: bad record_id {rid!r}")
                 # digests are carried as data; blob bytes transfer separately
                 self._validate_record(record, require_blobs=False)
-                self._append(rid, record.to_doc())
+                self._append(rid, self._freeze(record.to_doc()))
                 self._next_id = max(self._next_id, rid + 1)
                 count += 1
         return count

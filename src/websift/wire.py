@@ -1130,19 +1130,32 @@ def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
         return response, entity, truncated, peer_ip
 
 
-def _client_response_bytes(response: HttpResponse, body: bytes, close: bool = True) -> bytes:
+def _client_response_bytes(response: HttpResponse, body: bytes, close: bool = True,
+                           head_only: bool = False) -> bytes:
+    """The bytes the proxy sends its client: the head with its framing redone, then body.
+
+    Content-Length gives the length of `body`.  A response to HEAD
+    (`head_only`) and a 304 send no body and keep the first Content-Length
+    they carry, the length a GET would get; a 204 sends neither (RFC 9110
+    §8.6).
+    """
+    status = response.status
+    keep_length = head_only or status == 304
+    if keep_length or status == 204:
+        body = b""
     headers = []
     wrote_cl = False
     for k, v in response.headers:
         if k.lower() in ("transfer-encoding", "connection"):
             continue
         if k.lower() == "content-length":
-            if wrote_cl:
+            if wrote_cl or status == 204:
                 continue
-            v = str(len(body))
+            if not keep_length:
+                v = str(len(body))
             wrote_cl = True
         headers.append((k, v))
-    if not wrote_cl:
+    if not wrote_cl and not keep_length and status != 204:
         headers.append(("Content-Length", str(len(body))))
     if close:
         headers.append(("Connection", "close"))
@@ -1316,7 +1329,8 @@ class ProxyServer:
                 pass
 
         try:
-            wfile.write(_client_response_bytes(client_response, client_body, close=not keep))
+            wfile.write(_client_response_bytes(client_response, client_body, close=not keep,
+                                               head_only=request.method == "HEAD"))
         except OSError:
             return False
         return keep

@@ -1,5 +1,7 @@
 """58-column extractor: flags, counting rules, validation, serialization."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,14 @@ from websift.features import (
     extract_features,
     ledger_hash,
 )
-from websift.features.extract import KEYWORD_FAMILY, _count_keywords, _count_word
+from websift.features.extract import (
+    _IP_RE,
+    _KEYWORD_RE,
+    KEYWORD_FAMILY,
+    LEDGER_VERSION,
+    _count_keywords,
+    _count_word,
+)
 
 # Frozen ledger digest; any change to the column set or order must be a
 # deliberate ledger revision, not an accident.
@@ -104,6 +113,40 @@ _KEYWORD_TEXT = st.lists(st.one_of(st.text(_KEYWORD_ALPHABET, max_size=6),
 @given(_KEYWORD_TEXT)
 def test_one_keyword_pass_counts_what_each_word_scan_counts(text):
     assert _count_keywords(text) == [_count_word(text, word) for _, word in KEYWORD_FAMILY]
+
+
+# the extraction patterns before the character test that leads each of them
+_PLAIN_KEYWORD_RE = re.compile(
+    r"(?<![0-9A-Za-z_$])(?:"
+    + "|".join(f"({re.escape(word)})" for _, word in KEYWORD_FAMILY)
+    + r")(?![0-9A-Za-z_$])",
+    re.IGNORECASE,
+)
+_PLAIN_IP_RE = re.compile(r"(?<![0-9.])(?:\d{1,3}\.){3}\d{1,3}(?![0-9.])")
+
+
+def _matches(pattern: re.Pattern, text: str) -> list:
+    return [(m.span(), m.lastindex) for m in pattern.finditer(text)]
+
+
+@settings(max_examples=400)
+@given(st.one_of(_KEYWORD_TEXT, st.text()))
+def test_keyword_pattern_matches_what_the_plain_pattern_matches(text):
+    assert _matches(_KEYWORD_RE, text) == _matches(_PLAIN_KEYWORD_RE, text)
+
+
+# ASCII digits, digits of other scripts that \d takes, dots and separators
+_IP_ALPHABET = "0123456789..x \u0663\u06f5\u0967\uff11\U0001d7d9"
+_IP_TEXT = st.lists(st.one_of(st.text(_IP_ALPHABET, max_size=5),
+                              st.sampled_from(["1.2.3.4", "10.0.0.1", "255.255.255.255",
+                                               "1.2.3.4.5", ".9.9.9.9", "1234.1.1.1"])),
+                    max_size=20).map("".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_IP_TEXT, st.text()))
+def test_ip_pattern_matches_what_the_plain_pattern_matches(text):
+    assert _matches(_IP_RE, text) == _matches(_PLAIN_IP_RE, text)
 
 
 def test_keyword_pass_credits_case_folded_matches_to_their_word():
@@ -251,6 +294,29 @@ def test_vector_round_trips():
     assert FeatureVector.from_doc(fv.to_doc()) == fv
     assert FeatureVector.from_row(fv.as_row()) == fv
     assert list(fv.as_dict()) == list(FEATURE_ORDER)
+
+
+def test_vector_keeps_its_repr_and_types_through_every_form():
+    fv = extract_features(b"<html><script>var s = 'zz'; eval(s);</script></html>")
+    values = dict(zip(FEATURE_ORDER, fv.as_row()))
+    assert repr(fv) == f"FeatureVector({values!r})"
+    assert repr(extract_features(b"")).startswith(
+        "FeatureVector({'NumclearAttributes': 0, 'Filesize': 0, 'crypt': 0, ")
+    for again in (FeatureVector(values), FeatureVector.from_row(fv.as_row()),
+                  FeatureVector.from_doc(fv.to_doc()),
+                  FeatureVector.from_doc(fv.to_doc(), trusted=True)):
+        assert again == fv and repr(again) == repr(fv) and again.as_dict() == values
+        assert [type(v) for v in again.as_row()] == [type(v) for v in values.values()]
+        assert all(again[name] == value for name, value in values.items())
+    row = fv.as_row()
+    row[0] = 99
+    assert fv.as_row() != row  # the row handed out is the caller's own
+
+
+def test_trusted_vector_keeps_the_stored_tuple():
+    stored = tuple(extract_features(b"<p>x</p>").as_row())
+    vector = FeatureVector.from_doc({"ledger": LEDGER_VERSION, "values": stored}, trusted=True)
+    assert vector.to_doc()["values"] is stored
 
 
 def test_from_doc_rejects_wrong_ledger():

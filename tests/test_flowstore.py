@@ -531,6 +531,79 @@ def test_documents_share_one_copy_of_each_string(tmp_path):
         assert all(one[k] is two[k] for k in one)
 
 
+def test_records_from_one_agent_share_their_request_header_tuple(tmp_path):
+    with FlowStore(tmp_path / "s") as store:
+        store.put_record(FlowRecord(exchange=make_exchange("http://a.test/")))
+        store.put_record(FlowRecord(exchange=make_exchange("http://b.test/")))
+        with FlowStore(tmp_path / "s", writable=False) as reopened:
+            for held in (store, reopened):
+                first, second = (held._docs[rid]["exchange"]["request"]["headers"]
+                                 for rid in (1, 2))
+                assert first == (("Host", "site.test"),) and first is second
+                # handed out as a list of the shared pairs, the caller's to change
+                headers = held.get_record(1).exchange.request.headers
+                assert headers == [("Host", "site.test")] and headers[0] is first[0]
+                headers.append(("X-Added", "1"))
+                assert held.get_record(1).exchange.request.headers == [("Host", "site.test")]
+
+
+def test_handed_out_labels_are_copies(tmp_path):
+    with FlowStore(tmp_path / "s") as store:
+        store.put_record(_scanned_record("http://a.test/"))
+        labels = store.get_record(1).labels
+        labels.signature_hits.append("sig.b")
+        labels.scan_ticket.report["extra-engine"] = "clean"
+        labels.scan_ticket.archived.append({"k": "v"})
+        again = store.get_record(1).labels
+        assert again.signature_hits == ["sig.a"]
+        assert "extra-engine" not in again.scan_ticket.report
+        assert again.scan_ticket.archived == []
+
+
+def test_numbers_in_stored_lists_keep_their_type(tmp_path):
+    # 1, 1.0 and True are equal and hash alike, so no tuple holding one is shared
+    root = tmp_path / "s"
+    extra = {"t.a": [1], "t.b": [1.0], "t.c": [True], "t.d": [["x", 1]], "t.e": [["x", 1.0]]}
+    with FlowStore(root) as store:
+        for _ in range(2):
+            store.put_record(FlowRecord(extra=extra))
+    text = (root / "records.log").read_text()
+    assert text.count('"t.a":[1],"t.b":[1.0],"t.c":[true],"t.d":[["x",1]],'
+                      '"t.e":[["x",1.0]]') == 2
+    with FlowStore(root, writable=False) as store:
+        for record in store.records():
+            assert record.extra == extra
+            assert [type(v[0]) for v in record.extra.values()] == [int, float, bool, list, list]
+            assert type(record.extra["t.e"][0][1]) is float
+
+
+def test_update_with_what_the_store_holds_appends_nothing(tmp_path):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        record = _scanned_record("http://a.test/")
+        record.features = extract_features(b"<html><script>eval(1.5)</script></html>")
+        record.extra = {"t.a": ["x", ["y", 2.0]], "t.b": {"k": [1]}}
+        rid = store.put_record(record)
+        store.flush()
+        before = (root / "records.log").read_bytes()
+        got = store.get_record(rid)
+        store.update_record(rid, exchange=got.exchange, labels=got.labels,
+                            features=got.features, extra=got.extra)
+        store.update_record(rid, extra={"t.a": ["x", ["y", 2.0]], "t.b": {"k": [1]}})
+    assert (root / "records.log").read_bytes() == before
+
+
+def test_close_drops_the_documents_and_indexes(tmp_path):
+    store = FlowStore(tmp_path / "s")
+    store.put_blob(b"body")
+    store.put_record(_scanned_record("http://a.test/"))
+    store.close()
+    assert (store.record_count(), store.blob_count()) == (0, 0)
+    assert store.query("scan_finished") == [] and store._shared == {}
+    with FlowStore(tmp_path / "s", writable=False) as reopened:
+        assert (reopened.record_count(), reopened.blob_count()) == (1, 1)
+
+
 def _write_and_export(root: Path) -> tuple[bytes, bytes]:
     with FlowStore(root) as store:
         for url in ("http://a.test/", "http://b.test/", "http://a.test/"):

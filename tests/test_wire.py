@@ -1517,6 +1517,34 @@ def test_proxy_ends_a_bodiless_response_at_its_head(method, status):
     assert (got, body) == (status, b"")
 
 
+@pytest.mark.parametrize("gateway", [False, True])
+@pytest.mark.parametrize("method,status,origin_length,relayed", [
+    ("HEAD", 200, b"1234", "1234"), ("GET", 304, b"1234", "1234"),
+    ("HEAD", 200, None, None), ("GET", 204, b"0", None), ("GET", 204, None, None)])
+def test_proxy_relays_the_length_of_a_bodiless_response(method, status, origin_length,
+                                                        relayed, gateway):
+    # RFC 9110 §8.6: a HEAD or 304 response keeps the length a GET would get,
+    # and a 204 carries none
+    head = b"HTTP/1.1 %d X\r\n" % status
+    if origin_length is not None:
+        head += b"Content-Length: " + origin_length + b"\r\n"
+    with contextlib.ExitStack() as stack:
+        host, port = stack.enter_context(trickling_peer(head + b"\r\n", every=30))
+        gw = stack.enter_context(running_gateway()) if gateway else None
+        px = stack.enter_context(running_proxy(
+            gateway_addr=gw.address if gw else None, timeout=0.5))
+        got, received, body = proxy_fetch(px.address, f"http://{host}:{port}/", method=method)
+    assert (got, received.get("content-length"), body) == (status, relayed, b"")
+
+
+def test_client_response_bytes_of_a_head_response_keep_its_length():
+    response = HttpResponse(200, "", [("Content-Length", "1234"), ("content-length", "9")])
+    assert wire._client_response_bytes(response, b"", head_only=True) == (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 1234\r\nConnection: close\r\n\r\n")
+    assert wire._client_response_bytes(HttpResponse(204, "No Content", []), b"") == (
+        b"HTTP/1.1 204 No Content\r\nConnection: close\r\n\r\n")
+
+
 def test_icap_client_gives_up_on_a_gateway_that_trickles_past_the_deadline():
     # one byte per 0.1 s never trips the 0.3 s per-read bound; without a
     # deadline the client waits until the peer hangs up after 4 s
