@@ -10,6 +10,7 @@ it cannot parse something, leaving `parse_ok` false.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,14 +29,6 @@ PACKER_PARAMS = ("p", "a", "c", "k", "e", "d")
 PACKER_CALL_NAMES = frozenset(["unescape", "unpack"])
 
 LONG_NAME_LEN = 30
-
-_PUNCTS = [
-    ">>>=",
-    "...", "===", "!==", "**=", "<<=", ">>=", ">>>", "&&=", "||=", "??=",
-    "=>", "==", "!=", "<=", ">=", "&&", "||", "??", "?.", "++", "--",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "**", "<<", ">>",
-]
-_SINGLE_PUNCTS = set("+-*/%=<>!&|^~?:;,.()[]{}")
 
 ASSIGN_OPS = frozenset(
     ["=", "+=", "-=", "*=", "/=", "%=", "**=", "<<=", ">>=", ">>>=",
@@ -111,12 +104,21 @@ _EXPR_KEYWORDS = frozenset(
 )
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_$"
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
+# Every token that needs no context, one alternative per token class.
+# `\s` is exactly `str.isspace` and `[\w$]` exactly "`isalnum`, `_` or `$`"
+# on every code point.  Identifier starts and digits are not expressible
+# (`[^\W\d]` is not `isalpha`, `\d` is not `isdigit`), so `run` takes a
+# `word` as an identifier only when its first character may start one, and
+# numbers keep their hand-written scanner.  Punctuators are tried longest
+# first; `//` and `/*` are comments wherever they stand.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>\s+|//[^\n]*\n?|/\*(?s:.*?\*/|.*))"
+    r"|(?P<word>[\w$]+)"
+    r"|(?P<punct>>>>=|\.\.\.|===|!==|\*\*=|<<=|>>=|>>>|&&=|\|\|=|\?\?="
+    r"|=>|==|!=|<=|>=|&&|\|\||\?\?|\?\.|\+\+|--"
+    r"|\+=|-=|\*=|/=|%=|&=|\|=|\^=|\*\*|<<|>>"
+    r"|[-+*/%=<>!&|^~?:;,.()\[\]{}])"
+)
 
 
 class _Lexer:
@@ -127,12 +129,12 @@ class _Lexer:
         self.tokens: list[Token] = []
         self.lex_error = False
         self.has_e4x = False
-
-    def _prev_significant(self) -> Token | None:
-        return self.tokens[-1] if self.tokens else None
+        # (position, in-class) states that regex scans have passed, one
+        # bytearray per in-class value; made on the first scan
+        self._regex_seen: tuple[bytearray, bytearray] | None = None
 
     def _expression_position(self) -> bool:
-        prev = self._prev_significant()
+        prev = self.tokens[-1] if self.tokens else None
         if prev is None:
             return True
         if prev.kind == "punct":
@@ -142,52 +144,47 @@ class _Lexer:
         return False  # ident, num, str, regex, xml
 
     def run(self) -> list[Token]:
-        src, n = self.src, self.n
-        while self.i < n:
-            ch = src[self.i]
-            if ch.isspace():
-                self.i += 1
+        src, n, tokens = self.src, self.n, self.tokens
+        match = _TOKEN_RE.match
+        i = 0
+        while i < n:
+            m = match(src, i)
+            group = m.lastgroup if m else None
+            ch = src[i]
+            if group == "skip":
+                i = m.end()
                 continue
-            if ch == "/" and self.i + 1 < n and src[self.i + 1] == "/":
-                j = src.find("\n", self.i)
-                self.i = n if j < 0 else j + 1
+            if group == "word" and (ch.isalpha() or ch in "_$"):
+                text = m.group()
+                tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, i))
+                i = m.end()
                 continue
-            if ch == "/" and self.i + 1 < n and src[self.i + 1] == "*":
-                j = src.find("*/", self.i + 2)
-                self.i = n if j < 0 else j + 2
+            if group == "punct" and ch not in "./<":
+                tokens.append(Token("punct", m.group(), i))
+                i = m.end()
                 continue
-            if _is_ident_start(ch):
-                self._ident()
-                continue
-            if ch.isdigit() or (ch == "." and self.i + 1 < n and src[self.i + 1].isdigit()):
+            # context, escapes or Unicode decide the rest
+            self.i = i
+            if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
                 self._number()
-                continue
-            if ch in "'\"":
+            elif ch in "'\"":
                 self._string(ch)
-                continue
-            if ch == "`":
+            elif ch == "`":
                 self._template()
-                continue
-            if ch == "/" and self._expression_position():
-                if self._regex():
-                    continue
-            if ch == "<" and self._expression_position() and self.i + 1 < n \
-                    and (src[self.i + 1].isalpha() or src[self.i + 1] == "_"):
+            elif ch == "/" and self._expression_position() and self._regex():
+                pass
+            elif ch == "<" and self._expression_position() and i + 1 < n \
+                    and (src[i + 1].isalpha() or src[i + 1] == "_"):
                 self._xml()
-                continue
-            self._punct(ch)
-        self.tokens.append(Token("eof", "", n))
-        return self.tokens
-
-    def _ident(self):
-        start = self.i
-        src, n = self.src, self.n
-        self.i += 1
-        while self.i < n and _is_ident_part(src[self.i]):
-            self.i += 1
-        text = src[start:self.i]
-        kind = "keyword" if text in KEYWORDS else "ident"
-        self.tokens.append(Token(kind, text, start))
+            elif group == "punct":
+                tokens.append(Token("punct", m.group(), i))
+                self.i = m.end()
+            else:  # a character no token starts with, or a word that is neither
+                tokens.append(Token("junk", ch, i))
+                self.i = i + 1
+            i = self.i
+        tokens.append(Token("eof", "", n))
+        return tokens
 
     def _number(self):
         start = self.i
@@ -303,12 +300,23 @@ class _Lexer:
         self.tokens.append(Token("str", src[start:self.i], start, value="".join(out)))
 
     def _regex(self) -> bool:
-        # attempt to scan a regex literal; return False to fall back to punct
+        # attempt to scan a regex literal; return False to fall back to punct.
+        # A scan is a walk over (position, in-class) states, each fixing the
+        # next.  Every state a scan passes is marked, and a scan that reaches
+        # a marked state fails: the earlier scan through it either failed
+        # from there, or succeeded, and the lexer is already past its end.
+        # So failed attempts on one long line cost linear time in total.
         src, n = self.src, self.n
+        if self._regex_seen is None:
+            self._regex_seen = (bytearray(n), bytearray(n))
         start = self.i
         i = self.i + 1
         in_class = False
+        seen = self._regex_seen[0]
         while i < n:
+            if seen[i]:
+                return False
+            seen[i] = 1
             c = src[i]
             if c == "\\":
                 i += 2
@@ -317,8 +325,10 @@ class _Lexer:
                 return False
             if c == "[":
                 in_class = True
+                seen = self._regex_seen[1]
             elif c == "]":
                 in_class = False
+                seen = self._regex_seen[0]
             elif c == "/" and not in_class:
                 i += 1
                 while i < n and src[i].isalpha():
@@ -372,19 +382,6 @@ class _Lexer:
         self.tokens.append(Token("xml", src[start:i], start))
         self.i = i
 
-    def _punct(self, ch: str):
-        src = self.src
-        for p in _PUNCTS:
-            if src.startswith(p, self.i):
-                self.tokens.append(Token("punct", p, self.i))
-                self.i += len(p)
-                return
-        if ch in _SINGLE_PUNCTS:
-            self.tokens.append(Token("punct", ch, self.i))
-        else:
-            self.tokens.append(Token("junk", ch, self.i))
-        self.i += 1
-
 
 def tokenize(src: str) -> tuple[list[Token], bool, bool]:
     """Tokenize `src`; returns (tokens, lex_error, has_e4x)."""
@@ -403,13 +400,35 @@ def tokenize(src: str) -> tuple[list[Token], bool, bool]:
 # the name a call through it would carry.
 
 _SIGNIFICANT_PUNCTS = set(";{}()[]=")
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
 _PREFIX_OPS = ("!", "~", "+", "-", "++", "--")
 _PREFIX_KEYWORDS = ("typeof", "void", "delete", "await", "yield")
+
+
+def _closers(tokens: list[Token]) -> dict[int, int]:
+    """Map the index of each opening bracket to that of its closing one.
+
+    Any closing bracket closes any opening one, and an opening bracket
+    left open maps to the eof token.
+    """
+    closers: dict[int, int] = {}
+    open_at: list[int] = []
+    for k, t in enumerate(tokens):
+        if t.kind == "punct":
+            if t.text in _OPENERS:
+                open_at.append(k)
+            elif t.text in _CLOSERS and open_at:
+                closers[open_at.pop()] = k
+    for k in open_at:
+        closers[k] = len(tokens) - 1
+    return closers
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
+        self.closers = _closers(tokens)
         self.i = 0
         self.ok = True
         self.depth = 0
@@ -923,27 +942,9 @@ class _Parser:
         raise _ParseFail()
 
     def paren_or_arrow(self) -> tuple[str, str | None]:
-        # try to spot an arrow function by scanning to the matching paren
-        j = self.i
-        depth = 0
-        while j < len(self.toks):
-            tk = self.toks[j]
-            if tk.kind == "punct":
-                if tk.text in ("(", "[", "{"):
-                    depth += 1
-                elif tk.text in (")", "]", "}"):
-                    depth -= 1
-                    if depth == 0:
-                        break
-            elif tk.kind == "eof":
-                break
-            j += 1
-        is_arrow = (
-            j + 1 < len(self.toks)
-            and self.toks[j + 1].kind == "punct"
-            and self.toks[j + 1].text == "=>"
-        )
-        if is_arrow:
+        # an arrow function's parameter list is followed by `=>`
+        j = self.closers[self.i] + 1
+        if j < len(self.toks) and self.toks[j].kind == "punct" and self.toks[j].text == "=>":
             self.param_list()
             self.expect_punct("=>")
             return self.arrow_body()

@@ -1,5 +1,7 @@
 """JavaScript tokenizer and parser: the counts the feature extractor relies on."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -116,6 +118,63 @@ def test_regex_literal_not_division():
     assert ast.parse_ok
     toks, _, _ = tokenize("var re = /ab+c/i;")
     assert any(t.kind == "regex" for t in toks)
+
+
+# Where one token ends and the next begins: punctuators take the longest
+# match; numbers start at `str.isdigit` characters (`²` is one, `½` is
+# not); identifiers start at `str.isalpha`, `_` or `$` and continue over
+# `str.isalnum`; an unterminated block comment runs to the end.
+@pytest.mark.parametrize("src,want", [
+    ("a>>>=b", [("ident", "a"), ("punct", ">>>="), ("ident", "b")]),
+    ("f(...a)", [("ident", "f"), ("punct", "("), ("punct", "..."), ("ident", "a"),
+                 ("punct", ")")]),
+    ("a?.b", [("ident", "a"), ("punct", "?."), ("ident", "b")]),
+    ("a**=2", [("ident", "a"), ("punct", "**="), ("num", "2")]),
+    ("x=>y", [("ident", "x"), ("punct", "=>"), ("ident", "y")]),
+    ("0x1F", [("num", "0x1F")]),
+    ("1.5e+3", [("num", "1.5e+3")]),
+    (".5", [("num", ".5")]),
+    ("1.2.3", [("num", "1.2"), ("num", ".3")]),
+    ("1e", [("num", "1"), ("ident", "e")]),
+    ("²³", [("num", "²³")]),
+    ("$a _b é", [("ident", "$a"), ("ident", "_b"), ("ident", "é")]),
+    ("a²", [("ident", "a²")]),
+    ("½a", [("junk", "½"), ("ident", "a")]),
+    ("a /* b */ c", [("ident", "a"), ("ident", "c")]),
+    ("a /* b", [("ident", "a")]),
+    ("a // b", [("ident", "a")]),
+    ("a // b\nc", [("ident", "a"), ("ident", "c")]),
+])
+def test_token_boundaries(src, want):
+    toks, lex_error, _ = tokenize(src)
+    assert [(t.kind, t.text) for t in toks[:-1]] == want
+    assert toks[-1].kind == "eof"
+    assert not lex_error
+
+
+def test_failed_regex_attempts_take_linear_time():
+    # every `/` follows `(`, so each one tries a regex that the line never closes
+    src = "(/[" * 16000
+    started = time.process_time()
+    toks, _, _ = tokenize(src)
+    assert time.process_time() - started < 2
+    assert len(toks) == len(src) + 1
+    assert {t.kind for t in toks[:-1]} == {"punct"}
+
+
+def test_arrow_detection_takes_linear_time():
+    # every `(` is left open, so its closing bracket is the end of input
+    src = "x=(;" * 8000
+    started = time.process_time()
+    c = parse_js(src)
+    assert time.process_time() - started < 2
+    assert not c.parse_ok
+
+
+def test_arrow_functions_are_told_from_parentheses():
+    c = parse_js("f = (a, [b]) => g(a); h = (a, [b]); k = (p) => { m(); };")
+    assert c.parse_ok
+    assert dict(c.named_calls) == {"g": 1, "m": 1}
 
 
 def test_comments_are_skipped():
