@@ -97,6 +97,11 @@ class _ParseFail(Exception):
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
             "v": "\v", "0": "\0", "'": "'", '"': '"', "`": "`", "\\": "\\"}
 
+# ECMA-262 LineTerminator: a backslash before any of them (or before CR LF)
+# continues the literal on the next line
+_LINE_TERMINATORS = frozenset("\n\r\u2028\u2029")
+_BRACED_HEX_RE = re.compile(r"\{([0-9a-fA-F]+)\}")
+
 # tokens after which a '/' or '<' starts an expression rather than an operator
 _EXPR_KEYWORDS = frozenset(
     ["return", "typeof", "delete", "void", "new", "in", "instanceof", "case",
@@ -226,23 +231,23 @@ class _Lexer:
             return "x"
         if c == "u":
             if self.i < n and src[self.i] == "{":
-                j = src.find("}", self.i)
-                if j > 0:
-                    hx = src[self.i + 1:j]
-                    if hx and all(h in "0123456789abcdefABCDEF" for h in hx):
-                        self.i = j + 1
-                        try:
-                            return chr(int(hx, 16))
-                        except ValueError:
-                            return "u"
+                m = _BRACED_HEX_RE.match(src, self.i)
+                if m:
+                    self.i = m.end()
+                    try:
+                        return chr(int(m.group(1), 16))
+                    except ValueError:
+                        return "u"
                 return "u"
             hx = src[self.i:self.i + 4]
             if len(hx) == 4 and all(h in "0123456789abcdefABCDEF" for h in hx):
                 self.i += 4
                 return chr(int(hx, 16))
             return "u"
-        if c == "\n":
-            return ""  # line continuation
+        if c in _LINE_TERMINATORS:  # line continuation
+            if c == "\r" and self.i < n and src[self.i] == "\n":
+                self.i += 1
+            return ""
         return _ESCAPES.get(c, c)
 
     def _string(self, quote: str):

@@ -27,6 +27,21 @@ def test_hex_and_unicode_escapes_decode():
     assert ast.strings == ["ABC"]
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r", "\u2028", "\u2029"],
+                         ids=["lf", "crlf", "cr", "ls", "ps"])
+def test_backslash_line_terminator_continues_the_literal(eol):
+    ast = parse_js(f"var a = 'one\\{eol}two'; f(a); t = `x\\{eol}y`;")
+    assert ast.parse_ok
+    assert ast.strings == ["onetwo", "xy"]
+    assert ast.named("f") == 1
+
+
+def test_braced_unicode_escapes_need_hex_digits_and_a_close():
+    ast = parse_js(r"x = ['\u{}', '\u{4G}', '\u{110000}', '\u{41', '\u{0041}'];")
+    # an out-of-range code point drops the braces with it
+    assert ast.strings == ["u{}", "u{4G}", "u", "u{41", "A"]
+
+
 def test_unterminated_string_flags_error():
     ast = parse_js("var s = 'abc")
     assert not ast.parse_ok
