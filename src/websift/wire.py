@@ -1209,12 +1209,17 @@ class ProxyServer:
 
     # --- request handling
 
-    def _send_error(self, wfile, status: int, reason: str, text: str) -> bool:
-        """Answer with an error and `Connection: close`; False, to close the connection."""
+    def _send_error(self, wfile, status: int, reason: str, text: str, *,
+                    head_only: bool) -> bool:
+        """Answer with an error and `Connection: close`; False, to close the connection.
+
+        A response to HEAD (`head_only`) carries the length of `text` and no body.
+        """
         body = text.encode("utf-8")
-        resp = HttpResponse(status, reason, [("Content-Type", "text/plain; charset=utf-8")])
+        resp = HttpResponse(status, reason, [("Content-Type", "text/plain; charset=utf-8"),
+                                             ("Content-Length", str(len(body)))])
         try:
-            wfile.write(_client_response_bytes(resp, body))
+            wfile.write(_client_response_bytes(resp, body, head_only=head_only))
         except OSError:
             pass
         return False
@@ -1234,24 +1239,28 @@ class ProxyServer:
             request, version = _parse_http_request_head(head)
             length = _content_length(request.headers) or 0
         except ValueError as exc:  # IcapParseError is one
-            return self._send_error(wfile, 400, "Bad Request", str(exc))
+            return self._send_error(wfile, 400, "Bad Request", str(exc), head_only=False)
+        head_only = request.method == "HEAD"
         if request.method == "CONNECT":
             return self._send_error(wfile, 405, "Method Not Allowed",
-                                    "CONNECT tunneling is not supported")
+                                    "CONNECT tunneling is not supported", head_only=head_only)
         if "://" not in request.url:
             return self._send_error(wfile, 400, "Bad Request",
-                                    "proxy requires absolute-URI request targets")
+                                    "proxy requires absolute-URI request targets",
+                                    head_only=head_only)
         try:
             parts = urlsplit(request.url)
             parts.port
             # getaddrinfo IDNA-encodes the host; an empty or 64+ char label fails there
             (parts.hostname or "").encode("idna")
         except ValueError as exc:  # unsplittable, a port outside 0-65535, or such a host
-            return self._send_error(wfile, 400, "Bad Request", f"bad request target: {exc}")
+            return self._send_error(wfile, 400, "Bad Request", f"bad request target: {exc}",
+                                    head_only=head_only)
         if length > self.max_body:
             # the body is left unread; the origin is never asked to wait for it
             return self._send_error(wfile, 413, "Content Too Large",
-                                    f"request body of {length} bytes exceeds {self.max_body}")
+                                    f"request body of {length} bytes exceeds {self.max_body}",
+                                    head_only=head_only)
         request_body = _read_upto(rfile, length)
         # a chunked body is not read: what is left of it must never be
         # parsed as the next request
@@ -1276,7 +1285,8 @@ class ProxyServer:
             except (OSError, IcapParseError, ConnectionError):
                 if self.fail_policy == "closed":
                     return self._send_error(wfile, 502, "Bad Gateway",
-                                            "inspection gateway unreachable (fail-closed)")
+                                            "inspection gateway unreachable (fail-closed)",
+                                            head_only=head_only)
                 inspected = False
                 markers["wire.uninspected"] = "true"
 
@@ -1317,7 +1327,8 @@ class ProxyServer:
             except (OSError, IcapParseError, ConnectionError, ValueError):
                 if self.fail_policy == "closed":
                     return self._send_error(wfile, 502, "Bad Gateway",
-                                            "inspection gateway unreachable (fail-closed)")
+                                            "inspection gateway unreachable (fail-closed)",
+                                            head_only=head_only)
                 inspected = False
                 markers["wire.uninspected"] = "true"
 
@@ -1330,7 +1341,7 @@ class ProxyServer:
 
         try:
             wfile.write(_client_response_bytes(client_response, client_body, close=not keep,
-                                               head_only=request.method == "HEAD"))
+                                               head_only=head_only))
         except OSError:
             return False
         return keep

@@ -1136,6 +1136,18 @@ def test_proxy_fail_closed_when_gateway_down(origin, dead_port):
     assert b"fail-closed" in body
 
 
+def test_proxy_error_answers_head_without_a_body(origin, dead_port):
+    # RFC 9110 §9.3.2: no content in a response to HEAD; the length a GET
+    # would get stays
+    dead = ("127.0.0.1", dead_port)
+    with running_proxy(gateway_addr=dead, fail_policy="closed") as px:
+        status, headers, body = proxy_fetch(px.address, origin_url(origin), method="HEAD")
+        got = proxy_fetch(px.address, origin_url(origin))
+    assert (status, body) == (502, b"")
+    assert headers["content-length"] == str(len(got[2])) == "44"
+    assert got[0] == 502
+
+
 def test_proxy_fail_open_flags_uninspected(origin, dead_port):
     fallback = []
     dead = ("127.0.0.1", dead_port)
