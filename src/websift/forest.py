@@ -323,28 +323,11 @@ def evaluate(model: ForestModel, samples, labels,
     return cm
 
 
-def metrics(cm: ConfusionMatrix) -> dict:
-    """Raw ratio metrics per category; None where the denominator is 0."""
-    def ratio(num: int, den: int):
-        return num / den if den else None
-
-    total = cm.total()
-    return {
-        "malware": {
-            "precision": ratio(cm.tp, cm.tp + cm.fp),
-            "recall": ratio(cm.tp, cm.tp + cm.fn),
-            "accuracy": ratio(cm.tp + cm.tn, total),
-        },
-        "benign": {
-            "precision": ratio(cm.tn, cm.tn + cm.fn),
-            "recall": ratio(cm.tn, cm.tn + cm.fp),
-            "accuracy": ratio(cm.tp + cm.tn, total),
-        },
-    }
-
-
 def metrics_exact(cm: ConfusionMatrix) -> dict:
-    """Same metrics as exact Fractions (None where undefined)."""
+    """Precision, recall and accuracy per category, as exact Fractions.
+
+    None where the denominator is 0.
+    """
     def frac(num: int, den: int):
         return Fraction(num, den) if den else None
 

@@ -23,7 +23,6 @@ from websift.forest import (
     gini,
     load_model,
     metric_table,
-    metrics,
     metrics_exact,
     model_from_doc,
     model_to_doc,
@@ -330,22 +329,21 @@ def test_confusion_matrix_rejects_negative_counts():
 
 def test_metrics_reference_ratios():
     cm = ConfusionMatrix(tp=8001, fp=13, tn=9979, fn=2091)
-    m = metrics(cm)
-    assert m["malware"]["precision"] == 8001 / 8014
-    assert m["malware"]["recall"] == 8001 / 10092
-    assert m["benign"]["recall"] == 9979 / 9992
     e = metrics_exact(cm)
     assert e["malware"]["precision"] == Fraction(8001, 8014)
+    assert e["malware"]["recall"] == Fraction(8001, 10092)
+    assert e["benign"]["recall"] == Fraction(9979, 9992)
     assert e["malware"]["accuracy"] == Fraction(8001 + 9979, cm.total())
 
 
 def test_metrics_handle_zero_denominators():
     cm = ConfusionMatrix(tp=0, fp=0, tn=5, fn=0)
-    m = metrics(cm)
-    assert m["malware"]["precision"] is None
-    assert m["malware"]["recall"] is None
-    assert m["benign"]["recall"] == 1.0
+    e = metrics_exact(cm)
+    assert e["malware"]["precision"] is None
+    assert e["malware"]["recall"] is None
+    assert e["benign"]["recall"] == 1
     assert metric_table(cm)["malware"]["precision"] == "n/a"
+    assert metrics_exact(ConfusionMatrix())["malware"]["accuracy"] is None
 
 
 def test_truncate4_truncates_instead_of_rounding():
