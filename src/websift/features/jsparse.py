@@ -2,10 +2,14 @@
 
 Tokenization never fails: unknown characters become junk tokens and
 unterminated literals are closed at end of input (flagging a lex error).
-The grammar is deliberately small; it recognizes the constructs the
-feature extractor counts (calls, member and bracket access, assignments,
-literals, function definitions) and recovers at statement boundaries when
-it cannot parse something, leaving `parse_ok` false.
+One compiled pattern takes the tokens that need no context; numbers,
+strings, templates, and the regex and E4X literals that only an expression
+position allows keep hand-written scanners (docs/feature_ledger.md states
+the lexical rules).  The grammar is deliberately small; it recognizes the
+constructs the feature extractor counts (calls, member and bracket access,
+assignments, literals, function definitions) and recovers at statement
+boundaries when it cannot parse something, leaving `parse_ok` false.
+Both passes take linear time, hostile sources included.
 """
 
 from __future__ import annotations
@@ -97,10 +101,10 @@ class _ParseFail(Exception):
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
             "v": "\v", "0": "\0", "'": "'", '"': '"', "`": "`", "\\": "\\"}
 
-# ECMA-262 LineTerminator: a backslash before any of them (or before CR LF)
-# continues the literal on the next line
-_LINE_TERMINATORS = frozenset("\n\r\u2028\u2029")
-_BRACED_HEX_RE = re.compile(r"\{([0-9a-fA-F]+)\}")
+# what may follow a backslash besides one character: a hex or Unicode escape,
+# or a line continuation, which ECMA-262 allows before any line terminator
+_ESCAPE_RE = re.compile(
+    r"x([0-9a-fA-F]{2})|u([0-9a-fA-F]{4})|u\{([0-9a-fA-F]+)\}|\r\n|[\n\r\u2028\u2029]")
 
 # tokens after which a '/' or '<' starts an expression rather than an operator
 _EXPR_KEYWORDS = frozenset(
@@ -134,8 +138,7 @@ class _Lexer:
         self.tokens: list[Token] = []
         self.lex_error = False
         self.has_e4x = False
-        # (position, in-class) states that regex scans have passed, one
-        # bytearray per in-class value; made on the first scan
+        # the (position, in-class) states regex scans passed, one per in-class
         self._regex_seen: tuple[bytearray, bytearray] | None = None
 
     def _expression_position(self) -> bool:
@@ -218,36 +221,17 @@ class _Lexer:
 
     def _decode_escape(self) -> str:
         # self.i points at the char after the backslash
-        src, n = self.src, self.n
-        if self.i >= n:
+        m = _ESCAPE_RE.match(self.src, self.i)
+        if m:
+            self.i = m.end()
+            if m.lastindex is None:
+                return ""  # line continuation
+            code = int(m.group(m.lastindex), 16)
+            return chr(code) if code < 0x110000 else "u"
+        if self.i >= self.n:
             return ""
-        c = src[self.i]
+        c = self.src[self.i]
         self.i += 1
-        if c == "x" and self.i + 1 < n + 1:
-            hx = src[self.i:self.i + 2]
-            if len(hx) == 2 and all(h in "0123456789abcdefABCDEF" for h in hx):
-                self.i += 2
-                return chr(int(hx, 16))
-            return "x"
-        if c == "u":
-            if self.i < n and src[self.i] == "{":
-                m = _BRACED_HEX_RE.match(src, self.i)
-                if m:
-                    self.i = m.end()
-                    try:
-                        return chr(int(m.group(1), 16))
-                    except ValueError:
-                        return "u"
-                return "u"
-            hx = src[self.i:self.i + 4]
-            if len(hx) == 4 and all(h in "0123456789abcdefABCDEF" for h in hx):
-                self.i += 4
-                return chr(int(hx, 16))
-            return "u"
-        if c in _LINE_TERMINATORS:  # line continuation
-            if c == "\r" and self.i < n and src[self.i] == "\n":
-                self.i += 1
-            return ""
         return _ESCAPES.get(c, c)
 
     def _string(self, quote: str):
@@ -306,11 +290,9 @@ class _Lexer:
 
     def _regex(self) -> bool:
         # attempt to scan a regex literal; return False to fall back to punct.
-        # A scan is a walk over (position, in-class) states, each fixing the
-        # next.  Every state a scan passes is marked, and a scan that reaches
-        # a marked state fails: the earlier scan through it either failed
-        # from there, or succeeded, and the lexer is already past its end.
-        # So failed attempts on one long line cost linear time in total.
+        # Each (position, in-class) state fixes the next, so a scan that
+        # reaches a state an earlier scan passed fails: that scan failed from
+        # there, or succeeded and the lexer is already past it.
         src, n = self.src, self.n
         if self._regex_seen is None:
             self._regex_seen = (bytearray(n), bytearray(n))
@@ -412,11 +394,8 @@ _PREFIX_KEYWORDS = ("typeof", "void", "delete", "await", "yield")
 
 
 def _closers(tokens: list[Token]) -> dict[int, int]:
-    """Map the index of each opening bracket to that of its closing one.
-
-    Any closing bracket closes any opening one, and an opening bracket
-    left open maps to the eof token.
-    """
+    # index of each opening bracket -> index of its closing one; any closing
+    # bracket closes any opening one, and one left open maps to eof
     closers: dict[int, int] = {}
     open_at: list[int] = []
     for k, t in enumerate(tokens):
