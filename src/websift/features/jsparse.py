@@ -187,7 +187,7 @@ class _Lexer:
             elif group == "punct":
                 tokens.append(Token("punct", m.group(), i))
                 self.i = m.end()
-            else:  # a character no token starts with, or a word that is neither
+            else:  # a character that starts no token, such as `@` or `½`
                 tokens.append(Token("junk", ch, i))
                 self.i = i + 1
             i = self.i
