@@ -19,20 +19,19 @@ import time
 from pathlib import Path
 
 from . import agents as agents_mod
-from . import contentprep, forest, synthweb
+from . import forest, synthweb
 from .augment import GeoIpDb, WhoIsDb
 from .features import FEATURE_ORDER, extract_features
-from .flowstore import FlowStore
+from .flowstore import FlowStore, RecordNotFoundError
 from .labels import (
     LabelSet,
     SignatureSet,
     SimulatedEngineSet,
-    ThreatType,
     UrlBlacklist,
     fast_verdict,
-    schedule_multiengine,
 )
-from .pipeline import LabelSources, Pipeline, run_crawl, run_label_cycles
+from .pipeline import LabelSources, Pipeline, run_crawl, run_label_cycles, store_body
+from .wire import HttpResponse
 
 DEFAULT_TREND_FEATURES = ("NumLongStrings", "form", "iframe")
 
@@ -189,15 +188,6 @@ def cmd_pipeline(args, cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 # extract
 
-def _decoded_bytes(store: FlowStore, record) -> tuple[bytes, str]:
-    sha1 = record.decoded_sha1 or record.body_sha1
-    data = store.get_blob(sha1).data if sha1 else b""
-    ctype = ""
-    if record.exchange is not None:
-        ctype = record.exchange.response.header("Content-Type") or ""
-    return data, ctype
-
-
 def cmd_extract(args, cfg: Config) -> int:
     store = _open_store(args, cfg)
     done = 0
@@ -205,18 +195,14 @@ def cmd_extract(args, cfg: Config) -> int:
         for record in store.records():
             if record.features is not None and not args.force:
                 continue
+            response = record.exchange.response if record.exchange else HttpResponse(0)
+            data = store.content(record)
             updates = {}
-            if record.body_sha1 and record.decoded_sha1 is None:
-                raw = store.get_blob(record.body_sha1).data
-                headers = record.exchange.response.headers if record.exchange else []
-                try:
-                    decoded = contentprep.decode_body(raw, headers)
-                    updates["decoded_sha1"] = (store.put_blob(decoded.data)
-                                               if decoded.data != raw else record.body_sha1)
-                    record.decoded_sha1 = updates["decoded_sha1"]
-                except contentprep.BodyDecodeError:
-                    pass
-            data, ctype = _decoded_bytes(store, record)
+            if record.decoded_sha1 is None:  # not yet decoded: content is the raw body
+                extra = dict(record.extra)
+                data, _, decoded_sha1 = store_body(store, data, response.headers, extra)
+                updates = {"decoded_sha1": decoded_sha1, "extra": extra}
+            ctype = response.header("Content-Type") or ""
             updates["features"] = extract_features(data, ctype)
             store.update_record(record.record_id, **updates)
             done += 1
@@ -229,9 +215,11 @@ def cmd_extract(args, cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 # label
 
-def _labels_untouched(labels: LabelSet) -> bool:
-    return (labels.blacklist is ThreatType.NONE and not labels.signature_hits
-            and labels.scan_ticket is None and labels.ground_truth is None)
+def _get_record(store: FlowStore, record_id: int):
+    try:
+        return store.get_record(record_id)
+    except RecordNotFoundError:
+        raise CliError(f"no record {record_id}") from None
 
 
 def cmd_label(args, cfg: Config) -> int:
@@ -241,26 +229,21 @@ def cmd_label(args, cfg: Config) -> int:
     try:
         if args.requeue:
             for rid in args.requeue:
-                record = store.get_record(rid)
+                record = _get_record(store, rid)
                 if record.labels.scan_ticket is None:
                     raise CliError(f"record {rid} has no scan ticket to requeue")
                 record.labels.scan_ticket.requeue()
                 record.labels.ground_truth = None
                 store.update_record(rid, labels=record.labels)
         for record in store.records():
-            if not args.relabel and not _labels_untouched(record.labels):
+            if not args.relabel and record.labels != LabelSet():
                 continue
             if record.exchange is None:
                 continue
-            data, _ = _decoded_bytes(store, record)
-            verdict = fast_verdict(record.exchange.request.url, data,
+            verdict = fast_verdict(record.exchange.request.url, store.content(record),
                                    sources.blacklist, sources.signatures)
-            labels = record.labels
-            labels.blacklist = verdict.blacklist
-            labels.signature_hits = list(verdict.signature_hits)
-            if labels.scan_ticket is None:
-                labels.scan_ticket = schedule_multiengine(verdict)
-            store.update_record(record.record_id, labels=labels)
+            record.labels.apply_verdict(verdict)
+            store.update_record(record.record_id, labels=record.labels)
             relabeled += 1
         worker = {"submitted": 0, "fetched": 0, "cycles": 0}
         if sources.engines is not None:
@@ -332,10 +315,10 @@ def cmd_classify(args, cfg: Config) -> int:
         return 0
     store = _open_store(args, cfg, writable=bool(args.update))
     try:
-        for record in store.records():
+        records = (store.records() if args.record is None
+                   else [_get_record(store, args.record)])
+        for record in records:
             if record.features is None:
-                continue
-            if args.record is not None and record.record_id != args.record:
                 continue
             category, score = forest.predict(model, record.features)
             _emit({"record_id": record.record_id,

@@ -526,6 +526,11 @@ class FlowStore:
                 f"blob {sha1} reads back with digest {actual}")
         return ContentBlob(sha1=sha1, size=len(data), data=data)
 
+    def content(self, record: FlowRecord) -> bytes:
+        """What a record's body holds for scanning: decoded, else raw, else b""."""
+        sha1 = record.decoded_sha1 or record.body_sha1
+        return self.get_blob(sha1).data if sha1 else b""
+
     def _read_frame(self, offset: int) -> bytes:
         self._pack_fh.flush()  # a frame put but not yet synced may sit in the buffer
         fd = self._pack_fh.fileno()

@@ -16,6 +16,7 @@ import enum
 import hashlib
 import json
 import re
+from collections.abc import Set
 from dataclasses import dataclass, field
 from urllib.parse import unquote, urlsplit
 
@@ -221,11 +222,13 @@ class UrlBlacklist:
         # seeds the most specific expression of the URL
         self.add_hash(category, hash_expressions(url)[0])
 
-    def prefixes(self, category: ThreatType) -> frozenset[bytes]:
-        return frozenset(self._prefixes[category])
+    def prefixes(self, category: ThreatType) -> Set[bytes]:
+        """The held prefix set itself, not a copy: a lookup reads it per URL."""
+        return self._prefixes[category]
 
-    def full_hashes(self, category: ThreatType) -> frozenset[bytes]:
-        return frozenset(self._full[category])
+    def full_hashes(self, category: ThreatType) -> Set[bytes]:
+        """The held full-hash set itself, not a copy."""
+        return self._full[category]
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._full.values())
@@ -457,11 +460,18 @@ class LabelSet:
     ground_truth: bool | None = None
 
     def validate(self) -> None:
-        if self.scan_ticket is not None:
-            if self.blacklist is not ThreatType.MALWARE and not self.signature_hits:
-                raise ValueError(
-                    "scan ticket requires a fast-source detection "
-                    "(blacklist MALWARE or a signature hit)")
+        if (self.scan_ticket is not None
+                and not FastVerdict(self.blacklist, self.signature_hits).is_malware):
+            raise ValueError(
+                "scan ticket requires a fast-source detection "
+                "(blacklist MALWARE or a signature hit)")
+
+    def apply_verdict(self, verdict: FastVerdict) -> None:
+        """Take the verdict's blacklist and hits; ticket a detection not yet ticketed."""
+        self.blacklist = verdict.blacklist
+        self.signature_hits = list(verdict.signature_hits)
+        if self.scan_ticket is None:
+            self.scan_ticket = schedule_multiengine(verdict)
 
     def to_doc(self) -> dict:
         return {
@@ -499,7 +509,7 @@ def fast_verdict(url: str, decoded: bytes, blacklist: UrlBlacklist | None,
 def schedule_multiengine(verdict: FastVerdict,
                          engines_total: int = ENGINE_COUNT) -> ScanTicket | None:
     """Ticket only what a fast source already flagged as malware."""
-    if verdict.blacklist is ThreatType.MALWARE or verdict.signature_hits:
+    if verdict.is_malware:
         return ScanTicket(engines_total=engines_total)
     return None
 
@@ -575,10 +585,8 @@ def submit_worker_step(store, engines: SimulatedEngineSet) -> int:
     for record in records:
         labels = record.labels
         ticket = labels.scan_ticket
-        sha1 = record.decoded_sha1 or record.body_sha1
         try:
-            body = store.get_blob(sha1).data if sha1 else b""
-            ticket.to_in_progress(engines.submit(body))
+            ticket.to_in_progress(engines.submit(store.content(record)))
         except EngineError:
             ticket.to_error()
         store.update_record(record.record_id, labels=labels)

@@ -27,7 +27,6 @@ from .labels import (
     UrlBlacklist,
     fast_verdict,
     fetch_worker_step,
-    schedule_multiengine,
     submit_worker_step,
 )
 from .wire import EmittedExchange, IcapGateway, ProxyServer
@@ -62,39 +61,52 @@ class RunSummary:
         }
 
 
-def _decoded_view(exchange) -> tuple[bytes, list[str], str | None]:
-    """(decoded bytes, applied codings, decode error text)."""
+def _decoded_view(body: bytes, headers) -> tuple[bytes, dict[str, str]]:
+    """(decoded bytes, the prep.* extras that say how they were decoded)."""
     try:
-        decoded = contentprep.decode_body(exchange.body, exchange.response.headers)
+        decoded = contentprep.decode_body(body, headers)
     except contentprep.BodyDecodeError as exc:
-        return exchange.body, [], str(exc)
-    return decoded.data, decoded.applied_codings, None
+        return body, {"prep.decode_error": str(exc)}
+    prep = {}
+    if decoded.applied_codings:
+        prep["prep.codings"] = ",".join(decoded.applied_codings)
+    if decoded.truncated:
+        prep["prep.truncated"] = "true"
+    return decoded.data, prep
 
 
 def make_verdict_fn(sources: LabelSources):
     """Synchronous fast verdict for the gateway: blacklist + signatures."""
     def verdict_fn(exchange) -> FastVerdict:
-        decoded, _, _ = _decoded_view(exchange)
+        decoded, _ = _decoded_view(exchange.body, exchange.response.headers)
         return fast_verdict(exchange.request.url, decoded, sources.blacklist,
                             sources.signatures)
     return verdict_fn
+
+
+def store_body(store: FlowStore, body: bytes, headers,
+               extra: dict) -> tuple[bytes, str | None, str | None]:
+    """Store a body and its decoded form, and add the prep.* extras to `extra`.
+
+    Returns (decoded bytes, body_sha1, decoded_sha1); an empty body
+    stores no blob.  A body that does not decode is its own decoded form.
+    """
+    decoded, prep = _decoded_view(body, headers)
+    extra.update(prep)
+    if not body:
+        return decoded, None, None
+    body_sha1 = store.put_blob(body)
+    decoded_sha1 = store.put_blob(decoded) if decoded != body else body_sha1
+    return decoded, body_sha1, decoded_sha1
 
 
 def commit_emitted(store: FlowStore, emitted: EmittedExchange,
                    sources: LabelSources) -> FlowRecord:
     """Turn one gateway emission into one stored FlowRecord."""
     exchange = emitted.exchange
-    extra = {k: v for k, v in emitted.markers.items()}
-
-    body_sha1 = store.put_blob(exchange.body) if exchange.body else None
-    decoded, applied, decode_error = _decoded_view(exchange)
-    decoded_sha1 = None
-    if exchange.body:
-        decoded_sha1 = store.put_blob(decoded) if decoded != exchange.body else body_sha1
-    if applied:
-        extra["prep.codings"] = ",".join(applied)
-    if decode_error:
-        extra["prep.decode_error"] = decode_error
+    extra = dict(emitted.markers)
+    decoded, body_sha1, decoded_sha1 = store_body(
+        store, exchange.body, exchange.response.headers, extra)
 
     if emitted.request_body:
         extra["wire.request_body_sha1"] = store.put_blob(emitted.request_body)
@@ -103,11 +115,8 @@ def commit_emitted(store: FlowStore, emitted: EmittedExchange,
     if verdict is None:
         verdict = fast_verdict(exchange.request.url, decoded, sources.blacklist,
                                sources.signatures)
-    labels = LabelSet(
-        blacklist=verdict.blacklist,
-        signature_hits=list(verdict.signature_hits),
-        scan_ticket=schedule_multiengine(verdict),
-    )
+    labels = LabelSet()
+    labels.apply_verdict(verdict)
 
     ctype = exchange.response.header("Content-Type") or ""
     features = extract_features(decoded, ctype)
@@ -164,7 +173,6 @@ class Pipeline:
             host=host, port=proxy_port, gateway_addr=None,
             fail_policy=fail_policy, emit_fallback=self._queue.put)
         self._worker: threading.Thread | None = None
-        self._stop = threading.Event()
 
     @property
     def proxy_addr(self) -> tuple[str, int]:
@@ -174,19 +182,13 @@ class Pipeline:
         self.gateway.start()
         self.proxy.gateway_addr = self.gateway.address
         self.proxy.start()
-        self._stop.clear()
         self._worker = threading.Thread(target=self._drain, daemon=True)
         self._worker.start()
         return self
 
     def _drain(self) -> None:
-        while True:
-            try:
-                emitted = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return
-                continue
+        # runs until stop_capture queues None behind the last emission
+        for emitted in iter(self._queue.get, None):
             try:
                 commit_emitted(self.store, emitted, self.sources)
                 self.committed += 1
@@ -194,6 +196,7 @@ class Pipeline:
                 self.errors.append(f"{type(exc).__name__}: {exc}")
             finally:
                 self._queue.task_done()
+        self._queue.task_done()
 
     def flush(self) -> None:
         self._queue.join()
@@ -204,8 +207,8 @@ class Pipeline:
         self.proxy.stop()
         self.gateway.stop()
         self.flush()
-        self._stop.set()
         if self._worker is not None:
+            self._queue.put(None)
             self._worker.join(timeout=10)
             self._worker = None
 

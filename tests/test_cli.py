@@ -332,10 +332,11 @@ def test_label_requeue_without_ticket_is_exit_2(tmp_path, capsys):
     store_path = tmp_path / "store"
     with FlowStore(store_path) as store:
         rid = put_body_record(store, b"<html></html>")
-    code, _, err = run_cli(capsys, "--store", str(store_path), "label",
-                           "--requeue", str(rid))
-    assert code == 2
-    assert "no scan ticket" in err
+    for target, message in ((rid, "no scan ticket"), (rid + 4, f"no record {rid + 4}")):
+        code, _, err = run_cli(capsys, "--store", str(store_path), "label",
+                               "--requeue", str(target))
+        assert code == 2
+        assert message in err
 
 
 # --- train and classify ---
@@ -386,6 +387,9 @@ def test_train_then_classify_records_and_files(tmp_path, capsys):
     code, docs, _ = run_cli(capsys, "--store", str(store_path), "classify",
                             "--model", str(model_path), "--record", "1")
     assert [d["record_id"] for d in docs] == [1]
+    code, docs, err = run_cli(capsys, "--store", str(store_path), "classify",
+                              "--model", str(model_path), "--record", "99")
+    assert code == 2 and docs == [] and "no record 99" in err
 
     page = tmp_path / "sample.html"
     page.write_bytes(b"<html><script>eval(unescape('pX'));eval(x);</script></html>")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -204,6 +205,20 @@ def test_every_full_hash_prefix_is_in_the_prefix_set():
     full = db.full_hashes(ThreatType.MALWARE)
     prefixes = db.prefixes(ThreatType.MALWARE)
     assert all(h[:4] in prefixes for h in full)
+
+
+def test_lookup_cost_does_not_grow_with_the_blacklist():
+    # a lookup reads the held sets: copying both per URL made these 100 cost seconds
+    db = UrlBlacklist()
+    for i in range(200_000):
+        db.add_hash(ThreatType.MALWARE, hashlib.sha256(b"%d" % i).digest())
+    db.add_url("http://evil.test/bad", ThreatType.MALWARE)
+    start = time.process_time()
+    verdicts = [blacklist_lookup(f"http://h{i}.test/p", db) for i in range(99)]
+    verdicts.append(blacklist_lookup("http://evil.test/bad", db))
+    elapsed = time.process_time() - start
+    assert verdicts == [ThreatType.NONE] * 99 + [ThreatType.MALWARE]
+    assert elapsed < 0.25
 
 
 def test_add_hash_validation():

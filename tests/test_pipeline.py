@@ -9,6 +9,7 @@ import pytest
 from websift import pipeline as pipeline_module, wire
 from websift.agents import proxy_request
 from websift.augment import GeoIpDb, WhoIsDb
+from websift.cli import main
 from websift.flowstore import FlowRecord, FlowStore
 from websift.labels import (
     ENGINE_COUNT,
@@ -116,6 +117,43 @@ def test_commit_keeps_raw_when_decode_fails(store):
     assert "prep.decode_error" in record.extra
     assert record.decoded_sha1 == record.body_sha1
     assert store.blob_count() == 1
+
+
+_HTML = [("Content-Type", "text/html")]
+_GZIP = _HTML + [("Content-Encoding", "gzip")]
+_ZIPPED = gzip_mod.compress(b"<html><script>eval(x)</script></html>", mtime=0)
+
+
+@pytest.mark.parametrize("body,headers,prep", [
+    (b"<html><p>plain</p></html>", _HTML, {}),
+    (_ZIPPED, _GZIP, {"prep.codings": "gzip"}),
+    (b"%x\r\n%s\r\n0\r\n\r\n" % (len(_ZIPPED), _ZIPPED),
+     _GZIP + [("Transfer-Encoding", "chunked")], {"prep.codings": "chunked,gzip"}),
+    (b"\x1f\x8bgarbage-not-gzip", _GZIP, {"prep.decode_error": "gzip"}),
+    (gzip_mod.compress(b"A" * (1 << 20), mtime=0), _GZIP,
+     {"prep.codings": "gzip", "prep.truncated": "true"}),
+    (b"", _GZIP, {"prep.decode_error": "gzip"}),
+    (b"<html>" + MARKER + b"</html>", _HTML, {}),
+], ids=["identity", "gzip", "chunked-gzip", "bad-gzip", "bomb", "empty-gzip", "signature"])
+def test_capture_and_offline_commands_store_the_same_record(tmp_path, body, headers, prep):
+    sigs = tmp_path / "sigs.txt"
+    sigs.write_text(SIG_TEXT + "\n", encoding="utf-8")
+    emitted = make_emitted(body=body, resp_headers=headers)
+    with FlowStore(tmp_path / "captured") as store:
+        captured = commit_emitted(store, emitted, sig_sources()).to_doc()
+    with FlowStore(tmp_path / "offline") as store:
+        store.put_record(FlowRecord(exchange=emitted.exchange,
+                                    body_sha1=store.put_blob(body) if body else None))
+    offline = ["--store", str(tmp_path / "offline")]
+    assert main(offline + ["extract"]) == 0
+    assert main(offline + ["label", "--signatures", str(sigs)]) == 0
+    with FlowStore(tmp_path / "offline", writable=False) as store:
+        assert store.get_record(captured["record_id"]).to_doc() == captured
+    error = captured["extra"].get("prep.decode_error")
+    if error is not None:  # the message is zlib's; its prefix names the coding
+        captured["extra"]["prep.decode_error"] = error.partition(":")[0]
+    assert captured["extra"] == prep
+    assert (captured["labels"]["scan_ticket"] is not None) == (MARKER in body)
 
 
 def test_commit_empty_body(store):
