@@ -36,8 +36,8 @@ from .wire import (
 
 SEED_FOCUSES = ("benign", "malware", "phishing")
 FALLBACK_CREDENTIALS = ("testuser", "testpass")
-DEFAULT_VIEWPORT = (1366, 768)
-DEFAULT_USER_AGENT = "Mozilla/5.0 (X11; Linux x86_64) websift-agent/0.1"
+VIEWPORT = "1366x768"
+USER_AGENT = "Mozilla/5.0 (X11; Linux x86_64) websift-agent/0.1"
 
 AGENT_HEADER = "X-Websift-Agent"
 SEEDER_HEADER = "X-Websift-Seeder"
@@ -59,9 +59,6 @@ class AgentConfig:
     agent_id: str
     focus: str = "benign"
     interaction_budget: int = 10
-    viewport: tuple[int, int] = DEFAULT_VIEWPORT
-    user_agent_string: str = DEFAULT_USER_AGENT
-    credentials_path: str | None = None
 
     def __post_init__(self):
         if self.interaction_budget < 0:
@@ -270,18 +267,16 @@ class Agent:
                  timeout: float = 10.0):
         self.cfg = cfg
         self.proxy_addr = proxy_addr
-        self.creds = creds if creds is not None else (
-            load_credentials(cfg.credentials_path) if cfg.credentials_path else {})
+        self.creds = creds
         self.timeout = timeout
         self._idle: IdleConnections | None = None  # the proxy connection, during run
 
     def _headers(self) -> list[tuple[str, str]]:
-        w, h = self.cfg.viewport
         return [
-            ("User-Agent", self.cfg.user_agent_string),
+            ("User-Agent", USER_AGENT),
             (AGENT_HEADER, self.cfg.agent_id),
             (SEEDER_HEADER, self.cfg.focus),
-            (VIEWPORT_HEADER, f"{w}x{h}"),
+            (VIEWPORT_HEADER, VIEWPORT),
             ("Accept", "text/html,*/*"),
         ]
 

@@ -226,6 +226,7 @@ def cmd_label(args, cfg: Config) -> int:
     sources = _load_sources(args, cfg)
     store = _open_store(args, cfg)
     relabeled = 0
+    kept = []  # ticketed records a clean verdict left as they were
     try:
         if args.requeue:
             for rid in args.requeue:
@@ -242,7 +243,9 @@ def cmd_label(args, cfg: Config) -> int:
                 continue
             verdict = fast_verdict(record.exchange.request.url, store.content(record),
                                    sources.blacklist, sources.signatures)
-            record.labels.apply_verdict(verdict)
+            if not record.labels.apply_verdict(verdict):
+                kept.append(record.record_id)
+                continue
             store.update_record(record.record_id, labels=record.labels)
             relabeled += 1
         worker = {"submitted": 0, "fetched": 0, "cycles": 0}
@@ -251,7 +254,10 @@ def cmd_label(args, cfg: Config) -> int:
                                       max_cycles=args.cycles or 10000)
     finally:
         store.close()
-    _emit({"relabeled": relabeled, **worker})
+    summary = {"relabeled": relabeled, **worker}
+    if kept:
+        summary["kept"] = kept
+    _emit(summary)
     return 0
 
 
@@ -447,13 +453,6 @@ def cmd_report(args, cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 # synthweb
 
-def synthweb_serve(doc: dict, port: int = 0) -> synthweb.SynthWebServer:
-    """Starts an instrumented synthetic site and returns the running server."""
-    server = synthweb.SynthWebServer(doc, port=port)
-    server.start()
-    return server
-
-
 def cmd_synthweb(args, cfg: Config) -> int:
     if args.spec:
         doc = synthweb.load_site_file(args.spec)
@@ -469,7 +468,7 @@ def cmd_synthweb(args, cfg: Config) -> int:
     if args.duration == 0 and (args.emit_spec or args.emit_engines):
         _emit({"pages": len(doc["pages"])})
         return 0
-    server = synthweb_serve(doc, port=args.port)
+    server = synthweb.SynthWebServer(doc, port=args.port).start()
     _emit({"address": list(server.address), "pages": len(doc["pages"])})
     try:
         if args.duration > 0:

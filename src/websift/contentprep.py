@@ -38,42 +38,16 @@ class DecodedBody:
     data: bytes
     applied_codings: list[str] = field(default_factory=list)
     truncated: bool = False
-    declared_type: str = ""
     # codings declared but not undone because an unknown coding was reached
     pending_codings: list[str] = field(default_factory=list)
 
 
-def _header_values(headers, name: str) -> list[str]:
-    """All values for `name`, case-insensitive; accepts pair lists or dicts."""
-    if hasattr(headers, "items"):
-        items = headers.items()
-    else:
-        items = headers
-    out = []
-    low = name.lower()
-    for k, v in items:
-        if k.lower() == low:
-            out.append(v)
-    return out
-
-
 def _coding_list(headers, name: str) -> list[str]:
-    tokens: list[str] = []
-    for value in _header_values(headers, name):
-        for part in value.split(","):
-            tok = part.strip().lower()
-            if ";" in tok:
-                tok = tok.split(";", 1)[0].strip()
-            if tok:
-                tokens.append(tok)
-    return tokens
-
-
-def declared_media_type(headers) -> str:
-    values = _header_values(headers, "Content-Type")
-    if not values:
-        return ""
-    return values[0].split(";", 1)[0].strip().lower()
+    """The coding tokens of every `name` header in a pair list, in order, parameters dropped."""
+    low = name.lower()
+    tokens = [part.split(";", 1)[0].strip().lower()
+              for key, value in headers if key.lower() == low for part in value.split(",")]
+    return [tok for tok in tokens if tok]
 
 
 def _inflate(data: bytes, coding: str, limit: int) -> tuple[bytes, bool]:
@@ -111,7 +85,6 @@ def decode_body(raw: bytes, headers, cap: int = OUTPUT_CAP,
     pending_codings.  Exceeding min(cap, bomb_ratio * input size) truncates
     and flags the result rather than raising.
     """
-    declared = declared_media_type(headers)
     transfer = _coding_list(headers, "Transfer-Encoding")
     content = _coding_list(headers, "Content-Encoding")
 
@@ -149,6 +122,5 @@ def decode_body(raw: bytes, headers, cap: int = OUTPUT_CAP,
         data=data,
         applied_codings=applied,
         truncated=truncated,
-        declared_type=declared,
         pending_codings=pending,
     )

@@ -2,7 +2,7 @@
 
 Gini-impurity CART trees with no depth cap, per-node random feature
 subsets, optional bootstrap resampling and class weighting applied as
-Gini sample weights (10:1 malicious:benign by default).  The RNG is a
+Gini sample weights (10:1 malicious:benign).  The RNG is a
 self-contained xorshift64* so identical seeds give identical models on
 any platform; per-tree seeds come from a splitmix64 stream, which keeps
 results independent of tree-training order.
@@ -27,6 +27,7 @@ BENIGN = 0
 MALICIOUS = 1
 CATEGORY_NAMES = {BENIGN: "benign", MALICIOUS: "malicious"}
 MODEL_FORMAT = "websift-forest/1"
+CLASS_WEIGHTS = {MALICIOUS: 10.0, BENIGN: 1.0}
 
 _MASK64 = (1 << 64) - 1
 _IMPURITY_EPS = 1e-12
@@ -100,14 +101,8 @@ class TreeNode:
 @dataclass
 class ForestConfig:
     n_trees: int = 10
-    malicious_weight: float = 10.0
-    benign_weight: float = 1.0
     seed: int = 1
     bootstrap: bool = True
-    n_candidates: int = 0  # 0 means ceil(sqrt(feature count))
-
-    def weight_of(self, label: int) -> float:
-        return self.malicious_weight if label == MALICIOUS else self.benign_weight
 
 
 @dataclass
@@ -249,8 +244,8 @@ def train_forest(samples, labels, config: ForestConfig | None = None) -> ForestM
     n_features = len(rows[0])
     if any(len(r) != n_features for r in rows):
         raise ValueError("inconsistent feature counts in training set")
-    weights = [config.weight_of(label) for label in y]
-    n_candidates = config.n_candidates or math.ceil(math.sqrt(n_features))
+    weights = [CLASS_WEIGHTS[label] for label in y]
+    n_candidates = math.ceil(math.sqrt(n_features))
     degenerate = len(set(y)) < 2
     if degenerate:
         warnings.warn("single-category training set: model is a constant classifier",
@@ -455,9 +450,9 @@ def model_to_doc(model: ForestModel) -> dict:
         "n_trees": model.config.n_trees,
         "seed": model.config.seed,
         "bootstrap": model.config.bootstrap,
-        "n_candidates": model.config.n_candidates,
-        "weights": {"malicious": repr(model.config.malicious_weight),
-                    "benign": repr(model.config.benign_weight)},
+        "n_candidates": 0,  # ceil(sqrt(feature_count)) features tried per node
+        "weights": {"malicious": repr(CLASS_WEIGHTS[MALICIOUS]),
+                    "benign": repr(CLASS_WEIGHTS[BENIGN])},
         "feature_count": model.feature_count,
         "feature_ledger": model.feature_ledger,
         "degenerate": model.degenerate,
@@ -466,21 +461,18 @@ def model_to_doc(model: ForestModel) -> dict:
     }
 
 
-def model_from_doc(doc: dict, expect_ledger: bool = True) -> ForestModel:
+def model_from_doc(doc: dict) -> ForestModel:
     if doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"unknown model format {doc.get('format')!r}")
     feature_count = int(doc["feature_count"])
     ledger = doc.get("feature_ledger", "")
-    if expect_ledger and feature_count == len(FEATURE_ORDER) and ledger != ledger_hash():
+    if feature_count == len(FEATURE_ORDER) and ledger != ledger_hash():
         raise ModelFormatError(
             "model was trained against a different feature ledger")
     config = ForestConfig(
         n_trees=int(doc["n_trees"]),
-        malicious_weight=float(doc["weights"]["malicious"]),
-        benign_weight=float(doc["weights"]["benign"]),
         seed=int(doc["seed"]),
         bootstrap=bool(doc["bootstrap"]),
-        n_candidates=int(doc.get("n_candidates", 0)),
     )
     return ForestModel(
         trees=[_tree_from_arrays(t) for t in doc["trees"]],

@@ -466,12 +466,18 @@ class LabelSet:
                 "scan ticket requires a fast-source detection "
                 "(blacklist MALWARE or a signature hit)")
 
-    def apply_verdict(self, verdict: FastVerdict) -> None:
-        """Take the verdict's blacklist and hits; ticket a detection not yet ticketed."""
+    def apply_verdict(self, verdict: FastVerdict) -> bool:
+        """Take the verdict's blacklist and hits, ticket a new detection; True if applied.
+
+        A ticketed record's scan decides it, so a clean verdict leaves it as it is.
+        """
+        if self.scan_ticket is not None and not verdict.is_malware:
+            return False
         self.blacklist = verdict.blacklist
         self.signature_hits = list(verdict.signature_hits)
         if self.scan_ticket is None:
             self.scan_ticket = schedule_multiengine(verdict)
+        return True
 
     def to_doc(self) -> dict:
         return {
@@ -506,11 +512,10 @@ def fast_verdict(url: str, decoded: bytes, blacklist: UrlBlacklist | None,
     return FastVerdict(category, hits)
 
 
-def schedule_multiengine(verdict: FastVerdict,
-                         engines_total: int = ENGINE_COUNT) -> ScanTicket | None:
+def schedule_multiengine(verdict: FastVerdict) -> ScanTicket | None:
     """Ticket only what a fast source already flagged as malware."""
     if verdict.is_malware:
-        return ScanTicket(engines_total=engines_total)
+        return ScanTicket()
     return None
 
 
@@ -534,22 +539,20 @@ class SimulatedEngineSet:
     """
 
     def __init__(self, fixture: dict[str, list[str]] | None = None,
-                 engines: tuple[str, ...] = ENGINE_NAMES,
                  size_cap: int = ENGINE_SIZE_CAP):
-        self.engines = tuple(engines)
         self.size_cap = size_cap
         self._fixture: dict[str, list[str]] = {}
         for digest, names in (fixture or {}).items():
-            unknown = [n for n in names if n not in self.engines]
+            unknown = [n for n in names if n not in ENGINE_NAMES]
             if unknown:
                 raise ValueError(f"fixture names unknown engines: {unknown}")
             self._fixture[digest.lower()] = list(names)
         self._pending: dict[str, str] = {}
 
     @classmethod
-    def from_file(cls, path, **kw) -> "SimulatedEngineSet":
+    def from_file(cls, path) -> "SimulatedEngineSet":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh), **kw)
+            return cls(json.load(fh))
 
     def submit(self, data: bytes) -> str:
         if len(data) > self.size_cap:
@@ -568,11 +571,10 @@ class SimulatedEngineSet:
         if detecting is None:
             # synthetic low-signal noise, always under the ground-truth bar
             count = int(digest[:4], 16) % 3
-            start = int(digest[:8], 16) % len(self.engines)
-            detecting = [self.engines[(start + i) % len(self.engines)]
-                         for i in range(count)]
+            start = int(digest[:8], 16) % ENGINE_COUNT
+            detecting = [ENGINE_NAMES[(start + i) % ENGINE_COUNT] for i in range(count)]
         report = {name: ("malicious" if name in detecting else "clean")
-                  for name in self.engines}
+                  for name in ENGINE_NAMES}
         return len(detecting), report
 
 

@@ -63,6 +63,8 @@ class RunSummary:
 
 def _decoded_view(body: bytes, headers) -> tuple[bytes, dict[str, str]]:
     """(decoded bytes, the prep.* extras that say how they were decoded)."""
+    if not body:  # nothing to decode, whatever codings a HEAD, 204 or 304 declares
+        return body, {}
     try:
         decoded = contentprep.decode_body(body, headers)
     except contentprep.BodyDecodeError as exc:

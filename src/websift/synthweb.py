@@ -25,6 +25,7 @@ from urllib.parse import parse_qs, urlsplit
 SIGNATURE_MARKER = b"WS-SIG-ALPHA-7f3e"
 SIGNATURE_NAME = "Test.Sig.Alpha"
 PAGE_KINDS = ("benign", "malicious")
+FIXTURE_DETECTIONS = 12  # engines that flag each malicious page in engine_fixture_for
 
 _WORDS = ("maple", "harbor", "lantern", "copper", "meadow", "drift", "quarry",
           "ember", "willow", "summit", "cedar", "hollow", "prairie", "garnet")
@@ -175,12 +176,12 @@ def load_site_file(path) -> dict:
             raise SiteSpecError(f"site spec is not valid JSON: {exc}") from None
 
 
-def engine_fixture_for(doc: dict, detections: int = 12) -> dict[str, list[str]]:
+def engine_fixture_for(doc: dict) -> dict[str, list[str]]:
     """Engine fixture mapping each malicious page's body digest to alerts.
 
     Keyed by SHA-256 of the decoded body, which is what the engine set
-    hashes on submit; `detections` engines flag each malicious page so
-    ground truth lands on the malicious side of the threshold.
+    hashes on submit; FIXTURE_DETECTIONS engines flag each malicious page
+    so ground truth lands on the malicious side of the threshold.
     """
     from .labels import ENGINE_NAMES
 
@@ -192,7 +193,7 @@ def engine_fixture_for(doc: dict, detections: int = 12) -> dict[str, list[str]]:
         digest = sha256(render_page(page, seed)).hexdigest()
         start = int(digest[:4], 16) % len(ENGINE_NAMES)
         fixture[digest] = [ENGINE_NAMES[(start + i) % len(ENGINE_NAMES)]
-                           for i in range(detections)]
+                           for i in range(FIXTURE_DETECTIONS)]
     return fixture
 
 

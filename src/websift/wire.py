@@ -19,7 +19,8 @@ request without a `close` token (RFC 9112 §9.3) and closes it after
 HTTP/1.0, `Connection: close`, a request with a Transfer-Encoding (its
 chunked body is not read), any 400/405/413/502 error, or a failed write;
 a Content-Length above `max_body` gets 413 before any inspection or
-fetch, with the body left unread.  Only a closing response carries
+fetch, with the body left unread, and a body cut short by the client's
+end of stream gets 400 just as early.  Only a closing response carries
 `Connection: close`.  Clients keep idle connections in an
 IdleConnections stack: the proxy its gateway connections, each agent its
 one proxy connection.  A message on a reused connection that gets not
@@ -42,8 +43,9 @@ connection closed.  An HTTP response to HEAD, and any 204 or 304, ends
 at its head (RFC 9112 §6.3), whatever its framing headers say.
 
 Framing is done once for both protocols, and every peer is treated as
-hostile.  One writer builds every ICAP and HTTP head and one lenient
-reader parses every HTTP head.  An ICAP message is read in one pass,
+hostile.  One writer builds every ICAP and HTTP head, one
+(`_write_icap`) lays out every ICAP message's sections and Encapsulated
+offsets, and one lenient reader parses every HTTP head.  An ICAP message is read in one pass,
 straight into an IcapMessage or IcapResponse: its head is parsed once
 (only CRLF ends a line), the sections its Encapsulated header declares
 are read as they arrive and its body is de-chunked as it is read.  One
@@ -85,6 +87,7 @@ ICAP_IDLE_CONNECTIONS = 8     # idle connections an IdleConnections stack keeps 
 RESPONSE_DEADLINE_TIMEOUTS = 6  # a message must arrive whole within this many read timeouts
 ICAP_METHODS = ("OPTIONS", "REQMOD", "RESPMOD")
 SEEDER_TAGS = ("benign", "malware", "phishing")
+VIA = "1.1 websift"           # the Via header the proxy adds to every origin request
 
 _BODY_TOKENS = ("req-body", "res-body", "null-body", "opt-body")
 _SECTION_TOKENS = ("req-hdr", "res-hdr") + _BODY_TOKENS
@@ -254,12 +257,6 @@ class IcapMessage(_HeaderLookup):
     encapsulated: list[tuple[str, int]]
     sections: dict[str, bytes]  # body section stored de-chunked
 
-    def body_token(self) -> str | None:
-        for token, _ in self.encapsulated:
-            if token in _BODY_TOKENS:
-                return token
-        return None
-
 
 @dataclass
 class IcapResponse(_HeaderLookup):
@@ -276,23 +273,8 @@ class IcapResponse(_HeaderLookup):
         return None
 
     def to_bytes(self) -> bytes:
-        parts: list[bytes] = []
-        offsets: list[str] = []
-        pos = 0
-        has_body = False
-        for token, data in self.sections:
-            offsets.append(f"{token}={pos}")
-            if token not in _BODY_TOKENS:
-                parts.append(data)
-                pos += len(data)
-            else:
-                has_body = True
-                if token != "null-body":
-                    parts.append(_chunk_encode(data))
-        if not has_body:
-            offsets.append(f"null-body={pos}")
-        headers = self.headers + [("Encapsulated", ", ".join(offsets))]
-        return _write_head(f"{ICAP_VERSION} {self.status} {self.reason}", headers) + b"".join(parts)
+        return _write_icap(f"{ICAP_VERSION} {self.status} {self.reason}", self.headers,
+                           self.sections)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +284,28 @@ def _write_head(start_line: str, headers) -> bytes:
     """A start line, one `name: value` line per header and the blank line."""
     return "".join([start_line, "\r\n", *[f"{k}: {v}\r\n" for k, v in headers],
                     "\r\n"]).encode("latin-1")
+
+
+def _write_icap(start_line: str, headers, sections) -> bytes:
+    """An ICAP message: its head, Encapsulated header last, then its sections.
+
+    `sections` are (token, bytes) pairs in order: header sections, then
+    at most one *-body section other than null-body, whose bytes are
+    chunked.  Without a body section the message ends at `null-body`.
+    """
+    offsets: list[str] = []
+    parts: list[bytes] = []
+    pos = 0
+    for token, data in sections:
+        offsets.append(f"{token}={pos}")
+        if token in _BODY_TOKENS:
+            data = _chunk_encode(data)
+        parts.append(data)
+        pos += len(data)
+    if not sections or sections[-1][0] not in _BODY_TOKENS:
+        offsets.append(f"null-body={pos}")
+    headers = [*headers, ("Encapsulated", ", ".join(offsets))]
+    return _write_head(start_line, headers) + b"".join(parts)
 
 
 def _split_head(head: bytes) -> tuple[bytes, list[tuple[str, str]]]:
@@ -504,32 +508,22 @@ def encapsulate(exchange: HttpExchange, icap_host: str = "gateway",
                 exchange_id: str = "", markers: dict[str, str] | None = None) -> bytes:
     """Build a RESPMOD request carrying the full exchange."""
     exchange.validate()
-    req_hdr = _serialize_request_head(exchange.request)
-    res_hdr = _serialize_response_head(exchange.response)
+    sections = [("req-hdr", _serialize_request_head(exchange.request)),
+                ("res-hdr", _serialize_response_head(exchange.response))]
     if exchange.body:
-        enc = f"req-hdr=0, res-hdr={len(req_hdr)}, res-body={len(req_hdr) + len(res_hdr)}"
-        body = _chunk_encode(exchange.body)
-    else:
-        enc = f"req-hdr=0, res-hdr={len(req_hdr)}, null-body={len(req_hdr) + len(res_hdr)}"
-        body = b""
-    headers = [("Host", icap_host), *_metadata_headers(exchange, exchange_id, markers or {}),
-               ("Encapsulated", enc)]
-    head = _write_head(f"RESPMOD icap://{icap_host}/respmod {ICAP_VERSION}", headers)
-    return head + req_hdr + res_hdr + body
+        sections.append(("res-body", exchange.body))
+    headers = [("Host", icap_host), *_metadata_headers(exchange, exchange_id, markers or {})]
+    return _write_icap(f"RESPMOD icap://{icap_host}/respmod {ICAP_VERSION}", headers, sections)
 
 
 def build_reqmod(request: HttpRequest, body: bytes = b"",
                  icap_host: str = "gateway", exchange_id: str = "") -> bytes:
     """Build a REQMOD request for the client-side half of an exchange."""
-    req_hdr = _serialize_request_head(request)
+    sections = [("req-hdr", _serialize_request_head(request))]
     if body:
-        enc = f"req-hdr=0, req-body={len(req_hdr)}"
-        payload = req_hdr + _chunk_encode(body)
-    else:
-        enc = f"req-hdr=0, null-body={len(req_hdr)}"
-        payload = req_hdr
-    headers = [("Host", icap_host), ("X-Exchange-Id", exchange_id), ("Encapsulated", enc)]
-    return _write_head(f"REQMOD icap://{icap_host}/reqmod {ICAP_VERSION}", headers) + payload
+        sections.append(("req-body", body))
+    return _write_icap(f"REQMOD icap://{icap_host}/reqmod {ICAP_VERSION}",
+                       [("Host", icap_host), ("X-Exchange-Id", exchange_id)], sections)
 
 
 def _parse_http_request_head(raw: bytes) -> tuple[HttpRequest, str]:
@@ -579,20 +573,19 @@ def exchange_from_respmod(msg: IcapMessage) -> tuple[HttpExchange, str, dict[str
 # ---------------------------------------------------------------------------
 # gateway service logic
 
-def _rewrite_blocked(response: HttpResponse, page: bytes) -> tuple[HttpResponse, bytes]:
+def _rewrite_blocked(response: HttpResponse) -> HttpResponse:
     kept = [(k, v) for k, v in response.headers
             if k.lower() not in ("content-length", "content-encoding",
                                  "content-type", "transfer-encoding")]
     kept.append(("Content-Type", "text/html; charset=utf-8"))
-    kept.append(("Content-Length", str(len(page))))
+    kept.append(("Content-Length", str(len(WARNING_PAGE))))
     kept.append(("X-Websift-Blocked", "malware"))
-    return HttpResponse(response.status, response.reason, kept), page
+    return HttpResponse(response.status, response.reason, kept)
 
 
 def serve_icap(msg: IcapMessage, mode: str = "collect", verdict_fn=None,
                emit=None, istag: str = '"websift-default"',
-               reqmod_bodies: dict[str, bytes] | None = None,
-               warning_page: bytes = WARNING_PAGE) -> IcapResponse:
+               reqmod_bodies: dict[str, bytes] | None = None) -> IcapResponse:
     """Dispatch one parsed ICAP message; returns the response to send.
 
     mode: "collect" never modifies; "enforce" replaces the body of
@@ -640,10 +633,9 @@ def serve_icap(msg: IcapMessage, mode: str = "collect", verdict_fn=None,
             markers["wire.gateway_error"] = type(exc).__name__
             return IcapResponse(500, "Pipeline refused exchange", base_headers)
         if mode == "enforce" and verdict is not None and getattr(verdict, "is_malware", False):
-            blocked, page = _rewrite_blocked(exchange.response, warning_page)
             return IcapResponse(200, "OK", base_headers, [
-                ("res-hdr", _serialize_response_head(blocked)),
-                ("res-body", page),
+                ("res-hdr", _serialize_response_head(_rewrite_blocked(exchange.response))),
+                ("res-body", WARNING_PAGE),
             ])
         return IcapResponse(204, "No modifications", base_headers)
 
@@ -897,13 +889,11 @@ class IcapGateway:
     """TCP ICAP server wrapping serve_icap."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 mode: str = "collect", verdict_fn=None, emit=None,
-                 warning_page: bytes = WARNING_PAGE):
+                 mode: str = "collect", verdict_fn=None, emit=None):
         if mode not in ("collect", "enforce"):
             raise ValueError(f"unknown gateway mode {mode!r}")
         self.mode = mode
         self.verdict_fn = verdict_fn
-        self.warning_page = warning_page
         self.istag = f'"WS-{uuid.uuid4().hex[:12]}"'
         self.reqmod_bodies = _ReqmodBodies()
         self.refused: list[EmittedExchange] = []
@@ -931,7 +921,7 @@ class IcapGateway:
             return False  # the peer closed the connection
         try:
             response = serve_icap(parse_icap(rfile), self.mode, self.verdict_fn, self.emit,
-                                  self.istag, self.reqmod_bodies, self.warning_page)
+                                  self.istag, self.reqmod_bodies)
         except IcapParseError:
             # the framing of whatever follows can no longer be trusted
             wfile.write(IcapResponse(400, "Bad request", [
@@ -1093,7 +1083,7 @@ def _read_response(rfile, cap: int, head_only: bool = False) -> tuple[HttpRespon
 
 
 def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
-                    cap: int, via_token: str) -> tuple[HttpResponse, bytes, bool, str]:
+                    cap: int) -> tuple[HttpResponse, bytes, bool, str]:
     """Fetch the origin response; returns (response, entity, truncated, peer ip)."""
     parts = urlsplit(request.url)
     if parts.scheme != "http":
@@ -1115,7 +1105,7 @@ def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
         out_headers.append((k, v))
     if not saw_host:
         out_headers.insert(0, ("Host", parts.netloc))
-    out_headers.append(("Via", f"1.1 {via_token}"))
+    out_headers.append(("Via", VIA))
     out_headers.append(("Connection", "close"))
 
     with socket.create_connection((host, port), timeout=timeout) as sock:
@@ -1180,8 +1170,7 @@ class ProxyServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  gateway_addr: tuple[str, int] | None = None,
                  fail_policy: str = "closed", max_body: int = MAX_BODY_SIZE,
-                 timeout: float = 10.0, emit_fallback=None,
-                 via_token: str = "websift"):
+                 timeout: float = 10.0, emit_fallback=None):
         if fail_policy not in ("open", "closed"):
             raise ValueError(f"unknown fail policy {fail_policy!r}")
         self.gateway_addr = gateway_addr
@@ -1189,7 +1178,6 @@ class ProxyServer:
         self.max_body = max_body
         self.timeout = timeout
         self.emit_fallback = emit_fallback
-        self.via_token = via_token
         self._icap_idle = IdleConnections()
         # _handle is looked up per request, so it can be replaced on the instance
         self._server = _ThreadedServer(
@@ -1230,7 +1218,8 @@ class ProxyServer:
         It stays open after an HTTP/1.1 request without a `close` token
         whose body was read whole and framed by Content-Length, once the
         response went out.  Every error response closes it; a body above
-        `max_body` gets 413 before any inspection or fetch.
+        `max_body` gets 413, and one that ends before its Content-Length
+        400, before any inspection or fetch.
         """
         try:
             head = _read_head(rfile)
@@ -1262,6 +1251,11 @@ class ProxyServer:
                                     f"request body of {length} bytes exceeds {self.max_body}",
                                     head_only=head_only)
         request_body = _read_upto(rfile, length)
+        if len(request_body) < length:
+            # the client ended its side early: no origin is sent a body shorter than declared
+            return self._send_error(wfile, 400, "Bad Request",
+                                    f"request body cut short at {len(request_body)} of "
+                                    f"{length} bytes", head_only=head_only)
         # a chunked body is not read: what is left of it must never be
         # parsed as the next request
         keep = (version == "HTTP/1.1" and not _says_close(request.headers)
@@ -1293,7 +1287,7 @@ class ProxyServer:
         # origin fetch
         try:
             response, entity, truncated, peer_ip = _fetch_upstream(
-                request, request_body, self.timeout, self.max_body, self.via_token)
+                request, request_body, self.timeout, self.max_body)
             if peer_ip:
                 markers["wire.upstream_ip"] = peer_ip
             if truncated:

@@ -291,6 +291,23 @@ def test_label_applies_fast_sources_and_runs_workers(tmp_path, capsys):
     assert docs[-1] == {"relabeled": 1, "submitted": 0, "fetched": 0, "cycles": 1}
 
 
+def test_relabel_keeps_a_ticketed_record_that_a_clean_verdict_reaches(tmp_path, capsys):
+    store_path, sigs, _, rid = seed_labelable_store(tmp_path)
+    run_cli(capsys, "--store", str(store_path), "label", "--signatures", str(sigs))
+    with FlowStore(store_path, writable=False) as store:
+        before = store.get_record(rid).labels
+    assert before.scan_ticket is not None
+    other = tmp_path / "other.txt"
+    other.write_text("Other.Sig:" + b"matches-nothing".hex() + "\n", encoding="utf-8")
+    code, docs, _ = run_cli(capsys, "--store", str(store_path), "label", "--relabel",
+                            "--signatures", str(other))
+    assert code == 0
+    assert docs[-1] == {"relabeled": 1, "submitted": 0, "fetched": 0, "cycles": 0,
+                        "kept": [rid]}
+    with FlowStore(store_path, writable=False) as store:
+        assert store.get_record(rid).labels == before
+
+
 def test_relabel_scans_the_body_of_a_record_whose_url_does_not_canonicalize(tmp_path, capsys):
     # capture scans such a record's content; relabeling must not skip it
     store_path = tmp_path / "store"

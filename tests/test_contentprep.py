@@ -10,7 +10,6 @@ from websift.contentprep import (
     BOMB_RATIO,
     BodyDecodeError,
     DecodedBody,
-    declared_media_type,
     decode_body,
 )
 
@@ -46,21 +45,6 @@ def test_no_codings_passthrough():
     assert got.applied_codings == []
     assert got.pending_codings == []
     assert not got.truncated
-    assert got.declared_type == "text/html"
-
-
-def test_declared_type_lowercased_and_param_stripped():
-    got = decode_body(b"x", [("Content-Type", "Text/HTML; charset=UTF-8")])
-    assert got.declared_type == "text/html"
-    assert declared_media_type({"Content-Type": "APPLICATION/JSON;a=b"}) == "application/json"
-    assert declared_media_type([]) == ""
-
-
-def test_headers_accept_dicts_and_pair_lists():
-    blob = gzip.compress(BODY)
-    a = decode_body(blob, {"Content-Encoding": "gzip"})
-    b = decode_body(blob, [("content-encoding", "gzip")])
-    assert a.data == b.data == BODY
 
 
 # --- single codings ---
@@ -319,4 +303,4 @@ def test_chunked_gzip_roundtrip(body):
 def test_decoded_body_defaults():
     d = DecodedBody(data=b"x")
     assert d.applied_codings == [] and d.pending_codings == []
-    assert not d.truncated and d.declared_type == ""
+    assert not d.truncated

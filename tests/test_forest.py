@@ -244,17 +244,6 @@ def test_tree_seeds_are_independent_of_forest_size():
     assert large_doc["trees"][0] == small_doc["trees"][0]
 
 
-def test_scaling_both_class_weights_keeps_predictions():
-    rows, labels = two_cluster_data()
-    base = train_forest(rows, labels, ForestConfig(
-        n_trees=4, seed=2, malicious_weight=10.0, benign_weight=1.0))
-    doubled = train_forest(rows, labels, ForestConfig(
-        n_trees=4, seed=2, malicious_weight=20.0, benign_weight=2.0))
-    probes = rows + [[5.0, 20.0], [0.0, 0.0], [9.0, 40.0]]
-    for row in probes:
-        assert predict(base, row) == predict(doubled, row)
-
-
 def test_degenerate_single_class_training_warns():
     rows = [[0.0], [1.0], [2.0]]
     with pytest.warns(UserWarning, match="single-category"):
@@ -456,7 +445,6 @@ def test_model_format_guards(tmp_path):
                       feature_ledger="bogus")
     with pytest.raises(ModelFormatError):
         model_from_doc(mismatched)
-    assert model_from_doc(mismatched, expect_ledger=False) is not None
 
     garbage = tmp_path / "model.json"
     garbage.write_text("{not json")

@@ -489,10 +489,9 @@ def test_schedule_multiengine_rules():
     assert schedule_multiengine(
         FastVerdict(ThreatType.SOCIAL_ENGINEERING, [])) is None
     assert schedule_multiengine(FastVerdict(ThreatType.NONE, [])) is None
-    ticket = schedule_multiengine(FastVerdict(ThreatType.MALWARE, []),
-                                  engines_total=10)
+    ticket = schedule_multiengine(FastVerdict(ThreatType.MALWARE, []))
     assert ticket.status is TicketStatus.UNSCANNED
-    assert ticket.engines_total == 10
+    assert ticket.engines_total == ENGINE_COUNT
 
 
 def test_ground_truth_threshold():

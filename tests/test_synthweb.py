@@ -149,12 +149,6 @@ def test_engine_fixture_covers_malicious_pages_only():
         assert len(names) >= GROUND_TRUTH_THRESHOLD
 
 
-def test_engine_fixture_detection_count_configurable():
-    doc = generate_site(1, 1, seed=2)
-    fixture = engine_fixture_for(doc, detections=3)
-    assert all(len(v) == 3 for v in fixture.values())
-
-
 # --- instrumented server ---
 
 @pytest.fixture

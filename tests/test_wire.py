@@ -71,7 +71,6 @@ def test_parse_options_without_payload():
     assert msg.headers == [("Host", "g")]
     assert msg.encapsulated == []
     assert msg.sections == {}
-    assert msg.body_token() is None
 
 
 # Hand-built RESPMOD whose header blocks are sized so the declared offsets
@@ -116,7 +115,7 @@ def test_parse_respmod_fixture_exact_offsets():
     assert msg.sections["req-hdr"] == FIXTURE_REQ_HDR
     assert msg.sections["res-hdr"] == FIXTURE_RES_HDR
     assert msg.sections["res-body"] == FIXTURE_BODY
-    assert msg.body_token() == "res-body"
+    assert msg.encapsulated[-1][0] == "res-body"
 
 
 def test_parse_respmod_fixture_rebuilds_exchange():
@@ -138,7 +137,7 @@ def test_parse_respmod_null_body():
         len(req_hdr), len(req_hdr) + len(res_hdr))
     raw = head_block([b"RESPMOD icap://g/respmod ICAP/1.0", enc]) + req_hdr + res_hdr
     msg = parse_icap(raw)
-    assert msg.body_token() == "null-body"
+    assert msg.encapsulated[-1][0] == "null-body"
     assert "null-body" not in msg.sections
     assert msg.sections["res-hdr"] == res_hdr
 
@@ -391,6 +390,35 @@ def test_icap_response_to_bytes_offsets_and_chunking():
     assert again.section("res-body") == b"payload"
 
 
+_ICAP_HEADERS = st.lists(st.tuples(
+    st.from_regex(r"[A-Za-z][A-Za-z0-9-]{0,15}", fullmatch=True).filter(
+        lambda name: name.lower() != "encapsulated"),
+    st.from_regex(r"([!-~]([ -~]{0,30}[!-~])?)?", fullmatch=True)), max_size=4)
+
+
+@given(_ICAP_HEADERS,
+       st.sampled_from([(), ("req-hdr",), ("res-hdr",), ("req-hdr", "res-hdr")]),
+       st.lists(st.binary(min_size=1, max_size=200), min_size=2, max_size=2),
+       st.sampled_from(["req-body", "res-body"]),
+       st.none() | st.binary(max_size=300))
+def test_icap_writer_round_trips_through_both_readers(headers, tokens, datas, body_token,
+                                                      body):
+    sections = list(zip(tokens, datas))
+    if body is not None:
+        sections.append((body_token, body))
+    declared = [*tokens, body_token if body is not None else "null-body"]
+
+    msg = parse_icap(wire._write_icap("RESPMOD icap://gw/respmod ICAP/1.0", headers,
+                                      sections))
+    assert msg.headers[:-1] == headers and msg.headers[-1][0] == "Encapsulated"
+    assert [token for token, _ in msg.encapsulated] == declared
+    assert msg.sections == dict(sections)
+
+    response = parse_icap_response(wire._write_icap("ICAP/1.0 200 OK", headers, sections))
+    assert response.headers[:-1] == headers
+    assert response.sections == sections
+
+
 def test_chunk_encode_empty_is_bare_terminator():
     assert wire._chunk_encode(b"") == b"0\r\n\r\n"
     assert wire._chunk_encode(b"abc") == b"3\r\nabc\r\n0\r\n\r\n"
@@ -417,7 +445,7 @@ def test_encapsulate_empty_body_uses_null_body():
     raw = encapsulate(exchange)
     assert b"null-body=" in raw
     msg = parse_icap(raw)
-    assert msg.body_token() == "null-body"
+    assert msg.encapsulated[-1][0] == "null-body"
     rebuilt, _, _ = exchange_from_respmod(msg)
     assert rebuilt.body == b""
 
@@ -500,13 +528,13 @@ def test_build_reqmod_with_body():
     assert msg.method == "REQMOD"
     assert msg.header("X-Exchange-Id") == "e2"
     assert msg.sections["req-body"] == b"user=1"
-    assert msg.body_token() == "req-body"
+    assert msg.encapsulated[-1][0] == "req-body"
 
 
 def test_build_reqmod_without_body():
     raw = build_reqmod(HttpRequest("GET", "http://a.test/", []))
     msg = parse_icap(raw)
-    assert msg.body_token() == "null-body"
+    assert msg.encapsulated[-1][0] == "null-body"
     assert "req-body" not in msg.sections
 
 
@@ -1468,6 +1496,28 @@ def test_proxy_answers_a_body_over_max_body_with_413_at_once(origin, monkeypatch
     assert origin.seen == [] and transacts == [] and emitted == []
 
 
+def test_proxy_answers_a_request_body_cut_short_with_400_at_once(origin, monkeypatch):
+    transacts = []
+    real_transact = wire.icap_transact
+    monkeypatch.setattr(wire, "icap_transact",
+                        lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address) as px, \
+            socket.create_connection(px.address, timeout=30) as sock, \
+            sock.makefile("rb") as rfile:
+        started = time.monotonic()
+        sock.sendall(f"POST {origin_url(origin, '/echobody')} HTTP/1.1\r\n"
+                     "Content-Length: 100\r\n\r\n".encode() + b"x" * 10)
+        sock.shutdown(socket.SHUT_WR)
+        response, body = read_reply(rfile)
+        assert time.monotonic() - started < 2  # the proxy's timeout is 10 s
+        assert (response.status, response.header("Connection")) == (400, "close")
+        assert b"cut short at 10 of 100 bytes" in body
+        assert closed_by_peer(rfile)
+    assert origin.seen == [] and transacts == [] and emitted == []
+
+
 @contextlib.contextmanager
 def trickling_peer(head: bytes, every: float = 0.1, seconds: float = 30.0):
     """A one-connection server that sends `head` whole, then one "x" per `every` s
@@ -1981,7 +2031,7 @@ def test_origin_request_is_byte_stable():
         request = HttpRequest("POST", f"http://{addr[0]}:{addr[1]}/p?q=1", [
             ("Proxy-Connection", "keep-alive"), ("X-Websift-Agent", "a1"),
             ("Content-Length", "2")])
-        return wire._fetch_upstream(request, b"xy", 5, 1 << 20, "websift")
+        return wire._fetch_upstream(request, b"xy", 5, 1 << 20)
 
     sent, (response, entity, truncated, _) = _capture_one_request(
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nX-B: 2\r\n\r\n2\r\nhi\r\n0\r\n\r\n",
