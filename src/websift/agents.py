@@ -1,4 +1,4 @@
-"""Headless user agents: seed consumption and login-then-interact.
+"""Headless user agents: seed URL lists and login-then-interact.
 
 Agents fetch seed URLs through the forward proxy, undo the content
 codings of the returned HTML, parse it with the tolerant parser, and
@@ -25,7 +25,10 @@ from urllib.parse import urlencode, urljoin, urlsplit
 from .contentprep import BodyDecodeError, decode_body
 from .features import FormSpec, HtmlDoc, parse_html
 from .wire import (
+    AGENT_HEADER,
     MAX_BODY_SIZE,
+    SEEDER_HEADER,
+    SEEDER_TAGS,
     IdleConnections,
     _header,
     _read_response,
@@ -34,24 +37,15 @@ from .wire import (
     _write_head,
 )
 
-SEED_FOCUSES = ("benign", "malware", "phishing")
 FALLBACK_CREDENTIALS = ("testuser", "testpass")
 VIEWPORT = "1366x768"
 USER_AGENT = "Mozilla/5.0 (X11; Linux x86_64) websift-agent/0.1"
 
-AGENT_HEADER = "X-Websift-Agent"
-SEEDER_HEADER = "X-Websift-Seeder"
 VIEWPORT_HEADER = "X-Websift-Viewport"
 
 
 class AgentConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SeedEntry:
-    url: str
-    focus: str
 
 
 @dataclass
@@ -63,7 +57,7 @@ class AgentConfig:
     def __post_init__(self):
         if self.interaction_budget < 0:
             raise AgentConfigError("interaction_budget must be >= 0")
-        if self.focus not in SEED_FOCUSES:
+        if self.focus not in SEEDER_TAGS:
             raise AgentConfigError(f"unknown seed focus {self.focus!r}")
 
 
@@ -91,28 +85,7 @@ class VisitSummary:
 
 
 # ---------------------------------------------------------------------------
-# seeders
-
-class Seeder:
-    """Round-robin seed source for one focus; position survives calls."""
-
-    def __init__(self, urls: list[str], focus: str):
-        if focus not in SEED_FOCUSES:
-            raise AgentConfigError(f"unknown seed focus {focus!r}")
-        if not urls:
-            raise AgentConfigError(f"seed list for focus {focus!r} is empty")
-        self.focus = focus
-        self._urls = list(urls)
-        self._position = 0
-
-    def __len__(self) -> int:
-        return len(self._urls)
-
-    def next_seed(self) -> SeedEntry:
-        url = self._urls[self._position % len(self._urls)]
-        self._position += 1
-        return SeedEntry(url=url, focus=self.focus)
-
+# credentials
 
 def load_credentials(path) -> dict[str, tuple[str, str]]:
     """CSV host,user,password -> host-keyed credential map."""
@@ -263,12 +236,10 @@ def _is_html(headers: list[tuple[str, str]]) -> bool:
 
 class Agent:
     def __init__(self, cfg: AgentConfig, proxy_addr: tuple[str, int],
-                 creds: dict[str, tuple[str, str]] | None = None,
-                 timeout: float = 10.0):
+                 creds: dict[str, tuple[str, str]] | None = None):
         self.cfg = cfg
         self.proxy_addr = proxy_addr
         self.creds = creds
-        self.timeout = timeout
         self._idle: IdleConnections | None = None  # the proxy connection, during run
 
     def _headers(self) -> list[tuple[str, str]]:
@@ -280,16 +251,16 @@ class Agent:
             ("Accept", "text/html,*/*"),
         ]
 
-    def _request(self, method: str, url: str, body: bytes = b"",
-                 extra_headers: list[tuple[str, str]] | None = None):
-        headers = self._headers() + list(extra_headers or [])
-        return proxy_request(self.proxy_addr, method, url, headers, body,
-                             self.timeout, idle=self._idle)
+    def _request(self, method: str, url: str, body: bytes = b""):
+        headers = self._headers()
+        if method == "POST":  # agents post only forms
+            headers.append(("Content-Type", "application/x-www-form-urlencoded"))
+        return proxy_request(self.proxy_addr, method, url, headers, body, idle=self._idle)
 
-    def visit(self, seed: SeedEntry) -> VisitSummary:
-        summary = VisitSummary(seed=seed.url)
+    def visit(self, url: str) -> VisitSummary:
+        summary = VisitSummary(seed=url)
         try:
-            status, headers, data = self._request("GET", seed.url)
+            status, headers, data = self._request("GET", url)
         except (OSError, ConnectionError) as exc:
             summary.errors.append(f"seed fetch failed: {exc}")
             return summary
@@ -305,28 +276,26 @@ class Agent:
         except BodyDecodeError:
             pass  # parse what came, as a browser shows what it can
         page = parse_html(data.decode("utf-8", "replace"))
-        plan = plan_interaction(page, self.cfg, self.creds, seed.url)
+        plan = plan_interaction(page, self.cfg, self.creds, url)
         summary.stop_reason = plan.stop_reason
         for action in plan.actions:
             try:
                 if action.kind == "follow":
                     self._request("GET", action.target)
                 else:
-                    payload = urlencode(action.fields).encode("ascii")
-                    self._request(
-                        "POST", action.target, payload,
-                        [("Content-Type", "application/x-www-form-urlencoded")])
+                    self._request("POST", action.target,
+                                  urlencode(action.fields).encode("ascii"))
                 summary.requests_made += 1
                 summary.actions_executed += 1
             except (OSError, ConnectionError) as exc:
                 summary.errors.append(f"{action.kind} {action.target}: {exc}")
         return summary
 
-    def run(self, seeder: Seeder, seed_cap: int) -> list[VisitSummary]:
-        """Visit `seed_cap` seeds over one proxy connection, closed at the end."""
+    def run(self, urls: list[str]) -> list[VisitSummary]:
+        """Visit `urls` in order over one proxy connection, closed at the end."""
         self._idle = IdleConnections()
         try:
-            return [self.visit(seeder.next_seed()) for _ in range(seed_cap)]
+            return [self.visit(url) for url in urls]
         finally:
             self._idle.close()
             self._idle = None

@@ -1,8 +1,11 @@
 """Command line front end binding capture, labeling, training and reports.
 
 Commands: serve, crawl, extract, label, train, classify, report,
-synthweb.  Global flags --store/--config/--seed apply to every command;
-an INI config file can supply any value a flag can, with flags winning.
+synthweb.  Global flags --store/--config/--seed apply to every command.
+An INI config file can supply [pipeline] store, seeds, focus, agents,
+budget, seed_cap; [wire] mode, fail_policy; [agents] credentials;
+[labels] blacklist, signatures, engines; [augment] geoip, whois,
+suffixes.  A flag wins over its key; no other flag has one.
 Every command is re-runnable against the same store: reruns append or
 no-op, and report CSVs are byte-identical for identical store contents.
 """
@@ -18,8 +21,8 @@ import sys
 import time
 from pathlib import Path
 
-from . import agents as agents_mod
 from . import forest, synthweb
+from .agents import load_credentials
 from .augment import GeoIpDb, WhoIsDb
 from .features import FEATURE_ORDER, extract_features
 from .flowstore import FlowStore, RecordNotFoundError
@@ -31,7 +34,7 @@ from .labels import (
     fast_verdict,
 )
 from .pipeline import LabelSources, Pipeline, run_crawl, run_label_cycles, store_body
-from .wire import HttpResponse
+from .wire import SEEDER_TAGS, HttpResponse
 
 DEFAULT_TREND_FEATURES = ("NumLongStrings", "form", "iframe")
 
@@ -115,6 +118,18 @@ def _emit(doc) -> None:
     print(json.dumps(doc, sort_keys=True), flush=True)
 
 
+def _wait(duration: float) -> None:
+    """Sleep `duration` seconds, or until interrupted when it is 0 or less."""
+    try:
+        if duration > 0:
+            time.sleep(duration)
+        else:
+            while True:
+                time.sleep(3600)
+    except KeyboardInterrupt:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # serve
 
@@ -129,13 +144,7 @@ def cmd_serve(args, cfg: Config) -> int:
     _emit({"gateway": list(pipeline.gateway.address),
            "proxy": list(pipeline.proxy.address), "mode": mode})
     try:
-        if args.duration > 0:
-            time.sleep(args.duration)
-        else:
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
+        _wait(args.duration)
     finally:
         pipeline.stop_capture()
         pipeline.run_labels()
@@ -172,7 +181,7 @@ def cmd_pipeline(args, cfg: Config) -> int:
     mode = _pick(args.mode, cfg, "wire", "mode", "collect")
     fail_policy = _pick(args.fail_policy, cfg, "wire", "fail_policy", "closed")
     creds_path = _pick(args.credentials, cfg, "agents", "credentials")
-    creds = agents_mod.load_credentials(creds_path) if creds_path else {}
+    creds = load_credentials(creds_path) if creds_path else {}
 
     store = _open_store(args, cfg)
     try:
@@ -342,14 +351,9 @@ def cmd_classify(args, cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 # report
 
-def _month_of(epoch_ms: int) -> str:
-    stamp = dt.datetime.fromtimestamp(epoch_ms / 1000, dt.timezone.utc)
-    return f"{stamp.year:04d}-{stamp.month:02d}"
-
-
 def _date_of(epoch_ms: int) -> str:
-    stamp = dt.datetime.fromtimestamp(epoch_ms / 1000, dt.timezone.utc)
-    return f"{stamp.year:04d}-{stamp.month:02d}-{stamp.day:02d}"
+    """The UTC date as YYYY-MM-DD; its first 7 characters are the month."""
+    return dt.datetime.fromtimestamp(epoch_ms / 1000, dt.timezone.utc).date().isoformat()
 
 
 def build_report(store: FlowStore, trend_features=DEFAULT_TREND_FEATURES) -> dict:
@@ -381,7 +385,7 @@ def build_report(store: FlowStore, trend_features=DEFAULT_TREND_FEATURES) -> dic
         for name in record.labels.signature_hits:
             signatures[name] = signatures.get(name, 0) + 1
         if record.features is not None and record.exchange is not None:
-            month = _month_of(record.exchange.started_at)
+            month = _date_of(record.exchange.started_at)[:7]
             for feat in trend_features:
                 trends.setdefault((month, feat), []).append(float(record.features[feat]))
 
@@ -416,21 +420,22 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([repr(c) if isinstance(c, float) else c for c in row])
 
 
+# file name, header, bundle key
+REPORT_CSVS = (
+    ("collection_progress.csv", ["date", "cumulative_malicious"], "collection_progress"),
+    ("top_countries.csv", ["country", "count"], "top_countries"),
+    ("top_signatures.csv", ["signature", "count"], "top_signatures"),
+    ("feature_trends.csv", ["month", "feature", "mean"], "feature_trends"),
+    ("content_types.csv", ["content_type", "count"], "content_type_breakdown"),
+)
+
+
 def write_report_csvs(bundle: dict, out_dir) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "collection_progress.csv", ["date", "cumulative_malicious"],
-               bundle["collection_progress"])
-    _write_csv(out / "top_countries.csv", ["country", "count"],
-               bundle["top_countries"])
-    _write_csv(out / "top_signatures.csv", ["signature", "count"],
-               bundle["top_signatures"])
-    _write_csv(out / "feature_trends.csv", ["month", "feature", "mean"],
-               bundle["feature_trends"])
-    _write_csv(out / "content_types.csv", ["content_type", "count"],
-               bundle["content_type_breakdown"])
-    return ["collection_progress.csv", "top_countries.csv", "top_signatures.csv",
-            "feature_trends.csv", "content_types.csv"]
+    for name, header, key in REPORT_CSVS:
+        _write_csv(out / name, header, bundle[key])
+    return [name for name, _, _ in REPORT_CSVS]
 
 
 def cmd_report(args, cfg: Config) -> int:
@@ -471,13 +476,7 @@ def cmd_synthweb(args, cfg: Config) -> int:
     server = synthweb.SynthWebServer(doc, port=args.port).start()
     _emit({"address": list(server.address), "pages": len(doc["pages"])})
     try:
-        if args.duration > 0:
-            time.sleep(args.duration)
-        else:
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
+        _wait(args.duration)
     finally:
         server.stop()
     _emit({"requests": server.request_count()})
@@ -516,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crawl", help="run agents over seeds through the pipeline")
     add_sources(p)
     p.add_argument("--seeds")
-    p.add_argument("--focus", choices=list(agents_mod.SEED_FOCUSES))
+    p.add_argument("--focus", choices=SEEDER_TAGS)
     p.add_argument("--agents", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--seed-cap", type=int)

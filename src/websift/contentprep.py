@@ -15,7 +15,7 @@ import io
 import zlib
 from dataclasses import dataclass, field
 
-from .wire import ChunkedBodyError, _read_chunked
+from .wire import ChunkedBodyError, _coding_list, _read_chunked
 
 # Absolute output cap and bomb ratio; a stream is cut off at
 # min(OUTPUT_CAP, BOMB_RATIO * len(compressed input)).
@@ -40,14 +40,6 @@ class DecodedBody:
     truncated: bool = False
     # codings declared but not undone because an unknown coding was reached
     pending_codings: list[str] = field(default_factory=list)
-
-
-def _coding_list(headers, name: str) -> list[str]:
-    """The coding tokens of every `name` header in a pair list, in order, parameters dropped."""
-    low = name.lower()
-    tokens = [part.split(";", 1)[0].strip().lower()
-              for key, value in headers if key.lower() == low for part in value.split(",")]
-    return [tok for tok in tokens if tok]
 
 
 def _inflate(data: bytes, coding: str, limit: int) -> tuple[bytes, bool]:

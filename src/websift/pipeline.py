@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from urllib.parse import urlsplit
 
 from . import contentprep
@@ -51,14 +51,7 @@ class RunSummary:
     agent_requests: int = 0
 
     def to_doc(self) -> dict:
-        return {
-            "records": self.records,
-            "blobs": self.blobs,
-            "tickets": dict(self.tickets),
-            "refused": self.refused,
-            "errors": self.errors,
-            "agent_requests": self.agent_requests,
-        }
+        return asdict(self)
 
 
 def _decoded_view(body: bytes, headers) -> tuple[bytes, dict[str, str]]:
@@ -74,6 +67,8 @@ def _decoded_view(body: bytes, headers) -> tuple[bytes, dict[str, str]]:
         prep["prep.codings"] = ",".join(decoded.applied_codings)
     if decoded.truncated:
         prep["prep.truncated"] = "true"
+    if decoded.pending_codings:
+        prep["prep.pending"] = ",".join(decoded.pending_codings)
     return decoded.data, prep
 
 
@@ -172,7 +167,7 @@ class Pipeline:
             verdict_fn=make_verdict_fn(self.sources),
             emit=self._queue.put)
         self.proxy = ProxyServer(
-            host=host, port=proxy_port, gateway_addr=None,
+            host=host, port=proxy_port, gateway_addr=self.gateway.address,
             fail_policy=fail_policy, emit_fallback=self._queue.put)
         self._worker: threading.Thread | None = None
 
@@ -182,7 +177,6 @@ class Pipeline:
 
     def start(self) -> "Pipeline":
         self.gateway.start()
-        self.proxy.gateway_addr = self.gateway.address
         self.proxy.start()
         self._worker = threading.Thread(target=self._drain, daemon=True)
         self._worker.start()
@@ -200,15 +194,12 @@ class Pipeline:
                 self._queue.task_done()
         self._queue.task_done()
 
-    def flush(self) -> None:
-        self._queue.join()
-        self.store.flush()
-
     def stop_capture(self) -> None:
         """Stop accepting traffic, then drain what already arrived."""
         self.proxy.stop()
         self.gateway.stop()
-        self.flush()
+        self._queue.join()
+        self.store.flush()
         if self._worker is not None:
             self._queue.put(None)
             self._worker.join(timeout=10)
@@ -248,37 +239,32 @@ def run_crawl(store: FlowStore, sources: LabelSources, seed_urls: list[str],
               seed_cap: int | None = None, mode: str = "collect",
               fail_policy: str = "closed",
               creds: dict[str, tuple[str, str]] | None = None) -> RunSummary:
-    """Capture run: agents over seeds, then label cycles, then summary."""
-    from .agents import Agent, AgentConfig, Seeder
+    """Capture run: agents over seeds, then label cycles, then summary.
 
-    pipeline = Pipeline(store, sources, mode=mode, fail_policy=fail_policy)
-    pipeline.start()
-    summaries = []
+    Every agent's config is checked before the gateway and proxy start.
+    """
+    from .agents import Agent, AgentConfig
+
+    slices = partition_seeds(seed_urls, max(1, n_agents), seed_cap)
+    configs = [AgentConfig(agent_id=f"agent-{idx + 1:02d}", focus=focus,
+                           interaction_budget=budget) for idx in range(len(slices))]
+    pipeline = Pipeline(store, sources, mode=mode, fail_policy=fail_policy).start()
+    results: list[list] = [[] for _ in slices]
+
+    def drive(idx: int) -> None:
+        results[idx] = Agent(configs[idx], pipeline.proxy_addr, creds).run(slices[idx])
+
+    threads = [threading.Thread(target=drive, args=(idx,), daemon=True)
+               for idx in range(len(slices))]
     try:
-        slices = partition_seeds(seed_urls, max(1, n_agents), seed_cap)
-        threads = []
-        results: list[list] = [[] for _ in slices]
-
-        def drive(idx: int, urls: list[str]) -> None:
-            if not urls:
-                return
-            cfg = AgentConfig(agent_id=f"agent-{idx + 1:02d}", focus=focus,
-                              interaction_budget=budget)
-            agent = Agent(cfg, pipeline.proxy_addr, creds or {})
-            results[idx] = agent.run(Seeder(urls, focus), len(urls))
-
-        for idx, urls in enumerate(slices):
-            t = threading.Thread(target=drive, args=(idx, urls), daemon=True)
-            threads.append(t)
+        for t in threads:
             t.start()
         for t in threads:
             t.join()
-        for batch in results:
-            summaries.extend(batch)
     finally:
         pipeline.stop_capture()
 
     pipeline.run_labels()
     summary = pipeline.summary()
-    summary.agent_requests = sum(v.requests_made for v in summaries)
+    summary.agent_requests = sum(v.requests_made for batch in results for v in batch)
     return summary

@@ -16,11 +16,13 @@ every open connection, so idle ones close at once.  The gateway answers
 a parse error with 400 and closes, since the framing can no longer be
 trusted.  The proxy keeps a client connection open after an HTTP/1.1
 request without a `close` token (RFC 9112 §9.3) and closes it after
-HTTP/1.0, `Connection: close`, a request with a Transfer-Encoding (its
-chunked body is not read), any 400/405/413/502 error, or a failed write;
-a Content-Length above `max_body` gets 413 before any inspection or
-fetch, with the body left unread, and a body cut short by the client's
-end of stream gets 400 just as early.  Only a closing response carries
+HTTP/1.0, `Connection: close`, any 400/405/413/501/502 error, or a failed
+write.  Before any inspection or fetch, a request gets 400 for a body cut
+short or badly chunked, or framed by both Transfer-Encoding and
+Content-Length or by a last transfer coding other than chunked, 501 for
+any other transfer coding (RFC 9112 §6.1, §6.3), and 413 for a body above
+`max_body`, whose rest is left unread.  A chunked body is passed on
+de-chunked, framed by its Content-Length.  Only a closing response carries
 `Connection: close`.  Clients keep idle connections in an
 IdleConnections stack: the proxy its gateway connections, each agent its
 one proxy connection.  A message on a reused connection that gets not
@@ -87,6 +89,8 @@ ICAP_IDLE_CONNECTIONS = 8     # idle connections an IdleConnections stack keeps 
 RESPONSE_DEADLINE_TIMEOUTS = 6  # a message must arrive whole within this many read timeouts
 ICAP_METHODS = ("OPTIONS", "REQMOD", "RESPMOD")
 SEEDER_TAGS = ("benign", "malware", "phishing")
+AGENT_HEADER = "X-Websift-Agent"    # the agent id the proxy stores with an exchange
+SEEDER_HEADER = "X-Websift-Seeder"  # its seeder tag, one of SEEDER_TAGS
 VIA = "1.1 websift"           # the Via header the proxy adds to every origin request
 
 _BODY_TOKENS = ("req-body", "res-body", "null-body", "opt-body")
@@ -349,6 +353,21 @@ def _content_length(headers) -> int | None:
     return length
 
 
+def _coding_list(headers, name: str) -> list[str]:
+    """The coding tokens of every `name` header in a pair list, in order, parameters dropped."""
+    low = name.lower()
+    tokens = [part.split(";", 1)[0].strip().lower()
+              for key, value in headers if key.lower() == low for part in value.split(",")]
+    return [tok for tok in tokens if tok]
+
+
+def _with_length(headers, length: int) -> list[tuple[str, str]]:
+    """`headers` with their framing (Transfer-Encoding, Content-Length) replaced by `length`."""
+    return [(k, v) for k, v in headers
+            if k.lower() not in ("transfer-encoding", "content-length")
+            ] + [("Content-Length", str(length))]
+
+
 def _chunk_encode(data: bytes) -> bytes:
     if not data:
         return b"0" + CRLF + CRLF
@@ -575,12 +594,11 @@ def exchange_from_respmod(msg: IcapMessage) -> tuple[HttpExchange, str, dict[str
 
 def _rewrite_blocked(response: HttpResponse) -> HttpResponse:
     kept = [(k, v) for k, v in response.headers
-            if k.lower() not in ("content-length", "content-encoding",
-                                 "content-type", "transfer-encoding")]
+            if k.lower() not in ("content-encoding", "content-type")]
     kept.append(("Content-Type", "text/html; charset=utf-8"))
-    kept.append(("Content-Length", str(len(WARNING_PAGE))))
-    kept.append(("X-Websift-Blocked", "malware"))
-    return HttpResponse(response.status, response.reason, kept)
+    kept = _with_length(kept, len(WARNING_PAGE))
+    return HttpResponse(response.status, response.reason,
+                        kept + [("X-Websift-Blocked", "malware")])
 
 
 def serve_icap(msg: IcapMessage, mode: str = "collect", verdict_fn=None,
@@ -1065,15 +1083,11 @@ def _read_response(rfile, cap: int, head_only: bool = False) -> tuple[HttpRespon
     if head is None:
         raise TruncatedMessageError("connection closed before the status line", 0)
     response = _parse_http_response_head(head)
-    te = [t.strip().lower() for k, v in response.headers
-          if k.lower() == "transfer-encoding" for t in v.split(",")]
     if head_only or response.status in (204, 304):
         entity, truncated = b"", False
-    elif "chunked" in te:
+    elif "chunked" in _coding_list(response.headers, "Transfer-Encoding"):
         entity, truncated = _read_chunked(rfile, cap, len(head))
-        response.headers = [(k, v) for k, v in response.headers
-                            if k.lower() not in ("transfer-encoding", "content-length")]
-        response.headers.append(("Content-Length", str(len(entity))))
+        response.headers = _with_length(response.headers, len(entity))
     elif (length := _content_length(response.headers)) is not None:
         entity, truncated = _read_upto(rfile, min(length, cap)), length > cap
     else:
@@ -1216,10 +1230,9 @@ class ProxyServer:
         """Answer one client request; True when the connection stays open for the next.
 
         It stays open after an HTTP/1.1 request without a `close` token
-        whose body was read whole and framed by Content-Length, once the
-        response went out.  Every error response closes it; a body above
-        `max_body` gets 413, and one that ends before its Content-Length
-        400, before any inspection or fetch.
+        once the response went out.  Every error response closes it; those
+        for the request's framing (400, 501) and a body above `max_body`
+        (413) go out before any inspection or fetch.
         """
         try:
             head = _read_head(rfile)
@@ -1230,6 +1243,16 @@ class ProxyServer:
         except ValueError as exc:  # IcapParseError is one
             return self._send_error(wfile, 400, "Bad Request", str(exc), head_only=False)
         head_only = request.method == "HEAD"
+        codings = _coding_list(request.headers, "Transfer-Encoding")
+        chunked = request.header("Transfer-Encoding") is not None
+        if chunked and (request.header("Content-Length") is not None
+                        or codings[-1:] != ["chunked"]):
+            return self._send_error(wfile, 400, "Bad Request",
+                                    "request body length is ambiguous", head_only=head_only)
+        if len(codings) > 1:
+            return self._send_error(wfile, 501, "Not Implemented",
+                                    f"transfer codings {codings} not implemented",
+                                    head_only=head_only)
         if request.method == "CONNECT":
             return self._send_error(wfile, 405, "Method Not Allowed",
                                     "CONNECT tunneling is not supported", head_only=head_only)
@@ -1245,25 +1268,30 @@ class ProxyServer:
         except ValueError as exc:  # unsplittable, a port outside 0-65535, or such a host
             return self._send_error(wfile, 400, "Bad Request", f"bad request target: {exc}",
                                     head_only=head_only)
-        if length > self.max_body:
-            # the body is left unread; the origin is never asked to wait for it
+        if chunked:
+            try:
+                request_body, over = _read_chunked(rfile, self.max_body, len(head))
+            except ValueError as exc:  # ChunkedBodyError is one
+                return self._send_error(wfile, 400, "Bad Request", str(exc),
+                                        head_only=head_only)
+            request.headers = _with_length(request.headers, len(request_body))
+        elif not (over := length > self.max_body):
+            request_body = _read_upto(rfile, length)
+            if len(request_body) < length:
+                # the client ended its side early: no origin is sent a body shorter than declared
+                return self._send_error(wfile, 400, "Bad Request",
+                                        f"request body cut short at {len(request_body)} of "
+                                        f"{length} bytes", head_only=head_only)
+        if over:
+            # the rest of the body is left unread; the origin is never asked to wait for it
             return self._send_error(wfile, 413, "Content Too Large",
-                                    f"request body of {length} bytes exceeds {self.max_body}",
+                                    f"request body exceeds {self.max_body} bytes",
                                     head_only=head_only)
-        request_body = _read_upto(rfile, length)
-        if len(request_body) < length:
-            # the client ended its side early: no origin is sent a body shorter than declared
-            return self._send_error(wfile, 400, "Bad Request",
-                                    f"request body cut short at {len(request_body)} of "
-                                    f"{length} bytes", head_only=head_only)
-        # a chunked body is not read: what is left of it must never be
-        # parsed as the next request
-        keep = (version == "HTTP/1.1" and not _says_close(request.headers)
-                and request.header("Transfer-Encoding") is None)
+        keep = version == "HTTP/1.1" and not _says_close(request.headers)
 
         started_at = int(time.time() * 1000)
-        agent_id = request.header("X-Websift-Agent") or ""
-        seeder = request.header("X-Websift-Seeder") or "benign"
+        agent_id = request.header(AGENT_HEADER) or ""
+        seeder = request.header(SEEDER_HEADER) or "benign"
         if seeder not in SEEDER_TAGS:
             seeder = "benign"
         exchange_id = uuid.uuid4().hex
@@ -1292,9 +1320,7 @@ class ProxyServer:
                 markers["wire.upstream_ip"] = peer_ip
             if truncated:
                 markers["wire.truncated"] = "true"
-                response.headers = [(k, v) for k, v in response.headers
-                                    if k.lower() != "content-length"]
-                response.headers.append(("Content-Length", str(len(entity))))
+                response.headers = _with_length(response.headers, len(entity))
         except (OSError, ProxyError) as exc:
             text = f"upstream fetch failed: {exc}".encode("utf-8")
             response = HttpResponse(502, "Bad Gateway",

@@ -17,8 +17,6 @@ from websift.agents import (
     Agent,
     AgentConfig,
     AgentConfigError,
-    SeedEntry,
-    Seeder,
     load_credentials,
     plan_interaction,
     proxy_request,
@@ -70,26 +68,6 @@ def test_agent_config_rejects_negative_budget():
 def test_agent_config_rejects_unknown_focus():
     with pytest.raises(AgentConfigError):
         AgentConfig(agent_id="a", focus="gambling")
-
-
-# --- seeders ---
-
-def test_seeder_round_robin_wraps():
-    seeder = Seeder(["http://a.test/", "http://b.test/", "http://c.test/"],
-                    focus="malware")
-    got = [seeder.next_seed() for _ in range(5)]
-    assert [s.url for s in got] == ["http://a.test/", "http://b.test/",
-                                    "http://c.test/", "http://a.test/",
-                                    "http://b.test/"]
-    assert all(s.focus == "malware" for s in got)
-    assert len(seeder) == 3
-
-
-def test_seeder_rejects_empty_or_unknown():
-    with pytest.raises(AgentConfigError):
-        Seeder([], focus="benign")
-    with pytest.raises(AgentConfigError):
-        Seeder(["http://a.test/"], focus="ads")
 
 
 # --- credentials ---
@@ -331,7 +309,7 @@ def test_proxy_request_fetches_through_proxy(site, proxy):
 def test_agent_visit_runs_login_then_links(site, proxy):
     cfg = AgentConfig(agent_id="agent-5", focus="phishing", interaction_budget=2)
     agent = Agent(cfg, proxy.address, creds={})
-    summary = agent.visit(SeedEntry(f"{site.base_url}/landing", "phishing"))
+    summary = agent.visit(f"{site.base_url}/landing")
 
     assert summary.requests_made == 3
     assert summary.actions_executed == 2
@@ -350,7 +328,7 @@ def test_agent_visit_runs_login_then_links(site, proxy):
 def test_agent_visit_full_budget_covers_all_links(site, proxy):
     cfg = AgentConfig(agent_id="agent-6", interaction_budget=10)
     summary = Agent(cfg, proxy.address, creds={}).visit(
-        SeedEntry(f"{site.base_url}/landing", "benign"))
+        f"{site.base_url}/landing")
     assert summary.stop_reason == "depleted"
     paths = [e["path"] for e in site.ledger()]
     assert paths == ["/landing", "/login", "/a", "/b"]
@@ -359,7 +337,7 @@ def test_agent_visit_full_budget_covers_all_links(site, proxy):
 def test_agent_visit_404_stops_after_seed(site, proxy):
     cfg = AgentConfig(agent_id="agent-7")
     summary = Agent(cfg, proxy.address, creds={}).visit(
-        SeedEntry(f"{site.base_url}/missing", "benign"))
+        f"{site.base_url}/missing")
     assert summary.requests_made == 1
     assert summary.actions_executed == 0
 
@@ -367,15 +345,15 @@ def test_agent_visit_404_stops_after_seed(site, proxy):
 def test_agent_unreachable_proxy_reports_error(site, dead_port):
     cfg = AgentConfig(agent_id="agent-8")
     summary = Agent(cfg, ("127.0.0.1", dead_port), creds={}).visit(
-        SeedEntry(f"{site.base_url}/landing", "benign"))
+        f"{site.base_url}/landing")
     assert summary.requests_made == 0
     assert summary.errors and "seed fetch failed" in summary.errors[0]
 
 
 def test_agent_run_consumes_seeds_in_order(site, proxy):
     cfg = AgentConfig(agent_id="agent-9", interaction_budget=0)
-    seeder = Seeder([f"{site.base_url}/a", f"{site.base_url}/b"], "benign")
-    summaries = Agent(cfg, proxy.address, creds={}).run(seeder, seed_cap=3)
+    summaries = Agent(cfg, proxy.address, creds={}).run(
+        [f"{site.base_url}/a", f"{site.base_url}/b", f"{site.base_url}/a"])
     assert [s.seed for s in summaries] == [
         f"{site.base_url}/a", f"{site.base_url}/b", f"{site.base_url}/a"]
     assert [e["path"] for e in site.ledger()] == ["/a", "/b", "/a"]
@@ -395,8 +373,8 @@ def count_parses(monkeypatch):
 def test_agent_at_budget_zero_fetches_each_seed_and_parses_nothing(site, proxy, monkeypatch):
     calls = count_parses(monkeypatch)
     cfg = AgentConfig(agent_id="agent-13", interaction_budget=0)
-    seeder = Seeder([f"{site.base_url}/landing", f"{site.base_url}/missing"], "benign")
-    summaries = Agent(cfg, proxy.address, creds={}).run(seeder, seed_cap=2)
+    summaries = Agent(cfg, proxy.address, creds={}).run(
+        [f"{site.base_url}/landing", f"{site.base_url}/missing"])
     assert calls == []
     assert [(s.requests_made, s.actions_executed, s.stop_reason) for s in summaries] == [
         (1, 0, "budget"), (1, 0, "budget")]
@@ -407,7 +385,7 @@ def test_agent_at_budget_one_parses_the_seed_page(site, proxy, monkeypatch):
     calls = count_parses(monkeypatch)
     cfg = AgentConfig(agent_id="agent-14", interaction_budget=1)
     summary = Agent(cfg, proxy.address, creds={}).visit(
-        SeedEntry(f"{site.base_url}/landing", "benign"))
+        f"{site.base_url}/landing")
     assert len(calls) == 1
     assert (summary.requests_made, summary.stop_reason) == (2, "budget")
 
@@ -424,7 +402,7 @@ def test_agent_interacts_with_a_gzip_page(proxy):
         assert ("Content-Encoding", "gzip") in headers
         cfg = AgentConfig(agent_id="agent-12", interaction_budget=3)
         summary = Agent(cfg, proxy.address, creds={}).visit(
-            SeedEntry(f"{site.base_url}/zipped", "benign"))
+            f"{site.base_url}/zipped")
         assert (summary.actions_executed, summary.stop_reason) == (3, "budget")
         assert [e["path"] for e in site.ledger()] == ["/zipped", "/zipped", "/p0", "/p1", "/p2"]
     finally:
@@ -449,7 +427,7 @@ def test_agent_parses_the_raw_bytes_of_a_body_that_does_not_decode(proxy):
         host, port = origin.getsockname()
         cfg = AgentConfig(agent_id="agent-13", interaction_budget=3)
         summary = Agent(cfg, proxy.address, creds={}).visit(
-            SeedEntry(f"http://{host}:{port}/", "benign"))
+            f"http://{host}:{port}/")
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert (summary.requests_made, summary.actions_executed, summary.errors) == (2, 1, [])
@@ -474,7 +452,7 @@ def test_agent_run_keeps_one_proxy_connection_and_closes_it(site, monkeypatch):
     try:
         cfg = AgentConfig(agent_id="agent-10", interaction_budget=10)
         summaries = Agent(cfg, px.address, creds={}).run(
-            Seeder([f"{site.base_url}/landing", f"{site.base_url}/a"], "benign"), seed_cap=2)
+            [f"{site.base_url}/landing", f"{site.base_url}/a"])
         assert [s.requests_made for s in summaries] == [4, 1]
         assert [e["path"] for e in site.ledger()] == ["/landing", "/login", "/a", "/b", "/a"]
         assert len(accepted) == 1
@@ -508,7 +486,7 @@ def test_a_run_sends_no_connection_header(site, inspected_proxy):
     start, emitted = inspected_proxy
     px = start()
     cfg = AgentConfig(agent_id="agent-11", interaction_budget=0)
-    Agent(cfg, px.address, creds={}).run(Seeder([f"{site.base_url}/a"], "benign"), 2)
+    Agent(cfg, px.address, creds={}).run([f"{site.base_url}/a", f"{site.base_url}/a"])
     proxy_request(px.address, "GET", f"{site.base_url}/b", [])
     heads = [e.exchange.request.headers for e in emitted]
     assert [h for h in heads[0] if h[0].lower() == "connection"] == []

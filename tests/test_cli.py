@@ -8,6 +8,7 @@ import json
 import pytest
 
 from websift import forest
+from websift import pipeline as pipeline_module
 from websift.augment import AugmentInfo
 from websift.cli import _read_seed_file, main
 from websift.features import extract_features
@@ -187,6 +188,22 @@ def test_crawl_zero_seeds_is_a_clean_noop(tmp_path, capsys):
     assert code == 0
     assert docs[-1]["records"] == 0
     assert docs[-1]["agent_requests"] == 0
+
+
+def test_crawl_whose_agents_cannot_start_is_exit_2_and_starts_nothing(
+        tmp_path, capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(pipeline_module.Pipeline, "start",
+                        lambda self: started.append(self) or self)
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("http://a.test/\nhttp://b.test/\n", encoding="utf-8")
+    store_path = tmp_path / "store"
+    code, docs, err = run_cli(capsys, "--store", str(store_path), "crawl",
+                              "--seeds", str(seeds), "--budget", "-1")
+    assert (code, docs, started) == (2, [], [])
+    assert "interaction_budget must be >= 0" in err
+    with FlowStore(store_path, writable=False) as store:
+        assert store.record_count() == 0
 
 
 def test_crawl_stores_one_record_per_request(tmp_path, capsys, live_site):

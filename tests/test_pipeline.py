@@ -2,6 +2,7 @@
 
 import datetime as dt
 import hashlib
+import socket
 import threading
 
 import pytest
@@ -134,7 +135,12 @@ _ZIPPED = gzip_mod.compress(b"<html><script>eval(x)</script></html>", mtime=0)
      {"prep.codings": "gzip", "prep.truncated": "true"}),
     (b"", _GZIP, {}),
     (b"<html>" + MARKER + b"</html>", _HTML, {}),
-], ids=["identity", "gzip", "chunked-gzip", "bad-gzip", "bomb", "empty-gzip", "signature"])
+    (b"\x0b\x02\x80<html>" + MARKER + b"</html>\x03", _HTML + [("Content-Encoding", "br")],
+     {"prep.pending": "br"}),
+    (b"\x0b\x02\x80" + _ZIPPED, _HTML + [("Content-Encoding", "gzip, br")],
+     {"prep.pending": "br,gzip"}),
+], ids=["identity", "gzip", "chunked-gzip", "bad-gzip", "bomb", "empty-gzip", "signature",
+        "br", "gzip-br"])
 def test_capture_and_offline_commands_store_the_same_record(tmp_path, body, headers, prep):
     sigs = tmp_path / "sigs.txt"
     sigs.write_text(SIG_TEXT + "\n", encoding="utf-8")
@@ -434,6 +440,27 @@ def test_pipeline_records_fetch_errors(site, tmp_path, dead_port):
         record = next(iter(store.records()))
         assert "wire.fetch_error" in record.extra
         assert record.exchange.response.status == 502
+
+
+def test_pipeline_stores_a_chunked_form_post_and_the_origin_reads_it(site, tmp_path):
+    form = b"user=alice&pass=s3cret"
+    head = (f"POST {site.base_url}/login HTTP/1.1\r\n"
+            "Content-Type: application/x-www-form-urlencoded\r\n"
+            "Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n")
+    chunks = b"5\r\nuser=\r\n11\r\nalice&pass=s3cret\r\n0\r\n\r\n"
+    with FlowStore(tmp_path / "store") as store:
+        pipeline = Pipeline(store, LabelSources()).start()
+        try:
+            with socket.create_connection(pipeline.proxy_addr, timeout=10) as sock:
+                sock.sendall(head.encode() + chunks)
+                reply = b"".join(iter(lambda: sock.recv(4096), b""))
+        finally:
+            pipeline.stop_capture()
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert site.ledger()[0]["form"] == {"user": "alice", "pass": "s3cret"}
+        record = next(iter(store.records()))
+        assert store.get_blob(record.extra["wire.request_body_sha1"]).data == form
+        assert ("Content-Length", str(len(form))) in record.exchange.request.headers
 
 
 def test_run_crawl_records_match_origin_ledger(tmp_path):

@@ -1343,9 +1343,9 @@ CLOSING_REQUESTS = {
     "connection-close": ("GET {url} HTTP/1.1\r\nConnection: close\r\n\r\n", {}, 200),
     "close-among-tokens": ("GET {url} HTTP/1.1\r\nConnection: keep-alive, Close\r\n\r\n",
                            {}, 200),
-    # the proxy does not read chunked request bodies: what follows is chunk data
+    # the smuggled request is read as a chunk-size line, which it is not
     "transfer-encoding": ("POST {url} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-                          {}, 200),
+                          {}, 400),
     # the body is not read, so the smuggled request sits in its unread rest
     "body-over-max-body": ("POST {url} HTTP/1.1\r\n"
                            "Content-Length: 200\r\n\r\n" + "x" * 16, {"max_body": 16}, 413),
@@ -1516,6 +1516,66 @@ def test_proxy_answers_a_request_body_cut_short_with_400_at_once(origin, monkeyp
         assert b"cut short at 10 of 100 bytes" in body
         assert closed_by_peer(rfile)
     assert origin.seen == [] and transacts == [] and emitted == []
+
+
+# request framing headers and body, proxy settings, status (RFC 9112 §6.1, §6.3)
+UNREADABLE_BODIES = {
+    "chunked-and-content-length": (
+        "Transfer-Encoding: chunked\r\nContent-Length: 5\r\n", "5\r\nhello\r\n0\r\n\r\n",
+        {}, 400),
+    "chunked-not-last": ("Transfer-Encoding: chunked, gzip\r\n", "", {}, 400),
+    "coding-without-chunked": ("Transfer-Encoding: gzip\r\n", "", {}, 400),
+    "empty-coding": ("Transfer-Encoding: \r\n", "", {}, 400),
+    "gzip-then-chunked": ("Transfer-Encoding: gzip, chunked\r\n", "0\r\n\r\n", {}, 501),
+    "two-headers": ("Transfer-Encoding: gzip\r\nTransfer-Encoding: chunked\r\n",
+                    "0\r\n\r\n", {}, 501),
+    "bad-chunk-size": ("Transfer-Encoding: chunked\r\n", "0x5\r\nhello\r\n0\r\n\r\n",
+                       {}, 400),
+    "chunks-over-max-body": ("Transfer-Encoding: chunked\r\n",
+                             "a\r\n0123456789\r\na\r\n0123456789\r\n0\r\n\r\n",
+                             {"max_body": 16}, 413),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_BODIES))
+def test_proxy_refuses_a_request_body_it_cannot_read_before_any_inspection(
+        origin, monkeypatch, case):
+    framing, body, settings, status = UNREADABLE_BODIES[case]
+    transacts = []
+    real_transact = wire.icap_transact
+    monkeypatch.setattr(wire, "icap_transact",
+                        lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address, **settings) as px, \
+            socket.create_connection(px.address, timeout=10) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(f"POST {origin_url(origin, '/echobody')} HTTP/1.1\r\n{framing}\r\n"
+                     f"{body}".encode())
+        response, _ = read_reply(rfile)
+        assert (response.status, response.header("Connection")) == (status, "close")
+        assert closed_by_peer(rfile)
+    assert origin.seen == [] and transacts == [] and emitted == []
+
+
+def test_proxy_passes_a_chunked_request_body_on_with_its_length(origin):
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address) as px, \
+            socket.create_connection(px.address, timeout=10) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(f"POST {origin_url(origin, '/echobody')} HTTP/1.1\r\n"
+                     "Transfer-Encoding: chunked\r\n\r\n"
+                     "5\r\nhello\r\n6;ext=1\r\n world\r\n0\r\nTrailer: x\r\n\r\n".encode())
+        response, body = read_reply(rfile)
+        assert (response.status, body) == (200, b"hello world")
+        # the connection stays open for the next request
+        sock.sendall(f"GET {origin_url(origin, '/p1')} HTTP/1.1\r\n\r\n".encode())
+        assert read_reply(rfile)[0].status == 200
+    request = emitted[0].exchange.request
+    assert ("Content-Length", "11") in request.headers
+    assert request.header("Transfer-Encoding") is None
+    assert emitted[0].request_body == b"hello world"
 
 
 @contextlib.contextmanager
