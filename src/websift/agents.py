@@ -18,12 +18,12 @@ stack, each request has its own connection and says `Connection: close`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from urllib.parse import urlencode, urljoin, urlsplit
 
 from .contentprep import BodyDecodeError, decode_body
 from .features import FormSpec, HtmlDoc, parse_html
+from .fixtures import fixture_rows
 from .wire import (
     AGENT_HEADER,
     MAX_BODY_SIZE,
@@ -89,15 +89,9 @@ class VisitSummary:
 
 def load_credentials(path) -> dict[str, tuple[str, str]]:
     """CSV host,user,password -> host-keyed credential map."""
-    creds: dict[str, tuple[str, str]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 3:
-                raise AgentConfigError(f"credentials row needs host,user,password: {row!r}")
-            creds[row[0].strip().lower()] = (row[1].strip(), row[2].strip())
-    return creds
+    with open(path, "r", encoding="utf-8") as fh:
+        return {host.lower(): (user, password)
+                for _, (host, user, password) in fixture_rows(fh, "host,user,password")}
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,16 @@ optional: a record without AugmentInfo flows through every later stage.
 from __future__ import annotations
 
 import bisect
-import csv
 import datetime as dt
+import io
 import ipaddress
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
+
+from .fixtures import FixtureFormatError, fixture_lines, fixture_rows
 
 DEFAULT_SUFFIX_RESOURCE = "public_suffixes.txt"
-
-
-class GeoIpFormatError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
-
-
-class WhoIsFormatError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
 
 
 @dataclass
@@ -90,18 +81,14 @@ class GeoIpDb:
     @classmethod
     def from_file(cls, path) -> "GeoIpDb":
         ranges = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if len(row) != 4:
-                    raise GeoIpFormatError("expected start_ip,end_ip,country,city", lineno)
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, row in fixture_rows(fh, "start_ip,end_ip,country,city"):
                 try:
-                    start = int(ipaddress.IPv4Address(row[0].strip()))
-                    end = int(ipaddress.IPv4Address(row[1].strip()))
-                except (ipaddress.AddressValueError, ValueError):
-                    raise GeoIpFormatError(f"bad IPv4 address in {row!r}", lineno)
-                ranges.append((start, end, row[2].strip(), row[3].strip()))
+                    start = int(ipaddress.IPv4Address(row[0]))
+                    end = int(ipaddress.IPv4Address(row[1]))
+                except ValueError:
+                    raise FixtureFormatError(f"bad IPv4 address in {row!r}", lineno)
+                ranges.append((start, end, row[2], row[3]))
         return cls(ranges)
 
     def lookup(self, ip_int: int) -> tuple[str, str] | None:
@@ -129,18 +116,10 @@ def geoip_lookup(ip: str, db: GeoIpDb) -> tuple[str, str] | None:
 # WhoIs
 
 def _load_suffixes(path=None) -> frozenset[str]:
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = (resources.files("websift") / "data" /
-                DEFAULT_SUFFIX_RESOURCE).read_text("utf-8")
-    out = set()
-    for line in text.splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            out.add(line.lstrip("."))
-    return frozenset(out)
+    source = Path(path) if path is not None else (
+        resources.files("websift") / "data" / DEFAULT_SUFFIX_RESOURCE)
+    lines = fixture_lines(io.StringIO(source.read_text(encoding="utf-8"), newline=None))
+    return frozenset(line.lower().lstrip(".") for _, line in lines)
 
 
 def registrable_domain(host: str, suffixes: frozenset[str] | None = None) -> str | None:
@@ -174,18 +153,14 @@ class WhoIsDb:
     @classmethod
     def from_file(cls, path, suffix_path=None) -> "WhoIsDb":
         entries: dict[str, tuple[dt.date, dt.date]] = {}
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if len(row) != 3:
-                    raise WhoIsFormatError("expected domain,registered_on,expires_on", lineno)
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, row in fixture_rows(fh, "domain,registered_on,expires_on"):
                 try:
-                    registered = dt.date.fromisoformat(row[1].strip())
-                    expires = dt.date.fromisoformat(row[2].strip())
+                    registered = dt.date.fromisoformat(row[1])
+                    expires = dt.date.fromisoformat(row[2])
                 except ValueError:
-                    raise WhoIsFormatError(f"bad ISO date in {row!r}", lineno)
-                entries[row[0].strip().lower()] = (registered, expires)
+                    raise FixtureFormatError(f"bad ISO date in {row!r}", lineno)
+                entries[row[0].lower()] = (registered, expires)
         suffixes = _load_suffixes(suffix_path) if suffix_path else None
         return cls(entries, suffixes)
 
@@ -212,8 +187,8 @@ def whois_lookup(domain: str, db: WhoIsDb) -> AugmentInfo | None:
 def augment_exchange(host: str, upstream_ip: str | None,
                      geodb: GeoIpDb | None, whoisdb: WhoIsDb | None) -> AugmentInfo | None:
     """Combine both fixture lookups; none when neither source knows anything."""
-    info = AugmentInfo()
-    hit = False
+    windowed = whois_lookup(host, whoisdb) if whoisdb is not None and host else None
+    info = windowed or AugmentInfo()
     if geodb is not None and upstream_ip:
         try:
             located = geoip_lookup(upstream_ip, geodb)
@@ -221,12 +196,4 @@ def augment_exchange(host: str, upstream_ip: str | None,
             located = None
         if located is not None:
             info.country, info.city = located
-            hit = True
-    if whoisdb is not None and host:
-        windowed = whois_lookup(host, whoisdb)
-        if windowed is not None:
-            info.registered_on = windowed.registered_on
-            info.expires_on = windowed.expires_on
-            info.registration_days = windowed.registration_days
-            hit = True
-    return info if hit else None
+    return None if info == AugmentInfo() else info

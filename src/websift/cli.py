@@ -25,6 +25,7 @@ from . import forest, synthweb
 from .agents import load_credentials
 from .augment import GeoIpDb, WhoIsDb
 from .features import FEATURE_ORDER, extract_features
+from .fixtures import fixture_lines
 from .flowstore import FlowStore, RecordNotFoundError
 from .labels import (
     LabelSet,
@@ -158,13 +159,8 @@ def cmd_serve(args, cfg: Config) -> int:
 # crawl
 
 def _read_seed_file(path: str) -> list[str]:
-    urls = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                urls.append(line)
-    return urls
+        return [line for _, line in fixture_lines(fh)]
 
 
 def cmd_pipeline(args, cfg: Config) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .entropy import shannon_entropy, shellcode_probability
 from .htmlparse import HtmlDoc, parse_html
@@ -211,13 +211,6 @@ class FeatureVector:
         vector = cls.__new__(cls)
         vector._row = tuple(values)
         return vector
-
-    @classmethod
-    def from_row(cls, row: Iterable[float]) -> "FeatureVector":
-        values = list(row)
-        if len(values) != len(FEATURE_ORDER):
-            raise ValueError(f"expected {len(FEATURE_ORDER)} values, got {len(values)}")
-        return cls(dict(zip(FEATURE_ORDER, values)))
 
 
 def _declared_is_js(declared_type: str) -> bool:

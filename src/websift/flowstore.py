@@ -75,7 +75,6 @@ from .labels import LabelSet
 from .wire import HttpExchange
 
 BLOB_CAP = 64 * 1024 * 1024
-EMPTY_SHA1 = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
 
 _FRAME = struct.Struct(">20sI")  # raw SHA-1 digest, byte length
 

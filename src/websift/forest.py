@@ -429,19 +429,28 @@ def _tree_to_arrays(root: TreeNode) -> list:
     return nodes
 
 
-def _tree_from_arrays(nodes: list) -> TreeNode:
-    def build(idx: int) -> TreeNode:
+def _tree_from_arrays(nodes: list, feature_count: int) -> TreeNode:
+    """Rebuild a tree from the preorder `_tree_to_arrays` writes: a left child is
+    the next node and a right child follows the left subtree, so no index loops."""
+    def build(idx: int) -> tuple[TreeNode, int]:
         entry = nodes[idx]
         if "votes" in entry:
             votes = {}
             for name, value in entry["votes"].items():
                 key = MALICIOUS if name == "malicious" else BENIGN
                 votes[key] = float(value)
-            return TreeNode(votes=votes)
-        return TreeNode(feature=int(entry["f"]), threshold=float(entry["t"]),
-                        left=build(int(entry["l"])), right=build(int(entry["r"])))
+            return TreeNode(votes=votes), idx + 1
+        feature = int(entry["f"])
+        if not 0 <= feature < feature_count or int(entry["l"]) != idx + 1:
+            raise ModelFormatError(f"node {idx} names no feature or is out of preorder")
+        left, right_idx = build(idx + 1)
+        if int(entry["r"]) != right_idx:
+            raise ModelFormatError(f"node {idx} is out of preorder")
+        right, end = build(right_idx)
+        return TreeNode(feature=feature, threshold=float(entry["t"]),
+                        left=left, right=right), end
 
-    return build(0)
+    return build(0)[0]
 
 
 def model_to_doc(model: ForestModel) -> dict:
@@ -462,26 +471,32 @@ def model_to_doc(model: ForestModel) -> dict:
 
 
 def model_from_doc(doc: dict) -> ForestModel:
+    """The model `model_to_doc` wrote; ModelFormatError for any other document."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError("a model document is a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"unknown model format {doc.get('format')!r}")
-    feature_count = int(doc["feature_count"])
-    ledger = doc.get("feature_ledger", "")
-    if feature_count == len(FEATURE_ORDER) and ledger != ledger_hash():
-        raise ModelFormatError(
-            "model was trained against a different feature ledger")
-    config = ForestConfig(
-        n_trees=int(doc["n_trees"]),
-        seed=int(doc["seed"]),
-        bootstrap=bool(doc["bootstrap"]),
-    )
-    return ForestModel(
-        trees=[_tree_from_arrays(t) for t in doc["trees"]],
-        config=config,
-        feature_count=feature_count,
-        feature_ledger=ledger,
-        degenerate=bool(doc.get("degenerate", False)),
-        training_digests=list(doc.get("training_digests", [])),
-    )
+    try:
+        feature_count = int(doc["feature_count"])
+        ledger = doc.get("feature_ledger", "")
+        if feature_count == len(FEATURE_ORDER) and ledger != ledger_hash():
+            raise ModelFormatError(
+                "model was trained against a different feature ledger")
+        config = ForestConfig(
+            n_trees=int(doc["n_trees"]),
+            seed=int(doc["seed"]),
+            bootstrap=bool(doc["bootstrap"]),
+        )
+        return ForestModel(
+            trees=[_tree_from_arrays(t, feature_count) for t in doc["trees"]],
+            config=config,
+            feature_count=feature_count,
+            feature_ledger=ledger,
+            degenerate=bool(doc.get("degenerate", False)),
+            training_digests=list(doc.get("training_digests", [])),
+        )
+    except (LookupError, TypeError, AttributeError, RecursionError) as exc:
+        raise ModelFormatError(f"malformed model document: {exc!r}") from None
 
 
 def save_model(model: ForestModel, path) -> None:

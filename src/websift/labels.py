@@ -2,7 +2,7 @@
 
 Three independent detectors contribute to a record's LabelSet:
 
-* a hash-prefix URL blacklist with full-hash confirmation,
+* a URL blacklist of full SHA-256 expression hashes,
 * a wildcard byte-signature scanner over decoded bodies,
 * an asynchronous multi-engine aggregator driven by two worker steps
   (submit and fetch) against a deterministic in-process engine set.
@@ -14,17 +14,19 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import io
 import json
 import re
 from collections.abc import Set
 from dataclasses import dataclass, field
 from urllib.parse import unquote, urlsplit
 
+from .fixtures import FixtureFormatError, fixture_lines
+
 GROUND_TRUTH_THRESHOLD = 10
 SUBMIT_CAPACITY = 4
 ENGINE_COUNT = 55
 ENGINE_SIZE_CAP = 32 * 1024 * 1024
-PREFIX_LEN = 4
 
 ENGINE_NAMES = tuple(f"engine-{i:02d}" for i in range(1, ENGINE_COUNT + 1))
 
@@ -50,18 +52,6 @@ BLACKLIST_PRIORITY = (
 
 class UrlError(ValueError):
     pass
-
-
-class BlacklistFormatError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
-
-
-class SignatureFormatError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
 
 
 class TicketStateError(RuntimeError):
@@ -200,15 +190,14 @@ def hash_expressions(url: str) -> list[bytes]:
 # blacklist
 
 class UrlBlacklist:
-    """Category-keyed full-hash sets with derived 4-byte prefix sets.
+    """Category-keyed sets of full SHA-256 expression hashes.
 
-    A lookup hit requires both the prefix and the confirming full hash;
-    a prefix collision alone never labels a URL.
+    A lookup hits only on an exact match of one of the URL's expression
+    hashes, so a hash that merely shares a prefix never labels a URL.
     """
 
     def __init__(self):
         self._full: dict[ThreatType, set[bytes]] = {t: set() for t in BLACKLIST_PRIORITY}
-        self._prefixes: dict[ThreatType, set[bytes]] = {t: set() for t in BLACKLIST_PRIORITY}
 
     def add_hash(self, category: ThreatType, digest: bytes) -> None:
         if category not in self._full:
@@ -216,18 +205,9 @@ class UrlBlacklist:
         if len(digest) != 32:
             raise ValueError("full hashes must be 32 bytes of SHA-256")
         self._full[category].add(digest)
-        self._prefixes[category].add(digest[:PREFIX_LEN])
-
-    def add_url(self, url: str, category: ThreatType) -> None:
-        # seeds the most specific expression of the URL
-        self.add_hash(category, hash_expressions(url)[0])
-
-    def prefixes(self, category: ThreatType) -> Set[bytes]:
-        """The held prefix set itself, not a copy: a lookup reads it per URL."""
-        return self._prefixes[category]
 
     def full_hashes(self, category: ThreatType) -> Set[bytes]:
-        """The held full-hash set itself, not a copy."""
+        """The held full-hash set itself, not a copy: a lookup reads it per URL."""
         return self._full[category]
 
     def __len__(self) -> int:
@@ -237,37 +217,29 @@ class UrlBlacklist:
     def from_file(cls, path) -> "UrlBlacklist":
         db = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+            for lineno, line in fixture_lines(fh):
                 if "\t" not in line:
-                    raise BlacklistFormatError("expected category<TAB>sha256-hex", lineno)
+                    raise FixtureFormatError("expected category<TAB>sha256-hex", lineno)
                 cat_name, _, hexhash = line.partition("\t")
                 try:
                     category = ThreatType(cat_name.strip())
                 except ValueError:
-                    raise BlacklistFormatError(f"unknown category {cat_name!r}", lineno)
+                    raise FixtureFormatError(f"unknown category {cat_name!r}", lineno)
                 if category is ThreatType.NONE:
-                    raise BlacklistFormatError("NONE is not a listable category", lineno)
+                    raise FixtureFormatError("NONE is not a listable category", lineno)
                 hexhash = hexhash.strip()
                 if len(hexhash) != 64 or any(c not in "0123456789abcdefABCDEF" for c in hexhash):
-                    raise BlacklistFormatError(f"bad sha256 hex {hexhash!r}", lineno)
+                    raise FixtureFormatError(f"bad sha256 hex {hexhash!r}", lineno)
                 db.add_hash(category, bytes.fromhex(hexhash))
         return db
 
 
 def blacklist_lookup(url: str, db: UrlBlacklist) -> ThreatType:
-    """Return the highest-priority confirmed category for a URL, else NONE."""
+    """Return the highest-priority listed category for a URL, else NONE."""
     digests = hash_expressions(url)
     for category in BLACKLIST_PRIORITY:
-        prefixes = db.prefixes(category)
-        if not prefixes:
-            continue
-        full = db.full_hashes(category)
-        for digest in digests:
-            if digest[:PREFIX_LEN] in prefixes and digest in full:
-                return category
+        if not db.full_hashes(category).isdisjoint(digests):
+            return category
     return ThreatType.NONE
 
 
@@ -299,15 +271,15 @@ def _parse_pattern(text: str, lineno: int) -> tuple[int | None, ...]:
             continue
         if ch in _HEX_DIGITS:
             if i + 1 >= len(text) or text[i + 1] not in _HEX_DIGITS:
-                raise SignatureFormatError(f"dangling hex digit in {text!r}", lineno)
+                raise FixtureFormatError(f"dangling hex digit in {text!r}", lineno)
             tokens.append(int(text[i:i + 2], 16))
             i += 2
             continue
-        raise SignatureFormatError(f"bad pattern character {ch!r} in {text!r}", lineno)
+        raise FixtureFormatError(f"bad pattern character {ch!r} in {text!r}", lineno)
     if not tokens:
-        raise SignatureFormatError("empty signature pattern", lineno)
+        raise FixtureFormatError("empty signature pattern", lineno)
     if all(t is None for t in tokens):
-        raise SignatureFormatError("pattern must contain at least one literal byte", lineno)
+        raise FixtureFormatError("pattern must contain at least one literal byte", lineno)
     return tuple(tokens)
 
 
@@ -328,16 +300,13 @@ class SignatureSet:
     @classmethod
     def from_text(cls, text: str) -> "SignatureSet":
         sigs = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in fixture_lines(io.StringIO(text, newline=None)):
             if ":" not in line:
-                raise SignatureFormatError("expected name:hexpattern", lineno)
+                raise FixtureFormatError("expected name:hexpattern", lineno)
             name, _, pattern = line.partition(":")
             name = name.strip()
             if not name:
-                raise SignatureFormatError("empty signature name", lineno)
+                raise FixtureFormatError("empty signature name", lineno)
             sigs.append(Signature(name, _parse_pattern(pattern.strip(), lineno)))
         return cls(sigs)
 
@@ -542,10 +511,12 @@ class SimulatedEngineSet:
                  size_cap: int = ENGINE_SIZE_CAP):
         self.size_cap = size_cap
         self._fixture: dict[str, list[str]] = {}
+        if fixture is not None and not isinstance(fixture, dict):
+            raise ValueError("engine fixture must map body digests to engine-name lists")
         for digest, names in (fixture or {}).items():
-            unknown = [n for n in names if n not in ENGINE_NAMES]
-            if unknown:
-                raise ValueError(f"fixture names unknown engines: {unknown}")
+            if not isinstance(names, list) or any(n not in ENGINE_NAMES for n in names):
+                raise ValueError(f"fixture entry {digest!r} must list known engine names, "
+                                 f"not {names!r}")
             self._fixture[digest.lower()] = list(names)
         self._pending: dict[str, str] = {}
 

@@ -230,6 +230,8 @@ def partition_seeds(urls: list[str], n_agents: int,
                     seed_cap: int | None = None) -> list[list[str]]:
     """Deterministic round-robin split: agent i takes urls[i::n]."""
     if seed_cap is not None:
+        if seed_cap < 0:
+            raise ValueError(f"seed_cap must be >= 0, got {seed_cap}")
         urls = urls[:seed_cap]
     return [urls[i::n_agents] for i in range(n_agents)]
 

@@ -77,8 +77,6 @@ from urllib.parse import urlsplit
 
 CRLF = b"\r\n"
 ICAP_VERSION = "ICAP/1.0"
-DEFAULT_ICAP_PORT = 1344
-DEFAULT_PROXY_PORT = 3128
 MAX_BODY_SIZE = 64 * 1024 * 1024
 MAX_LINE = 64 * 1024          # longest line read off a socket, line ending included
 MAX_HEAD_SIZE = 256 * 1024    # longest start line plus header block read off a socket
@@ -87,7 +85,6 @@ REQMOD_TABLE_SIZE = 1024      # REQMOD bodies a gateway keeps for their RESPMOD
 ICAP_IDLE_TIMEOUT = 30.0      # seconds a gateway connection may wait for its next message
 ICAP_IDLE_CONNECTIONS = 8     # idle connections an IdleConnections stack keeps for reuse
 RESPONSE_DEADLINE_TIMEOUTS = 6  # a message must arrive whole within this many read timeouts
-ICAP_METHODS = ("OPTIONS", "REQMOD", "RESPMOD")
 SEEDER_TAGS = ("benign", "malware", "phishing")
 AGENT_HEADER = "X-Websift-Agent"    # the agent id the proxy stores with an exchange
 SEEDER_HEADER = "X-Websift-Seeder"  # its seeder tag, one of SEEDER_TAGS

@@ -22,6 +22,7 @@ from websift.agents import (
     proxy_request,
 )
 from websift.features import parse_html
+from websift.fixtures import FixtureFormatError
 from websift.flowstore import FlowStore
 from websift.pipeline import LabelSources, Pipeline, run_crawl
 from websift.synthweb import SynthWebServer, generate_site, render_page
@@ -84,8 +85,9 @@ def test_load_credentials_parses_csv(tmp_path):
 def test_load_credentials_rejects_short_rows(tmp_path):
     path = tmp_path / "creds.csv"
     path.write_text("host.test,justuser\n", encoding="utf-8")
-    with pytest.raises(AgentConfigError):
+    with pytest.raises(FixtureFormatError) as exc:
         load_credentials(path)
+    assert exc.value.line == 1
 
 
 # --- interaction planning ---

@@ -9,14 +9,13 @@ from hypothesis import given, strategies as st
 from websift.augment import (
     AugmentInfo,
     GeoIpDb,
-    GeoIpFormatError,
     WhoIsDb,
-    WhoIsFormatError,
     augment_exchange,
     geoip_lookup,
     registrable_domain,
     whois_lookup,
 )
+from websift.fixtures import FixtureFormatError
 
 
 def ip_int(text: str) -> int:
@@ -99,7 +98,7 @@ def test_geoip_csv_loading(tmp_path):
 def test_geoip_csv_errors(tmp_path, line, lineno):
     path = tmp_path / "geo.csv"
     path.write_text("# header\n" + line + "\n")
-    with pytest.raises(GeoIpFormatError) as exc:
+    with pytest.raises(FixtureFormatError) as exc:
         GeoIpDb.from_file(path)
     assert exc.value.line == lineno
 
@@ -208,7 +207,7 @@ def test_whois_csv_loading(tmp_path):
 def test_whois_csv_errors(tmp_path, line):
     path = tmp_path / "whois.csv"
     path.write_text(line + "\n")
-    with pytest.raises(WhoIsFormatError) as exc:
+    with pytest.raises(FixtureFormatError) as exc:
         WhoIsDb.from_file(path)
     assert exc.value.line == 1
 

@@ -197,13 +197,15 @@ def test_crawl_whose_agents_cannot_start_is_exit_2_and_starts_nothing(
                         lambda self: started.append(self) or self)
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("http://a.test/\nhttp://b.test/\n", encoding="utf-8")
-    store_path = tmp_path / "store"
-    code, docs, err = run_cli(capsys, "--store", str(store_path), "crawl",
-                              "--seeds", str(seeds), "--budget", "-1")
-    assert (code, docs, started) == (2, [], [])
-    assert "interaction_budget must be >= 0" in err
-    with FlowStore(store_path, writable=False) as store:
-        assert store.record_count() == 0
+    for flag, message in (("--budget", "interaction_budget must be >= 0"),
+                          ("--seed-cap", "seed_cap must be >= 0")):
+        store_path = tmp_path / flag.strip("-")
+        code, docs, err = run_cli(capsys, "--store", str(store_path), "crawl",
+                                  "--seeds", str(seeds), flag, "-1")
+        assert (code, docs, started) == (2, [], [])
+        assert message in err
+        with FlowStore(store_path, writable=False) as store:
+            assert store.record_count() == 0
 
 
 def test_crawl_stores_one_record_per_request(tmp_path, capsys, live_site):

@@ -12,7 +12,6 @@ from test_golden_corpus import GOLDEN
 
 from websift.features import FEATURE_ORDER, FeatureVector, extract_features
 from websift.flowstore import (
-    EMPTY_SHA1,
     BlobCorruptError,
     BlobNotFoundError,
     BlobTooLargeError,
@@ -68,8 +67,8 @@ def test_put_blob_returns_sha1_and_dedups(tmp_path):
 
 def test_empty_blob_uses_the_known_digest(tmp_path):
     with FlowStore(tmp_path / "s") as store:
-        assert store.put_blob(b"") == EMPTY_SHA1
-        assert store.get_blob(EMPTY_SHA1).data == b""
+        assert store.put_blob(b"") == hashlib.sha1(b"").hexdigest()
+        assert store.get_blob(hashlib.sha1(b"").hexdigest()).data == b""
 
 
 def test_blob_lookup_failures(tmp_path):

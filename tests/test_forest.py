@@ -451,6 +451,19 @@ def test_model_format_guards(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(garbage)
 
+    # JSON that is not a model: not an object, a missing key, a child index
+    # that loops or runs past the end, a feature index past feature_count
+    nodes = doc["trees"][0]
+    assert "l" in nodes[0]
+
+    def with_root(**fields):
+        return dict(doc, trees=[[dict(nodes[0], **fields)] + nodes[1:]])
+
+    for bad in ([1], {"format": doc["format"]}, with_root(l=0),
+                with_root(l=len(nodes)), with_root(f=doc["feature_count"])):
+        with pytest.raises(ModelFormatError):
+            model_from_doc(bad)
+
 
 def test_custom_width_models_use_custom_ledger():
     rows, labels = two_cluster_data()

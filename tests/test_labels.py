@@ -7,19 +7,18 @@ import time
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from websift.fixtures import FixtureFormatError
 from websift.flowstore import FlowRecord, FlowStore
 from websift.labels import (
     ENGINE_COUNT,
     ENGINE_NAMES,
     GROUND_TRUTH_THRESHOLD,
-    BlacklistFormatError,
     EngineError,
     EngineSizeError,
     FastVerdict,
     LabelSet,
     ScanTicket,
     Signature,
-    SignatureFormatError,
     SignatureSet,
     SimulatedEngineSet,
     ThreatType,
@@ -150,7 +149,7 @@ def test_hash_expressions_are_sha256_of_expressions():
 
 def test_seeded_url_is_found():
     db = UrlBlacklist()
-    db.add_url("http://evil.test/bad", ThreatType.MALWARE)
+    db.add_hash(ThreatType.MALWARE, hash_expressions("http://evil.test/bad")[0])
     assert blacklist_lookup("http://evil.test/bad", db) is ThreatType.MALWARE
     assert blacklist_lookup("http://benign.test/", db) is ThreatType.NONE
     assert len(db) == 1
@@ -176,13 +175,13 @@ def test_path_prefix_listing():
 
 def test_priority_order_most_severe_category_wins():
     db = UrlBlacklist()
-    db.add_url("http://both.test/", ThreatType.SOCIAL_ENGINEERING)
-    db.add_url("http://both.test/", ThreatType.MALWARE)
+    db.add_hash(ThreatType.SOCIAL_ENGINEERING, hash_expressions("http://both.test/")[0])
+    db.add_hash(ThreatType.MALWARE, hash_expressions("http://both.test/")[0])
     assert blacklist_lookup("http://both.test/", db) is ThreatType.MALWARE
 
     db2 = UrlBlacklist()
-    db2.add_url("http://x.test/", ThreatType.SOCIAL_ENGINEERING)
-    db2.add_url("http://x.test/", ThreatType.UNWANTED_SOFTWARE)
+    db2.add_hash(ThreatType.SOCIAL_ENGINEERING, hash_expressions("http://x.test/")[0])
+    db2.add_hash(ThreatType.UNWANTED_SOFTWARE, hash_expressions("http://x.test/")[0])
     assert blacklist_lookup("http://x.test/", db2) is ThreatType.UNWANTED_SOFTWARE
 
 
@@ -194,17 +193,7 @@ def test_prefix_collision_without_full_hash_is_not_a_hit():
     assert fake != victim_digest
     db = UrlBlacklist()
     db.add_hash(ThreatType.MALWARE, fake)
-    assert victim_digest[:4] in db.prefixes(ThreatType.MALWARE)
     assert blacklist_lookup("http://victim.test/", db) is ThreatType.NONE
-
-
-def test_every_full_hash_prefix_is_in_the_prefix_set():
-    db = UrlBlacklist()
-    for i in range(20):
-        db.add_url(f"http://h{i}.test/", ThreatType.MALWARE)
-    full = db.full_hashes(ThreatType.MALWARE)
-    prefixes = db.prefixes(ThreatType.MALWARE)
-    assert all(h[:4] in prefixes for h in full)
 
 
 def test_lookup_cost_does_not_grow_with_the_blacklist():
@@ -212,7 +201,7 @@ def test_lookup_cost_does_not_grow_with_the_blacklist():
     db = UrlBlacklist()
     for i in range(200_000):
         db.add_hash(ThreatType.MALWARE, hashlib.sha256(b"%d" % i).digest())
-    db.add_url("http://evil.test/bad", ThreatType.MALWARE)
+    db.add_hash(ThreatType.MALWARE, hash_expressions("http://evil.test/bad")[0])
     start = time.process_time()
     verdicts = [blacklist_lookup(f"http://h{i}.test/p", db) for i in range(99)]
     verdicts.append(blacklist_lookup("http://evil.test/bad", db))
@@ -252,7 +241,7 @@ def test_blacklist_file_loading(tmp_path):
 def test_blacklist_file_errors_carry_line_numbers(tmp_path, line, lineno):
     path = tmp_path / "bl.tsv"
     path.write_text("# header\n" + line + "\n")
-    with pytest.raises(BlacklistFormatError) as exc:
+    with pytest.raises(FixtureFormatError) as exc:
         UrlBlacklist.from_file(path)
     assert exc.value.line == lineno
 
@@ -305,7 +294,7 @@ def test_signature_file_loading(tmp_path):
     ("# ok\nName:41g2", 2),
 ])
 def test_signature_format_errors(text, lineno):
-    with pytest.raises(SignatureFormatError) as exc:
+    with pytest.raises(FixtureFormatError) as exc:
         SignatureSet.from_text(text)
     assert exc.value.line == lineno
 
@@ -469,7 +458,7 @@ def test_labelset_doc_round_trip():
 
 def test_fast_verdict_and_is_malware():
     db = UrlBlacklist()
-    db.add_url("http://evil.test/", ThreatType.MALWARE)
+    db.add_hash(ThreatType.MALWARE, hash_expressions("http://evil.test/")[0])
     ss = SignatureSet.from_text("S:4142\n")
     v = fast_verdict("http://evil.test/", b"nothing", db, ss)
     assert v.blacklist is ThreatType.MALWARE and v.is_malware
@@ -558,8 +547,9 @@ def test_engine_guards():
         engines.submit(b"x" * 17)
     with pytest.raises(EngineError):
         engines.fetch("sim-unknown")
-    with pytest.raises(ValueError):
-        SimulatedEngineSet({"00" * 32: ["engine-99"]})
+    for fixture in ({"00" * 32: ["engine-99"]}, {"ab": 5}, [1]):
+        with pytest.raises(ValueError):
+            SimulatedEngineSet(fixture)
 
 
 def test_engine_fixture_from_file(tmp_path):

@@ -22,6 +22,7 @@ from websift.labels import (
     ThreatType,
     TicketStatus,
     UrlBlacklist,
+    hash_expressions,
 )
 from websift.pipeline import (
     LabelSources,
@@ -234,7 +235,7 @@ def test_verdict_fn_decodes_then_scans():
 
 def test_verdict_fn_consults_blacklist():
     db = UrlBlacklist()
-    db.add_url("http://bad.test/mal", ThreatType.MALWARE)
+    db.add_hash(ThreatType.MALWARE, hash_expressions("http://bad.test/mal")[0])
     verdict_fn = make_verdict_fn(LabelSources(blacklist=db))
     assert verdict_fn(make_emitted(url="http://bad.test/mal").exchange).blacklist \
         is ThreatType.MALWARE
