@@ -26,11 +26,12 @@ from .agents import load_credentials
 from .augment import GeoIpDb, WhoIsDb
 from .features import FEATURE_ORDER, extract_features
 from .fixtures import fixture_lines
-from .flowstore import FlowStore, RecordNotFoundError
+from .flowstore import FlowStore, RecordNotFoundError, StoreError
 from .labels import (
     LabelSet,
     SignatureSet,
     SimulatedEngineSet,
+    TicketStateError,
     UrlBlacklist,
     fast_verdict,
 )
@@ -228,6 +229,9 @@ def _get_record(store: FlowStore, record_id: int):
 
 
 def cmd_label(args, cfg: Config) -> int:
+    # run_label_cycles refuses it too, but only after the relabel pass has written
+    if args.cycles is not None and args.cycles < 0:
+        raise CliError(f"--cycles must be >= 0, got {args.cycles}")
     sources = _load_sources(args, cfg)
     store = _open_store(args, cfg)
     relabeled = 0
@@ -238,7 +242,10 @@ def cmd_label(args, cfg: Config) -> int:
                 record = _get_record(store, rid)
                 if record.labels.scan_ticket is None:
                     raise CliError(f"record {rid} has no scan ticket to requeue")
-                record.labels.scan_ticket.requeue()
+                try:
+                    record.labels.scan_ticket.requeue()
+                except TicketStateError as exc:
+                    raise CliError(f"record {rid}: {exc}") from None
                 record.labels.ground_truth = None
                 store.update_record(rid, labels=record.labels)
         for record in store.records():
@@ -255,8 +262,8 @@ def cmd_label(args, cfg: Config) -> int:
             relabeled += 1
         worker = {"submitted": 0, "fetched": 0, "cycles": 0}
         if sources.engines is not None:
-            worker = run_label_cycles(store, sources.engines,
-                                      max_cycles=args.cycles or 10000)
+            cycles = {} if args.cycles is None else {"max_cycles": args.cycles}
+            worker = run_label_cycles(store, sources.engines, **cycles)
     finally:
         store.close()
     summary = {"relabeled": relabeled, **worker}
@@ -571,7 +578,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, StoreError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

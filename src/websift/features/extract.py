@@ -193,21 +193,18 @@ class FeatureVector:
         return {"ledger": LEDGER_VERSION, "values": self._row}
 
     @classmethod
-    def from_doc(cls, doc: Mapping, trusted: bool = False) -> "FeatureVector":
-        """The vector a to_doc() document holds.
+    def from_doc(cls, doc: Mapping) -> "FeatureVector":
+        """The vector a to_doc() document holds, its stored tuple kept as the row.
 
-        `trusted` skips the per-value checks, for documents this program
-        wrote from a vector that passed them, such as those a FlowStore
-        loads, and keeps a stored tuple as the vector's row; the ledger
-        and the value count are still checked.
+        Only a FlowStore builds vectors this way, from documents it wrote
+        from vectors that passed __init__'s checks, so the per-value checks
+        are skipped; the ledger and the value count are still checked.
         """
         if doc.get("ledger") != LEDGER_VERSION:
             raise ValueError(f"feature ledger mismatch: {doc.get('ledger')!r}")
         values = doc["values"]
         if len(values) != len(FEATURE_ORDER):
             raise ValueError(f"expected {len(FEATURE_ORDER)} values, got {len(values)}")
-        if not trusted:
-            return cls(dict(zip(FEATURE_ORDER, values)))
         vector = cls.__new__(cls)
         vector._row = tuple(values)
         return vector

@@ -15,9 +15,10 @@ line therefore replaces the document, so logs of full lines only replay
 as they always did.  An update that changes nothing appends nothing.
 Replay is strict: only the final line may be torn or unreadable, and a
 writable open cuts such a line before appending.  Logs holding partial
-lines cannot be read by versions that predate them; export_jsonl is the
-interchange format.  An `index/` directory left by older versions is
-never read and may be deleted.
+lines cannot be read by versions that predate them.  records.log plus
+blobs/pack is the store's one format and the data set's interchange
+file.  An `index/` directory left by older versions is never read and
+may be deleted.
 
 Blobs are indexed in memory (raw digest -> frame offset) from the frame
 headers, scanned after the log replay so that every frame a replayed
@@ -25,11 +26,9 @@ line names has been scanned.  put_blob only appends; every log line goes
 through _append, which first flushes and fsyncs the pack if it holds
 unsynced frames, so no line ever names a blob that is not durable.  A
 pack tail that does not parse is skipped, and cut by a writable open,
-by the same rule as a torn final log line; if the tail holds the digest
-of a blob that a replayed record names and the intact frames lack, the
-pack is corrupt and the open raises StoreError.  Loose blobs/xx/yy/<sha1>
-files written by older versions stay readable; blobs in a pack cannot be
-read by those versions.
+by the same rule as a torn final log line; but if a replayed record names
+a blob that the intact frames lack, the pack lost bytes and the open
+raises StoreError, leaving the pack uncut.
 
 In memory each record is one frozen JSON document, and documents repeat
 the same values: engine names and verdicts, header names and values, an
@@ -59,7 +58,6 @@ feature value again: every write path validated them first.
 
 from __future__ import annotations
 
-import datetime as dt
 import fcntl
 import hashlib
 import json
@@ -152,8 +150,8 @@ class FlowRecord:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict, trusted: bool = False) -> "FlowRecord":
-        """The record a to_doc() document holds; `trusted` as for FeatureVector.from_doc."""
+    def from_doc(cls, doc: dict) -> "FlowRecord":
+        """The record a to_doc() document holds; its features keep the stored tuple."""
         features = doc.get("features")
         return cls(
             record_id=doc["record_id"],
@@ -162,30 +160,11 @@ class FlowRecord:
             decoded_sha1=doc.get("decoded_sha1"),
             labels=LabelSet.from_doc(doc.get("labels") or {}),
             augment=AugmentInfo.from_doc(doc["augment"]) if doc.get("augment") else None,
-            features=FeatureVector.from_doc(features, trusted) if features else None,
+            features=FeatureVector.from_doc(features) if features else None,
             # nested values are thawed so a caller's edits never reach the store
             extra={key: _thaw(value) if type(value) in (dict, list, tuple) else value
                    for key, value in (doc.get("extra") or {}).items()},
         )
-
-
-# ---------------------------------------------------------------------------
-# timestamp rendering for export
-
-def format_timestamp_ms(epoch_ms: int) -> str:
-    """Epoch milliseconds -> ISO-8601 UTC with millisecond precision."""
-    seconds, ms = divmod(int(epoch_ms), 1000)
-    stamp = dt.datetime.fromtimestamp(seconds, dt.timezone.utc)
-    return stamp.strftime("%Y-%m-%dT%H:%M:%S") + f".{ms:03d}Z"
-
-
-def parse_timestamp_ms(text: str) -> int:
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
-    stamp = dt.datetime.fromisoformat(text)
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=dt.timezone.utc)
-    return round(stamp.timestamp() * 1000)
 
 
 def _cut_torn_tail(fh, intact: int) -> None:
@@ -194,23 +173,6 @@ def _cut_torn_tail(fh, intact: int) -> None:
     if os.fstat(fd).st_size > intact:
         os.ftruncate(fd, intact)
         os.fsync(fd)
-
-
-def _first_found(fd: int, start: int, end: int, digests) -> bytes | None:
-    """One of the raw `digests` that occurs in the file between start and end, or None.
-
-    The range is read a piece at a time, each piece overlapping the next
-    by a digest's length.
-    """
-    if not digests:
-        return None
-    step = 1 << 20
-    for pos in range(start, end, step):
-        piece = os.pread(fd, min(step + 20, end - pos), pos)
-        for digest in digests:
-            if digest in piece:
-                return digest
-    return None
 
 
 def _share_strings(node: dict, share) -> dict:
@@ -424,20 +386,15 @@ class FlowStore:
         self._pack_size = offset
         if offset == size:
             return
-        # A torn tail only ever holds frames that no line names yet, so the
-        # pack is corrupt if the tail holds a named blob the index lacks.  A
-        # named blob that is nowhere is no sign of that: import_jsonl stores
-        # records without their blobs.
-        missing = {}
+        # A torn tail only ever holds frames that no line names yet: _append
+        # syncs the pack before a line names a blob.  So a named blob outside
+        # the intact frames means the pack lost bytes.
         for rid, doc in self._docs.items():
             for name in ("body_sha1", "decoded_sha1"):
                 sha1 = doc.get(name)
-                if _SHA1_RE.match(sha1 or "") and not self.has_blob(sha1):
-                    missing.setdefault(bytes.fromhex(sha1), f"record {rid} {name} {sha1}")
-        found = _first_found(fd, offset, size, missing)
-        if found is not None:
-            raise StoreError(f"{self._pack_path} is corrupt after byte {offset}: "
-                             f"{missing[found]} is in no intact frame")
+                if sha1 is not None and not self.has_blob(sha1):
+                    raise StoreError(f"{self._pack_path} is corrupt after byte {offset}: "
+                                     f"record {rid} {name} {sha1} is in no intact frame")
         if self.writable:
             _cut_torn_tail(self._pack_fh, offset)
 
@@ -480,10 +437,6 @@ class FlowStore:
 
     # --- blobs
 
-    def _loose_blob_path(self, sha1: str) -> Path:
-        """Where versions before the pack kept a blob: a two-level hex fan-out."""
-        return self.root / "blobs" / sha1[:2] / sha1[2:4] / sha1
-
     def put_blob(self, data: bytes) -> str:
         """Append data's frame to the pack unless it holds it; return the SHA-1.
 
@@ -506,19 +459,15 @@ class FlowStore:
     def has_blob(self, sha1: str) -> bool:
         if not _SHA1_RE.match(sha1 or ""):
             return False
-        return bytes.fromhex(sha1) in self._blobs or self._loose_blob_path(sha1).exists()
+        return bytes.fromhex(sha1) in self._blobs
 
     def get_blob(self, sha1: str) -> ContentBlob:
         if not _SHA1_RE.match(sha1 or ""):
             raise BlobNotFoundError(sha1)
         offset = self._blobs.get(bytes.fromhex(sha1))
-        if offset is not None:
-            data = self._read_frame(offset)
-        else:
-            try:
-                data = self._loose_blob_path(sha1).read_bytes()
-            except FileNotFoundError:
-                raise BlobNotFoundError(sha1) from None
+        if offset is None:
+            raise BlobNotFoundError(sha1)
+        data = self._read_frame(offset)
         actual = hashlib.sha1(data).hexdigest()
         if actual != sha1:
             raise BlobCorruptError(
@@ -539,12 +488,12 @@ class FlowStore:
         return os.pread(fd, length, offset + _FRAME.size)
 
     def blob_count(self) -> int:
-        """Blobs in the pack; loose blobs of older stores are not counted."""
+        """Blobs in the pack."""
         return len(self._blobs)
 
     # --- records
 
-    def _validate_record(self, record: FlowRecord, require_blobs: bool = True) -> None:
+    def _validate_record(self, record: FlowRecord) -> None:
         if record.exchange is not None:
             record.exchange.validate()
         for name in ("body_sha1", "decoded_sha1"):
@@ -552,7 +501,7 @@ class FlowStore:
             if sha1 is not None:
                 if not _SHA1_RE.match(sha1):
                     raise DanglingBlobError(f"{name} {sha1!r} is not a sha1 digest")
-                if require_blobs and not self.has_blob(sha1):
+                if not self.has_blob(sha1):
                     raise DanglingBlobError(f"{name} {sha1} references no stored blob")
         record.labels.validate()
         if record.augment is not None:
@@ -599,7 +548,7 @@ class FlowStore:
         doc = self._docs.get(record_id)
         if doc is None:
             raise RecordNotFoundError(record_id)
-        return FlowRecord.from_doc(doc, trusted=True)
+        return FlowRecord.from_doc(doc)
 
     def records(self):
         """Every record in id order, built one at a time as the caller steps.
@@ -608,12 +557,12 @@ class FlowStore:
         update each record it is handed before it asks for the next.
         """
         for rid in sorted(self._docs):
-            yield FlowRecord.from_doc(self._docs[rid], trusted=True)
+            yield FlowRecord.from_doc(self._docs[rid])
 
     def record_count(self) -> int:
         return len(self._docs)
 
-    # --- query and export
+    # --- query
 
     def query(self, status: str, limit: int | None = None) -> list[FlowRecord]:
         """The records whose scan ticket has `status`, lowest ids first, at most `limit`.
@@ -621,44 +570,4 @@ class FlowStore:
         Only those records are built: the status index names them.
         """
         ids = sorted(self._by_status.get(status, ()))[:limit]
-        return [FlowRecord.from_doc(self._docs[rid], trusted=True) for rid in ids]
-
-    def export_jsonl(self, path) -> int:
-        count = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records():
-                doc = record.to_doc()
-                doc["schema"] = "flow-record/1"
-                if doc.get("exchange"):
-                    doc["exchange"]["started_at"] = format_timestamp_ms(
-                        doc["exchange"]["started_at"])
-                fh.write(_dump_line(doc) + "\n")
-                count += 1
-        return count
-
-    def import_jsonl(self, path) -> int:
-        """Load exported records, preserving their original ids."""
-        count = 0
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise StoreError(f"bad JSONL at line {lineno}: {exc}") from None
-                doc.pop("schema", None)
-                exchange = doc.get("exchange")
-                if exchange and isinstance(exchange.get("started_at"), str):
-                    exchange["started_at"] = parse_timestamp_ms(exchange["started_at"])
-                record = FlowRecord.from_doc(doc)
-                rid = record.record_id
-                if not isinstance(rid, int) or rid <= 0:
-                    raise StoreError(f"line {lineno}: bad record_id {rid!r}")
-                # digests are carried as data; blob bytes transfer separately
-                self._validate_record(record, require_blobs=False)
-                self._append(rid, self._freeze(record.to_doc()))
-                self._next_id = max(self._next_id, rid + 1)
-                count += 1
-        return count
+        return [FlowRecord.from_doc(self._docs[rid]) for rid in ids]

@@ -235,6 +235,8 @@ def row_digest(row) -> str:
 def train_forest(samples, labels, config: ForestConfig | None = None) -> ForestModel:
     """Train a forest; samples are FeatureVectors or plain rows."""
     config = config or ForestConfig()
+    if config.n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {config.n_trees}")
     rows = [_as_row(s) for s in samples]
     y = [int(bool(v)) for v in labels]
     if not rows:
@@ -487,8 +489,11 @@ def model_from_doc(doc: dict) -> ForestModel:
             seed=int(doc["seed"]),
             bootstrap=bool(doc["bootstrap"]),
         )
+        trees = [_tree_from_arrays(t, feature_count) for t in doc["trees"]]
+        if not trees:
+            raise ModelFormatError("a model has no trees")
         return ForestModel(
-            trees=[_tree_from_arrays(t, feature_count) for t in doc["trees"]],
+            trees=trees,
             config=config,
             feature_count=feature_count,
             feature_ledger=ledger,

@@ -137,7 +137,9 @@ def commit_emitted(store: FlowStore, emitted: EmittedExchange,
 
 def run_label_cycles(store: FlowStore, engines: SimulatedEngineSet,
                      max_cycles: int = 10000) -> dict[str, int]:
-    """Alternate submit/fetch worker steps until the queues drain."""
+    """Alternate submit/fetch worker steps until the queues drain, at most max_cycles times."""
+    if max_cycles < 0:
+        raise ValueError(f"max_cycles must be >= 0, got {max_cycles}")
     submitted = fetched = cycles = 0
     while cycles < max_cycles:
         cycles += 1
@@ -229,6 +231,8 @@ class Pipeline:
 def partition_seeds(urls: list[str], n_agents: int,
                     seed_cap: int | None = None) -> list[list[str]]:
     """Deterministic round-robin split: agent i takes urls[i::n]."""
+    if n_agents < 1:
+        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
     if seed_cap is not None:
         if seed_cap < 0:
             raise ValueError(f"seed_cap must be >= 0, got {seed_cap}")
@@ -247,7 +251,7 @@ def run_crawl(store: FlowStore, sources: LabelSources, seed_urls: list[str],
     """
     from .agents import Agent, AgentConfig
 
-    slices = partition_seeds(seed_urls, max(1, n_agents), seed_cap)
+    slices = partition_seeds(seed_urls, n_agents, seed_cap)
     configs = [AgentConfig(agent_id=f"agent-{idx + 1:02d}", focus=focus,
                            interaction_budget=budget) for idx in range(len(slices))]
     pipeline = Pipeline(store, sources, mode=mode, fail_policy=fail_policy).start()

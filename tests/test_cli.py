@@ -197,11 +197,12 @@ def test_crawl_whose_agents_cannot_start_is_exit_2_and_starts_nothing(
                         lambda self: started.append(self) or self)
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("http://a.test/\nhttp://b.test/\n", encoding="utf-8")
-    for flag, message in (("--budget", "interaction_budget must be >= 0"),
-                          ("--seed-cap", "seed_cap must be >= 0")):
+    for flag, value, message in (("--budget", "-1", "interaction_budget must be >= 0"),
+                                 ("--seed-cap", "-1", "seed_cap must be >= 0"),
+                                 ("--agents", "0", "n_agents must be >= 1")):
         store_path = tmp_path / flag.strip("-")
         code, docs, err = run_cli(capsys, "--store", str(store_path), "crawl",
-                                  "--seeds", str(seeds), flag, "-1")
+                                  "--seeds", str(seeds), flag, value)
         assert (code, docs, started) == (2, [], [])
         assert message in err
         with FlowStore(store_path, writable=False) as store:
@@ -368,11 +369,60 @@ def test_label_requeue_without_ticket_is_exit_2(tmp_path, capsys):
     store_path = tmp_path / "store"
     with FlowStore(store_path) as store:
         rid = put_body_record(store, b"<html></html>")
-    for target, message in ((rid, "no scan ticket"), (rid + 4, f"no record {rid + 4}")):
+        unscanned = put_body_record(store, b"<html></html>",
+                                    labels=LabelSet(signature_hits=["Pipe.Sig"],
+                                                    scan_ticket=ScanTicket()))
+    for target, message in ((rid, "no scan ticket"), (rid + 4, f"no record {rid + 4}"),
+                            (unscanned, f"record {unscanned}: cannot requeue a ticket "
+                                        "in state unscanned")):
         code, _, err = run_cli(capsys, "--store", str(store_path), "label",
                                "--requeue", str(target))
         assert code == 2
         assert message in err
+
+
+def test_cycle_and_tree_counts_that_mean_nothing(tmp_path, capsys):
+    store_path, sigs, engines, _ = seed_labelable_store(tmp_path)
+    log = (store_path / "records.log").read_bytes()
+    code, docs, err = run_cli(capsys, "--store", str(store_path), "label",
+                              "--signatures", str(sigs), "--engines", str(engines),
+                              "--cycles", "-1")
+    assert (code, docs) == (2, [])
+    assert "--cycles must be >= 0, got -1" in err
+    assert (store_path / "records.log").read_bytes() == log
+    code, docs, _ = run_cli(capsys, "--store", str(store_path), "label",
+                            "--signatures", str(sigs), "--engines", str(engines),
+                            "--cycles", "0")
+    assert code == 0
+    assert docs[-1] == {"relabeled": 2, "submitted": 0, "fetched": 0, "cycles": 0}
+    with FlowStore(store_path, writable=False) as store:
+        assert store.query("scan_in_progress") == []
+
+    training = tmp_path / "training"
+    seed_training_store(training)
+    model_path = tmp_path / "model.json"
+    code, docs, err = run_cli(capsys, "--store", str(training), "train",
+                              "--out", str(model_path), "--trees", "0")
+    assert (code, docs) == (2, [])
+    assert "n_trees must be >= 1, got 0" in err
+    assert not model_path.exists()
+
+
+def test_store_errors_are_exit_2(tmp_path, capsys):
+    store_path = tmp_path / "store"
+    with FlowStore(store_path) as store:
+        put_body_record(store, b"<html></html>")
+    log = store_path / "records.log"
+    good = log.read_bytes()
+    log.write_bytes(b"not json\n" + good)
+    code, _, err = run_cli(capsys, "--store", str(store_path), "report")
+    assert code == 2
+    assert "error: StoreError: " in err and "line 1" in err
+    log.write_bytes(good)
+    with FlowStore(store_path):  # the writer lock is held
+        code, _, err = run_cli(capsys, "--store", str(store_path), "extract")
+    assert code == 2
+    assert "error: StoreLockError: another writer holds" in err
 
 
 # --- train and classify ---

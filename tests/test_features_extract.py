@@ -303,8 +303,7 @@ def test_vector_keeps_its_repr_and_types_through_every_form():
     assert repr(extract_features(b"")).startswith(
         "FeatureVector({'NumclearAttributes': 0, 'Filesize': 0, 'crypt': 0, ")
     for again in (FeatureVector(values), FeatureVector(dict(zip(FEATURE_ORDER, fv.as_row()))),
-                  FeatureVector.from_doc(fv.to_doc()),
-                  FeatureVector.from_doc(fv.to_doc(), trusted=True)):
+                  FeatureVector.from_doc(fv.to_doc())):
         assert again == fv and repr(again) == repr(fv) and again.as_dict() == values
         assert [type(v) for v in again.as_row()] == [type(v) for v in values.values()]
         assert all(again[name] == value for name, value in values.items())
@@ -315,7 +314,7 @@ def test_vector_keeps_its_repr_and_types_through_every_form():
 
 def test_trusted_vector_keeps_the_stored_tuple():
     stored = tuple(extract_features(b"<p>x</p>").as_row())
-    vector = FeatureVector.from_doc({"ledger": LEDGER_VERSION, "values": stored}, trusted=True)
+    vector = FeatureVector.from_doc({"ledger": LEDGER_VERSION, "values": stored})
     assert vector.to_doc()["values"] is stored
 
 

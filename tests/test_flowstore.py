@@ -1,4 +1,4 @@
-"""Record/blob store: dedup, durability, locking, the status index, export."""
+"""Record/blob store: dedup, durability, locking, the status index."""
 
 import hashlib
 import json
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_golden_corpus import GOLDEN
 
-from websift.features import FEATURE_ORDER, FeatureVector, extract_features
+from websift.features import FeatureVector, extract_features
 from websift.flowstore import (
     BlobCorruptError,
     BlobNotFoundError,
@@ -21,8 +21,6 @@ from websift.flowstore import (
     RecordNotFoundError,
     StoreError,
     StoreLockError,
-    format_timestamp_ms,
-    parse_timestamp_ms,
 )
 from websift import flowstore
 from websift.labels import (
@@ -100,21 +98,6 @@ def test_corrupted_blob_detected_on_read(tmp_path):
         pack.write_bytes(bytes(frame))
         with pytest.raises(BlobCorruptError):
             store.get_blob(sha1)
-
-
-def test_loose_blob_of_an_older_store_is_read_and_referenced(tmp_path):
-    root = tmp_path / "s"
-    data = b"written before the pack"
-    sha1 = hashlib.sha1(data).hexdigest()
-    loose = root / "blobs" / sha1[:2] / sha1[2:4] / sha1
-    loose.parent.mkdir(parents=True)
-    loose.write_bytes(data)
-    with FlowStore(root) as store:
-        assert store.has_blob(sha1)
-        assert store.get_blob(sha1).data == data
-        rid = store.put_record(FlowRecord(body_sha1=sha1))
-    with FlowStore(root, writable=False) as reader:
-        assert reader.get_blob(reader.get_record(rid).body_sha1).data == data
 
 
 def test_unreferenced_blob_reads_back_from_the_live_writer(tmp_path):
@@ -203,32 +186,21 @@ def test_damaged_middle_frame_losing_a_referenced_blob_fails_the_open(tmp_path, 
     assert pack.read_bytes() == damaged
 
 
-def test_imported_record_without_its_blob_survives_a_torn_pack_tail(tmp_path):
-    # import_jsonl keeps a record's digests without its blob bytes
-    export = tmp_path / "one.jsonl"
-    with FlowStore(tmp_path / "src") as src:
-        src.put_record(FlowRecord(body_sha1=src.put_blob(b"page body")))
-        src.export_jsonl(export)
-    root = tmp_path / "dst"
+def test_pack_that_lost_a_named_frame_fails_the_open_whatever_its_tail_holds(tmp_path):
+    root = tmp_path / "s"
+    with FlowStore(root) as store:
+        for data in (b"first body", b"second body"):
+            store.put_record(FlowRecord(body_sha1=store.put_blob(data)))
     pack = root / "blobs" / "pack"
-    with FlowStore(root) as store:
-        store.import_jsonl(export)
-        store.put_blob(b"a frame no line names")
-    pack.write_bytes(pack.read_bytes()[:-3])
+    # the second frame is gone and a few garbage bytes end the pack, so the
+    # tail does not hold the lost digest
+    damaged = pack.read_bytes()[:24 + len(b"first body")] + b"\x00\x01\x02"
+    pack.write_bytes(damaged)
     for writable in (False, True):
-        with FlowStore(root, writable=writable) as store:
-            record = store.get_record(1)
-            assert not store.has_blob(record.body_sha1)
-            assert store.blob_count() == 0
-    assert pack.stat().st_size == 0
-
-    # the same open fails once the tail holds the missing blob's digest
-    with FlowStore(root) as store:
-        store.put_blob(b"page body")
-    pack.write_bytes(pack.read_bytes()[:-3])
-    for writable in (False, True):
-        with pytest.raises(StoreError, match="record 1 body_sha1"):
+        with pytest.raises(StoreError, match="record 2 body_sha1") as exc:
             FlowStore(root, writable=writable)
+        assert not isinstance(exc.value, StoreLockError)
+    assert pack.read_bytes() == damaged
 
 
 # --- records ---
@@ -478,9 +450,6 @@ def test_log_of_full_lines_replays_and_exports_as_before(tmp_path):
     (root / "records.log").write_bytes(pinned)
     with FlowStore(root, writable=False, create=False) as store:
         assert [r.to_doc() for r in store.records()] == [latest[1], latest[2]]
-        store.export_jsonl(tmp_path / "out.jsonl")
-    assert (tmp_path / "out.jsonl").read_bytes() == \
-        (FULL_LINE_STORE / "export.jsonl").read_bytes()
     # a writer appends after the old lines and leaves them as they are
     with FlowStore(root) as store:
         assert store.put_blob(b"<html>x</html>") == latest[1]["body_sha1"]
@@ -603,25 +572,23 @@ def test_close_drops_the_documents_and_indexes(tmp_path):
         assert (reopened.record_count(), reopened.blob_count()) == (1, 1)
 
 
-def _write_and_export(root: Path) -> tuple[bytes, bytes]:
+def _write_and_reopen(root: Path) -> tuple[bytes, list]:
     with FlowStore(root) as store:
         for url in ("http://a.test/", "http://b.test/", "http://a.test/"):
             store.put_record(_scanned_record(url))
         record = store.get_record(2)
         record.labels.scan_ticket.requeue()
         store.update_record(2, labels=record.labels, extra={"t.note": ["clean", {"k": "v"}]})
-        store.export_jsonl(root.parent / "live.jsonl")
+        live = [r.to_doc() for r in store.records()]
     with FlowStore(root, writable=False) as reopened:
-        reopened.export_jsonl(root.parent / "reopened.jsonl")
-    exported = (root.parent / "live.jsonl").read_bytes()
-    assert (root.parent / "reopened.jsonl").read_bytes() == exported
-    return (root / "records.log").read_bytes(), exported
+        assert [r.to_doc() for r in reopened.records()] == live
+    return (root / "records.log").read_bytes(), live
 
 
 def test_sharing_strings_changes_no_byte_written(tmp_path, monkeypatch):
-    shared = _write_and_export(tmp_path / "shared" / "s")
+    shared = _write_and_reopen(tmp_path / "shared" / "s")
     monkeypatch.setattr(flowstore, "_share_strings", lambda node, share: node)
-    assert _write_and_export(tmp_path / "plain" / "s") == shared
+    assert _write_and_reopen(tmp_path / "plain" / "s") == shared
 
 
 def test_exchange_round_trips_through_store(tmp_path):
@@ -696,66 +663,6 @@ def test_query_returns_ticket_status_matches_lowest_ids_first(tmp_path):
         assert store.query("error") == []
 
 
-# --- export / import ---
-
-def test_export_import_round_trip(tmp_path):
-    root = tmp_path / "src"
-    out = tmp_path / "dump.jsonl"
-    with FlowStore(root) as store:
-        sha1 = store.put_blob(b"page body")
-        store.put_record(FlowRecord(
-            exchange=make_exchange(), body_sha1=sha1,
-            extra={"wire.status": 200}))
-        store.put_record(FlowRecord(extra={"t.a": 2}))
-        originals = [r.to_doc() for r in store.records()]
-        assert store.export_jsonl(out) == 2
-
-    lines = out.read_text().splitlines()
-    assert len(lines) == 2
-    first = json.loads(lines[0])
-    assert first["schema"] == "flow-record/1"
-    # timestamps render as ISO-8601 UTC in export files
-    assert first["exchange"]["started_at"].endswith("Z")
-
-    with FlowStore(tmp_path / "dst") as dst:
-        assert dst.import_jsonl(out) == 2
-        assert [r.to_doc() for r in dst.records()] == originals
-        # ids are preserved, and the sequence continues past them
-        assert dst.put_record(FlowRecord()) == 3
-
-
-def test_import_rejects_bad_lines(tmp_path):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"record_id": 1, "labels": {}}\nnot json\n')
-    with FlowStore(tmp_path / "s") as store:
-        with pytest.raises(StoreError) as exc:
-            store.import_jsonl(bad)
-        assert "line 2" in str(exc.value)
-
-    nonpositive = tmp_path / "bad2.jsonl"
-    nonpositive.write_text('{"record_id": 0, "labels": {}}\n')
-    with FlowStore(tmp_path / "s2") as store:
-        with pytest.raises(StoreError):
-            store.import_jsonl(nonpositive)
-
-
-@pytest.mark.parametrize("name,value", [
-    ("NumWords", -1), ("TotalEntropy", 8.5), ("ShellcodeProbability", 1.5),
-    ("ishtml", 2), ("NumNodes", 1.5)])
-def test_import_still_validates_feature_values(tmp_path, name, value):
-    out = tmp_path / "dump.jsonl"
-    with FlowStore(tmp_path / "src") as store:
-        store.put_record(FlowRecord(features=extract_features(b"<p>x</p>", "text/html")))
-        store.export_jsonl(out)
-    doc = json.loads(out.read_text())
-    doc["features"]["values"][FEATURE_ORDER.index(name)] = value
-    out.write_text(json.dumps(doc) + "\n")
-    with FlowStore(tmp_path / "dst") as dst:
-        with pytest.raises(ValueError, match=name):
-            dst.import_jsonl(out)
-        assert dst.record_count() == 0
-
-
 def test_loaded_feature_vectors_equal_freshly_validated_ones(tmp_path):
     vectors = [extract_features(body, ctype) for _, body, ctype, _ in GOLDEN]
     with FlowStore(tmp_path / "s") as store:
@@ -773,20 +680,6 @@ def test_loaded_feature_vectors_equal_freshly_validated_ones(tmp_path):
         assert [[type(v) for v in g.as_row()] for g in got] == \
             [[type(v) for v in w.as_row()] for w in vectors]
         assert [FeatureVector.from_doc(g.to_doc()) for g in got] == vectors
-
-
-# --- timestamps ---
-
-def test_timestamp_formatting():
-    assert format_timestamp_ms(0) == "1970-01-01T00:00:00.000Z"
-    assert format_timestamp_ms(1_500_000_000_123) == "2017-07-14T02:40:00.123Z"
-    assert parse_timestamp_ms("2017-07-14T02:40:00.123Z") == 1_500_000_000_123
-    assert parse_timestamp_ms("2017-07-14T02:40:00.123+00:00") == 1_500_000_000_123
-
-
-@given(st.integers(min_value=0, max_value=4_102_444_800_000))
-def test_timestamp_round_trip(ms):
-    assert parse_timestamp_ms(format_timestamp_ms(ms)) == ms
 
 
 @given(st.binary(max_size=2048))
@@ -863,8 +756,6 @@ _index_ops = st.lists(st.one_of(
     st.tuples(st.just("fetch")),
     st.tuples(st.just("requeue"), st.integers(0, 20)),
     st.tuples(st.just("drop"), st.integers(0, 20)),
-    st.tuples(st.just("import"), st.lists(
-        st.tuples(st.integers(1, 12), st.sampled_from([None] + _STATUSES)), max_size=4)),
     st.tuples(st.just("torn")),
 ), max_size=30)
 
@@ -876,16 +767,6 @@ def _check_index(store: FlowStore) -> None:
         assert [r.record_id for r in store.query(status)] == scanned
 
 
-def _import_file(path: Path, entries) -> Path:
-    lines = []
-    for rid, status in entries:
-        record = FlowRecord() if status is None else _ticketed(TicketStatus(status))
-        record.record_id = rid
-        lines.append(json.dumps(record.to_doc()))
-    path.write_text("".join(line + "\n" for line in lines))
-    return path
-
-
 @settings(deadline=None, max_examples=60)
 @given(_index_ops)
 def test_query_matches_a_scan_of_every_record_property(tmp_path_factory, ops):
@@ -893,8 +774,8 @@ def test_query_matches_a_scan_of_every_record_property(tmp_path_factory, ops):
     engines = SimulatedEngineSet(size_cap=2)
     store = FlowStore(root)
     try:
-        for n, (op, *args) in enumerate(ops):
-            ids = sorted(store._docs)  # imports leave gaps
+        for op, *args in ops:
+            ids = sorted(store._docs)
             if op == "put":
                 ticket, body = args
                 sha1 = store.put_blob(body) if body is not None else None
@@ -915,8 +796,6 @@ def test_query_matches_a_scan_of_every_record_property(tmp_path_factory, ops):
                                                   TicketStatus.ERROR):
                     ticket.requeue()
                 store.update_record(rid, labels=labels)
-            elif op == "import":
-                store.import_jsonl(_import_file(root.parent / f"import-{n}.jsonl", args[0]))
             elif op == "torn":
                 store.close()
                 with open(root / "records.log", "a", encoding="utf-8") as fh:

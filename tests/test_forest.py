@@ -452,7 +452,8 @@ def test_model_format_guards(tmp_path):
         load_model(garbage)
 
     # JSON that is not a model: not an object, a missing key, a child index
-    # that loops or runs past the end, a feature index past feature_count
+    # that loops or runs past the end, a feature index past feature_count,
+    # no trees at all
     nodes = doc["trees"][0]
     assert "l" in nodes[0]
 
@@ -460,7 +461,8 @@ def test_model_format_guards(tmp_path):
         return dict(doc, trees=[[dict(nodes[0], **fields)] + nodes[1:]])
 
     for bad in ([1], {"format": doc["format"]}, with_root(l=0),
-                with_root(l=len(nodes)), with_root(f=doc["feature_count"])):
+                with_root(l=len(nodes)), with_root(f=doc["feature_count"]),
+                dict(doc, trees=[])):
         with pytest.raises(ModelFormatError):
             model_from_doc(bad)
 

@@ -310,9 +310,9 @@ def test_settle_builds_a_few_records_per_ticket_whatever_the_store_size(store, m
     built = []
     from_doc = FlowRecord.from_doc.__func__
 
-    def counting(cls, doc, trusted=False):
+    def counting(cls, doc):
         built.append(doc["record_id"])
-        return from_doc(cls, doc, trusted)
+        return from_doc(cls, doc)
 
     monkeypatch.setattr(FlowRecord, "from_doc", classmethod(counting))
     stats = run_label_cycles(store, SimulatedEngineSet())
