@@ -42,6 +42,7 @@ VIEWPORT = "1366x768"
 USER_AGENT = "Mozilla/5.0 (X11; Linux x86_64) websift-agent/0.1"
 
 VIEWPORT_HEADER = "X-Websift-Viewport"
+REQUEST_TIMEOUT = 10.0  # seconds one read of an agent's proxy connection may wait
 
 
 class AgentConfigError(ValueError):
@@ -184,8 +185,8 @@ def _origin(url: str) -> tuple[str, str, int]:
 # proxied HTTP client
 
 def proxy_request(proxy_addr: tuple[str, int], method: str, url: str,
-                  headers: list[tuple[str, str]], body: bytes = b"",
-                  timeout: float = 10.0, *, idle: IdleConnections | None = None,
+                  headers: list[tuple[str, str]], body: bytes = b"", *,
+                  idle: IdleConnections | None = None,
                   ) -> tuple[int, list[tuple[str, str]], bytes]:
     """One absolute-URI request through the forward proxy.
 
@@ -194,9 +195,9 @@ def proxy_request(proxy_addr: tuple[str, int], method: str, url: str,
     connection: one from `idle` is reused, or a fresh one opened, and it
     goes back to `idle` when the proxy keeps it open.  A GET or HEAD on a
     reused connection the proxy had closed is resent once on a fresh one.
-    Each read waits at most `timeout`, and the whole response must arrive
-    within wire.RESPONSE_DEADLINE_TIMEOUTS of them, counted from the send,
-    else TimeoutError.
+    Each read waits at most REQUEST_TIMEOUT, and the whole response must
+    arrive within wire.RESPONSE_DEADLINE_TIMEOUTS of them, counted from the
+    send, else TimeoutError.
     """
     headers = list(headers)
     if body:
@@ -217,7 +218,7 @@ def proxy_request(proxy_addr: tuple[str, int], method: str, url: str,
         return (response.status, response.headers, data), keep
 
     return _transact(proxy_addr, _write_head(f"{method} {url} HTTP/1.1", headers) + body,
-                     timeout, idle, read, resend=method in ("GET", "HEAD"))
+                     REQUEST_TIMEOUT, idle, read, resend=method in ("GET", "HEAD"))
 
 
 # ---------------------------------------------------------------------------

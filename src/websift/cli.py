@@ -108,11 +108,12 @@ def _load_sources(args, cfg: Config) -> LabelSources:
     return sources
 
 
-def _open_store(args, cfg: Config, writable: bool = True) -> FlowStore:
+def _open_store(args, cfg: Config, *, writable: bool, create: bool) -> FlowStore:
+    """The store --store or [pipeline] store names; only capture may `create` it."""
     store_path = _pick(args.store, cfg, "pipeline", "store")
     if not store_path:
         raise CliError("no store path: pass --store or set [pipeline] store")
-    return FlowStore(store_path, writable=writable)
+    return FlowStore(store_path, writable=writable, create=create)
 
 
 def _emit(doc) -> None:
@@ -139,7 +140,7 @@ def cmd_serve(args, cfg: Config) -> int:
     sources = _load_sources(args, cfg)
     mode = _pick(args.mode, cfg, "wire", "mode", "collect")
     fail_policy = _pick(args.fail_policy, cfg, "wire", "fail_policy", "closed")
-    store = _open_store(args, cfg)
+    store = _open_store(args, cfg, writable=True, create=True)
     pipeline = Pipeline(store, sources, mode=mode, fail_policy=fail_policy,
                         gateway_port=args.gateway_port, proxy_port=args.proxy_port)
     pipeline.start()
@@ -180,7 +181,7 @@ def cmd_pipeline(args, cfg: Config) -> int:
     creds_path = _pick(args.credentials, cfg, "agents", "credentials")
     creds = load_credentials(creds_path) if creds_path else {}
 
-    store = _open_store(args, cfg)
+    store = _open_store(args, cfg, writable=True, create=True)
     try:
         summary = run_crawl(store, sources, seed_urls, focus=focus,
                             n_agents=n_agents, budget=budget, seed_cap=seed_cap,
@@ -195,7 +196,7 @@ def cmd_pipeline(args, cfg: Config) -> int:
 # extract
 
 def cmd_extract(args, cfg: Config) -> int:
-    store = _open_store(args, cfg)
+    store = _open_store(args, cfg, writable=True, create=False)
     done = 0
     try:
         for record in store.records():
@@ -233,7 +234,7 @@ def cmd_label(args, cfg: Config) -> int:
     if args.cycles is not None and args.cycles < 0:
         raise CliError(f"--cycles must be >= 0, got {args.cycles}")
     sources = _load_sources(args, cfg)
-    store = _open_store(args, cfg)
+    store = _open_store(args, cfg, writable=True, create=False)
     relabeled = 0
     kept = []  # ticketed records a clean verdict left as they were
     try:
@@ -295,7 +296,7 @@ def _train_and_evaluate(samples, labels, trees: int, seed: int, policy: str = "s
     model = forest.train_forest([samples[i] for i in train_idx],
                                 [labels[i] for i in train_idx], config)
     cm = forest.evaluate(model, [samples[i] for i in test_idx],
-                         [labels[i] for i in test_idx], check_overlap=False)
+                         [labels[i] for i in test_idx])
     return model, {
         "train_size": len(train_idx),
         "test_size": len(test_idx),
@@ -305,7 +306,7 @@ def _train_and_evaluate(samples, labels, trees: int, seed: int, policy: str = "s
 
 
 def cmd_train(args, cfg: Config) -> int:
-    store = _open_store(args, cfg, writable=False)
+    store = _open_store(args, cfg, writable=False, create=False)
     try:
         samples, labels = _training_data(store)
     finally:
@@ -331,7 +332,7 @@ def cmd_classify(args, cfg: Config) -> int:
         _emit({"input": args.input, "category": forest.CATEGORY_NAMES[category],
                "score": score})
         return 0
-    store = _open_store(args, cfg, writable=bool(args.update))
+    store = _open_store(args, cfg, writable=bool(args.update), create=False)
     try:
         records = (store.records() if args.record is None
                    else [_get_record(store, args.record)])
@@ -447,7 +448,7 @@ def cmd_report(args, cfg: Config) -> int:
     for feat in features:
         if feat not in FEATURE_ORDER:
             raise CliError(f"unknown trend feature {feat!r}")
-    store = _open_store(args, cfg, writable=False)
+    store = _open_store(args, cfg, writable=False, create=False)
     try:
         bundle = build_report(store, features)
     finally:

@@ -2,11 +2,12 @@
 
 Stored bodies arrive as on-wire bytes; before scanning or feature
 extraction the chunked transfer framing is removed first, by the same
-strict de-chunker the wire uses, then every content coding is undone in
-reverse header order.  Guards against decompression bombs cap the output
-instead of failing: oversized results come back truncated and flagged,
-since a truncated body is still worth scanning while an exception would
-lose the record.
+strict de-chunker the wire uses (its one framing error, IcapParseError,
+becomes a BodyDecodeError for "chunked"), then every content coding is
+undone in reverse header order.  Guards against decompression bombs
+(OUTPUT_CAP, BOMB_RATIO) cap the output instead of failing: oversized
+results come back truncated and flagged, since a truncated body is still
+worth scanning while an exception would lose the record.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import io
 import zlib
 from dataclasses import dataclass, field
 
-from .wire import ChunkedBodyError, _coding_list, _read_chunked
+from .wire import IcapParseError, _coding_list, _read_chunked
 
 # Absolute output cap and bomb ratio; a stream is cut off at
 # min(OUTPUT_CAP, BOMB_RATIO * len(compressed input)).
@@ -67,15 +68,14 @@ def _inflate(data: bytes, coding: str, limit: int) -> tuple[bytes, bool]:
     return out, False
 
 
-def decode_body(raw: bytes, headers, cap: int = OUTPUT_CAP,
-                bomb_ratio: int = BOMB_RATIO) -> DecodedBody:
+def decode_body(raw: bytes, headers) -> DecodedBody:
     """Normalize an on-wire body according to its headers.
 
     Chunked transfer framing is removed first, then content codings are
     undone outermost first (reverse of header order).  Unknown codings
     stop the chain; whatever was not undone is reported in
-    pending_codings.  Exceeding min(cap, bomb_ratio * input size) truncates
-    and flags the result rather than raising.
+    pending_codings.  Exceeding min(OUTPUT_CAP, BOMB_RATIO * input size)
+    truncates and flags the result rather than raising.
     """
     transfer = _coding_list(headers, "Transfer-Encoding")
     content = _coding_list(headers, "Content-Encoding")
@@ -86,7 +86,7 @@ def decode_body(raw: bytes, headers, cap: int = OUTPUT_CAP,
         try:
             # de-chunked data is shorter than its framing, so this cap never binds
             data = _read_chunked(io.BytesIO(data), len(data), 0)[0]
-        except ChunkedBodyError as exc:
+        except IcapParseError as exc:
             raise BodyDecodeError("chunked", str(exc)) from None
         applied.append("chunked")
         transfer = transfer[:-1]
@@ -103,7 +103,7 @@ def decode_body(raw: bytes, headers, cap: int = OUTPUT_CAP,
         if coding == "identity":
             applied.append(coding)
             continue
-        limit = min(cap, bomb_ratio * max(1, len(data)))
+        limit = min(OUTPUT_CAP, BOMB_RATIO * max(1, len(data)))
         data, truncated = _inflate(data, coding, limit)
         applied.append(coding)
         if truncated:

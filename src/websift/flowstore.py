@@ -562,6 +562,10 @@ class FlowStore:
     def record_count(self) -> int:
         return len(self._docs)
 
+    def ticket_counts(self) -> dict[str, int]:
+        """Records per scan-ticket status, from the status index; no empty status."""
+        return {status: len(ids) for status, ids in self._by_status.items() if ids}
+
     # --- query
 
     def query(self, status: str, limit: int | None = None) -> list[FlowRecord]:

@@ -293,19 +293,11 @@ def predict(model: ForestModel, sample) -> tuple[int, float]:
     return (MALICIOUS if votes[MALICIOUS] > votes[BENIGN] else BENIGN), score
 
 
-def evaluate(model: ForestModel, samples, labels,
-             check_overlap: bool = True) -> ConfusionMatrix:
+def evaluate(model: ForestModel, samples, labels) -> ConfusionMatrix:
     rows = [_as_row(s) for s in samples]
     y = [int(bool(v)) for v in labels]
     if not rows:
         raise ValueError("empty test set")
-    if check_overlap and model.training_digests:
-        train = set(model.training_digests)
-        shared = sum(1 for r in rows if row_digest(r) in train)
-        if shared:
-            warnings.warn(
-                f"{shared} test rows also appear in the training set",
-                stacklevel=2)
     cm = ConfusionMatrix()
     for row, actual in zip(rows, y):
         predicted, _ = predict(model, row)

@@ -507,9 +507,7 @@ class SimulatedEngineSet:
     yields the same scan id, which makes worker steps idempotent.
     """
 
-    def __init__(self, fixture: dict[str, list[str]] | None = None,
-                 size_cap: int = ENGINE_SIZE_CAP):
-        self.size_cap = size_cap
+    def __init__(self, fixture: dict[str, list[str]] | None = None):
         self._fixture: dict[str, list[str]] = {}
         if fixture is not None and not isinstance(fixture, dict):
             raise ValueError("engine fixture must map body digests to engine-name lists")
@@ -526,9 +524,9 @@ class SimulatedEngineSet:
             return cls(json.load(fh))
 
     def submit(self, data: bytes) -> str:
-        if len(data) > self.size_cap:
+        if len(data) > ENGINE_SIZE_CAP:
             raise EngineSizeError(
-                f"body of {len(data)} bytes exceeds engine cap {self.size_cap}")
+                f"body of {len(data)} bytes exceeds engine cap {ENGINE_SIZE_CAP}")
         digest = hashlib.sha256(data).hexdigest()
         scan_id = "sim-" + digest[:16]
         self._pending[scan_id] = digest

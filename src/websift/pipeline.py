@@ -213,16 +213,10 @@ class Pipeline:
         return run_label_cycles(self.store, self.sources.engines)
 
     def summary(self) -> RunSummary:
-        tickets: dict[str, int] = {}
-        for record in self.store.records():
-            ticket = record.labels.scan_ticket
-            if ticket is not None:
-                key = ticket.status.value
-                tickets[key] = tickets.get(key, 0) + 1
         return RunSummary(
             records=self.store.record_count(),
             blobs=self.store.blob_count(),
-            tickets=tickets,
+            tickets=self.store.ticket_counts(),
             refused=len(self.gateway.refused),
             errors=len(self.errors),
         )

@@ -11,22 +11,22 @@ so the two halves can also interoperate with foreign ICAP peers.
 Both hops into the gateway are persistent.  Each server serves messages
 on a connection until a message says to close, the peer closes, or the
 connection sits idle past the server's timeout (ICAP_IDLE_TIMEOUT for
-the gateway, the proxy's `timeout`); `stop()` ends the reading side of
-every open connection, so idle ones close at once.  The gateway answers
-a parse error with 400 and closes, since the framing can no longer be
-trusted.  The proxy keeps a client connection open after an HTTP/1.1
-request without a `close` token (RFC 9112 §9.3) and closes it after
-HTTP/1.0, `Connection: close`, any 400/405/413/501/502 error, or a failed
-write.  Before any inspection or fetch, a request gets 400 for a body cut
-short or badly chunked, or framed by both Transfer-Encoding and
+the gateway, PROXY_TIMEOUT for the proxy); `stop()` ends the reading
+side of every open connection, so idle ones close at once.  The gateway
+answers a parse error with 400 and closes, since the framing can no
+longer be trusted.  The proxy keeps a client connection open after an
+HTTP/1.1 request without a `close` token (RFC 9112 §9.3) and closes it
+after HTTP/1.0, `Connection: close`, any 400/405/413/501/502 error, or a
+failed write.  Before any inspection or fetch, a request gets 400 for a
+body cut short or badly chunked, or framed by both Transfer-Encoding and
 Content-Length or by a last transfer coding other than chunked, 501 for
-any other transfer coding (RFC 9112 §6.1, §6.3), and 413 for a body above
-`max_body`, whose rest is left unread.  A chunked body is passed on
-de-chunked, framed by its Content-Length.  Only a closing response carries
-`Connection: close`.  Clients keep idle connections in an
-IdleConnections stack: the proxy its gateway connections, each agent its
-one proxy connection.  A message on a reused connection that gets not
-one response byte back (the peer timed it out meanwhile) was never
+any other transfer coding (RFC 9112 §6.1, §6.3), and 413 for a body
+above PROXY_MAX_BODY, whose rest is left unread.  A chunked body is
+passed on de-chunked, framed by its Content-Length.  Only a closing
+response carries `Connection: close`.  Clients keep idle connections in
+an IdleConnections stack: the proxy its gateway connections, each agent
+its one proxy connection.  A message on a reused connection that gets
+not one response byte back (the peer timed it out meanwhile) was never
 served, so it is resent once on a fresh connection; HTTP resends only
 GET and HEAD (RFC 9112 §9.3.1).  The proxy's origin fetches stay one
 connection each, with `Connection: close`.
@@ -47,21 +47,25 @@ at its head (RFC 9112 §6.3), whatever its framing headers say.
 Framing is done once for both protocols, and every peer is treated as
 hostile.  One writer builds every ICAP and HTTP head, one
 (`_write_icap`) lays out every ICAP message's sections and Encapsulated
-offsets, and one lenient reader parses every HTTP head.  An ICAP message is read in one pass,
-straight into an IcapMessage or IcapResponse: its head is parsed once
-(only CRLF ends a line), the sections its Encapsulated header declares
-are read as they arrive and its body is de-chunked as it is read.  One
-de-chunker (`_read_chunked`) undoes every chunked body, ICAP, HTTP or
-stored, and takes chunk sizes from the strict `_chunk_size` (RFC 9112
-`1*HEXDIG`).  Lengths are ASCII digits only.  Off a socket no line may
-exceed MAX_LINE bytes, no head MAX_HEAD_SIZE, and body data is read at
-most READ_PIECE bytes at a time, never in whatever size the peer
-declares.  A peer that trickles a message to the gateway has its
-connection closed, and a gateway that trickles its answer to the proxy
-counts as unreachable.  An ICAP body above MAX_BODY_SIZE is refused; an
-origin body above the proxy's `max_body` is cut there and flagged
-`wire.truncated`.  A gateway keeps at most REQMOD_TABLE_SIZE REQMOD
-bodies waiting for their RESPMOD.
+offsets, and one lenient reader parses every HTTP head.  An ICAP message
+is read off a stream in one pass, straight into an IcapMessage or
+IcapResponse, whose sections are one token -> bytes dict in Encapsulated
+order: its head is parsed once (only CRLF ends a line), the sections its
+Encapsulated header declares are read as they arrive and its body is
+de-chunked as it is read.  Reading stops at the end of the message, so
+bytes that follow it are read as the next message.  A framing fault a
+reader finds, ICAP or HTTP, raises the one IcapParseError, which carries
+its byte position.  One de-chunker (`_read_chunked`) undoes every
+chunked body, ICAP, HTTP or stored, and takes chunk sizes from the
+strict `_chunk_size` (RFC 9112 `1*HEXDIG`).  Lengths are ASCII digits
+only.  Off a socket no line may exceed MAX_LINE bytes, no head
+MAX_HEAD_SIZE, and body data is read at most READ_PIECE bytes at a time,
+never in whatever size the peer declares.  A peer that trickles a
+message to the gateway has its connection closed, and a gateway that
+trickles its answer to the proxy counts as unreachable.  An ICAP body
+above MAX_BODY_SIZE is refused; an origin body above PROXY_MAX_BODY is
+cut there and flagged `wire.truncated`.  A gateway keeps at most
+REQMOD_TABLE_SIZE REQMOD bodies waiting for their RESPMOD.
 """
 
 from __future__ import annotations
@@ -77,10 +81,13 @@ from urllib.parse import urlsplit
 
 CRLF = b"\r\n"
 ICAP_VERSION = "ICAP/1.0"
-MAX_BODY_SIZE = 64 * 1024 * 1024
+ICAP_HOST = "gateway"         # the host the proxy names in its ICAP request lines and Host
+MAX_BODY_SIZE = 64 * 1024 * 1024  # largest ICAP body section a reader takes
 MAX_LINE = 64 * 1024          # longest line read off a socket, line ending included
 MAX_HEAD_SIZE = 256 * 1024    # longest start line plus header block read off a socket
 READ_PIECE = 64 * 1024        # largest single read of body data off a socket
+PROXY_MAX_BODY = MAX_BODY_SIZE  # largest request body the proxy takes, origin body it keeps
+PROXY_TIMEOUT = 10.0          # seconds any one read or connect of the proxy may wait
 REQMOD_TABLE_SIZE = 1024      # REQMOD bodies a gateway keeps for their RESPMOD
 ICAP_IDLE_TIMEOUT = 30.0      # seconds a gateway connection may wait for its next message
 ICAP_IDLE_CONNECTIONS = 8     # idle connections an IdleConnections stack keeps for reuse
@@ -212,7 +219,7 @@ class EmittedExchange:
 
 
 # ---------------------------------------------------------------------------
-# parse errors
+# message model and its one parse error
 
 class IcapParseError(ValueError):
     """Bad framing, ICAP or HTTP; `position` is the byte offset it was found at."""
@@ -222,41 +229,14 @@ class IcapParseError(ValueError):
         self.position = position
 
 
-class TruncatedMessageError(IcapParseError):
-    pass
-
-
-class RequestLineError(IcapParseError):
-    pass
-
-
-class HeaderSyntaxError(IcapParseError):
-    pass
-
-
-class MissingEncapsulatedError(IcapParseError):
-    pass
-
-
-class EncapsulatedOffsetsError(IcapParseError):
-    pass
-
-
-class ChunkedBodyError(IcapParseError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# message model
-
 @dataclass
 class IcapMessage(_HeaderLookup):
     method: str
     uri: str
     version: str
     headers: list[tuple[str, str]]
-    encapsulated: list[tuple[str, int]]
-    sections: dict[str, bytes]  # body section stored de-chunked
+    # token -> bytes in Encapsulated order; a *-body section holds the de-chunked payload
+    sections: dict[str, bytes]
 
 
 @dataclass
@@ -264,14 +244,7 @@ class IcapResponse(_HeaderLookup):
     status: int
     reason: str
     headers: list[tuple[str, str]] = field(default_factory=list)
-    # (token, raw bytes); a *-body section holds the un-chunked payload
-    sections: list[tuple[str, bytes]] = field(default_factory=list)
-
-    def section(self, token: str) -> bytes | None:
-        for t, data in self.sections:
-            if t == token:
-                return data
-        return None
+    sections: dict[str, bytes] = field(default_factory=dict)  # as IcapMessage.sections
 
     def to_bytes(self) -> bytes:
         return _write_icap(f"{ICAP_VERSION} {self.status} {self.reason}", self.headers,
@@ -290,20 +263,20 @@ def _write_head(start_line: str, headers) -> bytes:
 def _write_icap(start_line: str, headers, sections) -> bytes:
     """An ICAP message: its head, Encapsulated header last, then its sections.
 
-    `sections` are (token, bytes) pairs in order: header sections, then
-    at most one *-body section other than null-body, whose bytes are
+    `sections` maps tokens to bytes in order: header sections, then at
+    most one *-body section other than null-body, whose bytes are
     chunked.  Without a body section the message ends at `null-body`.
     """
     offsets: list[str] = []
     parts: list[bytes] = []
     pos = 0
-    for token, data in sections:
+    for token, data in sections.items():
         offsets.append(f"{token}={pos}")
         if token in _BODY_TOKENS:
             data = _chunk_encode(data)
         parts.append(data)
         pos += len(data)
-    if not sections or sections[-1][0] not in _BODY_TOKENS:
+    if next(reversed(sections), None) not in _BODY_TOKENS:
         offsets.append(f"null-body={pos}")
     headers = [*headers, ("Encapsulated", ", ".join(offsets))]
     return _write_head(start_line, headers) + b"".join(parts)
@@ -398,40 +371,38 @@ def _parse_encapsulated(value: str, position: int) -> list[tuple[str, int]]:
         name, _, num = chunk.partition("=")
         name, offset = name.strip(), _digits(num.strip())
         if name not in _SECTION_TOKENS or offset is None:
-            raise EncapsulatedOffsetsError(f"bad Encapsulated entry {chunk!r}", position)
+            raise IcapParseError(f"bad Encapsulated entry {chunk!r}", position)
         entries.append((name, offset))
     if not entries:
-        raise EncapsulatedOffsetsError("empty Encapsulated header", position)
+        raise IcapParseError("empty Encapsulated header", position)
     if entries[0][1] != 0:
-        raise EncapsulatedOffsetsError("first encapsulated offset must be 0", position)
+        raise IcapParseError("first encapsulated offset must be 0", position)
     offsets = [off for _, off in entries]
     if any(b <= a for a, b in zip(offsets, offsets[1:])):
-        raise EncapsulatedOffsetsError("encapsulated offsets not strictly increasing", position)
+        raise IcapParseError("encapsulated offsets not strictly increasing", position)
     body_tokens = [t for t, _ in entries if t in _BODY_TOKENS]
     if len(body_tokens) != 1 or entries[-1][0] not in _BODY_TOKENS:
-        raise EncapsulatedOffsetsError("exactly one body token must come last", position)
+        raise IcapParseError("exactly one body token must come last", position)
     if offsets[-1] > MAX_BODY_SIZE:
-        raise EncapsulatedOffsetsError(f"body offset {offsets[-1]} exceeds cap", position)
+        raise IcapParseError(f"body offset {offsets[-1]} exceeds cap", position)
     return entries
 
 
-def _read_icap(source, start_line):
-    """Read one ICAP message in one pass: (start-line fields, headers, entries, sections).
+def _read_icap(rfile, start_line):
+    """Read one ICAP message in one pass: (start-line fields, headers, sections).
 
-    `source` is a binary reader at the start of a message, or a whole
-    message as bytes, which must then hold nothing after it.  The head is
+    `rfile` is a binary reader at the start of a message, and is left at
+    the end of it: whatever follows is the next message.  The head is
     read under the MAX_LINE and MAX_HEAD_SIZE caps, and only CRLF ends its
     lines; `start_line` parses the first.  The sections Encapsulated
     declares are read as they come, a *-body section de-chunked, up to
     MAX_BODY_SIZE.  Error positions are byte offsets into the message.
     """
-    whole = isinstance(source, bytes)
-    rfile = io.BytesIO(source) if whole else source
     head = _read_head(rfile)
     if head is None:
-        raise TruncatedMessageError("no ICAP message", 0)
+        raise IcapParseError("no ICAP message", 0)
     if not head.endswith(CRLF + CRLF):
-        raise HeaderSyntaxError("ICAP head line not ended by CRLF", len(head))
+        raise IcapParseError("ICAP head line not ended by CRLF", len(head))
     lines = head[:-4].split(CRLF)
     fields = start_line(lines[0])
     headers: list[tuple[str, str]] = []
@@ -440,60 +411,55 @@ def _read_icap(source, start_line):
     for line in lines[1:]:
         name, colon, value = line.partition(b":")
         if not colon:
-            raise HeaderSyntaxError(f"malformed header line {line!r}", pos)
+            raise IcapParseError(f"malformed header line {line!r}", pos)
         headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
         if not entries and name.lower() == b"encapsulated":
             if b"\n" in value:  # a reader that ends lines at LF would frame it otherwise
-                raise EncapsulatedOffsetsError("bare LF in Encapsulated header", pos)
+                raise IcapParseError("bare LF in Encapsulated header", pos)
             entries = _parse_encapsulated(headers[-1][1], pos)
         pos += len(line) + 2
     pos = len(head)
     # fields[0] is a request's method; a response's is its status
     if not entries and fields[0] in ("REQMOD", "RESPMOD"):
-        raise MissingEncapsulatedError(f"{fields[0]} requires an Encapsulated header", pos)
+        raise IcapParseError(f"{fields[0]} requires an Encapsulated header", pos)
     sections: dict[str, bytes] = {}
     for (token, off), (_, next_off) in zip(entries, entries[1:]):
-        sections[token] = _read_exact(rfile, next_off - off, pos)
-        pos += next_off - off
+        data = sections[token] = _read_upto(rfile, next_off - off)
+        pos += len(data)
+        if len(data) < next_off - off:
+            raise IcapParseError("connection closed inside payload", pos)
     body = entries[-1][0] if entries else None
     if body not in (None, "null-body"):
         sections[body], capped = _read_chunked(rfile, MAX_BODY_SIZE, pos)
         if capped:
-            raise ChunkedBodyError("chunked body exceeds cap", pos)
-    if whole and (end := rfile.tell()) < len(source):
-        if body is None:
-            raise MissingEncapsulatedError("a payload requires an Encapsulated header", end)
-        if body == "null-body":
-            raise EncapsulatedOffsetsError("payload longer than the null-body offset",
-                                           len(source))
-        raise ChunkedBodyError("trailing bytes after final chunk", end)
-    return fields, headers, entries, sections
+            raise IcapParseError("chunked body exceeds cap", pos)
+    return fields, headers, sections
 
 
 def _request_line(line: bytes) -> tuple[str, str, str]:
     parts = line.split(b" ")
     if len(parts) != 3 or not parts[2].startswith(b"ICAP/") or not parts[0]:
-        raise RequestLineError(f"malformed request line {line!r}", 0)
+        raise IcapParseError(f"malformed request line {line!r}", 0)
     return tuple(p.decode("latin-1") for p in parts)
 
 
 def _status_line(line: bytes) -> tuple[int, str]:
     parts = line.split(b" ", 2)
     if len(parts) < 2 or not parts[0].startswith(b"ICAP/") or not parts[1].isdigit():
-        raise RequestLineError(f"malformed status line {line!r}", 0)
+        raise IcapParseError(f"malformed status line {line!r}", 0)
     return int(parts[1]), parts[2].decode("latin-1") if len(parts) > 2 else ""
 
 
-def parse_icap(source) -> IcapMessage:
-    """Parse one ICAP request: a whole message as bytes, or the next one off a reader."""
-    (method, uri, version), headers, entries, sections = _read_icap(source, _request_line)
-    return IcapMessage(method, uri, version, headers, entries, sections)
+def parse_icap(rfile) -> IcapMessage:
+    """Parse the next ICAP request off a binary reader."""
+    (method, uri, version), headers, sections = _read_icap(rfile, _request_line)
+    return IcapMessage(method, uri, version, headers, sections)
 
 
-def parse_icap_response(source) -> IcapResponse:
-    """Parse one ICAP response: a whole message as bytes, or the next one off a reader."""
-    (status, reason), headers, _, sections = _read_icap(source, _status_line)
-    return IcapResponse(status, reason, headers, list(sections.items()))
+def parse_icap_response(rfile) -> IcapResponse:
+    """Parse the next ICAP response off a binary reader."""
+    (status, reason), headers, sections = _read_icap(rfile, _status_line)
+    return IcapResponse(status, reason, headers, sections)
 
 
 # ---------------------------------------------------------------------------
@@ -520,26 +486,25 @@ def _metadata_headers(exchange: HttpExchange, exchange_id: str,
     return out
 
 
-def encapsulate(exchange: HttpExchange, icap_host: str = "gateway",
-                exchange_id: str = "", markers: dict[str, str] | None = None) -> bytes:
+def encapsulate(exchange: HttpExchange, exchange_id: str = "",
+                markers: dict[str, str] | None = None) -> bytes:
     """Build a RESPMOD request carrying the full exchange."""
     exchange.validate()
-    sections = [("req-hdr", _serialize_request_head(exchange.request)),
-                ("res-hdr", _serialize_response_head(exchange.response))]
+    sections = {"req-hdr": _serialize_request_head(exchange.request),
+                "res-hdr": _serialize_response_head(exchange.response)}
     if exchange.body:
-        sections.append(("res-body", exchange.body))
-    headers = [("Host", icap_host), *_metadata_headers(exchange, exchange_id, markers or {})]
-    return _write_icap(f"RESPMOD icap://{icap_host}/respmod {ICAP_VERSION}", headers, sections)
+        sections["res-body"] = exchange.body
+    headers = [("Host", ICAP_HOST), *_metadata_headers(exchange, exchange_id, markers or {})]
+    return _write_icap(f"RESPMOD icap://{ICAP_HOST}/respmod {ICAP_VERSION}", headers, sections)
 
 
-def build_reqmod(request: HttpRequest, body: bytes = b"",
-                 icap_host: str = "gateway", exchange_id: str = "") -> bytes:
+def build_reqmod(request: HttpRequest, body: bytes = b"", exchange_id: str = "") -> bytes:
     """Build a REQMOD request for the client-side half of an exchange."""
-    sections = [("req-hdr", _serialize_request_head(request))]
+    sections = {"req-hdr": _serialize_request_head(request)}
     if body:
-        sections.append(("req-body", body))
-    return _write_icap(f"REQMOD icap://{icap_host}/reqmod {ICAP_VERSION}",
-                       [("Host", icap_host), ("X-Exchange-Id", exchange_id)], sections)
+        sections["req-body"] = body
+    return _write_icap(f"REQMOD icap://{ICAP_HOST}/reqmod {ICAP_VERSION}",
+                       [("Host", ICAP_HOST), ("X-Exchange-Id", exchange_id)], sections)
 
 
 def _parse_http_request_head(raw: bytes) -> tuple[HttpRequest, str]:
@@ -648,10 +613,10 @@ def serve_icap(msg: IcapMessage, mode: str = "collect", verdict_fn=None,
             markers["wire.gateway_error"] = type(exc).__name__
             return IcapResponse(500, "Pipeline refused exchange", base_headers)
         if mode == "enforce" and verdict is not None and getattr(verdict, "is_malware", False):
-            return IcapResponse(200, "OK", base_headers, [
-                ("res-hdr", _serialize_response_head(_rewrite_blocked(exchange.response))),
-                ("res-body", WARNING_PAGE),
-            ])
+            return IcapResponse(200, "OK", base_headers, {
+                "res-hdr": _serialize_response_head(_rewrite_blocked(exchange.response)),
+                "res-body": WARNING_PAGE,
+            })
         return IcapResponse(204, "No modifications", base_headers)
 
     return IcapResponse(405, "Method not allowed", base_headers)
@@ -706,11 +671,11 @@ class _DeadlineReader(io.RawIOBase):
                 self._sock.settimeout(self._timeout)
 
 
-def _read_line(rfile, error, pos: int) -> bytes:
-    """One line of at most MAX_LINE bytes, b"" at EOF; raises `error` if longer."""
+def _read_line(rfile, pos: int) -> bytes:
+    """One line of at most MAX_LINE bytes, b"" at EOF; IcapParseError if longer."""
     line = rfile.readline(MAX_LINE + 1)
     if len(line) > MAX_LINE:
-        raise error(f"line longer than {MAX_LINE} bytes", pos)
+        raise IcapParseError(f"line longer than {MAX_LINE} bytes", pos)
     return line
 
 
@@ -721,14 +686,14 @@ def _read_head(rfile) -> bytes | None:
     """
     head = bytearray()
     while True:
-        line = _read_line(rfile, HeaderSyntaxError, len(head))
+        line = _read_line(rfile, len(head))
         if not line:
             if not head:
                 return None
-            raise TruncatedMessageError("connection closed inside head", len(head))
+            raise IcapParseError("connection closed inside head", len(head))
         head += line
         if len(head) > MAX_HEAD_SIZE:
-            raise HeaderSyntaxError(f"head longer than {MAX_HEAD_SIZE} bytes", len(head))
+            raise IcapParseError(f"head longer than {MAX_HEAD_SIZE} bytes", len(head))
         if line in (CRLF, b"\n") and len(head) > len(line):  # a blank first line is no end
             return bytes(head)
 
@@ -745,13 +710,6 @@ def _read_upto(rfile, n: int) -> bytes:
     return b"".join(pieces)
 
 
-def _read_exact(rfile, n: int, base: int) -> bytes:
-    data = _read_upto(rfile, n)
-    if len(data) != n:
-        raise TruncatedMessageError("connection closed inside payload", base + len(data))
-    return data
-
-
 def _read_chunked(rfile, cap: int, pos: int) -> tuple[bytes, bool]:
     """De-chunk a body as it is read: (data, capped).
 
@@ -762,19 +720,19 @@ def _read_chunked(rfile, cap: int, pos: int) -> tuple[bytes, bool]:
     """
     out = bytearray()
     while True:
-        line = _read_line(rfile, ChunkedBodyError, pos)
+        line = _read_line(rfile, pos)
         if not line.endswith(CRLF):
-            raise ChunkedBodyError("chunk size line cut short", pos)
+            raise IcapParseError("chunk size line cut short", pos)
         try:
             size = _chunk_size(line[:-2])
         except ValueError as exc:
-            raise ChunkedBodyError(str(exc), pos) from None
+            raise IcapParseError(str(exc), pos) from None
         pos += len(line)
         if size == 0:
             while line != CRLF:  # trailers, up to the blank line
-                line = _read_line(rfile, ChunkedBodyError, pos)
+                line = _read_line(rfile, pos)
                 if not line.endswith(CRLF):
-                    raise ChunkedBodyError("trailer line cut short", pos)
+                    raise IcapParseError("trailer line cut short", pos)
                 pos += len(line)
             return bytes(out), False
         take = min(size, cap - len(out))
@@ -782,11 +740,11 @@ def _read_chunked(rfile, cap: int, pos: int) -> tuple[bytes, bool]:
         out += data
         pos += len(data)
         if len(data) < take:
-            raise ChunkedBodyError("chunk data cut short", pos)
+            raise IcapParseError("chunk data cut short", pos)
         if take < size:
             return bytes(out), True
         if rfile.read(2) != CRLF:
-            raise ChunkedBodyError("missing chunk data terminator", pos)
+            raise IcapParseError("missing chunk data terminator", pos)
         pos += 2
 
 
@@ -1078,7 +1036,7 @@ def _read_response(rfile, cap: int, head_only: bool = False) -> tuple[HttpRespon
     """
     head = _read_head(rfile)
     if head is None:
-        raise TruncatedMessageError("connection closed before the status line", 0)
+        raise IcapParseError("connection closed before the status line", 0)
     response = _parse_http_response_head(head)
     if head_only or response.status in (204, 304):
         entity, truncated = b"", False
@@ -1170,29 +1128,26 @@ class ProxyServer:
     `fail_policy` decides what happens when the gateway is unreachable:
     "closed" rejects with 502, "open" forwards uninspected and, when an
     emit_fallback is configured, still records the exchange flagged as
-    uninspected.  `timeout` bounds every socket wait: the client's
+    uninspected.  PROXY_TIMEOUT bounds every socket wait: the client's
     request (and the wait for its next one on a persistent connection),
     the origin fetch and each ICAP exchange.  Each of these messages must
-    arrive whole within RESPONSE_DEADLINE_TIMEOUTS times `timeout`: a
+    arrive whole within RESPONSE_DEADLINE_TIMEOUTS times PROXY_TIMEOUT: a
     client request counted from the wait for it, the origin's response
     and each ICAP response from the gateway counted from the send.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  gateway_addr: tuple[str, int] | None = None,
-                 fail_policy: str = "closed", max_body: int = MAX_BODY_SIZE,
-                 timeout: float = 10.0, emit_fallback=None):
+                 fail_policy: str = "closed", emit_fallback=None):
         if fail_policy not in ("open", "closed"):
             raise ValueError(f"unknown fail policy {fail_policy!r}")
         self.gateway_addr = gateway_addr
         self.fail_policy = fail_policy
-        self.max_body = max_body
-        self.timeout = timeout
         self.emit_fallback = emit_fallback
         self._icap_idle = IdleConnections()
         # _handle is looked up per request, so it can be replaced on the instance
         self._server = _ThreadedServer(
-            (host, port), lambda rfile, wfile: self._handle(rfile, wfile), timeout)
+            (host, port), lambda rfile, wfile: self._handle(rfile, wfile), PROXY_TIMEOUT)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -1223,13 +1178,33 @@ class ProxyServer:
             pass
         return False
 
+    def _fetch(self, request: HttpRequest, body: bytes,
+               markers: dict[str, str]) -> tuple[HttpResponse, bytes]:
+        """The origin's (response, entity); a failed fetch is a 502 flagged `wire.fetch_error`."""
+        try:
+            response, entity, truncated, peer_ip = _fetch_upstream(
+                request, body, PROXY_TIMEOUT, PROXY_MAX_BODY)
+        except (OSError, ProxyError) as exc:
+            text = f"upstream fetch failed: {exc}".encode("utf-8")
+            markers["wire.fetch_error"] = str(exc) or type(exc).__name__
+            return HttpResponse(502, "Bad Gateway",
+                                [("Content-Type", "text/plain; charset=utf-8"),
+                                 ("Content-Length", str(len(text)))]), text
+        if peer_ip:
+            markers["wire.upstream_ip"] = peer_ip
+        if truncated:
+            markers["wire.truncated"] = "true"
+            response.headers = _with_length(response.headers, len(entity))
+        return response, entity
+
     def _handle(self, rfile, wfile) -> bool:
         """Answer one client request; True when the connection stays open for the next.
 
         It stays open after an HTTP/1.1 request without a `close` token
         once the response went out.  Every error response closes it; those
-        for the request's framing (400, 501) and a body above `max_body`
-        (413) go out before any inspection or fetch.
+        for the request's framing (400, 501) and a body above
+        PROXY_MAX_BODY (413) go out before any inspection or fetch.  A
+        failed hop to the gateway follows `fail_policy`.
         """
         try:
             head = _read_head(rfile)
@@ -1267,12 +1242,12 @@ class ProxyServer:
                                     head_only=head_only)
         if chunked:
             try:
-                request_body, over = _read_chunked(rfile, self.max_body, len(head))
-            except ValueError as exc:  # ChunkedBodyError is one
+                request_body, over = _read_chunked(rfile, PROXY_MAX_BODY, len(head))
+            except IcapParseError as exc:
                 return self._send_error(wfile, 400, "Bad Request", str(exc),
                                         head_only=head_only)
             request.headers = _with_length(request.headers, len(request_body))
-        elif not (over := length > self.max_body):
+        elif not (over := length > PROXY_MAX_BODY):
             request_body = _read_upto(rfile, length)
             if len(request_body) < length:
                 # the client ended its side early: no origin is sent a body shorter than declared
@@ -1282,7 +1257,7 @@ class ProxyServer:
         if over:
             # the rest of the body is left unread; the origin is never asked to wait for it
             return self._send_error(wfile, 413, "Content Too Large",
-                                    f"request body exceeds {self.max_body} bytes",
+                                    f"request body exceeds {PROXY_MAX_BODY} bytes",
                                     head_only=head_only)
         keep = version == "HTTP/1.1" and not _says_close(request.headers)
 
@@ -1293,68 +1268,49 @@ class ProxyServer:
             seeder = "benign"
         exchange_id = uuid.uuid4().hex
         markers: dict[str, str] = {}
-        inspected = True
+        # a hop to the gateway that fails leaves the exchange uninspected
+        failed = False
 
         # client-side inspection
         if self.gateway_addr is not None:
             try:
                 icap_transact(self.gateway_addr,
                               build_reqmod(request, request_body, exchange_id=exchange_id),
-                              self.timeout, self._icap_idle)
-            except (OSError, IcapParseError, ConnectionError):
-                if self.fail_policy == "closed":
-                    return self._send_error(wfile, 502, "Bad Gateway",
-                                            "inspection gateway unreachable (fail-closed)",
-                                            head_only=head_only)
-                inspected = False
-                markers["wire.uninspected"] = "true"
+                              PROXY_TIMEOUT, self._icap_idle)
+            except (OSError, IcapParseError):  # ConnectionError is an OSError
+                failed = True
 
-        # origin fetch
-        try:
-            response, entity, truncated, peer_ip = _fetch_upstream(
-                request, request_body, self.timeout, self.max_body)
-            if peer_ip:
-                markers["wire.upstream_ip"] = peer_ip
-            if truncated:
-                markers["wire.truncated"] = "true"
-                response.headers = _with_length(response.headers, len(entity))
-        except (OSError, ProxyError) as exc:
-            text = f"upstream fetch failed: {exc}".encode("utf-8")
-            response = HttpResponse(502, "Bad Gateway",
-                                    [("Content-Type", "text/plain; charset=utf-8"),
-                                     ("Content-Length", str(len(text)))])
-            entity = text
-            markers["wire.fetch_error"] = str(exc) or type(exc).__name__
+        if not failed or self.fail_policy == "open":
+            response, entity = self._fetch(request, request_body, markers)
+            exchange = HttpExchange(request=request, response=response, body=entity,
+                                    started_at=started_at, agent_id=agent_id,
+                                    seeder_tag=seeder)
+            client_response, client_body = response, entity
+            # server-side inspection; encapsulate() and a rewritten head raise ValueError
+            if self.gateway_addr is not None and not failed:
+                try:
+                    icap_resp = icap_transact(
+                        self.gateway_addr,
+                        encapsulate(exchange, exchange_id=exchange_id, markers=markers),
+                        PROXY_TIMEOUT, self._icap_idle)
+                    if icap_resp.status == 200 and "res-hdr" in icap_resp.sections:
+                        client_response = _parse_http_response_head(icap_resp.sections["res-hdr"])
+                        client_body = icap_resp.sections.get("res-body", b"")
+                except (OSError, ValueError):  # IcapParseError is a ValueError
+                    failed = True
 
-        exchange = HttpExchange(request=request, response=response, body=entity,
-                                started_at=started_at, agent_id=agent_id,
-                                seeder_tag=seeder)
-
-        client_body = entity
-        client_response = response
-        if self.gateway_addr is not None and inspected:
-            try:
-                icap_resp = icap_transact(
-                    self.gateway_addr,
-                    encapsulate(exchange, exchange_id=exchange_id, markers=markers),
-                    self.timeout, self._icap_idle)
-                if icap_resp.status == 200 and icap_resp.section("res-hdr") is not None:
-                    client_response = _parse_http_response_head(icap_resp.section("res-hdr"))
-                    client_body = icap_resp.section("res-body") or b""
-            except (OSError, IcapParseError, ConnectionError, ValueError):
-                if self.fail_policy == "closed":
-                    return self._send_error(wfile, 502, "Bad Gateway",
-                                            "inspection gateway unreachable (fail-closed)",
-                                            head_only=head_only)
-                inspected = False
-                markers["wire.uninspected"] = "true"
-
-        if not inspected and self.emit_fallback is not None:
-            try:
-                self.emit_fallback(EmittedExchange(exchange, markers, None,
-                                                   request_body or None))
-            except Exception:
-                pass
+        if failed:
+            if self.fail_policy == "closed":
+                return self._send_error(wfile, 502, "Bad Gateway",
+                                        "inspection gateway unreachable (fail-closed)",
+                                        head_only=head_only)
+            markers["wire.uninspected"] = "true"
+            if self.emit_fallback is not None:
+                try:
+                    self.emit_fallback(EmittedExchange(exchange, markers, None,
+                                                       request_body or None))
+                except Exception:
+                    pass
 
         try:
             wfile.write(_client_response_bytes(client_response, client_body, close=not keep,

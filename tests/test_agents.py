@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from test_wire import count_accepted, record_handlers, trickling_peer
 
 from websift import agents as agents_module
-from websift import pipeline as pipeline_module
+from websift import pipeline as pipeline_module, wire
 from websift.agents import (
     FALLBACK_CREDENTIALS,
     Agent,
@@ -435,12 +435,12 @@ def test_agent_parses_the_raw_bytes_of_a_body_that_does_not_decode(proxy):
     assert (summary.requests_made, summary.actions_executed, summary.errors) == (2, 1, [])
 
 
-def test_proxy_request_gives_up_on_a_proxy_that_trickles_past_the_deadline():
+def test_proxy_request_gives_up_on_a_proxy_that_trickles_past_the_deadline(monkeypatch):
+    monkeypatch.setattr(agents_module, "REQUEST_TIMEOUT", 0.3)
     with trickling_peer(b"HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n") as addr:
         started = time.monotonic()
         with pytest.raises(TimeoutError, match="not complete within 1.8 s"):
-            proxy_request(addr, "GET", "http://site.test/", [], timeout=0.3,
-                          idle=IdleConnections())
+            proxy_request(addr, "GET", "http://site.test/", [], idle=IdleConnections())
         assert time.monotonic() - started < RESPONSE_DEADLINE_TIMEOUTS * 0.3 + 1.5
 
 
@@ -522,7 +522,8 @@ def test_crawl_serves_each_agent_over_one_proxy_connection(tmp_path, monkeypatch
 def test_a_get_on_a_connection_the_proxy_timed_out_is_resent_once(site, inspected_proxy,
                                                                   monkeypatch):
     start, emitted = inspected_proxy
-    px = start(timeout=0.2)  # drops a client idle for 0.2 s
+    monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.2)
+    px = start()  # drops a client idle for 0.2 s
     accepted = count_accepted(monkeypatch, px)
     idle = IdleConnections()
     try:
@@ -540,7 +541,8 @@ def test_a_get_on_a_connection_the_proxy_timed_out_is_resent_once(site, inspecte
 def test_a_post_on_a_connection_the_proxy_timed_out_is_not_resent(site, inspected_proxy,
                                                                   monkeypatch):
     start, emitted = inspected_proxy
-    px = start(timeout=0.2)  # drops a client idle for 0.2 s
+    monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.2)
+    px = start()  # drops a client idle for 0.2 s
     accepted = count_accepted(monkeypatch, px)
     idle = IdleConnections()
     try:

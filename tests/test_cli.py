@@ -97,9 +97,10 @@ def test_config_supplies_store_path(tmp_path, capsys):
     store_path = tmp_path / "cfg-store"
     ini = tmp_path / "websift.ini"
     ini.write_text(f"[pipeline]\nstore = {store_path}\n", encoding="utf-8")
-    code, docs, _ = run_cli(capsys, "--config", str(ini), "extract")
+    # crawl creates the store it is given (no seeds: nothing is fetched)
+    code, docs, _ = run_cli(capsys, "--config", str(ini), "crawl")
     assert code == 0
-    assert docs[-1] == {"extracted": 0}
+    assert docs[-1]["records"] == 0
     assert store_path.is_dir()
 
 
@@ -109,7 +110,7 @@ def test_store_flag_wins_over_config(tmp_path, capsys):
                    encoding="utf-8")
     flag_store = tmp_path / "flag-store"
     code, _, _ = run_cli(capsys, "--config", str(ini),
-                         "--store", str(flag_store), "extract")
+                         "--store", str(flag_store), "crawl")
     assert code == 0
     assert flag_store.is_dir()
     assert not (tmp_path / "config-store").exists()
@@ -423,6 +424,21 @@ def test_store_errors_are_exit_2(tmp_path, capsys):
         code, _, err = run_cli(capsys, "--store", str(store_path), "extract")
     assert code == 2
     assert "error: StoreLockError: another writer holds" in err
+
+
+@pytest.mark.parametrize("command", ["extract", "label", "train", "classify", "report"])
+def test_a_command_that_reads_a_store_refuses_a_missing_one(tmp_path, capsys, command):
+    # only crawl and serve create a store; a mistyped path is refused, not made
+    model_path = tmp_path / "model.json"
+    forest.save_model(forest.train_forest([[0.0] * 58, [1.0] * 58], [0, 1],
+                                          forest.ForestConfig(n_trees=1)), model_path)
+    options = {"train": ["--out", str(tmp_path / "trained.json")],
+               "classify": ["--model", str(model_path)]}.get(command, [])
+    missing = tmp_path / "typo_store"
+    code, docs, err = run_cli(capsys, "--store", str(missing), command, *options)
+    assert (code, docs) == (2, [])
+    assert "error: StoreError: " in err and "does not exist" in err
+    assert not missing.exists() and not (tmp_path / "trained.json").exists()
 
 
 # --- train and classify ---

@@ -6,6 +6,7 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
+from websift import contentprep
 from websift.contentprep import (
     BOMB_RATIO,
     BodyDecodeError,
@@ -166,9 +167,10 @@ def test_empty_body_with_declared_gzip_is_an_error():
 
 # --- bomb guards ---
 
-def test_explicit_cap_truncates_and_flags():
+def test_explicit_cap_truncates_and_flags(monkeypatch):
+    monkeypatch.setattr(contentprep, "OUTPUT_CAP", 50)
     blob = gzip.compress(b"\x00" * 100_000)
-    got = decode_body(blob, [("Content-Encoding", "gzip")], cap=50)
+    got = decode_body(blob, [("Content-Encoding", "gzip")])
     assert got.truncated
     assert len(got.data) == 50
     assert got.applied_codings == ["gzip"]
@@ -183,24 +185,24 @@ def test_bomb_ratio_bounds_expansion():
     assert len(got.data) == BOMB_RATIO * len(blob)
 
 
-def test_truncation_leaves_rest_of_chain_pending():
+def test_truncation_leaves_rest_of_chain_pending(monkeypatch):
+    monkeypatch.setattr(contentprep, "OUTPUT_CAP", 4096)
     inner = gzip.compress(b"\x00" * 100_000)
     outer = gzip.compress(inner)
     # cap is wide enough for the outer stage, binds on the inner one
     assert len(inner) < 4096
-    got = decode_body(outer, [("Content-Encoding", "identity, gzip, gzip")],
-                      cap=4096)
+    got = decode_body(outer, [("Content-Encoding", "identity, gzip, gzip")])
     assert got.applied_codings == ["gzip", "gzip"]
     assert got.truncated
     assert got.pending_codings == ["identity"]
     assert len(got.data) == 4096
 
 
-def test_truncation_at_first_stage_leaves_later_stages_pending():
+def test_truncation_at_first_stage_leaves_later_stages_pending(monkeypatch):
+    monkeypatch.setattr(contentprep, "OUTPUT_CAP", 64)
     inner = gzip.compress(b"\x00" * 100_000)
     outer = gzip.compress(inner)
-    got = decode_body(outer, [("Content-Encoding", "identity, gzip, gzip")],
-                      cap=64)
+    got = decode_body(outer, [("Content-Encoding", "identity, gzip, gzip")])
     assert got.applied_codings == ["gzip"]
     assert got.truncated
     assert got.pending_codings == ["gzip", "identity"]

@@ -22,7 +22,7 @@ from websift.flowstore import (
     StoreError,
     StoreLockError,
 )
-from websift import flowstore
+from websift import flowstore, labels as labels_module
 from websift.labels import (
     ENGINE_NAMES,
     LabelSet,
@@ -771,7 +771,9 @@ def _check_index(store: FlowStore) -> None:
 @given(_index_ops)
 def test_query_matches_a_scan_of_every_record_property(tmp_path_factory, ops):
     root = tmp_path_factory.mktemp("index")
-    engines = SimulatedEngineSet(size_cap=2)
+    engines = SimulatedEngineSet()
+    patch = pytest.MonkeyPatch()  # hypothesis runs this body once per example
+    patch.setattr(labels_module, "ENGINE_SIZE_CAP", 2)
     store = FlowStore(root)
     try:
         for op, *args in ops:
@@ -804,5 +806,6 @@ def test_query_matches_a_scan_of_every_record_property(tmp_path_factory, ops):
             _check_index(store)
     finally:
         store.close()
+        patch.undo()
     with FlowStore(root, writable=False) as reopened:
         _check_index(reopened)

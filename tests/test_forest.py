@@ -2,7 +2,6 @@
 
 import json
 import random
-import warnings
 
 import pytest
 from fractions import Fraction
@@ -293,22 +292,10 @@ def test_leaf_votes_carry_class_weights():
 def test_evaluate_confusion_counts():
     rows, labels = two_cluster_data()
     model = train_forest(rows, labels, ForestConfig(n_trees=3, seed=4))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cm = evaluate(model, rows, labels)
+    cm = evaluate(model, rows, labels)
     assert cm.total() == len(rows)
     assert cm.tp + cm.fn == labels.count(MALICIOUS)
     assert cm.tn + cm.fp == labels.count(BENIGN)
-
-
-def test_evaluate_warns_on_train_test_overlap():
-    rows, labels = two_cluster_data()
-    model = train_forest(rows, labels, ForestConfig(n_trees=1))
-    with pytest.warns(UserWarning, match="training set"):
-        evaluate(model, rows[:4], labels[:4])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        evaluate(model, rows[:4], labels[:4], check_overlap=False)
 
 
 def test_confusion_matrix_rejects_negative_counts():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 from websift.fixtures import FixtureFormatError
 from websift.flowstore import FlowRecord, FlowStore
+from websift import labels as labels_module
 from websift.labels import (
     ENGINE_COUNT,
     ENGINE_NAMES,
@@ -541,8 +542,9 @@ def test_unknown_digest_falls_back_below_threshold():
     assert sum(1 for v in report.values() if v == "malicious") == detections
 
 
-def test_engine_guards():
-    engines = SimulatedEngineSet(size_cap=16)
+def test_engine_guards(monkeypatch):
+    monkeypatch.setattr(labels_module, "ENGINE_SIZE_CAP", 16)
+    engines = SimulatedEngineSet()
     with pytest.raises(EngineSizeError):
         engines.submit(b"x" * 17)
     with pytest.raises(EngineError):
@@ -610,9 +612,10 @@ def test_fetch_step_finishes_and_sets_ground_truth(tmp_path):
         assert fetch_worker_step(store, engines) == 0
 
 
-def test_oversize_body_moves_ticket_to_error(tmp_path):
+def test_oversize_body_moves_ticket_to_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(labels_module, "ENGINE_SIZE_CAP", 8)
     store = FlowStore(tmp_path / "scan")
-    engines = SimulatedEngineSet(size_cap=8)
+    engines = SimulatedEngineSet()
     with store:
         sha1 = store.put_blob(b"way more than eight bytes")
         store.put_record(FlowRecord(

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from websift import pipeline as pipeline_module, wire
+from websift import labels as labels_module, pipeline as pipeline_module, wire
 from websift.agents import proxy_request
 from websift.augment import GeoIpDb, WhoIsDb
 from websift.cli import main
@@ -285,9 +285,10 @@ def test_run_label_cycles_drains_in_capacity_batches(store):
     assert all(r.labels.ground_truth is False for r in records[3:])
 
 
-def test_run_label_cycles_marks_oversize_bodies_as_error(store):
+def test_run_label_cycles_marks_oversize_bodies_as_error(store, monkeypatch):
+    monkeypatch.setattr(labels_module, "ENGINE_SIZE_CAP", 10)
     seed_ticketed_records(store, [b"x" * 64])
-    stats = run_label_cycles(store, SimulatedEngineSet(size_cap=10))
+    stats = run_label_cycles(store, SimulatedEngineSet())
     assert stats["submitted"] == 1
     record = next(iter(store.records()))
     assert record.labels.scan_ticket.status is TicketStatus.ERROR
@@ -297,6 +298,25 @@ def test_run_label_cycles_marks_oversize_bodies_as_error(store):
 def test_run_label_cycles_idle_store_is_one_cycle(store):
     assert run_label_cycles(store, SimulatedEngineSet()) == \
         {"submitted": 0, "fetched": 0, "cycles": 1}
+
+
+def test_summary_tallies_tickets_from_the_status_index(store, monkeypatch):
+    monkeypatch.setattr(labels_module, "ENGINE_SIZE_CAP", 10)
+    seed_ticketed_records(store, [b"x" * 64, b"<p>a</p>", b"<p>b</p>"])
+    run_label_cycles(store, SimulatedEngineSet())  # the body above the cap ends in error
+    store.put_record(FlowRecord())  # no ticket
+    built = []
+    from_doc = FlowRecord.from_doc.__func__
+    monkeypatch.setattr(FlowRecord, "from_doc", classmethod(
+        lambda cls, doc: built.append(doc) or from_doc(cls, doc)))
+    pipeline = Pipeline(store)
+    try:
+        summary = pipeline.summary()
+    finally:
+        pipeline.stop_capture()
+    assert built == []
+    # no unscanned or submitted ticket is left, so neither status is listed
+    assert summary.tickets == {"error": 1, "scan_finished": 2}
 
 
 def test_settle_builds_a_few_records_per_ticket_whatever_the_store_size(store, monkeypatch):

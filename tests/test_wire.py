@@ -14,18 +14,13 @@ from hypothesis import given, settings, strategies as st
 from websift import wire
 from websift.contentprep import decode_body
 from websift.wire import (
-    ChunkedBodyError,
-    EncapsulatedOffsetsError,
-    HeaderSyntaxError,
     HttpExchange,
     HttpRequest,
     HttpResponse,
     IcapGateway,
+    IcapParseError,
     IcapResponse,
-    MissingEncapsulatedError,
     ProxyServer,
-    RequestLineError,
-    TruncatedMessageError,
     WARNING_PAGE,
     build_reqmod,
     encapsulate,
@@ -64,12 +59,11 @@ class _Verdict:
 
 def test_parse_options_without_payload():
     raw = b"OPTIONS icap://g/respmod ICAP/1.0\r\nHost: g\r\n\r\n"
-    msg = parse_icap(raw)
+    msg = parse_icap(io.BytesIO(raw))
     assert msg.method == "OPTIONS"
     assert msg.uri == "icap://g/respmod"
     assert msg.version == "ICAP/1.0"
     assert msg.headers == [("Host", "g")]
-    assert msg.encapsulated == []
     assert msg.sections == {}
 
 
@@ -109,17 +103,17 @@ def build_fixture_respmod() -> bytes:
 
 
 def test_parse_respmod_fixture_exact_offsets():
-    msg = parse_icap(build_fixture_respmod())
+    msg = parse_icap(io.BytesIO(build_fixture_respmod()))
     assert msg.method == "RESPMOD"
-    assert msg.encapsulated == [("req-hdr", 0), ("res-hdr", 137), ("res-body", 296)]
+    assert list(msg.sections) == ["req-hdr", "res-hdr", "res-body"]
     assert msg.sections["req-hdr"] == FIXTURE_REQ_HDR
     assert msg.sections["res-hdr"] == FIXTURE_RES_HDR
     assert msg.sections["res-body"] == FIXTURE_BODY
-    assert msg.encapsulated[-1][0] == "res-body"
 
 
 def test_parse_respmod_fixture_rebuilds_exchange():
-    exchange, exchange_id, markers = exchange_from_respmod(parse_icap(build_fixture_respmod()))
+    msg = parse_icap(io.BytesIO(build_fixture_respmod()))
+    exchange, exchange_id, markers = exchange_from_respmod(msg)
     assert exchange.request.method == "GET"
     assert exchange.request.url == "http://fixture.test/samples/page.html"
     assert exchange.request.header("User-Agent") == "probe/1.0"
@@ -136,9 +130,8 @@ def test_parse_respmod_null_body():
     enc = b"Encapsulated: req-hdr=0, res-hdr=%d, null-body=%d" % (
         len(req_hdr), len(req_hdr) + len(res_hdr))
     raw = head_block([b"RESPMOD icap://g/respmod ICAP/1.0", enc]) + req_hdr + res_hdr
-    msg = parse_icap(raw)
-    assert msg.encapsulated[-1][0] == "null-body"
-    assert "null-body" not in msg.sections
+    msg = parse_icap(io.BytesIO(raw))
+    assert list(msg.sections) == ["req-hdr", "res-hdr"]
     assert msg.sections["res-hdr"] == res_hdr
 
 
@@ -149,22 +142,22 @@ def test_parse_chunk_extensions_and_trailers_are_dropped():
         b"REQMOD icap://g/reqmod ICAP/1.0",
         b"Encapsulated: req-hdr=0, req-body=%d" % len(req_hdr),
     ]) + req_hdr + body
-    msg = parse_icap(raw)
+    msg = parse_icap(io.BytesIO(raw))
     assert msg.sections["req-body"] == b"hello"
 
 
-# --- parse_icap: error classes carry byte positions ---
+# --- parse_icap: errors carry byte positions ---
 
 def test_empty_input_is_truncated_at_zero():
-    with pytest.raises(TruncatedMessageError) as exc:
-        parse_icap(b"")
+    with pytest.raises(IcapParseError) as exc:
+        parse_icap(io.BytesIO(b""))
     assert exc.value.position == 0
 
 
 def test_unterminated_head_is_truncated_at_end():
     raw = b"OPTIONS icap://g/x ICAP/1.0\r\nHost: g\r\n"
-    with pytest.raises(TruncatedMessageError) as exc:
-        parse_icap(raw)
+    with pytest.raises(IcapParseError) as exc:
+        parse_icap(io.BytesIO(raw))
     assert exc.value.position == len(raw)
 
 
@@ -175,31 +168,24 @@ def test_unterminated_head_is_truncated_at_end():
     b"OPTIONS icap://g/x ICAP/1.0 extra",
 ])
 def test_malformed_request_line_positions_at_zero(line):
-    with pytest.raises(RequestLineError) as exc:
-        parse_icap(line + b"\r\nHost: g\r\n\r\n")
+    with pytest.raises(IcapParseError) as exc:
+        parse_icap(io.BytesIO(line + b"\r\nHost: g\r\n\r\n"))
     assert exc.value.position == 0
 
 
 def test_header_without_colon_positions_at_line_start():
     raw = b"OPTIONS icap://g/x ICAP/1.0\r\nHost: g\r\nBADHEADER\r\n\r\n"
-    with pytest.raises(HeaderSyntaxError) as exc:
-        parse_icap(raw)
+    with pytest.raises(IcapParseError) as exc:
+        parse_icap(io.BytesIO(raw))
     assert exc.value.position == raw.find(b"BADHEADER")
 
 
 @pytest.mark.parametrize("method", [b"REQMOD", b"RESPMOD"])
 def test_mod_methods_require_encapsulated(method):
     raw = method + b" icap://g/x ICAP/1.0\r\nHost: g\r\n\r\n"
-    with pytest.raises(MissingEncapsulatedError) as exc:
-        parse_icap(raw)
+    with pytest.raises(IcapParseError) as exc:
+        parse_icap(io.BytesIO(raw))
     assert exc.value.position == len(raw)
-
-
-def test_options_with_stray_payload_requires_encapsulated():
-    raw = b"OPTIONS icap://g/x ICAP/1.0\r\nHost: g\r\n\r\nstray"
-    with pytest.raises(MissingEncapsulatedError) as exc:
-        parse_icap(raw)
-    assert exc.value.position == raw.find(b"stray")
 
 
 @pytest.mark.parametrize("enc", [
@@ -217,19 +203,9 @@ def test_bad_encapsulated_positions_at_header_line(enc):
     for start_line, parse in [(b"RESPMOD icap://g/respmod ICAP/1.0", parse_icap),
                               (b"ICAP/1.0 200 OK", parse_icap_response)]:
         raw = head_block([start_line, b"Host: g", b"Encapsulated: " + enc]) + b"x" * 64
-        with pytest.raises(EncapsulatedOffsetsError) as exc:
-            parse(raw)
+        with pytest.raises(IcapParseError) as exc:
+            parse(io.BytesIO(raw))
         assert exc.value.position == raw.find(b"Encapsulated:")
-
-
-def test_null_body_offset_must_match_payload_length():
-    raw = head_block([
-        b"RESPMOD icap://g/respmod ICAP/1.0",
-        b"Encapsulated: req-hdr=0, null-body=2",
-    ]) + b"abcd"
-    with pytest.raises(EncapsulatedOffsetsError) as exc:
-        parse_icap(raw)
-    assert exc.value.position == len(raw)
 
 
 def test_payload_shorter_than_sections_is_truncated():
@@ -237,8 +213,8 @@ def test_payload_shorter_than_sections_is_truncated():
         b"RESPMOD icap://g/respmod ICAP/1.0",
         b"Encapsulated: req-hdr=0, res-hdr=50, null-body=60",
     ]) + b"tiny"
-    with pytest.raises(TruncatedMessageError) as exc:
-        parse_icap(raw)
+    with pytest.raises(IcapParseError) as exc:
+        parse_icap(io.BytesIO(raw))
     assert exc.value.position == len(raw)
 
 
@@ -248,8 +224,8 @@ def test_bad_chunk_size_positions_inside_payload():
         b"REQMOD icap://g/reqmod ICAP/1.0",
         b"Encapsulated: req-hdr=0, req-body=%d" % len(req_hdr),
     ]) + req_hdr + b"zz\r\nhello\r\n0\r\n\r\n"
-    with pytest.raises(ChunkedBodyError) as exc:
-        parse_icap(raw)
+    with pytest.raises(IcapParseError) as exc:
+        parse_icap(io.BytesIO(raw))
     assert exc.value.position == raw.find(b"zz\r\n")
 
 
@@ -265,8 +241,8 @@ def test_truncated_chunked_bodies_raise(tail):
         b"REQMOD icap://g/reqmod ICAP/1.0",
         b"Encapsulated: req-hdr=0, req-body=%d" % len(req_hdr),
     ]) + req_hdr + tail
-    with pytest.raises(ChunkedBodyError) as exc:
-        parse_icap(raw)
+    with pytest.raises(IcapParseError) as exc:
+        parse_icap(io.BytesIO(raw))
     assert exc.value.position >= raw.find(tail)
 
 
@@ -305,7 +281,7 @@ def _dechunk_three_ways(framed: bytes):
     for read in readers:
         try:
             results.append(read())
-        except ValueError:  # ChunkedBodyError and the other IcapParseErrors are ValueErrors
+        except ValueError:  # IcapParseError is a ValueError
             results.append(ValueError)
     return results
 
@@ -328,15 +304,21 @@ def test_chunk_size_accepts_exactly_hex_tokens(token):
     assert _dechunk_three_ways(framed) == [expected] * 3
 
 
-def test_trailing_bytes_after_final_chunk_rejected():
-    req_hdr = head_block([b"GET http://a.test/ HTTP/1.1"])
-    raw = head_block([
-        b"REQMOD icap://g/reqmod ICAP/1.0",
-        b"Encapsulated: req-hdr=0, req-body=%d" % len(req_hdr),
-    ]) + req_hdr + b"5\r\nhello\r\n0\r\n\r\nextra"
-    with pytest.raises(ChunkedBodyError) as exc:
-        parse_icap(raw)
-    assert exc.value.position == raw.find(b"extra")
+# a message whose end is the end of its head, its null-body offset or its final chunk
+MESSAGE_ENDS = {
+    "options-head": b"OPTIONS icap://g/x ICAP/1.0\r\nHost: g\r\n\r\n",
+    "null-body-offset": head_block([b"RESPMOD icap://g/respmod ICAP/1.0",
+                                    b"Encapsulated: req-hdr=0, null-body=2"]) + b"ab",
+    "final-chunk": REQMOD_HEAD + REQ_HDR + b"5\r\nhello\r\n0\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MESSAGE_ENDS))
+def test_reading_stops_at_the_end_of_a_message(case):
+    # what follows is the next message, read (or refused) on its own
+    source = io.BytesIO(MESSAGE_ENDS[case] + b"extra\r\n\r\n")
+    parse_icap(source)
+    assert source.read() == b"extra\r\n\r\n"
 
 
 # --- ICAP responses ---
@@ -348,24 +330,23 @@ def test_parse_icap_response_with_sections():
         b'ISTag: "t"',
         b"Encapsulated: res-hdr=0, res-body=%d" % len(res_hdr),
     ]) + res_hdr + b"2\r\nhi\r\n0\r\n\r\n"
-    resp = parse_icap_response(raw)
+    resp = parse_icap_response(io.BytesIO(raw))
     assert resp.status == 200
     assert resp.reason == "OK"
     assert resp.header("ISTag") == '"t"'
-    assert resp.section("res-hdr") == res_hdr
-    assert resp.section("res-body") == b"hi"
+    assert resp.sections == {"res-hdr": res_hdr, "res-body": b"hi"}
 
 
 def test_parse_icap_response_no_modifications():
     raw = b'ICAP/1.0 204 No modifications\r\nISTag: "t"\r\nEncapsulated: null-body=0\r\n\r\n'
-    resp = parse_icap_response(raw)
+    resp = parse_icap_response(io.BytesIO(raw))
     assert resp.status == 204
-    assert resp.sections == []
+    assert resp.sections == {}
 
 
 def test_parse_icap_response_rejects_bad_status_line():
-    with pytest.raises(RequestLineError) as exc:
-        parse_icap_response(b"HTTP/1.1 200 OK\r\n\r\n")
+    with pytest.raises(IcapParseError) as exc:
+        parse_icap_response(io.BytesIO(b"HTTP/1.1 200 OK\r\n\r\n"))
     assert exc.value.position == 0
 
 
@@ -374,7 +355,7 @@ def test_icap_response_to_bytes_appends_null_body():
     raw = resp.to_bytes()
     assert b"Encapsulated: null-body=0\r\n" in raw
     assert raw.endswith(b"\r\n\r\n")
-    again = parse_icap_response(raw)
+    again = parse_icap_response(io.BytesIO(raw))
     assert again.status == 204
     assert again.header("ISTag") == '"x"'
 
@@ -382,12 +363,11 @@ def test_icap_response_to_bytes_appends_null_body():
 def test_icap_response_to_bytes_offsets_and_chunking():
     res_hdr = head_block([b"HTTP/1.1 200 OK"])
     resp = IcapResponse(200, "OK", [("ISTag", '"x"')],
-                        [("res-hdr", res_hdr), ("res-body", b"payload")])
+                        {"res-hdr": res_hdr, "res-body": b"payload"})
     raw = resp.to_bytes()
     assert b"Encapsulated: res-hdr=0, res-body=%d" % len(res_hdr) in raw
-    again = parse_icap_response(raw)
-    assert again.section("res-hdr") == res_hdr
-    assert again.section("res-body") == b"payload"
+    again = parse_icap_response(io.BytesIO(raw))
+    assert again.sections == {"res-hdr": res_hdr, "res-body": b"payload"}
 
 
 _ICAP_HEADERS = st.lists(st.tuples(
@@ -403,20 +383,21 @@ _ICAP_HEADERS = st.lists(st.tuples(
        st.none() | st.binary(max_size=300))
 def test_icap_writer_round_trips_through_both_readers(headers, tokens, datas, body_token,
                                                       body):
-    sections = list(zip(tokens, datas))
+    sections = dict(zip(tokens, datas))
     if body is not None:
-        sections.append((body_token, body))
+        sections[body_token] = body
     declared = [*tokens, body_token if body is not None else "null-body"]
 
-    msg = parse_icap(wire._write_icap("RESPMOD icap://gw/respmod ICAP/1.0", headers,
-                                      sections))
+    msg = parse_icap(io.BytesIO(wire._write_icap("RESPMOD icap://gw/respmod ICAP/1.0",
+                                                 headers, sections)))
     assert msg.headers[:-1] == headers and msg.headers[-1][0] == "Encapsulated"
-    assert [token for token, _ in msg.encapsulated] == declared
-    assert msg.sections == dict(sections)
+    assert [entry.split("=")[0] for entry in msg.header("Encapsulated").split(", ")] == declared
+    assert list(msg.sections.items()) == list(sections.items())
 
-    response = parse_icap_response(wire._write_icap("ICAP/1.0 200 OK", headers, sections))
+    response = parse_icap_response(io.BytesIO(wire._write_icap("ICAP/1.0 200 OK", headers,
+                                                               sections)))
     assert response.headers[:-1] == headers
-    assert response.sections == sections
+    assert list(response.sections.items()) == list(sections.items())
 
 
 def test_chunk_encode_empty_is_bare_terminator():
@@ -434,7 +415,7 @@ def test_encapsulate_declares_exact_offsets():
     expect = b"Encapsulated: req-hdr=0, res-hdr=%d, res-body=%d" % (
         len(req_hdr), len(req_hdr) + len(res_hdr))
     assert expect in raw
-    msg = parse_icap(raw)
+    msg = parse_icap(io.BytesIO(raw))
     assert msg.sections["req-hdr"] == req_hdr
     assert msg.sections["res-hdr"] == res_hdr
     assert msg.sections["res-body"] == exchange.body
@@ -444,8 +425,8 @@ def test_encapsulate_empty_body_uses_null_body():
     exchange = make_exchange(body=b"")
     raw = encapsulate(exchange)
     assert b"null-body=" in raw
-    msg = parse_icap(raw)
-    assert msg.encapsulated[-1][0] == "null-body"
+    msg = parse_icap(io.BytesIO(raw))
+    assert list(msg.sections) == ["req-hdr", "res-hdr"]
     rebuilt, _, _ = exchange_from_respmod(msg)
     assert rebuilt.body == b""
 
@@ -456,7 +437,7 @@ def test_encapsulate_metadata_headers_round_trip():
                       markers={"b.key": "2", "a.key": "1"})
     # markers are emitted sorted by key
     assert raw.find(b"X-Exchange-Marker: a.key=1") < raw.find(b"X-Exchange-Marker: b.key=2")
-    rebuilt, exchange_id, markers = exchange_from_respmod(parse_icap(raw))
+    rebuilt, exchange_id, markers = exchange_from_respmod(parse_icap(io.BytesIO(raw)))
     assert exchange_id == "xid-7"
     assert markers == {"a.key": "1", "b.key": "2"}
     assert rebuilt.started_at == exchange.started_at
@@ -466,12 +447,12 @@ def test_encapsulate_metadata_headers_round_trip():
 
 def test_exchange_round_trip_is_exact():
     exchange = make_exchange(url="http://h.test/a?q=1", status=404, body=b"\x00\xffbin")
-    rebuilt, _, _ = exchange_from_respmod(parse_icap(encapsulate(exchange)))
+    rebuilt, _, _ = exchange_from_respmod(parse_icap(io.BytesIO(encapsulate(exchange))))
     assert rebuilt == exchange
 
 
 def test_exchange_from_respmod_requires_both_header_sections():
-    msg = parse_icap(build_fixture_respmod())
+    msg = parse_icap(io.BytesIO(build_fixture_respmod()))
     del msg.sections["req-hdr"]
     with pytest.raises(ValueError):
         exchange_from_respmod(msg)
@@ -513,7 +494,7 @@ def exchanges(draw):
        markers=st.dictionaries(_token, _token, max_size=3))
 def test_encapsulate_parse_round_trip_property(exchange, exchange_id, markers):
     raw = encapsulate(exchange, exchange_id=exchange_id, markers=markers)
-    rebuilt, got_id, got_markers = exchange_from_respmod(parse_icap(raw))
+    rebuilt, got_id, got_markers = exchange_from_respmod(parse_icap(io.BytesIO(raw)))
     assert rebuilt == exchange
     assert got_id == exchange_id
     assert got_markers == markers
@@ -524,18 +505,17 @@ def test_encapsulate_parse_round_trip_property(exchange, exchange_id, markers):
 def test_build_reqmod_with_body():
     request = HttpRequest("POST", "http://a.test/submit", [("Host", "a.test")])
     raw = build_reqmod(request, b"user=1", exchange_id="e2")
-    msg = parse_icap(raw)
+    msg = parse_icap(io.BytesIO(raw))
     assert msg.method == "REQMOD"
     assert msg.header("X-Exchange-Id") == "e2"
+    assert list(msg.sections) == ["req-hdr", "req-body"]
     assert msg.sections["req-body"] == b"user=1"
-    assert msg.encapsulated[-1][0] == "req-body"
 
 
 def test_build_reqmod_without_body():
     raw = build_reqmod(HttpRequest("GET", "http://a.test/", []))
-    msg = parse_icap(raw)
-    assert msg.encapsulated[-1][0] == "null-body"
-    assert "req-body" not in msg.sections
+    msg = parse_icap(io.BytesIO(raw))
+    assert list(msg.sections) == ["req-hdr"]
 
 
 # --- exchange model ---
@@ -566,7 +546,7 @@ def test_exchange_doc_round_trip_drops_body():
 # --- serve_icap dispatch ---
 
 def test_serve_options_advertises_methods():
-    msg = parse_icap(b"OPTIONS icap://g/respmod ICAP/1.0\r\nHost: g\r\n\r\n")
+    msg = parse_icap(io.BytesIO(b"OPTIONS icap://g/respmod ICAP/1.0\r\nHost: g\r\n\r\n"))
     resp = serve_icap(msg, "collect", istag='"tag-1"')
     assert resp.status == 200
     assert resp.header("Methods") == "RESPMOD, REQMOD"
@@ -576,8 +556,8 @@ def test_serve_options_advertises_methods():
 
 def test_serve_reqmod_stashes_body_by_exchange_id():
     stash: dict[str, bytes] = {}
-    msg = parse_icap(build_reqmod(HttpRequest("POST", "http://a.test/f", []),
-                                  b"field=1", exchange_id="x9"))
+    msg = parse_icap(io.BytesIO(build_reqmod(HttpRequest("POST", "http://a.test/f", []),
+                                  b"field=1", exchange_id="x9")))
     resp = serve_icap(msg, "collect", reqmod_bodies=stash)
     assert resp.status == 204
     assert stash == {"x9": b"field=1"}
@@ -585,8 +565,8 @@ def test_serve_reqmod_stashes_body_by_exchange_id():
 
 def test_serve_reqmod_without_body_stashes_nothing():
     stash: dict[str, bytes] = {}
-    msg = parse_icap(build_reqmod(HttpRequest("GET", "http://a.test/", []),
-                                  exchange_id="x9"))
+    msg = parse_icap(io.BytesIO(build_reqmod(HttpRequest("GET", "http://a.test/", []),
+                                  exchange_id="x9")))
     assert serve_icap(msg, "collect", reqmod_bodies=stash).status == 204
     assert stash == {}
 
@@ -594,10 +574,10 @@ def test_serve_reqmod_without_body_stashes_nothing():
 def test_serve_respmod_collect_emits_once():
     emitted = []
     exchange = make_exchange()
-    msg = parse_icap(encapsulate(exchange, exchange_id="e3"))
+    msg = parse_icap(io.BytesIO(encapsulate(exchange, exchange_id="e3")))
     resp = serve_icap(msg, "collect", emit=emitted.append)
     assert resp.status == 204
-    assert resp.sections == []
+    assert resp.sections == {}
     assert len(emitted) == 1
     assert emitted[0].exchange == exchange
     assert emitted[0].verdict is None
@@ -606,7 +586,7 @@ def test_serve_respmod_collect_emits_once():
 def test_serve_respmod_attaches_stashed_request_body():
     emitted = []
     stash = {"e4": b"posted-bytes"}
-    msg = parse_icap(encapsulate(make_exchange(), exchange_id="e4"))
+    msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e4")))
     serve_icap(msg, "collect", emit=emitted.append, reqmod_bodies=stash)
     assert emitted[0].request_body == b"posted-bytes"
     assert stash == {}
@@ -614,7 +594,7 @@ def test_serve_respmod_attaches_stashed_request_body():
 
 def test_serve_respmod_collect_never_rewrites():
     emitted = []
-    msg = parse_icap(encapsulate(make_exchange(), exchange_id="e5"))
+    msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e5")))
     resp = serve_icap(msg, "collect", verdict_fn=lambda ex: _Verdict(True),
                       emit=emitted.append)
     assert resp.status == 204
@@ -624,12 +604,12 @@ def test_serve_respmod_collect_never_rewrites():
 def test_serve_respmod_enforce_rewrites_malicious():
     emitted = []
     exchange = make_exchange(body=b"<script>evil()</script>")
-    msg = parse_icap(encapsulate(exchange, exchange_id="e6"))
+    msg = parse_icap(io.BytesIO(encapsulate(exchange, exchange_id="e6")))
     resp = serve_icap(msg, "enforce", verdict_fn=lambda ex: _Verdict(True),
                       emit=emitted.append)
     assert resp.status == 200
-    assert resp.section("res-body") == WARNING_PAGE
-    res_hdr = resp.section("res-hdr")
+    assert resp.sections["res-body"] == WARNING_PAGE
+    res_hdr = resp.sections["res-hdr"]
     assert b"X-Websift-Blocked: malware" in res_hdr
     assert b"Content-Type: text/html; charset=utf-8" in res_hdr
     assert b"Content-Length: %d" % len(WARNING_PAGE) in res_hdr
@@ -638,7 +618,7 @@ def test_serve_respmod_enforce_rewrites_malicious():
 
 
 def test_serve_respmod_enforce_passes_benign():
-    msg = parse_icap(encapsulate(make_exchange(), exchange_id="e7"))
+    msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e7")))
     resp = serve_icap(msg, "enforce", verdict_fn=lambda ex: _Verdict(False))
     assert resp.status == 204
 
@@ -647,7 +627,7 @@ def test_serve_respmod_pipeline_refusal_returns_500():
     def bad_emit(emitted):
         raise RuntimeError("store offline")
 
-    msg = parse_icap(encapsulate(make_exchange(), exchange_id="e8"))
+    msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e8")))
     resp = serve_icap(msg, "collect", emit=bad_emit)
     assert resp.status == 500
     assert "refused" in resp.reason.lower()
@@ -657,23 +637,23 @@ def test_serve_respmod_verdict_failure_returns_500():
     def bad_verdict(exchange):
         raise KeyError("blacklist unavailable")
 
-    msg = parse_icap(encapsulate(make_exchange(), exchange_id="e9"))
+    msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e9")))
     assert serve_icap(msg, "collect", verdict_fn=bad_verdict).status == 500
 
 
 def test_serve_respmod_bad_http_sections_returns_500():
-    msg = parse_icap(build_fixture_respmod())
+    msg = parse_icap(io.BytesIO(build_fixture_respmod()))
     del msg.sections["req-hdr"]
     assert serve_icap(msg, "collect").status == 500
 
 
 def test_serve_unknown_method_returns_405():
-    msg = parse_icap(b"PURGE icap://g/x ICAP/1.0\r\nHost: g\r\n\r\n")
+    msg = parse_icap(io.BytesIO(b"PURGE icap://g/x ICAP/1.0\r\nHost: g\r\n\r\n"))
     assert serve_icap(msg, "collect").status == 405
 
 
 def test_serve_rejects_unknown_mode():
-    msg = parse_icap(b"OPTIONS icap://g/x ICAP/1.0\r\nHost: g\r\n\r\n")
+    msg = parse_icap(io.BytesIO(b"OPTIONS icap://g/x ICAP/1.0\r\nHost: g\r\n\r\n"))
     with pytest.raises(ValueError):
         serve_icap(msg, "observe")
 
@@ -731,7 +711,7 @@ def test_gateway_enforce_over_socket():
     with running_gateway(mode="enforce", verdict_fn=lambda ex: _Verdict(True)) as gw:
         resp = icap_transact(gw.address, encapsulate(make_exchange(), exchange_id="s3"))
     assert resp.status == 200
-    assert resp.section("res-body") == WARNING_PAGE
+    assert resp.sections["res-body"] == WARNING_PAGE
 
 
 def test_gateway_rejects_unknown_mode():
@@ -755,7 +735,7 @@ def test_wire_reader_refuses_body_offset_above_cap_before_reading():
 
     raw = head_block([b"RESPMOD icap://g/respmod ICAP/1.0",
                       b"Encapsulated: req-hdr=0, null-body=%d" % (wire.MAX_BODY_SIZE + 1)])
-    with pytest.raises(EncapsulatedOffsetsError):
+    with pytest.raises(IcapParseError):
         parse_icap(Source(raw))
 
 
@@ -764,7 +744,7 @@ def test_wire_reader_refuses_chunks_above_cap_before_reading():
     raw = head_block([b"REQMOD icap://g/reqmod ICAP/1.0",
                       b"Encapsulated: req-hdr=0, req-body=%d" % len(req_hdr)])
     raw += req_hdr + b"%x\r\n" % (wire.MAX_BODY_SIZE + 1)
-    with pytest.raises(ChunkedBodyError):
+    with pytest.raises(IcapParseError):
         parse_icap(io.BytesIO(raw))
 
 
@@ -801,6 +781,19 @@ def test_gateway_closes_connection_after_parse_error():
             assert rfile.read() == b""
     assert resp.status == 400
     assert resp.header("Connection") == "close"
+
+    # bytes sent after a whole message are the next message, and answered as one
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw:
+        with socket.create_connection(gw.address, timeout=10) as sock, \
+                sock.makefile("rb") as rfile:
+            sock.sendall(encapsulate(make_exchange(), exchange_id="j1") + b"extra\r\n\r\n")
+            answered = parse_icap_response(rfile)
+            refused = parse_icap_response(rfile)
+            assert rfile.read() == b""
+    assert answered.status == 204
+    assert (refused.status, refused.header("Connection")) == (400, "close")
+    assert [e.exchange.request.url for e in emitted] == ["http://site.test/page"]
 
 
 def test_gateway_closes_idle_connections(monkeypatch):
@@ -1080,8 +1073,9 @@ def test_proxy_answers_a_host_idna_rejects_with_400(origin):
         assert status == 200
 
 
-def test_proxy_truncates_oversized_bodies(origin):
-    with running_proxy(max_body=64) as px:
+def test_proxy_truncates_oversized_bodies(origin, monkeypatch):
+    monkeypatch.setattr(wire, "PROXY_MAX_BODY", 64)
+    with running_proxy() as px:
         status, headers, body = proxy_fetch(px.address, origin_url(origin, "/big"))
     assert status == 200
     assert body == b"x" * 64
@@ -1144,10 +1138,12 @@ def test_proxy_gateway_captures_request_body(origin):
     assert origin_body == b"field=7&commit=yes"
 
 
-def test_proxy_gateway_flags_truncation(origin):
+def test_proxy_gateway_flags_truncation(origin, monkeypatch):
+    # the gateway's own ICAP body cap, MAX_BODY_SIZE, stays as it is
+    monkeypatch.setattr(wire, "PROXY_MAX_BODY", 64)
     emitted = []
     with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address, max_body=64) as px:
+        with running_proxy(gateway_addr=gw.address) as px:
             status, headers, body = proxy_fetch(px.address, origin_url(origin, "/big"))
     assert status == 200
     assert body == b"x" * 64
@@ -1234,9 +1230,10 @@ def test_proxy_reads_a_pooled_gateway_connection_under_a_fresh_deadline(origin, 
     monkeypatch.setattr(wire, "ICAP_IDLE_TIMEOUT", 3.0)  # the gateway keeps the idle connection
     monkeypatch.setattr(wire, "_Connection", _CountingConnection)
     monkeypatch.setattr(_CountingConnection, "opened", 0)
+    monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.3)
     emitted = []
     with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address, timeout=0.3) as px:
+        with running_proxy(gateway_addr=gw.address) as px:
             first, _, _ = proxy_fetch(px.address, origin_url(origin))
             time.sleep(2.0)  # idle past one 6 x 0.3 s deadline
             second, _, _ = proxy_fetch(px.address, origin_url(origin))
@@ -1245,8 +1242,9 @@ def test_proxy_reads_a_pooled_gateway_connection_under_a_fresh_deadline(origin, 
     assert _CountingConnection.opened == 1
 
 
-def test_proxy_drops_a_silent_client_after_its_timeout():
-    with running_proxy(timeout=0.2) as px:
+def test_proxy_drops_a_silent_client_after_its_timeout(monkeypatch):
+    monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.2)
+    with running_proxy() as px:
         with socket.create_connection(px.address, timeout=10) as sock:
             started = time.monotonic()
             assert sock.recv(1) == b""
@@ -1337,7 +1335,8 @@ def reqmod_only_peer():
         peer.server_close()
 
 
-# first request ({url} is the origin's, {dead} a refusing port), proxy settings, status
+# first request ({url} is the origin's, {dead} a refusing port), proxy settings (a
+# "gateway" kind or a wire constant), status
 CLOSING_REQUESTS = {
     "http-1.0": ("GET {url} HTTP/1.0\r\n\r\n", {}, 200),
     "connection-close": ("GET {url} HTTP/1.1\r\nConnection: close\r\n\r\n", {}, 200),
@@ -1348,7 +1347,7 @@ CLOSING_REQUESTS = {
                           {}, 400),
     # the body is not read, so the smuggled request sits in its unread rest
     "body-over-max-body": ("POST {url} HTTP/1.1\r\n"
-                           "Content-Length: 200\r\n\r\n" + "x" * 16, {"max_body": 16}, 413),
+                           "Content-Length: 200\r\n\r\n" + "x" * 16, {"PROXY_MAX_BODY": 16}, 413),
     "400-bad-request-line": ("NONSENSE\r\n\r\n", {}, 400),
     "400-bad-content-length": ("GET {url} HTTP/1.1\r\nContent-Length: 1x\r\n\r\n", {}, 400),
     "400-relative-target": ("GET /relative HTTP/1.1\r\n\r\n", {}, 400),
@@ -1361,17 +1360,20 @@ CLOSING_REQUESTS = {
 
 
 @pytest.mark.parametrize("case", list(CLOSING_REQUESTS))
-def test_proxy_closes_after_a_request_it_must_not_keep_reading(origin, dead_port, case):
+def test_proxy_closes_after_a_request_it_must_not_keep_reading(origin, dead_port, monkeypatch,
+                                                               case):
     first, settings, status = CLOSING_REQUESTS[case]
     settings = dict(settings)
     smuggled = f"GET {origin_url(origin, '/smuggled')} HTTP/1.1\r\n\r\n"
     with contextlib.ExitStack() as stack:
-        gateway = settings.pop("gateway", None)
+        gateway, gateway_addr = settings.pop("gateway", None), None
         if gateway == "dead":
-            settings["gateway_addr"] = ("127.0.0.1", dead_port)
+            gateway_addr = ("127.0.0.1", dead_port)
         elif gateway == "reqmod-only":
-            settings["gateway_addr"] = stack.enter_context(reqmod_only_peer()).server_address
-        px = stack.enter_context(running_proxy(**settings))
+            gateway_addr = stack.enter_context(reqmod_only_peer()).server_address
+        for name, value in settings.items():
+            monkeypatch.setattr(wire, name, value)
+        px = stack.enter_context(running_proxy(gateway_addr=gateway_addr))
         sock = stack.enter_context(socket.create_connection(px.address, timeout=10))
         rfile = stack.enter_context(sock.makefile("rb"))
         first = first.format(url=origin_url(origin), dead=dead_port)
@@ -1442,7 +1444,8 @@ def test_proxy_stop_gives_up_on_an_origin_that_trickles_its_body(monkeypatch):
 
         origin_thread = threading.Thread(target=trickle)
         origin_thread.start()
-        px = ProxyServer(host="127.0.0.1", port=0, timeout=0.5)
+        monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.5)
+        px = ProxyServer(host="127.0.0.1", port=0)
         handlers = record_handlers(monkeypatch, px)
         px.start()
         host, port = slow_origin.getsockname()
@@ -1480,9 +1483,10 @@ def test_proxy_answers_a_body_over_max_body_with_413_at_once(origin, monkeypatch
     real_transact = wire.icap_transact
     monkeypatch.setattr(wire, "icap_transact",
                         lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
+    monkeypatch.setattr(wire, "PROXY_MAX_BODY", 16)
     emitted = []
     with running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address, max_body=16) as px, \
+            running_proxy(gateway_addr=gw.address) as px, \
             socket.create_connection(px.address, timeout=10) as sock, \
             sock.makefile("rb") as rfile:
         started = time.monotonic()
@@ -1518,7 +1522,7 @@ def test_proxy_answers_a_request_body_cut_short_with_400_at_once(origin, monkeyp
     assert origin.seen == [] and transacts == [] and emitted == []
 
 
-# request framing headers and body, proxy settings, status (RFC 9112 §6.1, §6.3)
+# request framing headers and body, wire constants, status (RFC 9112 §6.1, §6.3)
 UNREADABLE_BODIES = {
     "chunked-and-content-length": (
         "Transfer-Encoding: chunked\r\nContent-Length: 5\r\n", "5\r\nhello\r\n0\r\n\r\n",
@@ -1533,7 +1537,7 @@ UNREADABLE_BODIES = {
                        {}, 400),
     "chunks-over-max-body": ("Transfer-Encoding: chunked\r\n",
                              "a\r\n0123456789\r\na\r\n0123456789\r\n0\r\n\r\n",
-                             {"max_body": 16}, 413),
+                             {"PROXY_MAX_BODY": 16}, 413),
 }
 
 
@@ -1545,9 +1549,11 @@ def test_proxy_refuses_a_request_body_it_cannot_read_before_any_inspection(
     real_transact = wire.icap_transact
     monkeypatch.setattr(wire, "icap_transact",
                         lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
+    for name, value in settings.items():
+        monkeypatch.setattr(wire, name, value)
     emitted = []
     with running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address, **settings) as px, \
+            running_proxy(gateway_addr=gw.address) as px, \
             socket.create_connection(px.address, timeout=10) as sock, \
             sock.makefile("rb") as rfile:
         sock.sendall(f"POST {origin_url(origin, '/echobody')} HTTP/1.1\r\n{framing}\r\n"
@@ -1614,12 +1620,13 @@ TRICKLES = {
 
 
 @pytest.mark.parametrize("part", list(TRICKLES))
-def test_proxy_gives_up_on_an_origin_that_trickles_past_the_deadline(part):
+def test_proxy_gives_up_on_an_origin_that_trickles_past_the_deadline(part, monkeypatch):
     # one byte per 0.1 s never trips the 0.3 s per-read bound
+    monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.3)
     emitted = []
     with trickling_peer(TRICKLES[part]) as (host, port), \
             running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address, timeout=0.3) as px:
+            running_proxy(gateway_addr=gw.address) as px:
         started = time.monotonic()
         status, _, body = proxy_fetch(px.address, f"http://{host}:{port}/")
         took = time.monotonic() - started
@@ -1631,10 +1638,11 @@ def test_proxy_gives_up_on_an_origin_that_trickles_past_the_deadline(part):
 
 
 @pytest.mark.parametrize("method,status", [("HEAD", 200), ("GET", 204), ("GET", 304)])
-def test_proxy_ends_a_bodiless_response_at_its_head(method, status):
+def test_proxy_ends_a_bodiless_response_at_its_head(method, status, monkeypatch):
     # the origin declares a length it never sends and keeps the connection open
     head = b"HTTP/1.1 %d X\r\nContent-Length: 100\r\n\r\n" % status
-    with trickling_peer(head, every=30) as (host, port), running_proxy(timeout=0.5) as px:
+    monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.5)
+    with trickling_peer(head, every=30) as (host, port), running_proxy() as px:
         got, _, body = proxy_fetch(px.address, f"http://{host}:{port}/", method=method)
     assert (got, body) == (status, b"")
 
@@ -1644,17 +1652,17 @@ def test_proxy_ends_a_bodiless_response_at_its_head(method, status):
     ("HEAD", 200, b"1234", "1234"), ("GET", 304, b"1234", "1234"),
     ("HEAD", 200, None, None), ("GET", 204, b"0", None), ("GET", 204, None, None)])
 def test_proxy_relays_the_length_of_a_bodiless_response(method, status, origin_length,
-                                                        relayed, gateway):
+                                                        relayed, gateway, monkeypatch):
     # RFC 9110 §8.6: a HEAD or 304 response keeps the length a GET would get,
     # and a 204 carries none
+    monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.5)
     head = b"HTTP/1.1 %d X\r\n" % status
     if origin_length is not None:
         head += b"Content-Length: " + origin_length + b"\r\n"
     with contextlib.ExitStack() as stack:
         host, port = stack.enter_context(trickling_peer(head + b"\r\n", every=30))
         gw = stack.enter_context(running_gateway()) if gateway else None
-        px = stack.enter_context(running_proxy(
-            gateway_addr=gw.address if gw else None, timeout=0.5))
+        px = stack.enter_context(running_proxy(gateway_addr=gw.address if gw else None))
         got, received, body = proxy_fetch(px.address, f"http://{host}:{port}/", method=method)
     assert (got, received.get("content-length"), body) == (status, relayed, b"")
 
@@ -1715,7 +1723,8 @@ def test_proxy_closes_a_client_that_trickles_its_request_past_the_deadline(monke
         except OSError:
             pass  # the proxy closed the connection
 
-    px = ProxyServer(host="127.0.0.1", port=0, timeout=0.3)
+    monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.3)
+    px = ProxyServer(host="127.0.0.1", port=0)
     handlers = record_handlers(monkeypatch, px)
     px.start()
     try:
@@ -1746,8 +1755,9 @@ def test_gateway_gives_each_message_on_a_connection_a_deadline_of_its_own(monkey
     assert statuses == [200] * 8
 
 
-def test_proxy_gives_each_request_on_a_connection_a_deadline_of_its_own(origin):
-    with running_proxy(timeout=0.3) as px, \
+def test_proxy_gives_each_request_on_a_connection_a_deadline_of_its_own(origin, monkeypatch):
+    monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.3)
+    with running_proxy() as px, \
             socket.create_connection(px.address, timeout=10) as sock, \
             sock.makefile("rb") as rfile:
         statuses = []
@@ -1810,9 +1820,9 @@ MIB_LINE = b"a" * (1 << 20)
 
 
 def test_icap_reader_refuses_a_line_without_crlf():
-    with pytest.raises(HeaderSyntaxError):
+    with pytest.raises(IcapParseError):
         parse_icap(_BoundedSource(MIB_LINE))
-    with pytest.raises(HeaderSyntaxError):
+    with pytest.raises(IcapParseError):
         parse_icap(_BoundedSource(b"OPTIONS icap://g/x ICAP/1.0\r\n" + MIB_LINE))
 
 
@@ -1820,20 +1830,20 @@ def test_gateway_answers_an_overlong_line_with_400():
     out = io.BytesIO()
     with running_gateway() as gw:
         assert gw._serve_one(_BoundedSource(MIB_LINE), out) is False
-    resp = parse_icap_response(out.getvalue())
+    resp = parse_icap_response(io.BytesIO(out.getvalue()))
     assert resp.status == 400
     assert resp.header("Connection") == "close"
 
 
 def test_http_reader_refuses_a_line_without_crlf():
-    with pytest.raises(HeaderSyntaxError):
+    with pytest.raises(IcapParseError):
         wire._read_response(_BoundedSource(b"HTTP/1.1 200 OK\r\nX: " + MIB_LINE), 1 << 20)
 
 
 def test_heads_are_capped_in_total(monkeypatch):
     monkeypatch.setattr(wire, "MAX_HEAD_SIZE", 1000)
     head = b"HTTP/1.1 200 OK\r\n" + b"X-Fill: 0123456789\r\n" * 60 + b"\r\n"
-    with pytest.raises(HeaderSyntaxError):
+    with pytest.raises(IcapParseError):
         wire._read_head(_BoundedSource(head))
 
 
@@ -1885,10 +1895,11 @@ def test_huge_origin_chunk_is_read_in_pieces_and_truncated():
     assert response.header("Transfer-Encoding") is None
 
 
-def test_proxy_truncates_and_flags_a_huge_origin_chunk(origin):
+def test_proxy_truncates_and_flags_a_huge_origin_chunk(origin, monkeypatch):
+    monkeypatch.setattr(wire, "PROXY_MAX_BODY", 64)
     emitted = []
     with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address, max_body=64) as px:
+        with running_proxy(gateway_addr=gw.address) as px:
             status, headers, body = proxy_fetch(px.address, origin_url(origin, "/hugechunk"))
     assert status == 200
     assert body == b"x" * 64
@@ -1928,10 +1939,11 @@ def test_live_servers_answer_or_close_whatever_bytes_they_get(monkeypatch):
         raise wire.ProxyError("no origin here")
 
     monkeypatch.setattr(wire, "_fetch_upstream", no_origin)
+    monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.5)
     # the proxy inspects through a gateway of its own: its pooled connections
     # stay open there
     with running_gateway() as gw, running_gateway() as inspector, \
-            running_proxy(gateway_addr=inspector.address, timeout=0.5) as px:
+            running_proxy(gateway_addr=inspector.address) as px:
         servers = {"gateway": gw, "proxy": px}
 
         @settings(max_examples=100, deadline=None)
@@ -2013,9 +2025,9 @@ PIN_EMPTY = HttpExchange(request=HttpRequest("GET", "http://a.test/", []),
 
 
 def test_icap_writers_are_byte_stable():
-    assert encapsulate(PIN_EXCHANGE, icap_host="gw", exchange_id="x1",
+    assert encapsulate(PIN_EXCHANGE, exchange_id="x1",
                        markers={"wire.truncated": "true", "a": "b"}) == (
-        b"RESPMOD icap://gw/respmod ICAP/1.0\r\nHost: gw\r\nX-Exchange-Id: x1\r\n"
+        b"RESPMOD icap://gateway/respmod ICAP/1.0\r\nHost: gateway\r\nX-Exchange-Id: x1\r\n"
         b"X-Exchange-Started: 1500000000000\r\nX-Exchange-Agent: agent-3\r\n"
         b"X-Exchange-Seeder: malware\r\nX-Exchange-Marker: a=b\r\n"
         b"X-Exchange-Marker: wire.truncated=true\r\n"
@@ -2039,8 +2051,8 @@ def test_icap_writers_are_byte_stable():
     assert IcapResponse(204, "No modifications", [("ISTag", '"t"')]).to_bytes() == (
         b'ICAP/1.0 204 No modifications\r\nISTag: "t"\r\nEncapsulated: null-body=0\r\n\r\n')
     assert IcapResponse(200, "OK", [("ISTag", '"t"')],
-                        [("res-hdr", b"HTTP/1.1 200 OK\r\n\r\n"),
-                         ("res-body", b"page")]).to_bytes() == (
+                        {"res-hdr": b"HTTP/1.1 200 OK\r\n\r\n",
+                         "res-body": b"page"}).to_bytes() == (
         b'ICAP/1.0 200 OK\r\nISTag: "t"\r\nEncapsulated: res-hdr=0, res-body=19\r\n\r\n'
         b"HTTP/1.1 200 OK\r\n\r\n4\r\npage\r\n0\r\n\r\n")
 
