@@ -135,6 +135,17 @@ def ledger_hash() -> str:
 
 # feature name -> its column in FEATURE_ORDER
 _COLUMN = {name: i for i, name in enumerate(FEATURE_ORDER)}
+_FEATURE_SET = frozenset(FEATURE_ORDER)
+
+# each column's kind, which decides the range check it gets and how its value is kept
+_BOOL, _ENTROPY, _PROBABILITY, _INTEGRAL, _FLOAT = range(5)
+_COLUMN_KINDS = tuple(
+    (name, _BOOL if name in BOOL_FEATURES
+     else _ENTROPY if name in ENTROPY_FEATURES
+     else _PROBABILITY if name == "ShellcodeProbability"
+     else _FLOAT if name in FLOAT_FEATURES
+     else _INTEGRAL)
+    for name in FEATURE_ORDER)
 
 
 class FeatureVector:
@@ -148,13 +159,12 @@ class FeatureVector:
 
     def __init__(self, values: Mapping[str, float]):
         got = set(values)
-        want = set(FEATURE_ORDER)
-        if got != want:
-            missing = sorted(want - got)
-            extra = sorted(got - want)
+        if got != _FEATURE_SET:
+            missing = sorted(_FEATURE_SET - got)
+            extra = sorted(got - _FEATURE_SET)
             raise ValueError(f"feature set mismatch: missing={missing} extra={extra}")
         row: list[float] = []
-        for name in FEATURE_ORDER:
+        for name, kind in _COLUMN_KINDS:
             v = values[name]
             if isinstance(v, bool):
                 v = int(v)
@@ -162,15 +172,20 @@ class FeatureVector:
                 raise ValueError(f"{name}: non-numeric value {v!r}")
             if v < 0:
                 raise ValueError(f"{name}: negative value {v!r}")
-            if name in BOOL_FEATURES and v not in (0, 1):
-                raise ValueError(f"{name}: boolean feature outside {{0,1}}: {v!r}")
-            if name in ENTROPY_FEATURES and v > 8.0:
-                raise ValueError(f"{name}: entropy above 8 bits/byte: {v!r}")
-            if name == "ShellcodeProbability" and v > 1.0:
-                raise ValueError(f"{name}: probability above 1: {v!r}")
-            if name not in FLOAT_FEATURES and int(v) != v:
-                raise ValueError(f"{name}: expected integral value, got {v!r}")
-            row.append(int(v) if name not in FLOAT_FEATURES else float(v))
+            if kind == _INTEGRAL:
+                if (i := int(v)) != v:
+                    raise ValueError(f"{name}: expected integral value, got {v!r}")
+                row.append(i)
+            elif kind == _BOOL:
+                if v not in (0, 1):
+                    raise ValueError(f"{name}: boolean feature outside {{0,1}}: {v!r}")
+                row.append(int(v))
+            else:
+                if kind == _ENTROPY and v > 8.0:
+                    raise ValueError(f"{name}: entropy above 8 bits/byte: {v!r}")
+                if kind == _PROBABILITY and v > 1.0:
+                    raise ValueError(f"{name}: probability above 1: {v!r}")
+                row.append(float(v))
         self._row = tuple(row)
 
     def __getitem__(self, name: str) -> float:

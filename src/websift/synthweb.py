@@ -19,7 +19,6 @@ import random
 import threading
 from dataclasses import dataclass, field
 from hashlib import sha256
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 SIGNATURE_MARKER = b"WS-SIG-ALPHA-7f3e"
@@ -209,6 +208,8 @@ class SynthWebServer:
         self.requests: list[dict] = []
         self._ledger_lock = threading.Lock()
         site = self
+        # imported here so a process that serves no site never loads http, ssl or email
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"

@@ -42,7 +42,8 @@ response to the proxy, the gateway's answer to the proxy, the proxy's
 answer to an agent).  An origin that misses the deadline gets the client
 a 502 flagged `wire.fetch_error`, a client that misses it has its
 connection closed.  An HTTP response to HEAD, and any 204 or 304, ends
-at its head (RFC 9112 §6.3), whatever its framing headers say.
+at its head (RFC 9112 §6.3), whatever its framing headers say.  Interim
+1xx heads before a final response are skipped, and a 101 is refused.
 
 Framing is done once for both protocols, and every peer is treated as
 hostile.  One writer builds every ICAP and HTTP head, one
@@ -58,14 +59,15 @@ reader finds, ICAP or HTTP, raises the one IcapParseError, which carries
 its byte position.  One de-chunker (`_read_chunked`) undoes every
 chunked body, ICAP, HTTP or stored, and takes chunk sizes from the
 strict `_chunk_size` (RFC 9112 `1*HEXDIG`).  Lengths are ASCII digits
-only.  Off a socket no line may exceed MAX_LINE bytes, no head
-MAX_HEAD_SIZE, and body data is read at most READ_PIECE bytes at a time,
-never in whatever size the peer declares.  A peer that trickles a
-message to the gateway has its connection closed, and a gateway that
-trickles its answer to the proxy counts as unreachable.  An ICAP body
-above MAX_BODY_SIZE is refused; an origin body above PROXY_MAX_BODY is
-cut there and flagged `wire.truncated`.  A gateway keeps at most
-REQMOD_TABLE_SIZE REQMOD bodies waiting for their RESPMOD.
+only, and repeated Content-Length lines must agree.  Off a socket no
+line may exceed MAX_LINE bytes, no head MAX_HEAD_SIZE, and body data is
+read at most READ_PIECE bytes at a time, never in whatever size the
+peer declares.  A peer that trickles a message to the gateway has its
+connection closed, and a gateway that trickles its answer to the proxy
+counts as unreachable.  An ICAP body above MAX_BODY_SIZE is refused; an
+origin body above PROXY_MAX_BODY is cut there and flagged
+`wire.truncated`.  A gateway keeps at most REQMOD_TABLE_SIZE REQMOD
+bodies waiting for their RESPMOD.
 """
 
 from __future__ import annotations
@@ -313,14 +315,20 @@ def _digits(value: str) -> int | None:
 
 
 def _content_length(headers) -> int | None:
-    """The declared Content-Length, None when absent; ValueError when bad."""
-    value = _header(headers, "Content-Length")
-    if value is None:
-        return None
-    length = _digits(value)
-    if length is None:
-        raise ValueError(f"bad Content-Length {value!r}")
-    return length
+    """The declared Content-Length, None when absent; ValueError when bad.
+
+    Repeated Content-Length lines must all declare one length (RFC 9112 §6.3).
+    """
+    lengths = set()
+    for k, v in headers:
+        if k.lower() == "content-length":
+            length = _digits(v)
+            if length is None:
+                raise ValueError(f"bad Content-Length {v!r}")
+            lengths.add(length)
+    if len(lengths) > 1:
+        raise ValueError(f"differing Content-Length values {sorted(lengths)}")
+    return lengths.pop() if lengths else None
 
 
 def _coding_list(headers, name: str) -> list[str]:
@@ -1026,22 +1034,34 @@ class ProxyError(Exception):
 def _read_response(rfile, cap: int, head_only: bool = False) -> tuple[HttpResponse, bytes, bool]:
     """Read an HTTP response off a socket file: (response, entity, truncated).
 
-    A response to HEAD (`head_only`), a 204 and a 304 end at the head (RFC
-    9112 §6.3).  Any other entity is framed by chunked coding, else
-    Content-Length, else the end of the connection, and at most `cap`
-    bytes of it are read; what lies beyond is left unread, so the
-    connection cannot be reused.  A chunked entity comes back with its
-    framing headers replaced by its Content-Length.  Raises ValueError
-    (IcapParseError is one) on bad framing.
+    Interim 1xx heads before the final response are skipped (RFC 9110
+    §15.2), together at most MAX_HEAD_SIZE bytes; a 101 is refused, since
+    no protocol switch is relayed.  A response to HEAD (`head_only`), a
+    204 and a 304 end at the head (RFC 9112 §6.3).  Any other entity is
+    framed by chunked coding, else Content-Length, else the end of the
+    connection, and at most `cap` bytes of it are read; what lies beyond
+    is left unread, so the connection cannot be reused.  A chunked entity
+    comes back with its framing headers replaced by its Content-Length.
+    Raises ValueError (IcapParseError is one) on bad framing, a 101 and
+    differing Content-Length lines.
     """
-    head = _read_head(rfile)
-    if head is None:
-        raise IcapParseError("connection closed before the status line", 0)
-    response = _parse_http_response_head(head)
+    skipped = 0  # bytes of interim heads before this one
+    while True:
+        head = _read_head(rfile)
+        if head is None:
+            raise IcapParseError("connection closed before the status line", skipped)
+        response = _parse_http_response_head(head)
+        if not 100 <= response.status < 200:
+            break
+        if response.status == 101:
+            raise ValueError("101 Switching Protocols is not relayed")
+        skipped += len(head)
+        if skipped > MAX_HEAD_SIZE:
+            raise IcapParseError(f"interim heads longer than {MAX_HEAD_SIZE} bytes", skipped)
     if head_only or response.status in (204, 304):
         entity, truncated = b"", False
     elif "chunked" in _coding_list(response.headers, "Transfer-Encoding"):
-        entity, truncated = _read_chunked(rfile, cap, len(head))
+        entity, truncated = _read_chunked(rfile, cap, skipped + len(head))
         response.headers = _with_length(response.headers, len(entity))
     elif (length := _content_length(response.headers)) is not None:
         entity, truncated = _read_upto(rfile, min(length, cap)), length > cap

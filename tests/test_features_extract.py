@@ -1,6 +1,8 @@
 """58-column extractor: flags, counting rules, validation, serialization."""
 
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from websift.features import (
     ledger_hash,
 )
 from websift.features.extract import (
+    ENTROPY_FEATURES,
     _IP_RE,
     _KEYWORD_RE,
     KEYWORD_FAMILY,
@@ -287,6 +290,78 @@ def test_vector_rejects_fractional_count():
     values["NumWords"] = 1.5
     with pytest.raises(ValueError, match="integral"):
         FeatureVector(values)
+
+
+def _reference_row(values):
+    """The row FeatureVector.__init__ built, or the ValueError it raised, when it
+    tested each column's name against the kind sets on every call."""
+    got = set(values)
+    want = set(FEATURE_ORDER)
+    if got != want:
+        missing = sorted(want - got)
+        extra = sorted(got - want)
+        raise ValueError(f"feature set mismatch: missing={missing} extra={extra}")
+    row = []
+    for name in FEATURE_ORDER:
+        v = values[name]
+        if isinstance(v, bool):
+            v = int(v)
+        if not isinstance(v, (int, float)):
+            raise ValueError(f"{name}: non-numeric value {v!r}")
+        if v < 0:
+            raise ValueError(f"{name}: negative value {v!r}")
+        if name in BOOL_FEATURES and v not in (0, 1):
+            raise ValueError(f"{name}: boolean feature outside {{0,1}}: {v!r}")
+        if name in ENTROPY_FEATURES and v > 8.0:
+            raise ValueError(f"{name}: entropy above 8 bits/byte: {v!r}")
+        if name == "ShellcodeProbability" and v > 1.0:
+            raise ValueError(f"{name}: probability above 1: {v!r}")
+        if name not in FLOAT_FEATURES and int(v) != v:
+            raise ValueError(f"{name}: expected integral value, got {v!r}")
+        row.append(int(v) if name not in FLOAT_FEATURES else float(v))
+    return tuple(row)
+
+
+def _valid_value(name):
+    if name in BOOL_FEATURES:
+        return st.sampled_from([0, 1, False, True, 0.0, 1.0])
+    if name in ENTROPY_FEATURES:
+        return st.floats(min_value=0.0, max_value=8.0)
+    if name == "ShellcodeProbability":
+        return st.floats(min_value=0.0, max_value=1.0)
+    if name in FLOAT_FEATURES:
+        return st.one_of(st.floats(min_value=0.0, max_value=1e9), st.integers(0, 10**6))
+    return st.one_of(st.integers(0, 10**20), st.sampled_from([0.0, 3.0, 1e15]))
+
+
+_VALID_VECTORS = st.fixed_dictionaries({name: _valid_value(name) for name in FEATURE_ORDER})
+_ANY_VALUE = st.one_of(
+    st.integers(-3, 10**20), st.booleans(), st.floats(),
+    st.sampled_from([-0.0, 0.5, 1.5, 2, 8.0, 8.5, float("nan"), float("inf"), -1e-9]),
+    st.sampled_from([None, "1", b"1", 1j, Decimal(1), Fraction(1, 2), [1]]))
+
+
+def _outcome(build, values):
+    try:
+        row = build(values)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [(type(v).__name__, repr(v)) for v in row]
+
+
+@settings(max_examples=500)
+@given(_VALID_VECTORS, st.dictionaries(st.sampled_from(FEATURE_ORDER), _ANY_VALUE, max_size=4),
+       st.sets(st.sampled_from(FEATURE_ORDER), max_size=2),
+       st.dictionaries(st.text(max_size=8), _ANY_VALUE, max_size=2), st.booleans())
+def test_vector_checks_match_the_per_name_checks(valid, changed, dropped, added, mutate):
+    values = dict(valid)
+    if mutate:
+        values.update(changed)
+        for name in dropped:
+            del values[name]
+        values.update(added)
+    assert _outcome(lambda v: FeatureVector(v).as_row(), values) == _outcome(
+        _reference_row, values)
 
 
 def test_vector_round_trips():

@@ -3,6 +3,10 @@
 import gzip
 import http.client
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,14 @@ def test_server_request_count_tracks_every_hit(site_server):
     fetch(site_server, "/plain")
     fetch(site_server, "/missing")
     assert site_server.request_count() == before + 2
+
+
+def test_a_process_that_serves_no_site_loads_no_http_ssl_or_email():
+    # a fresh interpreter: other tests load these modules into this one
+    probe = ("import sys, websift.cli, websift.synthweb; "
+             "print(sorted(m for m in ('http.server', 'http.client', 'ssl', 'email') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

@@ -1908,6 +1908,119 @@ def test_proxy_truncates_and_flags_a_huge_origin_chunk(origin, monkeypatch):
     assert emitted[0].exchange.body == b"x" * 64
 
 
+@contextlib.contextmanager
+def answering_origin(answer: bytes):
+    """A one-connection origin that reads a request head, sends `answer` and hangs up."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        def serve():
+            try:
+                conn, _ = server.accept()
+            except OSError:
+                return  # nobody connected within the timeout
+            with conn:
+                data = b""
+                while b"\r\n\r\n" not in data and (piece := conn.recv(4096)):
+                    data += piece
+                conn.sendall(answer)
+
+        server.settimeout(10)
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            yield server.getsockname()
+        finally:
+            thread.join(timeout=10)
+
+
+FINAL_OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+@pytest.mark.parametrize("method", ["GET", "HEAD"])
+def test_proxy_skips_interim_origin_heads(method):
+    # RFC 9110 §15.2: a 1xx is interim, the response that follows is the one relayed
+    answer = (b"HTTP/1.1 100 Continue\r\n\r\n"
+              b"HTTP/1.1 103 Early Hints\r\nLink: </s.css>\r\n\r\n" + FINAL_OK)
+    emitted = []
+    with answering_origin(answer) as (host, port), \
+            running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address) as px:
+        status, headers, body = proxy_fetch(px.address, f"http://{host}:{port}/", method=method)
+    assert (status, headers["content-length"]) == (200, "2")
+    assert body == (b"ok" if method == "GET" else b"")
+    exchange = emitted[0].exchange
+    assert (exchange.response.status, exchange.response.headers) == (
+        200, [("Content-Length", "2")])
+    assert exchange.body == (b"ok" if method == "GET" else b"")
+    assert "wire.fetch_error" not in emitted[0].markers
+
+
+@pytest.mark.parametrize("answer,error", [
+    (b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n\r\n" + FINAL_OK,
+     "101 Switching Protocols is not relayed"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello",
+     "differing Content-Length values [2, 5]"),
+], ids=["101", "differing-lengths"])
+def test_proxy_refuses_a_switch_or_differing_origin_lengths(answer, error):
+    emitted = []
+    with answering_origin(answer) as (host, port), \
+            running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address) as px:
+        status, _, body = proxy_fetch(px.address, f"http://{host}:{port}/")
+    assert status == 502
+    assert error.encode() in body
+    assert error in emitted[0].markers["wire.fetch_error"]
+
+
+def test_proxy_takes_repeated_origin_lengths_that_agree():
+    with answering_origin(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length: 05\r\n"
+                          b"\r\nhello") as (host, port), running_proxy() as px:
+        status, headers, body = proxy_fetch(px.address, f"http://{host}:{port}/")
+    assert (status, headers["content-length"], body) == (200, "5", b"hello")
+
+
+def test_interim_heads_count_against_the_head_cap(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_HEAD_SIZE", 100)
+    interim = b"HTTP/1.1 100 Continue\r\n\r\n"  # 25 bytes
+    response, entity, _ = wire._read_response(io.BytesIO(interim * 4 + FINAL_OK), 1024)
+    assert (response.status, entity) == (200, b"ok")
+    with pytest.raises(IcapParseError, match="interim heads longer than 100 bytes"):
+        wire._read_response(io.BytesIO(interim * 5 + FINAL_OK), 1024)
+    with pytest.raises(IcapParseError, match="closed before the status line"):
+        wire._read_response(io.BytesIO(interim), 1024)
+
+
+def test_proxy_answers_a_request_with_differing_lengths_with_400_at_once(origin, monkeypatch):
+    transacts = []
+    real_transact = wire.icap_transact
+    monkeypatch.setattr(wire, "icap_transact",
+                        lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
+    emitted = []
+    with running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address) as px:
+        status, _, body = proxy_fetch(px.address, origin_url(origin, "/echobody"),
+                                      headers=[("Content-Length", "2"), ("Content-Length", "5")],
+                                      body=b"hello")
+    assert status == 400
+    assert b"differing Content-Length values [2, 5]" in body
+    assert origin.seen == [] and transacts == [] and emitted == []
+
+
+def test_agent_skips_interim_heads_and_refuses_differing_lengths():
+    from websift.agents import proxy_request
+
+    def send(addr):
+        try:
+            return proxy_request(addr, "POST", "http://site.test/f", [], b"abc")
+        except ConnectionError as exc:
+            return str(exc)
+
+    _, result = _capture_one_request(b"HTTP/1.1 100 Continue\r\n\r\n" + FINAL_OK, send)
+    assert result == (200, [("Content-Length", "2")], b"ok")
+    _, result = _capture_one_request(
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello", send)
+    assert result == "bad proxy response: differing Content-Length values [2, 5]"
+
+
 @given(st.lists(st.binary(min_size=1, max_size=20), max_size=4),
        st.sampled_from([b"", b";ext=1", b" \t;a;b"]),
        st.sampled_from([b"", b"X-Trail: 1\r\n", b"A: 1\r\nB: 2\r\n"]),
