@@ -2,12 +2,14 @@
 
 A site spec is a JSON document listing pages with links, optional login
 forms, optional gzip content coding, and a kind of "benign" or
-"malicious".  Malicious pages are built from templates carrying eval
-chains, long high-entropy strings, hidden iframes, onload handlers and a
-fixed signature marker so every labeling stage has something to find.
-The server logs each request it handles, which lets tests assert that
-all traffic arrived through the proxy and that stored record counts
-match reality.
+"malicious".  Malicious pages carry eval chains, long high-entropy
+strings, hidden iframes, onload handlers and a fixed signature marker, so
+every labeling stage has something to find.  The server ledgers each
+request, so tests can check that all traffic came through the proxy.  It
+is wire's _ThreadedServer with wire's framing, one request per connection:
+a bad head or length gets 400, a declared body above MAX_BODY_SIZE 413
+with the body unread, a method other than GET or POST 501, and a request
+not whole within RESPONSE_DEADLINE_TIMEOUTS reads of SITE_TIMEOUT no answer.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ import gzip as gzip_mod
 import json
 import random
 import threading
+import time
 from dataclasses import dataclass, field
 from hashlib import sha256
 from urllib.parse import parse_qs, urlsplit
+
+from . import wire
 
 SIGNATURE_MARKER = b"WS-SIG-ALPHA-7f3e"
 SIGNATURE_NAME = "Test.Sig.Alpha"
@@ -28,6 +33,15 @@ FIXTURE_DETECTIONS = 12  # engines that flag each malicious page in engine_fixtu
 
 _WORDS = ("maple", "harbor", "lantern", "copper", "meadow", "drift", "quarry",
           "ember", "willow", "summit", "cedar", "hollow", "prairie", "garnet")
+
+
+# the types a page's other optional fields take in a site spec
+_FIELD_TYPES = {"body": (str, type(None)), "title": str, "login_form": bool, "gzip": bool}
+_LOGIN_FORM = ('<form action="/login" method="post">\n'
+               '<input type="text" name="user">\n'
+               '<input type="password" name="pass">\n'
+               '<input type="submit" value="Sign in">\n'
+               "</form>")
 
 
 class SiteSpecError(ValueError):
@@ -64,21 +78,12 @@ def _benign_body(page: PageSpec, rng: random.Random) -> str:
         words = " ".join(rng.choice(_WORDS) for _ in range(rng.randrange(8, 20)))
         paragraphs.append(f"<p>{words}.</p>")
     links = "\n".join(f'<a href="{href}">visit {href}</a>' for href in page.links)
-    form = ""
-    if page.login_form:
-        form = (
-            '<form action="/login" method="post">\n'
-            '<input type="text" name="user">\n'
-            '<input type="password" name="pass">\n'
-            '<input type="submit" value="Sign in">\n'
-            "</form>"
-        )
     return (
         "<html><head><title>{title}</title></head><body>\n"
         "<h1>{title}</h1>\n{paragraphs}\n{form}\n{links}\n"
         "</body></html>"
     ).format(title=page.title or page.path, paragraphs="\n".join(paragraphs),
-             form=form, links=links)
+             form=_LOGIN_FORM if page.login_form else "", links=links)
 
 
 def _malicious_body(page: PageSpec, rng: random.Random) -> str:
@@ -155,15 +160,11 @@ def load_site_spec(doc: dict) -> dict[str, PageSpec]:
         links = entry.get("links", [])
         if not isinstance(links, list) or any(not isinstance(h, str) for h in links):
             raise SiteSpecError(f"page {path!r} links must be strings")
-        pages[path] = PageSpec(
-            path=path,
-            kind=kind,
-            links=list(links),
-            login_form=bool(entry.get("login_form", False)),
-            gzip=bool(entry.get("gzip", False)),
-            body=entry.get("body"),
-            title=entry.get("title", ""),
-        )
+        for key, types in _FIELD_TYPES.items():
+            if key in entry and not isinstance(entry[key], types):
+                raise SiteSpecError(f"page {path!r} {key} may not be {type(entry[key]).__name__}")
+        pages[path] = PageSpec(path, kind, list(links),
+                               **{key: entry[key] for key in _FIELD_TYPES if key in entry})
     return pages
 
 
@@ -199,6 +200,18 @@ def engine_fixture_for(doc: dict) -> dict[str, list[str]]:
 # ---------------------------------------------------------------------------
 # instrumented server
 
+SITE_TIMEOUT = 10.0  # seconds any one read of a site connection may wait
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Content Too Large",
+            501: "Not Implemented"}
+_WELCOME = b"<html><body><h1>welcome</h1></body></html>"  # the answer to every POST
+
+
+def _http_date(t: float) -> str:
+    """IMF-fixdate (RFC 9110 §5.6.7) of epoch time `t`; asctime's names ignore the locale."""
+    day, month, mday, hms, year = time.asctime(time.gmtime(t)).split()
+    return f"{day}, {int(mday):02d} {month} {year} {hms} GMT"
+
+
 class SynthWebServer:
     """Serves a site spec and ledgers every request it handles."""
 
@@ -207,60 +220,7 @@ class SynthWebServer:
         self.seed = doc.get("seed", 0)
         self.requests: list[dict] = []
         self._ledger_lock = threading.Lock()
-        site = self
-        # imported here so a process that serves no site never loads http, ssl or email
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, *args):
-                pass
-
-            def _ledger(self, form=None):
-                with site._ledger_lock:
-                    site.requests.append({
-                        "method": self.command,
-                        "path": self.path,
-                        "via": self.headers.get("Via"),
-                        "agent": self.headers.get("X-Websift-Agent"),
-                        "form": form,
-                    })
-
-            def _send(self, status: int, body: bytes, content_encoding: str | None = None):
-                self.send_response(status)
-                self.send_header("Content-Type", "text/html; charset=utf-8")
-                if content_encoding:
-                    self.send_header("Content-Encoding", content_encoding)
-                self.send_header("Content-Length", str(len(body)))
-                self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self):
-                self._ledger()
-                path = urlsplit(self.path).path
-                page = site.pages.get(path)
-                if page is None:
-                    self._send(404, b"<html><body>not found</body></html>")
-                    return
-                body = render_page(page, site.seed)
-                if page.gzip:
-                    self._send(200, gzip_mod.compress(body, mtime=0), "gzip")
-                else:
-                    self._send(200, body)
-
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length else b""
-                form = {k: v[0] for k, v in
-                        parse_qs(raw.decode("utf-8", "replace")).items()}
-                self._ledger(form=form)
-                self._send(200, b"<html><body><h1>welcome</h1></body></html>")
-
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._server.daemon_threads = True
-        self._thread: threading.Thread | None = None
+        self._server = wire._ThreadedServer((host, port), self._serve_one, SITE_TIMEOUT)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -280,13 +240,55 @@ class SynthWebServer:
             return [dict(r) for r in self.requests]
 
     def start(self) -> "SynthWebServer":
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        kwargs={"poll_interval": 0.05}, daemon=True)
-        self._thread.start()
+        self._server.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
+        self._server.stop()
+
+    def _send(self, wfile, status: int, body: bytes | None = None, coding: str | None = None,
+              head_only: bool = False) -> bool:
+        """Write a closing response, by default a page naming the status; False, to close."""
+        if body is None:
+            body = f"<html><body>{_REASONS[status].lower()}</body></html>".encode("ascii")
+        headers = [("Server", "synthweb"), ("Date", _http_date(time.time())),
+                   ("Content-Type", "text/html; charset=utf-8"),
+                   *([("Content-Encoding", coding)] if coding else []),
+                   ("Content-Length", str(len(body))), ("Connection", "close")]
+        wfile.write(wire._write_head(f"HTTP/1.1 {status} {_REASONS[status]}", headers)
+                    + (b"" if head_only else body))
+        return False
+
+    def _serve_one(self, rfile, wfile) -> bool:
+        """Answer one request: GET and POST are ledgered and served, others get 501."""
+        try:
+            head = wire._read_head(rfile)
+            if head is None:
+                return False
+            request, _ = wire._parse_http_request_head(head)
+            if request.method not in ("GET", "POST"):
+                return self._send(wfile, 501, head_only=request.method == "HEAD")
+            length = wire._content_length(request.headers) or 0
+            if request.header("Transfer-Encoding") is not None:
+                raw, over = wire._read_chunked(rfile, wire.MAX_BODY_SIZE, len(head))
+            elif not (over := length > wire.MAX_BODY_SIZE):
+                raw = wire._read_upto(rfile, length)
+        except ValueError:  # a bad head or length; IcapParseError is one
+            return self._send(wfile, 400)
+        if over:  # a declared length is refused before any body is read
+            return self._send(wfile, 413)
+        form = ({k: v[0] for k, v in parse_qs(raw.decode("utf-8", "replace")).items()}
+                if request.method == "POST" else None)
+        with self._ledger_lock:
+            self.requests.append({"method": request.method, "path": request.url,
+                                  "via": request.header("Via"),
+                                  "agent": request.header(wire.AGENT_HEADER), "form": form})
+        if form is not None:
+            return self._send(wfile, 200, _WELCOME)
+        page = self.pages.get(urlsplit(request.url).path)
+        if page is None:
+            return self._send(wfile, 404)
+        body = render_page(page, self.seed)
+        if page.gzip:
+            return self._send(wfile, 200, gzip_mod.compress(body, mtime=0), "gzip")
+        return self._send(wfile, 200, body)

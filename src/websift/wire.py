@@ -8,13 +8,16 @@ emission callback; in enforce mode a synchronous verdict can replace the
 response body with a warning page.  Everything runs on plain TCP sockets
 so the two halves can also interoperate with foreign ICAP peers.
 
-Both hops into the gateway are persistent.  Each server serves messages
-on a connection until a message says to close, the peer closes, or the
-connection sits idle past the server's timeout (ICAP_IDLE_TIMEOUT for
-the gateway, PROXY_TIMEOUT for the proxy); `stop()` ends the reading
-side of every open connection, so idle ones close at once.  The gateway
-answers a parse error with 400 and closes, since the framing can no
-longer be trusted.  The proxy keeps a client connection open after an
+One connection server, `_ThreadedServer`, runs the gateway, the proxy
+and the synthetic site (`synthweb.SynthWebServer`, which answers one
+request per connection).  Both hops into the gateway are persistent.
+Each server serves messages on a connection until a message says to
+close, the peer closes, or the connection sits idle past the server's
+timeout (ICAP_IDLE_TIMEOUT for the gateway, PROXY_TIMEOUT for the proxy,
+SITE_TIMEOUT for the site); `stop()`, also before `start()`, ends the
+reading side of every open connection, so idle ones close at once.  The
+gateway answers a parse error with 400 and closes, since the framing can
+no longer be trusted.  The proxy keeps a client connection open after an
 HTTP/1.1 request without a `close` token (RFC 9112 §9.3) and closes it
 after HTTP/1.0, `Connection: close`, any 400/405/413/501/502 error, or a
 failed write.  Before any inspection or fetch, a request gets 400 for a
@@ -757,7 +760,7 @@ def _read_chunked(rfile, cap: int, pos: int) -> tuple[bytes, bool]:
 
 
 # ---------------------------------------------------------------------------
-# gateway server
+# connection server and gateway
 
 class _ConnectionHandler(socketserver.BaseRequestHandler):
     """Serves messages on one connection until the server's serve_one says stop.
@@ -779,7 +782,9 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
 
 
 class _ThreadedServer(socketserver.ThreadingTCPServer):
-    """One thread per persistent connection, every read bounded by `timeout`.
+    """One thread per connection, every read bounded by `timeout`.
+
+    The one connection server: the gateway, the proxy and synthweb's site run on it.
 
     `serve_one(rfile, wfile)` answers one message on a connection and
     returns whether the connection stays open.  The server

@@ -161,6 +161,17 @@ def test_synthweb_emits_deterministic_spec_and_engines(tmp_path, capsys):
     assert engines_b.read_bytes() == engines_a.read_bytes()
 
 
+def test_synthweb_refuses_a_mistyped_page_field_with_exit_2(tmp_path, capsys):
+    spec = tmp_path / "site.json"
+    spec.write_text(json.dumps({"pages": [{"path": "/a", "kind": "malicious", "body": 5}]}),
+                    encoding="utf-8")
+    code, docs, err = run_cli(capsys, "synthweb", "--spec", str(spec),
+                              "--emit-engines", str(tmp_path / "engines.json"))
+    assert (code, docs) == (2, [])
+    assert err.startswith("error: ") and err.count("\n") == 1 and "body" in err
+    assert not (tmp_path / "engines.json").exists()
+
+
 # --- crawl command ---
 
 @pytest.fixture

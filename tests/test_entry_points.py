@@ -177,3 +177,27 @@ def test_census_reads_keywords_positions_and_unpacking():
     # f(b) by position, f(c) through *args, f(e) by keyword, K(x) through cls(v)
     # in a classmethod, K.m(z) through **kwargs; f(d) and K(y) are set by nothing
     assert sorted(set_by) == ["K(x)", "K.m(z)", "f(b)", "f(c)", "f(e)"]
+
+
+def imported_modules(tree: ast.Module):
+    """Every module an import statement names, `from a import b` as both a and a.b."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_an_http_server_or_client():
+    # the one HTTP server and client are wire's, on plain sockets
+    found = sorted(f"{path.relative_to(ROOT)}: {name}"
+                   for path in sorted(PACKAGE.rglob("*.py"))
+                   for name in imported_modules(ast.parse(path.read_text("utf-8")))
+                   if name in ("http.server", "http.client"))
+    assert found == []
+
+
+def test_import_census_reads_every_import_form():
+    tree = ast.parse("import http.server\nfrom http import client\nfrom . import wire\n")
+    assert list(imported_modules(tree)) == ["http.server", "http", "http.client"]
