@@ -30,7 +30,7 @@ from websift.synthweb import (
     render_page,
     signature_line,
 )
-from websift.wire import WARNING_PAGE
+from websift.wire import AGENT_HEADER, WARNING_PAGE
 
 
 def emit(doc: dict) -> None:
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
         with FlowStore(Path(tmp) / "store") as store:
             pipeline = Pipeline(store, sources, mode="enforce").start()
             try:
-                headers = [("X-Websift-Agent", "demo-1")]
+                headers = [(AGENT_HEADER, "demo-1")]
                 status, resp_headers, body = proxy_request(
                     pipeline.proxy_addr, "GET", site.base_url + mal_path,
                     headers)

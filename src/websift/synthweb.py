@@ -7,9 +7,10 @@ strings, hidden iframes, onload handlers and a fixed signature marker, so
 every labeling stage has something to find.  The server ledgers each
 request, so tests can check that all traffic came through the proxy.  It
 is wire's _ThreadedServer with wire's framing, one request per connection:
-a bad head or length gets 400, a declared body above MAX_BODY_SIZE 413
-with the body unread, a method other than GET or POST 501, and a request
-not whole within RESPONSE_DEADLINE_TIMEOUTS reads of SITE_TIMEOUT no answer.
+a bad head gets 400, a method other than GET or POST 501, a request not
+whole within RESPONSE_DEADLINE_TIMEOUTS reads of SITE_TIMEOUT no answer,
+and a body the proxy's reader (`wire._read_request_body`, capped at
+MAX_BODY_SIZE) refuses the proxy's status, with nothing ledgered.
 """
 
 from __future__ import annotations
@@ -254,9 +255,9 @@ class SynthWebServer:
         headers = [("Server", "synthweb"), ("Date", _http_date(time.time())),
                    ("Content-Type", "text/html; charset=utf-8"),
                    *([("Content-Encoding", coding)] if coding else []),
-                   ("Content-Length", str(len(body))), ("Connection", "close")]
-        wfile.write(wire._write_head(f"HTTP/1.1 {status} {_REASONS[status]}", headers)
-                    + (b"" if head_only else body))
+                   ("Content-Length", str(len(body)))]
+        wfile.write(wire._client_response_bytes(
+            wire.HttpResponse(status, _REASONS[status], headers), body, head_only=head_only))
         return False
 
     def _serve_one(self, rfile, wfile) -> bool:
@@ -266,17 +267,14 @@ class SynthWebServer:
             if head is None:
                 return False
             request, _ = wire._parse_http_request_head(head)
-            if request.method not in ("GET", "POST"):
-                return self._send(wfile, 501, head_only=request.method == "HEAD")
-            length = wire._content_length(request.headers) or 0
-            if request.header("Transfer-Encoding") is not None:
-                raw, over = wire._read_chunked(rfile, wire.MAX_BODY_SIZE, len(head))
-            elif not (over := length > wire.MAX_BODY_SIZE):
-                raw = wire._read_upto(rfile, length)
-        except ValueError:  # a bad head or length; IcapParseError is one
+        except ValueError:  # a bad head; IcapParseError is one
             return self._send(wfile, 400)
-        if over:  # a declared length is refused before any body is read
-            return self._send(wfile, 413)
+        if request.method not in ("GET", "POST"):
+            return self._send(wfile, 501, head_only=request.method == "HEAD")
+        try:
+            raw = wire._read_request_body(rfile, request, len(head), wire.MAX_BODY_SIZE)
+        except wire._Refusal as exc:  # args: (status, reason, text)
+            return self._send(wfile, exc.args[0])
         form = ({k: v[0] for k, v in parse_qs(raw.decode("utf-8", "replace")).items()}
                 if request.method == "POST" else None)
         with self._ledger_lock:

@@ -20,19 +20,20 @@ gateway answers a parse error with 400 and closes, since the framing can
 no longer be trusted.  The proxy keeps a client connection open after an
 HTTP/1.1 request without a `close` token (RFC 9112 §9.3) and closes it
 after HTTP/1.0, `Connection: close`, any 400/405/413/501/502 error, or a
-failed write.  Before any inspection or fetch, a request gets 400 for a
-body cut short or badly chunked, or framed by both Transfer-Encoding and
-Content-Length or by a last transfer coding other than chunked, 501 for
-any other transfer coding (RFC 9112 §6.1, §6.3), and 413 for a body
-above PROXY_MAX_BODY, whose rest is left unread.  A chunked body is
-passed on de-chunked, framed by its Content-Length.  Only a closing
-response carries `Connection: close`.  Clients keep idle connections in
-an IdleConnections stack: the proxy its gateway connections, each agent
-its one proxy connection.  A message on a reused connection that gets
-not one response byte back (the peer timed it out meanwhile) was never
-served, so it is resent once on a fresh connection; HTTP resends only
-GET and HEAD (RFC 9112 §9.3.1).  The proxy's origin fetches stay one
-connection each, with `Connection: close`.
+failed write.  One reader, `_read_request_body`, takes every request
+body the proxy or the site serves, and refuses before any inspection or
+fetch: 400 for a body cut short or badly chunked, or framed by both
+Transfer-Encoding and Content-Length or by a last transfer coding other
+than chunked, 501 for any other transfer coding (RFC 9112 §6.1, §6.3),
+and 413 for a body above the server's cap, whose rest is left unread.  A
+chunked body is passed on de-chunked, framed by its Content-Length.
+Only a closing response carries `Connection: close`.  Every client
+socket is a `_Connection`: clients keep idle ones in an IdleConnections
+stack (the proxy its gateway connections, each agent its one proxy
+connection), and each origin fetch opens one, with `Connection: close`.
+A message on a reused connection that gets not one response byte back
+(the peer timed it out meanwhile) was never served, so it is resent once
+on a fresh connection; HTTP resends only GET and HEAD (RFC 9112 §9.3.1).
 
 Every socket read goes through one reader: an io.BufferedReader over
 `_DeadlineReader`, so lines, lengths and peeks are cut from the buffer
@@ -70,7 +71,7 @@ connection closed, and a gateway that trickles its answer to the proxy
 counts as unreachable.  An ICAP body above MAX_BODY_SIZE is refused; an
 origin body above PROXY_MAX_BODY is cut there and flagged
 `wire.truncated`.  A gateway keeps at most REQMOD_TABLE_SIZE REQMOD
-bodies waiting for their RESPMOD.
+bodies, MAX_BODY_SIZE bytes in all, waiting for their RESPMOD.
 """
 
 from __future__ import annotations
@@ -759,6 +760,46 @@ def _read_chunked(rfile, cap: int, pos: int) -> tuple[bytes, bool]:
         pos += 2
 
 
+class _Refusal(Exception):
+    """A request a server answers with an error and closes on; args (status, reason, text)."""
+
+
+def _read_request_body(rfile, request: HttpRequest, pos: int, cap: int) -> bytes:
+    """Read the body of `request`, whose head ends at byte `pos` (RFC 9112 §6.1, §6.3).
+
+    A chunked body is de-chunked, and the request's framing headers are
+    replaced by its length.  Raises _Refusal: 400 for a bad, ambiguous or
+    cut-short body, 501 for a transfer coding other than chunked alone,
+    413 for a body above `cap`, whose rest is left unread.
+    """
+    try:
+        length = _content_length(request.headers)
+    except ValueError as exc:
+        raise _Refusal(400, "Bad Request", str(exc)) from None
+    if request.header("Transfer-Encoding") is None:
+        if (length := length or 0) > cap:
+            raise _Refusal(413, "Content Too Large", f"request body exceeds {cap} bytes")
+        body = _read_upto(rfile, length)
+        if len(body) < length:
+            # the client ended its side early: no origin is sent a body shorter than declared
+            raise _Refusal(400, "Bad Request",
+                           f"request body cut short at {len(body)} of {length} bytes")
+        return body
+    codings = _coding_list(request.headers, "Transfer-Encoding")
+    if length is not None or codings[-1:] != ["chunked"]:
+        raise _Refusal(400, "Bad Request", "request body length is ambiguous")
+    if len(codings) > 1:
+        raise _Refusal(501, "Not Implemented", f"transfer codings {codings} not implemented")
+    try:
+        body, over = _read_chunked(rfile, cap, pos)
+    except IcapParseError as exc:
+        raise _Refusal(400, "Bad Request", str(exc)) from None
+    if over:
+        raise _Refusal(413, "Content Too Large", f"request body exceeds {cap} bytes")
+    request.headers = _with_length(request.headers, len(body))
+    return body
+
+
 # ---------------------------------------------------------------------------
 # connection server and gateway
 
@@ -853,7 +894,8 @@ class _ReqmodBodies(dict):
     """REQMOD bodies waiting for their RESPMOD, by exchange id.
 
     A RESPMOD may never come (a fail-open proxy gives up on the gateway),
-    so beyond REQMOD_TABLE_SIZE entries the oldest is dropped.
+    so beyond REQMOD_TABLE_SIZE entries or MAX_BODY_SIZE bytes in all the
+    oldest are dropped.
     """
 
     def __init__(self):
@@ -863,8 +905,9 @@ class _ReqmodBodies(dict):
     def __setitem__(self, key: str, body: bytes) -> None:
         with self._lock:
             super().__setitem__(key, body)
-            while len(self) > REQMOD_TABLE_SIZE:
-                del self[next(iter(self))]
+            held = sum(map(len, self.values()))
+            while len(self) > REQMOD_TABLE_SIZE or held > MAX_BODY_SIZE:
+                held -= len(super().pop(next(iter(self))))
 
     def pop(self, key: str, default=None):
         with self._lock:
@@ -953,10 +996,12 @@ class IdleConnections:
 
 
 class _Connection:
-    """A client socket and the deadline-bound buffered reader over it."""
+    """A client socket, the peer's IP and the deadline-bound buffered reader over the socket."""
 
     def __init__(self, addr: tuple[str, int], timeout: float):
         self.sock = socket.create_connection(addr, timeout=timeout)
+        # read now: once the peer resets, getpeername() fails though its answer is still queued
+        self.peer_ip = self.sock.getpeername()[0]
         self.rfile = io.BufferedReader(_DeadlineReader(self.sock))
 
     def send(self, raw: bytes, timeout: float) -> bool:
@@ -1102,16 +1147,16 @@ def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
     out_headers.append(("Via", VIA))
     out_headers.append(("Connection", "close"))
 
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        peer_ip = sock.getpeername()[0]
-        sock.sendall(_write_head(f"{request.method} {path} HTTP/1.1", out_headers) + body)
+    def read(conn: _Connection):
         try:
-            # the response's deadline counts from the send
-            response, entity, truncated = _read_response(
-                io.BufferedReader(_DeadlineReader(sock)), cap, request.method == "HEAD")
+            response, entity, truncated = _read_response(conn.rfile, cap,
+                                                         request.method == "HEAD")
         except ValueError as exc:
             raise ProxyError(f"bad origin response: {exc}") from None
-        return response, entity, truncated, peer_ip
+        return (response, entity, truncated, conn.peer_ip), False
+
+    raw = _write_head(f"{request.method} {path} HTTP/1.1", out_headers) + body
+    return _transact((host, port), raw, timeout, None, read)
 
 
 def _client_response_bytes(response: HttpResponse, body: bytes, close: bool = True,
@@ -1236,20 +1281,9 @@ class ProxyServer:
             if head is None:
                 return False
             request, version = _parse_http_request_head(head)
-            length = _content_length(request.headers) or 0
         except ValueError as exc:  # IcapParseError is one
             return self._send_error(wfile, 400, "Bad Request", str(exc), head_only=False)
         head_only = request.method == "HEAD"
-        codings = _coding_list(request.headers, "Transfer-Encoding")
-        chunked = request.header("Transfer-Encoding") is not None
-        if chunked and (request.header("Content-Length") is not None
-                        or codings[-1:] != ["chunked"]):
-            return self._send_error(wfile, 400, "Bad Request",
-                                    "request body length is ambiguous", head_only=head_only)
-        if len(codings) > 1:
-            return self._send_error(wfile, 501, "Not Implemented",
-                                    f"transfer codings {codings} not implemented",
-                                    head_only=head_only)
         if request.method == "CONNECT":
             return self._send_error(wfile, 405, "Method Not Allowed",
                                     "CONNECT tunneling is not supported", head_only=head_only)
@@ -1265,25 +1299,10 @@ class ProxyServer:
         except ValueError as exc:  # unsplittable, a port outside 0-65535, or such a host
             return self._send_error(wfile, 400, "Bad Request", f"bad request target: {exc}",
                                     head_only=head_only)
-        if chunked:
-            try:
-                request_body, over = _read_chunked(rfile, PROXY_MAX_BODY, len(head))
-            except IcapParseError as exc:
-                return self._send_error(wfile, 400, "Bad Request", str(exc),
-                                        head_only=head_only)
-            request.headers = _with_length(request.headers, len(request_body))
-        elif not (over := length > PROXY_MAX_BODY):
-            request_body = _read_upto(rfile, length)
-            if len(request_body) < length:
-                # the client ended its side early: no origin is sent a body shorter than declared
-                return self._send_error(wfile, 400, "Bad Request",
-                                        f"request body cut short at {len(request_body)} of "
-                                        f"{length} bytes", head_only=head_only)
-        if over:
-            # the rest of the body is left unread; the origin is never asked to wait for it
-            return self._send_error(wfile, 413, "Content Too Large",
-                                    f"request body exceeds {PROXY_MAX_BODY} bytes",
-                                    head_only=head_only)
+        try:
+            request_body = _read_request_body(rfile, request, len(head), PROXY_MAX_BODY)
+        except _Refusal as exc:
+            return self._send_error(wfile, *exc.args, head_only=head_only)
         keep = version == "HTTP/1.1" and not _says_close(request.headers)
 
         started_at = int(time.time() * 1000)

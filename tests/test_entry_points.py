@@ -201,3 +201,30 @@ def test_no_module_imports_an_http_server_or_client():
 def test_import_census_reads_every_import_form():
     tree = ast.parse("import http.server\nfrom http import client\nfrom . import wire\n")
     assert list(imported_modules(tree)) == ["http.server", "http", "http.client"]
+
+
+def create_connection_calls(tree: ast.Module):
+    """The name of the class around each `socket.create_connection(...)` call, None outside one."""
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "create_connection"
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "socket"):
+                yield cls
+            yield from walk(child, child.name if isinstance(child, ast.ClassDef) else cls)
+    yield from walk(tree, None)
+
+
+def test_one_class_opens_every_client_connection():
+    # every client socket, to the gateway, the proxy or an origin, is a wire._Connection
+    found = sorted(f"{path.relative_to(ROOT)}: {cls}"
+                   for path in sorted(PACKAGE.rglob("*.py"))
+                   for cls in create_connection_calls(ast.parse(path.read_text("utf-8"))))
+    assert found == ["src/websift/wire.py: _Connection"]
+
+
+def test_connection_census_reads_calls_by_their_class():
+    tree = ast.parse("import socket\nsocket.create_connection(a)\n"
+                     "class C:\n    def f(self):\n        return socket.create_connection(b)\n"
+                     "create_connection(c)\n")
+    assert list(create_connection_calls(tree)) == [None, "C"]

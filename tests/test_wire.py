@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from websift import wire
 from websift.contentprep import decode_body
+from websift.synthweb import SynthWebServer
 from websift.wire import (
     HttpExchange,
     HttpRequest,
@@ -817,10 +818,12 @@ def test_gateway_stop_closes_idle_client_connections():
 
 class _CountingConnection(wire._Connection):
     opened = 0
+    counted = None  # when set, only connections to this address are counted
 
     def __init__(self, addr, timeout):
         super().__init__(addr, timeout)
-        type(self).opened += 1
+        if type(self).counted in (None, addr):
+            type(self).opened += 1
 
 
 def test_transact_resends_once_when_the_gateway_closed_an_idle_connection(monkeypatch):
@@ -1218,6 +1221,7 @@ def test_proxy_exchanges_share_one_gateway_connection(origin, monkeypatch):
     monkeypatch.setattr(_CountingConnection, "opened", 0)
     emitted = []
     with running_gateway(emit=emitted.append) as gw:
+        monkeypatch.setattr(_CountingConnection, "counted", gw.address)  # not origin fetches
         with running_proxy(gateway_addr=gw.address) as px:
             for _ in range(3):
                 status, _, _ = proxy_fetch(px.address, origin_url(origin))
@@ -1233,6 +1237,7 @@ def test_proxy_reads_a_pooled_gateway_connection_under_a_fresh_deadline(origin, 
     monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.3)
     emitted = []
     with running_gateway(emit=emitted.append) as gw:
+        monkeypatch.setattr(_CountingConnection, "counted", gw.address)  # not origin fetches
         with running_proxy(gateway_addr=gw.address) as px:
             first, _, _ = proxy_fetch(px.address, origin_url(origin))
             time.sleep(2.0)  # idle past one 6 x 0.3 s deadline
@@ -1582,6 +1587,127 @@ def test_proxy_passes_a_chunked_request_body_on_with_its_length(origin):
     assert ("Content-Length", "11") in request.headers
     assert request.header("Transfer-Encoding") is None
     assert emitted[0].request_body == b"hello world"
+
+
+# one table for both servers that read request bodies, the proxy and the synthetic
+# site: framing headers, the body sent before the client ends its side, and the status
+# each must answer with, both caps at 16 bytes (RFC 9112 §6.1, §6.3)
+REQUEST_FRAMINGS = {
+    "both-framing-headers": ("Transfer-Encoding: chunked\r\nContent-Length: 3\r\n",
+                             "3\r\nabc\r\n0\r\n\r\n", 400),
+    "gzip-then-chunked": ("Transfer-Encoding: gzip, chunked\r\n", "3\r\nabc\r\n0\r\n\r\n", 501),
+    "gzip-alone": ("Transfer-Encoding: gzip\r\n", "abc", 400),
+    "bad-chunk-size": ("Transfer-Encoding: chunked\r\n", "0x3\r\nabc\r\n0\r\n\r\n", 400),
+    "bad-content-length": ("Content-Length: 3x\r\n", "abc", 400),
+    "differing-content-lengths": ("Content-Length: 3\r\nContent-Length: 4\r\n", "abcd", 400),
+    "body-cut-short": ("Content-Length: 12\r\n", "user=ab", 400),
+    "length-over-cap": ("Content-Length: 200\r\n", "x" * 16, 413),
+    "chunks-over-cap": ("Transfer-Encoding: chunked\r\n",
+                        "a\r\n0123456789\r\na\r\n0123456789\r\n0\r\n\r\n", 413),
+}
+
+
+@contextlib.contextmanager
+def running_site():
+    site = SynthWebServer({"pages": [{"path": "/a"}]}).start()
+    try:
+        yield site
+    finally:
+        site.stop()
+
+
+def post_status(addr, url: str, framing: str, body: bytes) -> int:
+    """The status answering a POST of `body` to `url` at `addr`, sent before a half-close."""
+    with socket.create_connection(addr, timeout=10) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(f"POST {url} HTTP/1.1\r\nHost: site.test\r\n{framing}\r\n".encode()
+                     + body)
+        sock.shutdown(socket.SHUT_WR)
+        return read_reply(rfile)[0].status
+
+
+@pytest.mark.parametrize("case", list(REQUEST_FRAMINGS))
+def test_proxy_and_site_refuse_a_request_framing_alike(monkeypatch, case):
+    framing, body, status = REQUEST_FRAMINGS[case]
+    monkeypatch.setattr(wire, "PROXY_MAX_BODY", 16)
+    monkeypatch.setattr(wire, "MAX_BODY_SIZE", 16)
+    transacts = []
+    real_transact = wire.icap_transact
+    monkeypatch.setattr(wire, "icap_transact",
+                        lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
+    with running_site() as site, running_gateway() as gw, \
+            running_proxy(gateway_addr=gw.address) as px:
+        # the site is the proxy's origin too, so its ledger shows any origin request
+        got = [post_status(server.address, site.base_url + "/a", framing, body.encode())
+               for server in (px, site)]
+        assert got == [status, status]
+        assert site.ledger() == []
+    assert transacts == []
+
+
+def test_proxy_and_site_answer_any_request_framing_alike(monkeypatch):
+    monkeypatch.setattr(wire, "PROXY_MAX_BODY", 16)
+    monkeypatch.setattr(wire, "MAX_BODY_SIZE", 16)
+    with running_site() as site, running_proxy() as px:
+        url = site.base_url + "/a"
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(st.sampled_from([
+                   "Transfer-Encoding: chunked", "Transfer-Encoding: gzip",
+                   "Transfer-Encoding: gzip, chunked", "Transfer-Encoding: chunked, gzip",
+                   "Transfer-Encoding: identity", "Transfer-Encoding: ", "Content-Length: 0",
+                   "Content-Length: 5", "Content-Length: 20", "Content-Length: 5x"]),
+                   max_size=3),
+               st.sampled_from([b"abcde", b"5\r\nabcde\r\n0\r\n\r\n", b"x" * 20,
+                                b"14\r\n" + b"x" * 20 + b"\r\n0\r\n\r\n"]),
+               st.integers(min_value=0, max_value=30))
+        def check(framing, body, cut):
+            # a request both servers take goes on through the proxy to the site: 200 twice
+            lines = "".join(line + "\r\n" for line in framing)
+            assert (post_status(px.address, url, lines, body[:cut])
+                    == post_status(site.address, url, lines, body[:cut]))
+
+        check()
+
+
+def test_proxy_answers_an_origin_that_closes_at_once_with_502():
+    emitted = []
+    with socket.create_server(("127.0.0.1", 0)) as origin_sock, \
+            running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address) as px:
+        origin_sock.settimeout(10)
+        hang_up = threading.Thread(target=lambda: origin_sock.accept()[0].close())
+        hang_up.start()
+        host, port = origin_sock.getsockname()
+        status, _, _ = proxy_fetch(px.address, f"http://{host}:{port}/x")
+        hang_up.join(timeout=10)
+    assert not hang_up.is_alive()
+    assert status == 502
+    assert "wire.fetch_error" in emitted[0].markers
+
+
+def test_proxy_relays_an_origin_that_answers_and_resets_with_its_address():
+    # the origin leaves most of the request unread, so its close is a reset, which
+    # ends the socket before the proxy reads the answer queued ahead of it
+    emitted = []
+    with socket.create_server(("127.0.0.1", 0)) as origin_sock, \
+            running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address) as px:
+        origin_sock.settimeout(10)
+
+        def answer_unread():
+            conn, _ = origin_sock.accept()
+            with conn:
+                conn.recv(10)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+
+        origin = threading.Thread(target=answer_unread)
+        origin.start()
+        host, port = origin_sock.getsockname()
+        status, _, body = proxy_fetch(px.address, f"http://{host}:{port}/x")
+        origin.join(timeout=10)
+    assert not origin.is_alive()
+    assert (status, body) == (200, b"ok")
+    assert emitted[0].markers["wire.upstream_ip"] == "127.0.0.1"
 
 
 @contextlib.contextmanager
@@ -2094,6 +2220,20 @@ def test_reqmod_table_drops_the_oldest_unmatched_body(monkeypatch):
         idle.close()
     assert emitted[0].request_body == b"form=4"
     assert len(gw.reqmod_bodies) == 3
+
+
+def test_reqmod_table_drops_the_oldest_bodies_beyond_max_body_size_in_all(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_BODY_SIZE", 10)
+    table = wire._ReqmodBodies()
+    for n in range(4):  # no RESPMOD follows any of them
+        table[f"r{n}"] = b"%d" % n * 4
+    assert list(table) == ["r2", "r3"]
+    table["r3"] = b"x"  # a resent REQMOD replaces its body
+    table["r4"] = b"y" * 5
+    assert list(table) == ["r2", "r3", "r4"]
+    assert table.pop("r2") == b"2222" and table.pop("r2") is None
+    table["r5"] = b"z" * 4
+    assert list(table) == ["r3", "r4", "r5"]
 
 
 def test_reqmod_table_keeps_exactly_its_cap_under_contention(monkeypatch):
