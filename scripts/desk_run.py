@@ -66,9 +66,10 @@ def main(argv=None) -> int:
                                 n_agents=args.agents, budget=args.budget)
             emit("crawl", summary.to_doc())
 
-            samples, labels = _training_data(store)
+            samples, labels, undetermined = _training_data(store)
             emit("dataset", {"samples": len(samples),
-                             "malicious": sum(labels)})
+                             "malicious": sum(labels),
+                             "undetermined": undetermined})
             _, trained = _train_and_evaluate(samples, labels, args.trees, args.seed)
             emit("train", trained)
 

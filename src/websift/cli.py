@@ -277,15 +277,24 @@ def cmd_label(args, cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _training_data(store: FlowStore) -> tuple[list, list[int]]:
-    """(feature vectors, 1 for malicious ground truth else 0) of the feature-bearing records."""
+def _training_data(store: FlowStore) -> tuple[list, list[int], int]:
+    """(feature vectors, 1 for malicious ground truth else 0, records left out).
+
+    Of the feature-bearing records, one whose scan ticket has not decided
+    its ground truth (errored or unfinished) is left out, not taken as benign.
+    """
     samples, labels = [], []
+    undetermined = 0
     for record in store.records():
         if record.features is None:
             continue
+        truth = record.labels.ground_truth
+        if truth is None and record.labels.scan_ticket is not None:
+            undetermined += 1
+            continue
         samples.append(record.features)
-        labels.append(1 if record.labels.ground_truth is True else 0)
-    return samples, labels
+        labels.append(1 if truth is True else 0)
+    return samples, labels, undetermined
 
 
 def _train_and_evaluate(samples, labels, trees: int, seed: int, policy: str = "scaled",
@@ -308,15 +317,16 @@ def _train_and_evaluate(samples, labels, trees: int, seed: int, policy: str = "s
 def cmd_train(args, cfg: Config) -> int:
     store = _open_store(args, cfg, writable=False, create=False)
     try:
-        samples, labels = _training_data(store)
+        samples, labels, undetermined = _training_data(store)
     finally:
         store.close()
     if not samples:
-        raise CliError("store has no feature-bearing records to train on")
+        left_out = f" ({undetermined} left out as undetermined)" if undetermined else ""
+        raise CliError(f"store has no feature-bearing records to train on{left_out}")
     model, doc = _train_and_evaluate(samples, labels, args.trees, args.seed,
                                      args.policy, not args.no_bootstrap)
     forest.save_model(model, args.out)
-    _emit({"model": str(args.out), **doc})
+    _emit({"model": str(args.out), "undetermined": undetermined, **doc})
     return 0
 
 

@@ -14,11 +14,10 @@ confusion-matrix tables follow (8001/8014 = 0.99837... renders 0.9983).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .features import FEATURE_ORDER, FeatureVector, ledger_hash
@@ -80,25 +79,6 @@ class Xorshift64Star:
 # model types
 
 @dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    votes: dict[int, float] | None = None  # set on leaves only
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.votes is not None
-
-    def leaf_for(self, row) -> "TreeNode":
-        node = self
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
-
-
-@dataclass
 class ForestConfig:
     n_trees: int = 10
     seed: int = 1
@@ -107,16 +87,14 @@ class ForestConfig:
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    # each tree is its preorder node list, the layout model files hold: a split is
+    # (feature, threshold, index of its right child) and its left child is the
+    # next node; a leaf is (benign votes, malicious votes)
+    trees: list[list[tuple]]
     config: ForestConfig
     feature_count: int
     feature_ledger: str
     degenerate: bool = False
-    training_digests: list[str] = field(default_factory=list)
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
 
 
 @dataclass
@@ -205,31 +183,31 @@ def _as_row(sample):
     return [float(v) for v in sample]
 
 
-def _grow_tree(rows, labels, weights, indices, rng, n_candidates, n_features):
-    counts = _weighted_counts(indices, labels, weights)
-    if min(counts) == 0.0 or len(indices) < 2:
-        return TreeNode(votes={BENIGN: counts[BENIGN], MALICIOUS: counts[MALICIOUS]})
-    candidates = rng.sample_indices(n_features, n_candidates)
-    found = best_split(rows, labels, weights, indices, candidates)
-    if found is None:
-        # widen to every feature so consistent data always separates
-        found = best_split(rows, labels, weights, indices, range(n_features))
-    if found is None:
-        return TreeNode(votes={BENIGN: counts[BENIGN], MALICIOUS: counts[MALICIOUS]})
-    feature, threshold = found
-    left_idx = [i for i in indices if rows[i][feature] <= threshold]
-    right_idx = [i for i in indices if rows[i][feature] > threshold]
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow_tree(rows, labels, weights, left_idx, rng, n_candidates, n_features),
-        right=_grow_tree(rows, labels, weights, right_idx, rng, n_candidates, n_features),
-    )
+def _grow_tree(rows, labels, weights, indices, rng, n_candidates, n_features) -> list:
+    """One tree's preorder node list; each split draws its candidates in that order."""
+    nodes: list = []
 
+    def grow(indices):
+        counts = _weighted_counts(indices, labels, weights)
+        found = None
+        if min(counts) != 0.0 and len(indices) >= 2:
+            candidates = rng.sample_indices(n_features, n_candidates)
+            found = best_split(rows, labels, weights, indices, candidates)
+            if found is None:
+                # widen to every feature so consistent data always separates
+                found = best_split(rows, labels, weights, indices, range(n_features))
+        if found is None:
+            nodes.append((counts[BENIGN], counts[MALICIOUS]))
+            return
+        feature, threshold = found
+        at = len(nodes)
+        nodes.append(None)
+        grow([i for i in indices if rows[i][feature] <= threshold])
+        nodes[at] = (feature, threshold, len(nodes))
+        grow([i for i in indices if rows[i][feature] > threshold])
 
-def row_digest(row) -> str:
-    canon = ",".join(repr(float(v)) for v in row)
-    return hashlib.sha256(canon.encode("ascii")).hexdigest()
+    grow(indices)
+    return nodes
 
 
 def train_forest(samples, labels, config: ForestConfig | None = None) -> ForestModel:
@@ -270,7 +248,6 @@ def train_forest(samples, labels, config: ForestConfig | None = None) -> ForestM
         feature_count=n_features,
         feature_ledger=ledger,
         degenerate=degenerate,
-        training_digests=sorted({row_digest(r) for r in rows}),
     )
 
 
@@ -285,9 +262,13 @@ def predict(model: ForestModel, sample) -> tuple[int, float]:
             f"expected {model.feature_count} features, got {len(row)}")
     votes = [0.0, 0.0]
     for tree in model.trees:
-        leaf = tree.leaf_for(row).votes
-        votes[BENIGN] += leaf.get(BENIGN, 0.0)
-        votes[MALICIOUS] += leaf.get(MALICIOUS, 0.0)
+        at = 0
+        while len(tree[at]) == 3:
+            feature, threshold, right = tree[at]
+            at = at + 1 if row[feature] <= threshold else right
+        benign, malicious = tree[at]
+        votes[BENIGN] += benign
+        votes[MALICIOUS] += malicious
     total = votes[BENIGN] + votes[MALICIOUS]
     score = votes[MALICIOUS] / total if total > 0 else 0.0
     return (MALICIOUS if votes[MALICIOUS] > votes[BENIGN] else BENIGN), score
@@ -403,48 +384,32 @@ def split_dataset(samples, labels, policy: str = "scaled",
 # ---------------------------------------------------------------------------
 # serialization
 
-def _tree_to_arrays(root: TreeNode) -> list:
-    nodes: list = []
-
-    def walk(node: TreeNode) -> int:
-        idx = len(nodes)
-        nodes.append(None)
-        if node.is_leaf:
-            nodes[idx] = {"votes": {CATEGORY_NAMES[k]: repr(v)
-                                    for k, v in sorted(node.votes.items())}}
-        else:
-            entry = {"f": node.feature, "t": repr(node.threshold)}
-            nodes[idx] = entry
-            entry["l"] = walk(node.left)
-            entry["r"] = walk(node.right)
-        return idx
-
-    walk(root)
-    return nodes
+def _node_doc(at: int, node: tuple) -> dict:
+    if len(node) == 2:
+        return {"votes": {"benign": repr(node[0]), "malicious": repr(node[1])}}
+    return {"f": node[0], "t": repr(node[1]), "l": at + 1, "r": node[2]}
 
 
-def _tree_from_arrays(nodes: list, feature_count: int) -> TreeNode:
-    """Rebuild a tree from the preorder `_tree_to_arrays` writes: a left child is
-    the next node and a right child follows the left subtree, so no index loops."""
-    def build(idx: int) -> tuple[TreeNode, int]:
-        entry = nodes[idx]
+def _tree_from_doc(entries: list, feature_count: int) -> list:
+    """One tree's node list, checked in one pass to be in exact preorder,
+    so that every walk of `predict` moves forward and ends at a leaf."""
+    nodes = []
+    starts = [0]  # where the pending subtrees must start, the next one last
+    for at, entry in enumerate(entries):
+        if not starts or starts.pop() != at:
+            raise ModelFormatError(f"node {at} is out of preorder")
         if "votes" in entry:
-            votes = {}
-            for name, value in entry["votes"].items():
-                key = MALICIOUS if name == "malicious" else BENIGN
-                votes[key] = float(value)
-            return TreeNode(votes=votes), idx + 1
-        feature = int(entry["f"])
-        if not 0 <= feature < feature_count or int(entry["l"]) != idx + 1:
-            raise ModelFormatError(f"node {idx} names no feature or is out of preorder")
-        left, right_idx = build(idx + 1)
-        if int(entry["r"]) != right_idx:
-            raise ModelFormatError(f"node {idx} is out of preorder")
-        right, end = build(right_idx)
-        return TreeNode(feature=feature, threshold=float(entry["t"]),
-                        left=left, right=right), end
-
-    return build(0)[0]
+            votes = entry["votes"]
+            nodes.append((float(votes["benign"]), float(votes["malicious"])))
+            continue
+        feature, right = int(entry["f"]), int(entry["r"])
+        if not 0 <= feature < feature_count or int(entry["l"]) != at + 1:
+            raise ModelFormatError(f"node {at} names no feature or is out of preorder")
+        nodes.append((feature, float(entry["t"]), right))
+        starts += [right, at + 1]
+    if starts:
+        raise ModelFormatError("a tree ends before its last leaf")
+    return nodes
 
 
 def model_to_doc(model: ForestModel) -> dict:
@@ -459,13 +424,14 @@ def model_to_doc(model: ForestModel) -> dict:
         "feature_count": model.feature_count,
         "feature_ledger": model.feature_ledger,
         "degenerate": model.degenerate,
-        "training_digests": list(model.training_digests),
-        "trees": [_tree_to_arrays(t) for t in model.trees],
+        "trees": [[_node_doc(at, node) for at, node in enumerate(tree)]
+                  for tree in model.trees],
     }
 
 
 def model_from_doc(doc: dict) -> ForestModel:
-    """The model `model_to_doc` wrote; ModelFormatError for any other document."""
+    """The model `model_to_doc` wrote, or an older file that also holds its
+    training rows' digests (ignored); ModelFormatError for any other document."""
     if not isinstance(doc, dict):
         raise ModelFormatError("a model document is a JSON object")
     if doc.get("format") != MODEL_FORMAT:
@@ -481,7 +447,7 @@ def model_from_doc(doc: dict) -> ForestModel:
             seed=int(doc["seed"]),
             bootstrap=bool(doc["bootstrap"]),
         )
-        trees = [_tree_from_arrays(t, feature_count) for t in doc["trees"]]
+        trees = [_tree_from_doc(t, feature_count) for t in doc["trees"]]
         if not trees:
             raise ModelFormatError("a model has no trees")
         return ForestModel(
@@ -490,9 +456,10 @@ def model_from_doc(doc: dict) -> ForestModel:
             feature_count=feature_count,
             feature_ledger=ledger,
             degenerate=bool(doc.get("degenerate", False)),
-            training_digests=list(doc.get("training_digests", [])),
         )
-    except (LookupError, TypeError, AttributeError, RecursionError) as exc:
+    except ModelFormatError:
+        raise
+    except (LookupError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from None
 
 

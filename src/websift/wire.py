@@ -303,11 +303,15 @@ def _split_head(head: bytes) -> tuple[bytes, list[tuple[str, str]]]:
     return lines[0].rstrip(b"\r"), headers
 
 
+def _connection_options(headers) -> set[str]:
+    """The lowercased tokens of every Connection header (RFC 9110 §7.6.1)."""
+    return {t.strip().lower() for k, v in headers if k.lower() == "connection"
+            for t in v.split(",")}
+
+
 def _says_close(headers) -> bool:
     """Whether a Connection header carries the `close` token (RFC 9112 §9.6)."""
-    return any(k.lower() == "connection" and
-               any(t.strip().lower() == "close" for t in v.split(","))
-               for k, v in headers)
+    return "close" in _connection_options(headers)
 
 
 def _digits(value: str) -> int | None:
@@ -1007,14 +1011,19 @@ class _Connection:
     def send(self, raw: bytes, timeout: float) -> bool:
         """Send `raw`; True once the first response byte has arrived.
 
-        The response's deadline counts from the send.
+        A peer may answer and close before it has read all of `raw` (RFC
+        9112 §9.5), so a reset while sending still looks for the answer
+        queued to be read.  The response's deadline counts from the send.
         """
+        self.sock.settimeout(timeout)
         try:
-            self.sock.settimeout(timeout)
             self.sock.sendall(raw)
+        except ConnectionError:  # reset or broken pipe: look for an early answer
+            pass
+        try:
             self.rfile.raw.expect()
             return bool(self.rfile.peek(1))
-        except ConnectionError:  # reset or broken pipe: nothing came back
+        except ConnectionError:  # nothing came back
             return False
 
     def close(self) -> None:
@@ -1133,11 +1142,14 @@ def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
     if parts.query:
         path += "?" + parts.query
 
+    # hop-by-hop: the fixed set and whatever the client's Connection header names,
+    # but never the Content-Length that frames the body sent on
+    hop_by_hop = _HOP_BY_HOP | (_connection_options(request.headers) - {"content-length"})
     out_headers: list[tuple[str, str]] = []
     saw_host = False
     for k, v in request.headers:
         low = k.lower()
-        if low in _HOP_BY_HOP:
+        if low in hop_by_hop:
             continue
         if low == "host":
             saw_host = True

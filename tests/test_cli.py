@@ -513,6 +513,37 @@ def test_train_then_classify_records_and_files(tmp_path, capsys):
     assert 0.0 <= docs[-1]["score"] <= 1.0
 
 
+def test_train_leaves_out_records_whose_scan_did_not_decide_them(tmp_path, capsys):
+    store_path = tmp_path / "store"
+    seed_training_store(store_path)
+    body = b"<html><script>eval(unescape('pq'));eval(q);</script></html>"
+    features = extract_features(body, "text/html")
+    errored = ScanTicket()
+    errored.to_error()  # say, a body the engines refused
+    with FlowStore(store_path) as store:
+        for ticket in (errored, ScanTicket()):
+            put_body_record(store, body, features=features,
+                            labels=LabelSet(signature_hits=["Pipe.Sig"], scan_ticket=ticket))
+        put_body_record(store, body, features=features)  # no ticket: benign as before
+    code, docs, _ = run_cli(capsys, "--store", str(store_path), "train",
+                            "--out", str(tmp_path / "model.json"), "--trees", "2")
+    assert code == 0
+    assert docs[-1]["undetermined"] == 2
+    assert docs[-1]["train_size"] + docs[-1]["test_size"] == 17
+
+
+def test_train_names_the_undetermined_records_when_none_are_left(tmp_path, capsys):
+    store_path = tmp_path / "store"
+    body = b"<html><script>eval(unescape('pq'));eval(q);</script></html>"
+    with FlowStore(store_path) as store:
+        put_body_record(store, body, features=extract_features(body, "text/html"),
+                        labels=LabelSet(signature_hits=["Pipe.Sig"], scan_ticket=ScanTicket()))
+    code, _, err = run_cli(capsys, "--store", str(store_path), "train",
+                           "--out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert "no feature-bearing records to train on (1 left out as undetermined)" in err
+
+
 def test_train_empty_store_is_exit_2(tmp_path, capsys):
     with FlowStore(tmp_path / "store"):
         pass

@@ -1,7 +1,9 @@
 """Forest training: RNG, Gini splits, policies, metrics, serialization."""
 
+import copy
 import json
 import random
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -14,7 +16,6 @@ from websift.forest import (
     ConfusionMatrix,
     ForestConfig,
     ModelFormatError,
-    TreeNode,
     ForestModel,
     Xorshift64Star,
     best_split,
@@ -26,7 +27,6 @@ from websift.forest import (
     model_from_doc,
     model_to_doc,
     predict,
-    row_digest,
     save_model,
     split_dataset,
     splitmix64,
@@ -269,8 +269,7 @@ def test_predict_checks_feature_count():
 
 
 def test_prediction_tie_goes_to_benign():
-    leaf = TreeNode(votes={BENIGN: 5.0, MALICIOUS: 5.0})
-    model = ForestModel(trees=[leaf], config=ForestConfig(n_trees=1),
+    model = ForestModel(trees=[[(5.0, 5.0)]], config=ForestConfig(n_trees=1),
                         feature_count=1, feature_ledger="custom-1")
     assert predict(model, [0.0]) == (BENIGN, 0.5)
 
@@ -282,9 +281,8 @@ def test_leaf_votes_carry_class_weights():
     category, score = predict(model, [1.0])
     assert category == MALICIOUS
     assert score == 1.0  # the reached leaf is pure malicious
-    root = model.trees[0]
-    assert root.left.votes == {BENIGN: 1.0, MALICIOUS: 0.0}
-    assert root.right.votes == {BENIGN: 0.0, MALICIOUS: 10.0}
+    # preorder: the root split on feature 0 at 0.5, its left leaf, its right leaf
+    assert model.trees[0] == [(0, 0.5, 2), (1.0, 0.0), (0.0, 10.0)]
 
 
 # --- evaluation and metrics ---
@@ -461,9 +459,69 @@ def test_custom_width_models_use_custom_ledger():
     assert model.feature_ledger == "custom-2"
 
 
-def test_row_digest_distinguishes_rows():
-    assert row_digest([1.0, 2.0]) == row_digest([1, 2])
-    assert row_digest([1.0, 2.0]) != row_digest([2.0, 1.0])
+OLD_MODEL = Path(__file__).parent / "data" / "forest_model_with_training_digests.json"
+
+
+def test_a_model_file_with_training_digests_still_loads(tmp_path):
+    # written when every model still carried training_digests:
+    # train_forest(*two_cluster_data(), ForestConfig(n_trees=3, seed=8))
+    old = json.loads(OLD_MODEL.read_text(encoding="utf-8"))
+    assert old["training_digests"]
+    loaded = load_model(OLD_MODEL)
     rows, labels = two_cluster_data()
-    model = train_forest(rows, labels, ForestConfig(n_trees=1))
-    assert model.training_digests == sorted(set(model.training_digests))
+    retrained = train_forest(rows, labels, ForestConfig(n_trees=3, seed=8))
+    probes = rows + [[float(a), float(b)] for a in range(-1, 14) for b in range(-1, 42, 3)]
+    assert [predict(loaded, r) for r in probes] == [predict(retrained, r) for r in probes]
+    save_model(loaded, tmp_path / "model.json")
+    del old["training_digests"]
+    assert (tmp_path / "model.json").read_text(encoding="utf-8") == (
+        json.dumps(old, sort_keys=True, indent=1) + "\n")
+    assert model_to_doc(retrained) == old
+
+
+_BASE_DOC = model_to_doc(train_forest(*two_cluster_data(), ForestConfig(n_trees=2, seed=4)))
+_NODE_KEYS = st.sampled_from(["f", "t", "l", "r", "votes", "benign", "malicious"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 14) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NODE_KEYS, inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_model_docs(draw):
+    """A model document with a few of its tree nodes or fields changed."""
+    doc = copy.deepcopy(_BASE_DOC)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["set", "node", "drop", "repeat", "swap", "width"]))
+        if op == "width":
+            doc["feature_count"] = draw(st.integers(0, 3))
+            continue
+        tree = draw(st.sampled_from(doc["trees"]))
+        if not tree:
+            continue
+        at = draw(st.integers(0, len(tree) - 1))
+        if op == "set" and isinstance(tree[at], dict):
+            tree[at][draw(_NODE_KEYS)] = draw(_JSON_VALUES)
+        elif op == "node":
+            tree[at] = draw(_JSON_VALUES)
+        elif op == "drop":
+            del tree[at]
+        elif op == "repeat":
+            tree.insert(at, copy.deepcopy(tree[at]))
+        elif op == "swap":
+            other = draw(st.integers(0, len(tree) - 1))
+            tree[at], tree[other] = tree[other], tree[at]
+    return doc
+
+
+@settings(max_examples=300)
+@given(mutated_model_docs(), st.data())
+def test_a_mutated_model_document_is_refused_or_predicts(doc, data):
+    try:
+        model = model_from_doc(doc)
+    except ModelFormatError:
+        return
+    row = data.draw(st.lists(st.floats(), min_size=model.feature_count,
+                             max_size=model.feature_count))
+    category, _ = predict(model, row)  # every walk reaches a leaf
+    assert category in (BENIGN, MALICIOUS)

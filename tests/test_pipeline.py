@@ -51,6 +51,8 @@ from websift.wire import (
 
 import gzip as gzip_mod
 
+from test_wire import answering_origin, proxy_fetch
+
 MARKER = b"PIPE-SIG-MARKER-55aa"
 SIG_TEXT = "Pipe.Sig:" + MARKER.hex()
 
@@ -482,6 +484,23 @@ def test_pipeline_stores_a_chunked_form_post_and_the_origin_reads_it(site, tmp_p
         record = next(iter(store.records()))
         assert store.get_blob(record.extra["wire.request_body_sha1"]).data == form
         assert ("Content-Length", str(len(form))) in record.exchange.request.headers
+
+
+def test_pipeline_relays_and_stores_an_origin_early_answer_to_a_large_post(tmp_path):
+    # RFC 9112 §9.5: the origin answers after the head and hangs up on the rest of the body
+    answer = b"HTTP/1.1 413 Payload Too Large\r\nContent-Length: 4\r\n\r\nbig!"
+    with answering_origin(answer) as (host, port), FlowStore(tmp_path / "store") as store:
+        pipeline = Pipeline(store, LabelSources()).start()
+        try:
+            status, _, body = proxy_fetch(pipeline.proxy_addr, f"http://{host}:{port}/up",
+                                          method="POST", body=b"x" * (4 << 20))
+        finally:
+            pipeline.stop_capture()
+        assert (status, body) == (413, b"big!")
+        [record] = list(store.records())
+        assert record.exchange.response.status == 413
+        assert "wire.fetch_error" not in record.extra
+        assert store.get_blob(record.body_sha1).data == b"big!"
 
 
 def test_run_crawl_records_match_origin_ledger(tmp_path):

@@ -21,7 +21,7 @@ def test_desk_run_prints_its_four_stages(capsys):
     assert [d["stage"] for d in docs] == ["crawl", "dataset", "train", "report"]
     crawl, dataset, train, report = docs
     assert crawl["records"] == 10 and crawl["errors"] == 0
-    assert dataset == {"stage": "dataset", "samples": 10, "malicious": 4}
+    assert dataset == {"stage": "dataset", "samples": 10, "malicious": 4, "undetermined": 0}
     assert train["train_size"] + train["test_size"] == 10
     assert set(train["confusion"]) == {"tp", "fp", "tn", "fn"}
     assert report["unique_malicious"] == 4

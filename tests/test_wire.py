@@ -2035,8 +2035,11 @@ def test_proxy_truncates_and_flags_a_huge_origin_chunk(origin, monkeypatch):
 
 
 @contextlib.contextmanager
-def answering_origin(answer: bytes):
-    """A one-connection origin that reads a request head, sends `answer` and hangs up."""
+def answering_origin(answer: bytes, heads: list | None = None):
+    """A one-connection origin that reads a request head, sends `answer` and hangs up.
+
+    What it read before answering goes on `heads` when that is given.
+    """
     with socket.create_server(("127.0.0.1", 0)) as server:
         def serve():
             try:
@@ -2047,6 +2050,8 @@ def answering_origin(answer: bytes):
                 data = b""
                 while b"\r\n\r\n" not in data and (piece := conn.recv(4096)):
                     data += piece
+                if heads is not None:
+                    heads.append(data)
                 conn.sendall(answer)
 
         server.settimeout(10)
@@ -2102,6 +2107,39 @@ def test_proxy_takes_repeated_origin_lengths_that_agree():
                           b"\r\nhello") as (host, port), running_proxy() as px:
         status, headers, body = proxy_fetch(px.address, f"http://{host}:{port}/")
     assert (status, headers["content-length"], body) == (200, "5", b"hello")
+
+
+def test_proxy_drops_the_headers_the_client_connection_header_names():
+    # RFC 9110 §7.6.1: a field that Connection names is for the client's hop only
+    heads, emitted = [], []
+    sent = [("Connection", "X-Trace, Keep-Alive"), ("X-Trace", "1"), ("X-Kept", "2")]
+    with answering_origin(FINAL_OK, heads) as (host, port), \
+            running_gateway(emit=emitted.append) as gw, \
+            running_proxy(gateway_addr=gw.address) as px:
+        status, _, body = proxy_fetch(px.address, f"http://{host}:{port}/", headers=sent)
+    assert (status, body) == (200, b"ok")
+    head = heads[0].lower()
+    assert b"x-trace" not in head and b"keep-alive" not in head
+    assert b"\r\nx-kept: 2\r\n" in head
+    stored = emitted[0].exchange.request.headers
+    assert all(h in stored for h in sent)
+
+
+@pytest.mark.parametrize("framing, body", [
+    ("Content-Length: 11\r\n", "hello world"),
+    ("Transfer-Encoding: chunked\r\n", "5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n"),
+], ids=["content-length", "chunked"])
+def test_a_connection_header_cannot_drop_the_body_length_sent_to_the_origin(
+        origin, framing, body):
+    with running_proxy() as px, \
+            socket.create_connection(px.address, timeout=10) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(f"POST {origin_url(origin, '/echobody')} HTTP/1.1\r\n"
+                     f"Connection: Content-Length, close\r\n{framing}\r\n{body}".encode())
+        response, echoed = read_reply(rfile)
+    assert (response.status, echoed) == (200, b"hello world")
+    _, _, received, sent_on = origin.seen[0]
+    assert (received.get("content-length"), sent_on) == ("11", b"hello world")
 
 
 def test_interim_heads_count_against_the_head_cap(monkeypatch):
