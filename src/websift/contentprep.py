@@ -1,9 +1,8 @@
-"""Body normalization: undo transfer framing and (chained) content codings.
+"""Body normalization: undo (chained) content codings.
 
-Stored bodies arrive as on-wire bytes; before scanning or feature
-extraction the chunked transfer framing is removed first, by the same
-strict de-chunker the wire uses (its one framing error, IcapParseError,
-becomes a BodyDecodeError for "chunked"), then every content coding is
+Stored bodies arrive as entity bytes: the wire de-chunks every body and
+refuses any other transfer coding, so no transfer coding is left to undo
+here.  Before scanning or feature extraction every content coding is
 undone in reverse header order.  Guards against decompression bombs
 (OUTPUT_CAP, BOMB_RATIO) cap the output instead of failing: oversized
 results come back truncated and flagged, since a truncated body is still
@@ -12,11 +11,10 @@ worth scanning while an exception would lose the record.
 
 from __future__ import annotations
 
-import io
 import zlib
 from dataclasses import dataclass, field
 
-from .wire import IcapParseError, _coding_list, _read_chunked
+from .wire import _coding_list
 
 # Absolute output cap and bomb ratio; a stream is cut off at
 # min(OUTPUT_CAP, BOMB_RATIO * len(compressed input)).
@@ -69,31 +67,16 @@ def _inflate(data: bytes, coding: str, limit: int) -> tuple[bytes, bool]:
 
 
 def decode_body(raw: bytes, headers) -> DecodedBody:
-    """Normalize an on-wire body according to its headers.
+    """Undo an entity body's content codings according to its headers.
 
-    Chunked transfer framing is removed first, then content codings are
-    undone outermost first (reverse of header order).  Unknown codings
-    stop the chain; whatever was not undone is reported in
+    Content codings are undone outermost first (reverse of header order).
+    Unknown codings stop the chain; whatever was not undone is reported in
     pending_codings.  Exceeding min(OUTPUT_CAP, BOMB_RATIO * input size)
     truncates and flags the result rather than raising.
     """
-    transfer = _coding_list(headers, "Transfer-Encoding")
-    content = _coding_list(headers, "Content-Encoding")
-
+    chain = _coding_list(headers, "Content-Encoding")[::-1]
     data = raw
     applied: list[str] = []
-    if transfer and transfer[-1] == "chunked":
-        try:
-            # de-chunked data is shorter than its framing, so this cap never binds
-            data = _read_chunked(io.BytesIO(data), len(data), 0)[0]
-        except IcapParseError as exc:
-            raise BodyDecodeError("chunked", str(exc)) from None
-        applied.append("chunked")
-        transfer = transfer[:-1]
-
-    # outermost-first decode order: remaining transfer codings (reversed),
-    # then content codings (reversed)
-    chain = list(reversed(transfer)) + list(reversed(content))
     truncated = False
     pending: list[str] = []
     for idx, coding in enumerate(chain):

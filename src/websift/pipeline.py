@@ -1,11 +1,12 @@
 """Capture pipeline: gateway emissions to stored, labeled, featured records.
 
-A single worker thread owns all store writes (the committing owner);
-the gateway and proxy push EmittedExchange objects onto a queue from
-their connection threads.  Each emission becomes exactly one FlowRecord
-with blobs, decoded content, features, fast labels, an optional scan
-ticket and augmentation.  Label worker cycles run between capture
-phases so ticket mutations stay on the same writer.
+A single worker thread owns all store writes (the committing owner).
+The gateway and the fail-open proxy hand each emission to one callback,
+`Pipeline.emit`, which decides its fast verdict and queues it.  Each
+emission becomes exactly one FlowRecord with blobs, decoded content,
+features, fast labels, an optional scan ticket and augmentation.  Label
+worker cycles run between capture phases so ticket mutations stay on
+the same writer.
 """
 
 from __future__ import annotations
@@ -72,15 +73,6 @@ def _decoded_view(body: bytes, headers) -> tuple[bytes, dict[str, str]]:
     return decoded.data, prep
 
 
-def make_verdict_fn(sources: LabelSources):
-    """Synchronous fast verdict for the gateway: blacklist + signatures."""
-    def verdict_fn(exchange) -> FastVerdict:
-        decoded, _ = _decoded_view(exchange.body, exchange.response.headers)
-        return fast_verdict(exchange.request.url, decoded, sources.blacklist,
-                            sources.signatures)
-    return verdict_fn
-
-
 def store_body(store: FlowStore, body: bytes, headers,
                extra: dict) -> tuple[bytes, str | None, str | None]:
     """Store a body and its decoded form, and add the prep.* extras to `extra`.
@@ -99,7 +91,7 @@ def store_body(store: FlowStore, body: bytes, headers,
 
 def commit_emitted(store: FlowStore, emitted: EmittedExchange,
                    sources: LabelSources) -> FlowRecord:
-    """Turn one gateway emission into one stored FlowRecord."""
+    """Turn one emission into one stored FlowRecord, labeled by its verdict, if any."""
     exchange = emitted.exchange
     extra = dict(emitted.markers)
     decoded, body_sha1, decoded_sha1 = store_body(
@@ -108,12 +100,9 @@ def commit_emitted(store: FlowStore, emitted: EmittedExchange,
     if emitted.request_body:
         extra["wire.request_body_sha1"] = store.put_blob(emitted.request_body)
 
-    verdict = emitted.verdict
-    if verdict is None:
-        verdict = fast_verdict(exchange.request.url, decoded, sources.blacklist,
-                               sources.signatures)
     labels = LabelSet()
-    labels.apply_verdict(verdict)
+    if emitted.verdict is not None:
+        labels.apply_verdict(emitted.verdict)
 
     ctype = exchange.response.header("Content-Type") or ""
     features = extract_features(decoded, ctype)
@@ -164,18 +153,24 @@ class Pipeline:
         self._queue: queue.Queue = queue.Queue()
         self.errors: list[str] = []
         self.committed = 0
-        self.gateway = IcapGateway(
-            host=host, port=gateway_port, mode=mode,
-            verdict_fn=make_verdict_fn(self.sources),
-            emit=self._queue.put)
+        self.gateway = IcapGateway(host=host, port=gateway_port, mode=mode, emit=self.emit)
         self.proxy = ProxyServer(
             host=host, port=proxy_port, gateway_addr=self.gateway.address,
-            fail_policy=fail_policy, emit_fallback=self._queue.put)
+            fail_policy=fail_policy, emit_fallback=self.emit)
         self._worker: threading.Thread | None = None
 
     @property
     def proxy_addr(self) -> tuple[str, int]:
         return self.proxy.address
+
+    def emit(self, emitted: EmittedExchange) -> FastVerdict:
+        """Gateway emit and proxy emit_fallback: set the fast verdict, queue, return it."""
+        exchange = emitted.exchange
+        decoded, _ = _decoded_view(exchange.body, exchange.response.headers)
+        emitted.verdict = fast_verdict(exchange.request.url, decoded,
+                                       self.sources.blacklist, self.sources.signatures)
+        self._queue.put(emitted)
+        return emitted.verdict
 
     def start(self) -> "Pipeline":
         self.gateway.start()
@@ -200,6 +195,8 @@ class Pipeline:
         """Stop accepting traffic, then drain what already arrived."""
         self.proxy.stop()
         self.gateway.stop()
+        # stopped servers emit no more, and their callbacks would hold this pipeline in a cycle
+        self.gateway.emit = self.proxy.emit_fallback = None
         self._queue.join()
         self.store.flush()
         if self._worker is not None:

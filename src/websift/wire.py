@@ -4,7 +4,7 @@ The proxy accepts absolute-URI requests, submits the request to the
 gateway via REQMOD, fetches the origin response, submits the pair via
 RESPMOD, and relays the (possibly rewritten) response to the client.
 The gateway builds one HttpExchange per RESPMOD and hands it to an
-emission callback; in enforce mode a synchronous verdict can replace the
+emission callback; in enforce mode the verdict it returns can replace the
 response body with a warning page.  Everything runs on plain TCP sockets
 so the two halves can also interoperate with foreign ICAP peers.
 
@@ -48,6 +48,11 @@ a 502 flagged `wire.fetch_error`, a client that misses it has its
 connection closed.  An HTTP response to HEAD, and any 204 or 304, ends
 at its head (RFC 9112 §6.3), whatever its framing headers say.  Interim
 1xx heads before a final response are skipped, and a 101 is refused.
+Transfer codings are this module's alone, so a stored body carries none:
+the proxy drops the client's TE, so an origin's Transfer-Encoding other
+than `chunked` alone gets a 502 (RFC 9112 §7.4), as one in a RESPMOD's
+res-hdr gets a 500.  Hop-by-hop headers, and those a Connection header
+names (RFC 9110 §7.6.1), are not sent on either way but are stored.
 
 Framing is done once for both protocols, and every peer is treated as
 hostile.  One writer builds every ICAP and HTTP head, one
@@ -61,7 +66,7 @@ de-chunked as it is read.  Reading stops at the end of the message, so
 bytes that follow it are read as the next message.  A framing fault a
 reader finds, ICAP or HTTP, raises the one IcapParseError, which carries
 its byte position.  One de-chunker (`_read_chunked`) undoes every
-chunked body, ICAP, HTTP or stored, and takes chunk sizes from the
+chunked body, ICAP or HTTP, and takes chunk sizes from the
 strict `_chunk_size` (RFC 9112 `1*HEXDIG`).  Lengths are ASCII digits
 only, and repeated Content-Length lines must agree.  Off a socket no
 line may exceed MAX_LINE bytes, no head MAX_HEAD_SIZE, and body data is
@@ -220,7 +225,7 @@ class EmittedExchange:
 
     exchange: HttpExchange
     markers: dict[str, str] = field(default_factory=dict)
-    verdict: object | None = None  # FastVerdict when a verdict_fn ran
+    verdict: object | None = None  # FastVerdict, once the emit callback decided it
     request_body: bytes | None = None
 
 
@@ -309,6 +314,11 @@ def _connection_options(headers) -> set[str]:
             for t in v.split(",")}
 
 
+def _hop_by_hop(headers) -> set[str]:
+    """The fixed set and whatever Connection names, never the framing Content-Length."""
+    return _HOP_BY_HOP | (_connection_options(headers) - {"content-length"})
+
+
 def _says_close(headers) -> bool:
     """Whether a Connection header carries the `close` token (RFC 9112 §9.6)."""
     return "close" in _connection_options(headers)
@@ -345,6 +355,16 @@ def _coding_list(headers, name: str) -> list[str]:
     tokens = [part.split(";", 1)[0].strip().lower()
               for key, value in headers if key.lower() == low for part in value.split(",")]
     return [tok for tok in tokens if tok]
+
+
+def _is_chunked(headers) -> bool:
+    """Whether a response body is chunked; ValueError for any other transfer coding."""
+    codings = _coding_list(headers, "Transfer-Encoding")
+    if codings == ["chunked"]:
+        return True
+    if _header(headers, "Transfer-Encoding") is None:
+        return False
+    raise ValueError(f"transfer codings {codings} not offered; only chunked is read")
 
 
 def _with_length(headers, length: int) -> list[tuple[str, str]]:
@@ -549,6 +569,9 @@ def exchange_from_respmod(msg: IcapMessage) -> tuple[HttpExchange, str, dict[str
     request, _ = _parse_http_request_head(msg.sections["req-hdr"])
     response = _parse_http_response_head(msg.sections["res-hdr"])
     body = msg.sections.get("res-body", b"")
+    # ICAP framing de-chunked the body; any other transfer coding is a ValueError
+    if "res-body" in msg.sections and _is_chunked(response.headers):
+        response.headers = _with_length(response.headers, len(body))
     agent = msg.header("X-Exchange-Agent") or ""
     seeder = msg.header("X-Exchange-Seeder") or "benign"
     markers: dict[str, str] = {}
@@ -579,14 +602,15 @@ def _rewrite_blocked(response: HttpResponse) -> HttpResponse:
                         kept + [("X-Websift-Blocked", "malware")])
 
 
-def serve_icap(msg: IcapMessage, mode: str = "collect", verdict_fn=None,
-               emit=None, istag: str = '"websift-default"',
+def serve_icap(msg: IcapMessage, mode: str = "collect", emit=None,
+               istag: str = '"websift-default"',
                reqmod_bodies: dict[str, bytes] | None = None) -> IcapResponse:
     """Dispatch one parsed ICAP message; returns the response to send.
 
-    mode: "collect" never modifies; "enforce" replaces the body of
-    responses whose synchronous verdict is malware.  `emit` receives an
-    EmittedExchange for every RESPMOD, including enforce rewrites.
+    `emit` receives an EmittedExchange for every RESPMOD and returns its
+    verdict or None; one that raises gets a 500.  mode: "collect" never
+    modifies; "enforce" replaces the body of responses whose verdict is
+    malware.
     """
     if mode not in ("collect", "enforce"):
         raise ValueError(f"unknown gateway mode {mode!r}")
@@ -617,18 +641,13 @@ def serve_icap(msg: IcapMessage, mode: str = "collect", verdict_fn=None,
         request_body = None
         if reqmod_bodies is not None and exchange_id:
             request_body = reqmod_bodies.pop(exchange_id, None)
-        verdict = None
         emitted = EmittedExchange(exchange, markers, None, request_body)
         try:
-            if verdict_fn is not None:
-                verdict = verdict_fn(exchange)
-                emitted.verdict = verdict
-            if emit is not None:
-                emit(emitted)
+            verdict = emit(emitted) if emit is not None else None
         except Exception as exc:  # pipeline refusal: report, never crash the wire
             markers["wire.gateway_error"] = type(exc).__name__
             return IcapResponse(500, "Pipeline refused exchange", base_headers)
-        if mode == "enforce" and verdict is not None and getattr(verdict, "is_malware", False):
+        if mode == "enforce" and getattr(verdict, "is_malware", False):
             return IcapResponse(200, "OK", base_headers, {
                 "res-hdr": _serialize_response_head(_rewrite_blocked(exchange.response)),
                 "res-body": WARNING_PAGE,
@@ -922,20 +941,19 @@ class IcapGateway:
     """TCP ICAP server wrapping serve_icap."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 mode: str = "collect", verdict_fn=None, emit=None):
+                 mode: str = "collect", emit=None):
         if mode not in ("collect", "enforce"):
             raise ValueError(f"unknown gateway mode {mode!r}")
         self.mode = mode
-        self.verdict_fn = verdict_fn
         self.istag = f'"WS-{uuid.uuid4().hex[:12]}"'
         self.reqmod_bodies = _ReqmodBodies()
         self.refused: list[EmittedExchange] = []
         if emit is None:
             self.emit = None
         else:
-            def _emit(emitted: EmittedExchange) -> None:
+            def _emit(emitted: EmittedExchange):
                 try:
-                    emit(emitted)
+                    return emit(emitted)
                 except Exception:
                     # keep the exchange reachable even when the pipeline balks
                     emitted.markers["wire.emit_refused"] = "true"
@@ -953,8 +971,8 @@ class IcapGateway:
         if not rfile.peek(1):
             return False  # the peer closed the connection
         try:
-            response = serve_icap(parse_icap(rfile), self.mode, self.verdict_fn, self.emit,
-                                  self.istag, self.reqmod_bodies)
+            response = serve_icap(parse_icap(rfile), self.mode, self.emit, self.istag,
+                                  self.reqmod_bodies)
         except IcapParseError:
             # the framing of whatever follows can no longer be trusted
             wfile.write(IcapResponse(400, "Bad request", [
@@ -1101,8 +1119,9 @@ def _read_response(rfile, cap: int, head_only: bool = False) -> tuple[HttpRespon
     connection, and at most `cap` bytes of it are read; what lies beyond
     is left unread, so the connection cannot be reused.  A chunked entity
     comes back with its framing headers replaced by its Content-Length.
-    Raises ValueError (IcapParseError is one) on bad framing, a 101 and
-    differing Content-Length lines.
+    Raises ValueError (IcapParseError is one) on bad framing, a 101,
+    differing Content-Length lines and a transfer coding other than
+    `chunked` alone.
     """
     skipped = 0  # bytes of interim heads before this one
     while True:
@@ -1119,7 +1138,7 @@ def _read_response(rfile, cap: int, head_only: bool = False) -> tuple[HttpRespon
             raise IcapParseError(f"interim heads longer than {MAX_HEAD_SIZE} bytes", skipped)
     if head_only or response.status in (204, 304):
         entity, truncated = b"", False
-    elif "chunked" in _coding_list(response.headers, "Transfer-Encoding"):
+    elif _is_chunked(response.headers):
         entity, truncated = _read_chunked(rfile, cap, skipped + len(head))
         response.headers = _with_length(response.headers, len(entity))
     elif (length := _content_length(response.headers)) is not None:
@@ -1142,9 +1161,7 @@ def _fetch_upstream(request: HttpRequest, body: bytes, timeout: float,
     if parts.query:
         path += "?" + parts.query
 
-    # hop-by-hop: the fixed set and whatever the client's Connection header names,
-    # but never the Content-Length that frames the body sent on
-    hop_by_hop = _HOP_BY_HOP | (_connection_options(request.headers) - {"content-length"})
+    hop_by_hop = _hop_by_hop(request.headers)
     out_headers: list[tuple[str, str]] = []
     saw_host = False
     for k, v in request.headers:
@@ -1175,19 +1192,20 @@ def _client_response_bytes(response: HttpResponse, body: bytes, close: bool = Tr
                            head_only: bool = False) -> bytes:
     """The bytes the proxy sends its client: the head with its framing redone, then body.
 
-    Content-Length gives the length of `body`.  A response to HEAD
-    (`head_only`) and a 304 send no body and keep the first Content-Length
-    they carry, the length a GET would get; a 204 sends neither (RFC 9110
-    §8.6).
+    Hop-by-hop headers are dropped, and Content-Length gives the length of
+    `body`.  A response to HEAD (`head_only`) and a 304 send no body and
+    keep the first Content-Length they carry, the length a GET would get;
+    a 204 sends neither (RFC 9110 §8.6).
     """
     status = response.status
     keep_length = head_only or status == 304
     if keep_length or status == 204:
         body = b""
+    hop_by_hop = _hop_by_hop(response.headers)
     headers = []
     wrote_cl = False
     for k, v in response.headers:
-        if k.lower() in ("transfer-encoding", "connection"):
+        if k.lower() in hop_by_hop:
             continue
         if k.lower() == "content-length":
             if wrote_cl or status == 204:
@@ -1209,7 +1227,7 @@ class ProxyServer:
     Submits every exchange to the ICAP gateway over reused connections;
     `fail_policy` decides what happens when the gateway is unreachable:
     "closed" rejects with 502, "open" forwards uninspected and, when an
-    emit_fallback is configured, still records the exchange flagged as
+    emit_fallback is configured, still hands it the exchange flagged as
     uninspected.  PROXY_TIMEOUT bounds every socket wait: the client's
     request (and the wait for its next one on a persistent connection),
     the origin fetch and each ICAP exchange.  Each of these messages must

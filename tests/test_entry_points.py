@@ -228,3 +228,24 @@ def test_connection_census_reads_calls_by_their_class():
                      "class C:\n    def f(self):\n        return socket.create_connection(b)\n"
                      "create_connection(c)\n")
     assert list(create_connection_calls(tree)) == [None, "C"]
+
+
+def string_constants(tree: ast.Module, value: str):
+    """The line of each string constant that equals `value`, in any case."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and node.value.lower() == value.lower()]
+
+
+def test_only_wire_reads_transfer_codings():
+    # wire de-chunks every body and refuses any other transfer coding, so a stored
+    # body carries none and no other module has a Transfer-Encoding to read
+    found = sorted(f"{path.relative_to(ROOT)}:{line}"
+                   for path in sorted(PACKAGE.rglob("*.py")) if path != PACKAGE / "wire.py"
+                   for line in string_constants(ast.parse(path.read_text("utf-8")),
+                                                "Transfer-Encoding"))
+    assert found == []
+
+
+def test_string_census_reads_constants_in_any_case():
+    tree = ast.parse('"""Transfer-Encoding"""\nh("transfer-encoding")\nf"Transfer-Encoding: {v}"\n')
+    assert string_constants(tree, "Transfer-Encoding") == [1, 2]

@@ -1,9 +1,11 @@
 """Emission-to-record committing, label cycles, and full capture runs."""
 
 import datetime as dt
+import gc
 import hashlib
 import socket
 import threading
+import weakref
 
 import pytest
 
@@ -28,7 +30,6 @@ from websift.pipeline import (
     LabelSources,
     Pipeline,
     commit_emitted,
-    make_verdict_fn,
     partition_seeds,
     run_crawl,
     run_label_cycles,
@@ -80,6 +81,17 @@ def sig_sources(**kw):
     return LabelSources(signatures=SignatureSet.from_text(SIG_TEXT), **kw)
 
 
+def judged(store, sources, emitted):
+    """`emitted` with the fast verdict that the pipeline's emit callback sets in capture."""
+    pipeline = Pipeline(store, sources)
+    try:
+        pipeline.emit(emitted)
+    finally:  # the pipeline never started, so its queue is left undrained
+        pipeline.proxy.stop()
+        pipeline.gateway.stop()
+    return emitted
+
+
 # --- commit_emitted ---
 
 def test_commit_plain_body(store):
@@ -101,7 +113,7 @@ def test_commit_decodes_before_featuring(store):
     emitted = make_emitted(
         body=gzip_mod.compress(page, mtime=0),
         resp_headers=[("Content-Type", "text/html"), ("Content-Encoding", "gzip")])
-    record = commit_emitted(store, emitted, sig_sources())
+    record = commit_emitted(store, judged(store, sig_sources(), emitted), sig_sources())
     assert record.extra["prep.codings"] == "gzip"
     assert record.decoded_sha1 == hashlib.sha1(page).hexdigest()
     assert record.decoded_sha1 != record.body_sha1
@@ -131,8 +143,8 @@ _ZIPPED = gzip_mod.compress(b"<html><script>eval(x)</script></html>", mtime=0)
 @pytest.mark.parametrize("body,headers,prep", [
     (b"<html><p>plain</p></html>", _HTML, {}),
     (_ZIPPED, _GZIP, {"prep.codings": "gzip"}),
-    (b"%x\r\n%s\r\n0\r\n\r\n" % (len(_ZIPPED), _ZIPPED),
-     _GZIP + [("Transfer-Encoding", "chunked")], {"prep.codings": "chunked,gzip"}),
+    # a record whose head still names the chunked coding the wire undid
+    (_ZIPPED, _GZIP + [("Transfer-Encoding", "chunked")], {"prep.codings": "gzip"}),
     (b"\x1f\x8bgarbage-not-gzip", _GZIP, {"prep.decode_error": "gzip"}),
     (gzip_mod.compress(b"A" * (1 << 20), mtime=0), _GZIP,
      {"prep.codings": "gzip", "prep.truncated": "true"}),
@@ -149,7 +161,8 @@ def test_capture_and_offline_commands_store_the_same_record(tmp_path, body, head
     sigs.write_text(SIG_TEXT + "\n", encoding="utf-8")
     emitted = make_emitted(body=body, resp_headers=headers)
     with FlowStore(tmp_path / "captured") as store:
-        captured = commit_emitted(store, emitted, sig_sources()).to_doc()
+        captured = commit_emitted(store, judged(store, sig_sources(), emitted),
+                                  sig_sources()).to_doc()
     with FlowStore(tmp_path / "offline") as store:
         store.put_record(FlowRecord(exchange=emitted.exchange,
                                     body_sha1=store.put_blob(body) if body else None))
@@ -205,7 +218,7 @@ def test_commit_reuses_gateway_verdict(store):
 def test_commit_scans_content_when_url_uncanonicalizable(store):
     emitted = make_emitted(url="http://site.test:70000/",
                            body=b"<html>" + MARKER + b"</html>")
-    record = commit_emitted(store, emitted, sig_sources())
+    record = commit_emitted(store, judged(store, sig_sources(), emitted), sig_sources())
     assert record.labels.blacklist is ThreatType.NONE
     assert record.labels.signature_hits == ["Pipe.Sig"]
 
@@ -223,32 +236,32 @@ def test_commit_attaches_augmentation(store):
     assert record.augment.registration_days == 60
 
 
-# --- gateway verdict function ---
+# --- the fast verdict of the pipeline's emit callback ---
 
-def test_verdict_fn_decodes_then_scans():
+def test_verdict_fn_decodes_then_scans(store):
     page = b"<html>" + MARKER + b"</html>"
     emitted = make_emitted(
         body=gzip_mod.compress(page, mtime=0),
         resp_headers=[("Content-Type", "text/html"), ("Content-Encoding", "gzip")])
-    verdict = make_verdict_fn(sig_sources())(emitted.exchange)
+    verdict = judged(store, sig_sources(), emitted).verdict
     assert verdict.signature_hits == ["Pipe.Sig"]
     assert verdict.is_malware
 
 
-def test_verdict_fn_consults_blacklist():
+def test_verdict_fn_consults_blacklist(store):
     db = UrlBlacklist()
     db.add_hash(ThreatType.MALWARE, hash_expressions("http://bad.test/mal")[0])
-    verdict_fn = make_verdict_fn(LabelSources(blacklist=db))
-    assert verdict_fn(make_emitted(url="http://bad.test/mal").exchange).blacklist \
+    sources = LabelSources(blacklist=db)
+    assert judged(store, sources, make_emitted(url="http://bad.test/mal")).verdict.blacklist \
         is ThreatType.MALWARE
-    assert verdict_fn(make_emitted(url="http://ok.test/").exchange).blacklist \
+    assert judged(store, sources, make_emitted(url="http://ok.test/")).verdict.blacklist \
         is ThreatType.NONE
 
 
-def test_verdict_fn_survives_bad_urls():
+def test_verdict_fn_survives_bad_urls(store):
     emitted = make_emitted(url="http://site.test:70000/",
                            body=b"<p>" + MARKER + b"</p>")
-    verdict = make_verdict_fn(sig_sources())(emitted.exchange)
+    verdict = judged(store, sig_sources(), emitted).verdict
     assert verdict.blacklist is ThreatType.NONE
     assert verdict.signature_hits == ["Pipe.Sig"]
 
@@ -503,6 +516,91 @@ def test_pipeline_relays_and_stores_an_origin_early_answer_to_a_large_post(tmp_p
         assert store.get_blob(record.body_sha1).data == b"big!"
 
 
+def capture_answer(tmp_path, answer):
+    """(status, headers, body, record) of one pipeline fetch from an origin that sends `answer`."""
+    with answering_origin(answer) as (host, port), FlowStore(tmp_path / "store") as store:
+        pipeline = Pipeline(store, LabelSources()).start()
+        try:
+            got = proxy_fetch(pipeline.proxy_addr, f"http://{host}:{port}/t")
+        finally:
+            pipeline.stop_capture()
+        [record] = list(store.records())
+    assert pipeline.errors == []
+    return (*got, record)
+
+
+@pytest.mark.parametrize("codings,body", [
+    ("gzip", _ZIPPED),  # delimited by the close
+    ("gzip, chunked", b"%x\r\n%s\r\n0\r\n\r\n" % (len(_ZIPPED), _ZIPPED)),
+    ("chunked, gzip", gzip_mod.compress(b"5\r\nhello\r\n0\r\n\r\n", mtime=0)),
+], ids=["gzip", "gzip-chunked", "chunked-gzip"])
+def test_pipeline_answers_an_origin_transfer_coding_it_never_offered_with_502(
+        tmp_path, codings, body):
+    # the proxy drops the client's TE, so chunked alone is offered (RFC 9112 §7.4)
+    answer = (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+              b"Transfer-Encoding: %s\r\n\r\n%s" % (codings.encode(), body))
+    status, _, text, record = capture_answer(tmp_path, answer)
+    named = str(codings.split(", "))
+    assert status == 502 and named.encode() in text
+    assert record.exchange.response.status == 502
+    assert named in record.extra["wire.fetch_error"]
+
+
+def test_pipeline_drops_the_headers_an_origin_connection_names_but_stores_them(tmp_path):
+    # RFC 9110 §7.6.1: named, or hop-by-hop by name; a named Content-Length still frames
+    answer = (b"HTTP/1.1 200 OK\r\nConnection: X-Hop, Content-Length\r\nX-Hop: secret\r\n"
+              b"Keep-Alive: timeout=5\r\nContent-Length: 2\r\n\r\nok")
+    status, headers, body, record = capture_answer(tmp_path, answer)
+    assert (status, body) == (200, b"ok")
+    assert headers["content-length"] == "2"
+    assert "x-hop" not in headers and "keep-alive" not in headers
+    assert record.exchange.response.header("X-Hop") == "secret"
+    assert record.exchange.response.header("Keep-Alive") == "timeout=5"
+
+
+def test_pipeline_stores_a_foreign_respmod_by_its_content_coding_alone(tmp_path):
+    # ICAP framing de-chunked the body, though the res-hdr still names chunked
+    page = b"<html><body>foreign</body></html>"
+    def respmod(coding, exchange_id):
+        exchange = make_emitted(url="http://foreign.test/p", body=gzip_mod.compress(page, mtime=0),
+                                resp_headers=_GZIP + [("Transfer-Encoding", coding)]).exchange
+        return wire.encapsulate(exchange, exchange_id=exchange_id)
+
+    with FlowStore(tmp_path / "store") as store:
+        pipeline = Pipeline(store, LabelSources()).start()
+        try:
+            chunked = wire.icap_transact(pipeline.gateway.address, respmod("chunked", "f1"))
+            gzipped = wire.icap_transact(pipeline.gateway.address, respmod("gzip", "f2"))
+        finally:
+            pipeline.stop_capture()
+        [record] = list(store.records())
+    assert (chunked.status, gzipped.status) == (204, 500)
+    response = record.exchange.response
+    assert response.header("Transfer-Encoding") is None
+    assert response.header("Content-Length") == str(len(gzip_mod.compress(page, mtime=0)))
+    assert record.extra["prep.codings"] == "gzip"
+    assert record.features.as_dict()["ishtml"] == 1
+
+
+def test_pipeline_fail_open_labels_an_uninspected_page_as_the_gateway_does(site, tmp_path):
+    with FlowStore(tmp_path / "store") as store:
+        pipeline = Pipeline(store, pipeline_sources(SITE), fail_policy="open").start()
+        try:
+            assert fetch_via(pipeline, site.base_url + "/mal")[0] == 200
+            pipeline.gateway.stop()
+            assert fetch_via(pipeline, site.base_url + "/mal")[0] == 200
+        finally:
+            pipeline.stop_capture()
+        inspected, uninspected = sorted(store.records(),
+                                        key=lambda r: "wire.uninspected" in r.extra)
+    assert pipeline.errors == []
+    assert "wire.uninspected" not in inspected.extra
+    assert uninspected.extra["wire.uninspected"] == "true"
+    assert uninspected.labels.signature_hits == [SIGNATURE_NAME]
+    assert uninspected.labels.scan_ticket.status is TicketStatus.UNSCANNED
+    assert uninspected.labels.to_doc() == inspected.labels.to_doc()
+
+
 def test_run_crawl_records_match_origin_ledger(tmp_path):
     doc = generate_site(3, 1, seed=13)
     site = SynthWebServer(doc).start()
@@ -524,6 +622,20 @@ def test_run_crawl_records_match_origin_ledger(tmp_path):
             assert doc_round["tickets"] == summary.tickets
     finally:
         site.stop()
+
+
+def test_a_stopped_pipeline_is_freed_without_the_cycle_collector(store):
+    # its servers hold its emit method until stop_capture: a cycle that would keep
+    # every capture's pipeline alive until the collector ran
+    gc.disable()
+    try:
+        pipeline = Pipeline(store).start()
+        pipeline.stop_capture()
+        freed = weakref.ref(pipeline)
+        del pipeline
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def _record_threads(monkeypatch, pipeline) -> tuple[set, set]:

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from websift import wire
-from websift.contentprep import decode_body
 from websift.synthweb import SynthWebServer
 from websift.wire import (
     HttpExchange,
@@ -267,15 +266,14 @@ REQ_HDR = head_block([b"GET http://a.test/ HTTP/1.1"])
 CHUNKED_RESPONSE_HEAD = head_block([b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked"])
 
 
-def _dechunk_three_ways(framed: bytes):
-    """`framed` de-chunked by each caller of the one de-chunker: a stored
-    body's decoding, an ICAP message read off a stream and an origin
-    response.  The data or, for any framing error, ValueError.  Each leaves
-    what follows the final chunk unread."""
+def _dechunk_both_ways(framed: bytes):
+    """`framed` de-chunked by each caller of the one de-chunker: an ICAP
+    message read off a stream and an origin response.  The data or, for
+    any framing error, ValueError.  Each leaves what follows the final
+    chunk unread."""
     assert len(REQ_HDR) == 31
     results = []
     readers = [
-        lambda: decode_body(framed, [("Transfer-Encoding", "chunked")]).data,
         lambda: parse_icap(io.BytesIO(REQMOD_HEAD + REQ_HDR + framed)).sections["req-body"],
         lambda: wire._read_response(io.BytesIO(CHUNKED_RESPONSE_HEAD + framed), 1 << 20)[1],
     ]
@@ -298,11 +296,11 @@ def test_chunk_size_accepts_exactly_hex_tokens(token):
         assert not is_hex
     else:
         assert is_hex and size == int(token, 16)
-    # the buffered and both streaming readers agree on the same framing
+    # both streaming readers agree on the same framing
     data = b"d" * (int(token, 16) if is_hex else 1)
     framed = token + CRLF + data + CRLF + b"0" + CRLF + CRLF
     expected = data if is_hex else ValueError
-    assert _dechunk_three_ways(framed) == [expected] * 3
+    assert _dechunk_both_ways(framed) == [expected] * 2
 
 
 # a message whose end is the end of its head, its null-body offset or its final chunk
@@ -596,18 +594,16 @@ def test_serve_respmod_attaches_stashed_request_body():
 def test_serve_respmod_collect_never_rewrites():
     emitted = []
     msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e5")))
-    resp = serve_icap(msg, "collect", verdict_fn=lambda ex: _Verdict(True),
-                      emit=emitted.append)
+    resp = serve_icap(msg, "collect", emit=lambda e: emitted.append(e) or _Verdict(True))
     assert resp.status == 204
-    assert emitted[0].verdict.is_malware
+    assert len(emitted) == 1
 
 
 def test_serve_respmod_enforce_rewrites_malicious():
     emitted = []
     exchange = make_exchange(body=b"<script>evil()</script>")
     msg = parse_icap(io.BytesIO(encapsulate(exchange, exchange_id="e6")))
-    resp = serve_icap(msg, "enforce", verdict_fn=lambda ex: _Verdict(True),
-                      emit=emitted.append)
+    resp = serve_icap(msg, "enforce", emit=lambda e: emitted.append(e) or _Verdict(True))
     assert resp.status == 200
     assert resp.sections["res-body"] == WARNING_PAGE
     res_hdr = resp.sections["res-hdr"]
@@ -620,26 +616,18 @@ def test_serve_respmod_enforce_rewrites_malicious():
 
 def test_serve_respmod_enforce_passes_benign():
     msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e7")))
-    resp = serve_icap(msg, "enforce", verdict_fn=lambda ex: _Verdict(False))
+    resp = serve_icap(msg, "enforce", emit=lambda e: _Verdict(False))
     assert resp.status == 204
 
 
 def test_serve_respmod_pipeline_refusal_returns_500():
-    def bad_emit(emitted):
-        raise RuntimeError("store offline")
-
-    msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e8")))
-    resp = serve_icap(msg, "collect", emit=bad_emit)
-    assert resp.status == 500
-    assert "refused" in resp.reason.lower()
-
-
-def test_serve_respmod_verdict_failure_returns_500():
-    def bad_verdict(exchange):
+    def bad_emit(emitted):  # a store gone offline, or a verdict that cannot be decided
         raise KeyError("blacklist unavailable")
 
-    msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e9")))
-    assert serve_icap(msg, "collect", verdict_fn=bad_verdict).status == 500
+    msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e8")))
+    resp = serve_icap(msg, "enforce", emit=bad_emit)
+    assert resp.status == 500
+    assert "refused" in resp.reason.lower()
 
 
 def test_serve_respmod_bad_http_sections_returns_500():
@@ -709,7 +697,7 @@ def test_gateway_keeps_refused_exchanges_reachable():
 
 
 def test_gateway_enforce_over_socket():
-    with running_gateway(mode="enforce", verdict_fn=lambda ex: _Verdict(True)) as gw:
+    with running_gateway(mode="enforce", emit=lambda e: _Verdict(True)) as gw:
         resp = icap_transact(gw.address, encapsulate(make_exchange(), exchange_id="s3"))
     assert resp.status == 200
     assert resp.sections["res-body"] == WARNING_PAGE
@@ -1195,8 +1183,8 @@ def test_proxy_rejects_unknown_fail_policy():
 
 def test_proxy_gateway_enforce_rewrites_client_response(origin):
     emitted = []
-    with running_gateway(mode="enforce", emit=emitted.append,
-                         verdict_fn=lambda ex: _Verdict(True)) as gw:
+    with running_gateway(mode="enforce",
+                         emit=lambda e: emitted.append(e) or _Verdict(True)) as gw:
         with running_proxy(gateway_addr=gw.address) as px:
             status, headers, body = proxy_fetch(px.address, origin_url(origin))
     assert status == 200
@@ -1208,8 +1196,7 @@ def test_proxy_gateway_enforce_rewrites_client_response(origin):
 
 
 def test_proxy_gateway_enforce_leaves_benign_untouched(origin):
-    with running_gateway(mode="enforce",
-                         verdict_fn=lambda ex: _Verdict(False)) as gw:
+    with running_gateway(mode="enforce", emit=lambda e: _Verdict(False)) as gw:
         with running_proxy(gateway_addr=gw.address) as px:
             status, _, body = proxy_fetch(px.address, origin_url(origin))
     assert status == 200
@@ -2194,8 +2181,8 @@ def test_dechunkers_agree_on_whole_and_cut_bodies(pieces, ext, trailers, cut):
     framed += b"0\r\n" + trailers + b"\r\n"
     if cut is not None:
         framed = framed[:cut]
-    results = _dechunk_three_ways(framed)
-    assert results == [results[0]] * 3
+    results = _dechunk_both_ways(framed)
+    assert results == [results[0]] * 2
     if cut is None:
         assert results[0] == b"".join(pieces)
 
