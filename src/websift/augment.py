@@ -122,10 +122,8 @@ def _load_suffixes(path=None) -> frozenset[str]:
     return frozenset(line.lower().lstrip(".") for _, line in lines)
 
 
-def registrable_domain(host: str, suffixes: frozenset[str] | None = None) -> str | None:
+def registrable_domain(host: str, suffixes: frozenset[str]) -> str | None:
     """Reduce a host to its registrable domain (suffix plus one label)."""
-    if suffixes is None:
-        suffixes = _load_suffixes()
     host = host.strip(".").lower()
     if not host or "." not in host:
         return None

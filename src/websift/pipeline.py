@@ -2,7 +2,8 @@
 
 A single worker thread owns all store writes (the committing owner).
 The gateway and the fail-open proxy hand each emission to one callback,
-`Pipeline.emit`, which decides its fast verdict and queues it.  Each
+`Pipeline.emit`, which decides its fast verdict and queues it, or counts
+the emission as refused when that fails.  Each
 emission becomes exactly one FlowRecord with blobs, decoded content,
 features, fast labels, an optional scan ticket and augmentation.  Label
 worker cycles run between capture phases so ticket mutations stay on
@@ -152,6 +153,7 @@ class Pipeline:
         self.sources = sources or LabelSources()
         self._queue: queue.Queue = queue.Queue()
         self.errors: list[str] = []
+        self.refused: list[str] = []
         self.committed = 0
         self.gateway = IcapGateway(host=host, port=gateway_port, mode=mode, emit=self.emit)
         self.proxy = ProxyServer(
@@ -164,11 +166,18 @@ class Pipeline:
         return self.proxy.address
 
     def emit(self, emitted: EmittedExchange) -> FastVerdict:
-        """Gateway emit and proxy emit_fallback: set the fast verdict, queue, return it."""
+        """Gateway emit and proxy emit_fallback: set the fast verdict, queue, return it.
+
+        A failure refuses the emission: it is counted in `refused` and re-raised.
+        """
         exchange = emitted.exchange
-        decoded, _ = _decoded_view(exchange.body, exchange.response.headers)
-        emitted.verdict = fast_verdict(exchange.request.url, decoded,
-                                       self.sources.blacklist, self.sources.signatures)
+        try:
+            decoded, _ = _decoded_view(exchange.body, exchange.response.headers)
+            emitted.verdict = fast_verdict(exchange.request.url, decoded,
+                                           self.sources.blacklist, self.sources.signatures)
+        except Exception as exc:
+            self.refused.append(f"{type(exc).__name__}: {exc}")
+            raise
         self._queue.put(emitted)
         return emitted.verdict
 
@@ -214,7 +223,7 @@ class Pipeline:
             records=self.store.record_count(),
             blobs=self.store.blob_count(),
             tickets=self.store.ticket_counts(),
-            refused=len(self.gateway.refused),
+            refused=len(self.refused),
             errors=len(self.errors),
         )
 

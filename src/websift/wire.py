@@ -8,6 +8,16 @@ emission callback; in enforce mode the verdict it returns can replace the
 response body with a warning page.  Everything runs on plain TCP sockets
 so the two halves can also interoperate with foreign ICAP peers.
 
+The two servers have one configuration, the one `pipeline.Pipeline`
+builds: the proxy always inspects through a gateway and, failing open,
+hands an exchange it could not inspect to its `emit_fallback`; the
+gateway always emits.  A callback refuses an exchange by raising: the
+gateway answers that with 500, the fail-open proxy relays the response
+all the same, and counting refusals is the callback's business.  A
+request target must be an absolute http or https URL naming a host, the
+rule HttpExchange.validate applies too (`_absolute_url`); any other gets
+400 before its body is read, inspected or fetched.
+
 One connection server, `_ThreadedServer`, runs the gateway, the proxy
 and the synthetic site (`synthweb.SynthWebServer`, which answers one
 request per connection).  Both hops into the gateway are persistent.
@@ -88,7 +98,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 CRLF = b"\r\n"
 ICAP_VERSION = "ICAP/1.0"
@@ -136,6 +146,14 @@ def _header(headers, name: str) -> str | None:
 class _HeaderLookup:
     def header(self, name: str) -> str | None:
         return _header(self.headers, name)
+
+
+def _absolute_url(url: str) -> SplitResult:
+    """`url` split; ValueError unless it is an absolute http or https URL naming a host."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.netloc:
+        raise ValueError(f"not an absolute http or https URL: {url!r}")
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +207,7 @@ class HttpExchange:
     seeder_tag: str = "benign"
 
     def validate(self) -> None:
-        parts = urlsplit(self.request.url)
-        if parts.scheme not in ("http", "https") or not parts.netloc:
-            raise ValueError(f"exchange URL must be absolute: {self.request.url!r}")
+        _absolute_url(self.request.url)
         if self.seeder_tag not in SEEDER_TAGS:
             raise ValueError(f"unknown seeder tag {self.seeder_tag!r}")
         if self.started_at < 0:
@@ -602,18 +618,16 @@ def _rewrite_blocked(response: HttpResponse) -> HttpResponse:
                         kept + [("X-Websift-Blocked", "malware")])
 
 
-def serve_icap(msg: IcapMessage, mode: str = "collect", emit=None,
-               istag: str = '"websift-default"',
-               reqmod_bodies: dict[str, bytes] | None = None) -> IcapResponse:
+def serve_icap(msg: IcapMessage, mode: str, emit, istag: str,
+               reqmod_bodies: dict[str, bytes]) -> IcapResponse:
     """Dispatch one parsed ICAP message; returns the response to send.
 
     `emit` receives an EmittedExchange for every RESPMOD and returns its
-    verdict or None; one that raises gets a 500.  mode: "collect" never
-    modifies; "enforce" replaces the body of responses whose verdict is
-    malware.
+    verdict or None; one that raises gets a 500.  A REQMOD body waits in
+    `reqmod_bodies`, by exchange id, for its RESPMOD.  mode (IcapGateway
+    checks it): "collect" never modifies; "enforce" replaces the body of
+    responses whose verdict is malware.
     """
-    if mode not in ("collect", "enforce"):
-        raise ValueError(f"unknown gateway mode {mode!r}")
     base_headers = [("ISTag", istag)]
 
     if msg.method == "OPTIONS":
@@ -627,10 +641,9 @@ def serve_icap(msg: IcapMessage, mode: str = "collect", emit=None,
 
     if msg.method == "REQMOD":
         body = msg.sections.get("req-body")
-        if body is not None and reqmod_bodies is not None:
-            exchange_id = msg.header("X-Exchange-Id")
-            if exchange_id:
-                reqmod_bodies[exchange_id] = body
+        exchange_id = msg.header("X-Exchange-Id")
+        if body is not None and exchange_id:
+            reqmod_bodies[exchange_id] = body
         return IcapResponse(204, "No modifications", base_headers)
 
     if msg.method == "RESPMOD":
@@ -638,14 +651,11 @@ def serve_icap(msg: IcapMessage, mode: str = "collect", emit=None,
             exchange, exchange_id, markers = exchange_from_respmod(msg)
         except ValueError:
             return IcapResponse(500, "Bad encapsulated HTTP", base_headers)
-        request_body = None
-        if reqmod_bodies is not None and exchange_id:
-            request_body = reqmod_bodies.pop(exchange_id, None)
-        emitted = EmittedExchange(exchange, markers, None, request_body)
+        # no body is ever kept under the empty id, so an exchange without one finds none
+        emitted = EmittedExchange(exchange, markers, None, reqmod_bodies.pop(exchange_id, None))
         try:
-            verdict = emit(emitted) if emit is not None else None
-        except Exception as exc:  # pipeline refusal: report, never crash the wire
-            markers["wire.gateway_error"] = type(exc).__name__
+            verdict = emit(emitted)
+        except Exception:  # pipeline refusal: the emit callback counts it, the wire goes on
             return IcapResponse(500, "Pipeline refused exchange", base_headers)
         if mode == "enforce" and getattr(verdict, "is_malware", False):
             return IcapResponse(200, "OK", base_headers, {
@@ -941,25 +951,13 @@ class IcapGateway:
     """TCP ICAP server wrapping serve_icap."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 mode: str = "collect", emit=None):
+                 mode: str = "collect", *, emit):
         if mode not in ("collect", "enforce"):
             raise ValueError(f"unknown gateway mode {mode!r}")
         self.mode = mode
         self.istag = f'"WS-{uuid.uuid4().hex[:12]}"'
         self.reqmod_bodies = _ReqmodBodies()
-        self.refused: list[EmittedExchange] = []
-        if emit is None:
-            self.emit = None
-        else:
-            def _emit(emitted: EmittedExchange):
-                try:
-                    return emit(emitted)
-                except Exception:
-                    # keep the exchange reachable even when the pipeline balks
-                    emitted.markers["wire.emit_refused"] = "true"
-                    self.refused.append(emitted)
-                    raise
-            self.emit = _emit
+        self.emit = emit
         self._server = _ThreadedServer((host, port), self._serve_one, ICAP_IDLE_TIMEOUT)
 
     @property
@@ -1226,19 +1224,18 @@ class ProxyServer:
 
     Submits every exchange to the ICAP gateway over reused connections;
     `fail_policy` decides what happens when the gateway is unreachable:
-    "closed" rejects with 502, "open" forwards uninspected and, when an
-    emit_fallback is configured, still hands it the exchange flagged as
-    uninspected.  PROXY_TIMEOUT bounds every socket wait: the client's
-    request (and the wait for its next one on a persistent connection),
-    the origin fetch and each ICAP exchange.  Each of these messages must
-    arrive whole within RESPONSE_DEADLINE_TIMEOUTS times PROXY_TIMEOUT: a
-    client request counted from the wait for it, the origin's response
-    and each ICAP response from the gateway counted from the send.
+    "closed" rejects with 502, "open" forwards uninspected and hands
+    `emit_fallback` the exchange flagged as uninspected.  PROXY_TIMEOUT
+    bounds every socket wait: the client's request (and the wait for its
+    next one on a persistent connection), the origin fetch and each ICAP
+    exchange.  Each of these messages must arrive whole within
+    RESPONSE_DEADLINE_TIMEOUTS times PROXY_TIMEOUT: a client request
+    counted from the wait for it, the origin's response and each ICAP
+    response from the gateway counted from the send.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 gateway_addr: tuple[str, int] | None = None,
-                 fail_policy: str = "closed", emit_fallback=None):
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
+                 gateway_addr: tuple[str, int], fail_policy: str, emit_fallback):
         if fail_policy not in ("open", "closed"):
             raise ValueError(f"unknown fail policy {fail_policy!r}")
         self.gateway_addr = gateway_addr
@@ -1302,7 +1299,7 @@ class ProxyServer:
 
         It stays open after an HTTP/1.1 request without a `close` token
         once the response went out.  Every error response closes it; those
-        for the request's framing (400, 501) and a body above
+        for the request target and framing (400, 501) and a body above
         PROXY_MAX_BODY (413) go out before any inspection or fetch.  A
         failed hop to the gateway follows `fail_policy`.
         """
@@ -1317,16 +1314,12 @@ class ProxyServer:
         if request.method == "CONNECT":
             return self._send_error(wfile, 405, "Method Not Allowed",
                                     "CONNECT tunneling is not supported", head_only=head_only)
-        if "://" not in request.url:
-            return self._send_error(wfile, 400, "Bad Request",
-                                    "proxy requires absolute-URI request targets",
-                                    head_only=head_only)
         try:
-            parts = urlsplit(request.url)
+            parts = _absolute_url(request.url)
             parts.port
             # getaddrinfo IDNA-encodes the host; an empty or 64+ char label fails there
             (parts.hostname or "").encode("idna")
-        except ValueError as exc:  # unsplittable, a port outside 0-65535, or such a host
+        except ValueError as exc:  # not absolute, a port outside 0-65535, or such a host
             return self._send_error(wfile, 400, "Bad Request", f"bad request target: {exc}",
                                     head_only=head_only)
         try:
@@ -1346,13 +1339,12 @@ class ProxyServer:
         failed = False
 
         # client-side inspection
-        if self.gateway_addr is not None:
-            try:
-                icap_transact(self.gateway_addr,
-                              build_reqmod(request, request_body, exchange_id=exchange_id),
-                              PROXY_TIMEOUT, self._icap_idle)
-            except (OSError, IcapParseError):  # ConnectionError is an OSError
-                failed = True
+        try:
+            icap_transact(self.gateway_addr,
+                          build_reqmod(request, request_body, exchange_id=exchange_id),
+                          PROXY_TIMEOUT, self._icap_idle)
+        except (OSError, IcapParseError):  # ConnectionError is an OSError
+            failed = True
 
         if not failed or self.fail_policy == "open":
             response, entity = self._fetch(request, request_body, markers)
@@ -1360,8 +1352,8 @@ class ProxyServer:
                                     started_at=started_at, agent_id=agent_id,
                                     seeder_tag=seeder)
             client_response, client_body = response, entity
-            # server-side inspection; encapsulate() and a rewritten head raise ValueError
-            if self.gateway_addr is not None and not failed:
+            # server-side inspection; a rewritten head that does not parse raises ValueError
+            if not failed:
                 try:
                     icap_resp = icap_transact(
                         self.gateway_addr,
@@ -1379,12 +1371,10 @@ class ProxyServer:
                                         "inspection gateway unreachable (fail-closed)",
                                         head_only=head_only)
             markers["wire.uninspected"] = "true"
-            if self.emit_fallback is not None:
-                try:
-                    self.emit_fallback(EmittedExchange(exchange, markers, None,
-                                                       request_body or None))
-                except Exception:
-                    pass
+            try:
+                self.emit_fallback(EmittedExchange(exchange, markers, None, request_body or None))
+            except Exception:  # a refusal, counted by the callback; the client gets its answer
+                pass
 
         try:
             wfile.write(_client_response_bytes(client_response, client_body, close=not keep,

@@ -26,12 +26,7 @@ from websift.fixtures import FixtureFormatError
 from websift.flowstore import FlowStore
 from websift.pipeline import LabelSources, Pipeline, run_crawl
 from websift.synthweb import SynthWebServer, generate_site, render_page
-from websift.wire import (
-    RESPONSE_DEADLINE_TIMEOUTS,
-    IcapGateway,
-    IdleConnections,
-    ProxyServer,
-)
+from websift.wire import RESPONSE_DEADLINE_TIMEOUTS, IdleConnections
 
 BASE = "http://site.test/landing"
 
@@ -291,12 +286,8 @@ def site():
 
 
 @pytest.fixture
-def proxy():
-    server = ProxyServer(host="127.0.0.1", port=0).start()
-    try:
-        yield server
-    finally:
-        server.stop()
+def proxy(capture):
+    return capture().proxy
 
 
 def test_proxy_request_fetches_through_proxy(site, proxy):
@@ -446,47 +437,23 @@ def test_proxy_request_gives_up_on_a_proxy_that_trickles_past_the_deadline(monke
 
 # --- one persistent proxy connection per agent ---
 
-def test_agent_run_keeps_one_proxy_connection_and_closes_it(site, monkeypatch):
-    px = ProxyServer(host="127.0.0.1", port=0)
-    accepted = count_accepted(monkeypatch, px)
-    handlers = record_handlers(monkeypatch, px)
-    px.start()
-    try:
-        cfg = AgentConfig(agent_id="agent-10", interaction_budget=10)
-        summaries = Agent(cfg, px.address, creds={}).run(
-            [f"{site.base_url}/landing", f"{site.base_url}/a"])
-        assert [s.requests_made for s in summaries] == [4, 1]
-        assert [e["path"] for e in site.ledger()] == ["/landing", "/login", "/a", "/b", "/a"]
-        assert len(accepted) == 1
-        # run closed its connection, so the proxy's handler ends without waiting
-        handlers[0].join(timeout=1)
-        assert not handlers[0].is_alive()
-    finally:
-        px.stop()
+def test_agent_run_keeps_one_proxy_connection_and_closes_it(site, proxy, monkeypatch):
+    accepted = count_accepted(monkeypatch, proxy)
+    handlers = record_handlers(monkeypatch, proxy)
+    cfg = AgentConfig(agent_id="agent-10", interaction_budget=10)
+    summaries = Agent(cfg, proxy.address, creds={}).run(
+        [f"{site.base_url}/landing", f"{site.base_url}/a"])
+    assert [s.requests_made for s in summaries] == [4, 1]
+    assert [e["path"] for e in site.ledger()] == ["/landing", "/login", "/a", "/b", "/a"]
+    assert len(accepted) == 1
+    # run closed its connection, so the proxy's handler ends without waiting
+    handlers[0].join(timeout=1)
+    assert not handlers[0].is_alive()
 
 
-@pytest.fixture
-def inspected_proxy():
-    """A factory of proxies with a gateway, and what the gateway emitted."""
-    emitted = []
-    gw = IcapGateway(emit=emitted.append).start()
-    started = []
-
-    def start(**kw):
-        started.append(ProxyServer(gateway_addr=gw.address, **kw).start())
-        return started[-1]
-
-    try:
-        yield start, emitted
-    finally:
-        for px in started:
-            px.stop()
-        gw.stop()
-
-
-def test_a_run_sends_no_connection_header(site, inspected_proxy):
-    start, emitted = inspected_proxy
-    px = start()
+def test_a_run_sends_no_connection_header(site, capture):
+    servers = capture()
+    px, emitted = servers.proxy, servers.emitted
     cfg = AgentConfig(agent_id="agent-11", interaction_budget=0)
     Agent(cfg, px.address, creds={}).run([f"{site.base_url}/a", f"{site.base_url}/a"])
     proxy_request(px.address, "GET", f"{site.base_url}/b", [])
@@ -519,11 +486,10 @@ def test_crawl_serves_each_agent_over_one_proxy_connection(tmp_path, monkeypatch
     assert 1 <= len(accepted[0]) <= 2
 
 
-def test_a_get_on_a_connection_the_proxy_timed_out_is_resent_once(site, inspected_proxy,
-                                                                  monkeypatch):
-    start, emitted = inspected_proxy
+def test_a_get_on_a_connection_the_proxy_timed_out_is_resent_once(site, capture, monkeypatch):
     monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.2)
-    px = start()  # drops a client idle for 0.2 s
+    servers = capture()  # its proxy drops a client idle for 0.2 s
+    px, emitted = servers.proxy, servers.emitted
     accepted = count_accepted(monkeypatch, px)
     idle = IdleConnections()
     try:
@@ -538,11 +504,10 @@ def test_a_get_on_a_connection_the_proxy_timed_out_is_resent_once(site, inspecte
                                                          f"{site.base_url}/b"]
 
 
-def test_a_post_on_a_connection_the_proxy_timed_out_is_not_resent(site, inspected_proxy,
-                                                                  monkeypatch):
-    start, emitted = inspected_proxy
+def test_a_post_on_a_connection_the_proxy_timed_out_is_not_resent(site, capture, monkeypatch):
     monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.2)
-    px = start()  # drops a client idle for 0.2 s
+    servers = capture()  # its proxy drops a client idle for 0.2 s
+    px, emitted = servers.proxy, servers.emitted
     accepted = count_accepted(monkeypatch, px)
     idle = IdleConnections()
     try:

@@ -10,6 +10,7 @@ from websift.augment import (
     AugmentInfo,
     GeoIpDb,
     WhoIsDb,
+    _load_suffixes,
     augment_exchange,
     geoip_lookup,
     registrable_domain,
@@ -161,8 +162,9 @@ def test_longest_suffix_wins():
 
 
 def test_default_suffix_fixture_loads():
-    assert registrable_domain("www.example.com") == "example.com"
-    assert registrable_domain("a.site.co.uk") == "site.co.uk"
+    packaged = _load_suffixes()
+    assert registrable_domain("www.example.com", packaged) == "example.com"
+    assert registrable_domain("a.site.co.uk", packaged) == "site.co.uk"
 
 
 # --- WhoIs ---

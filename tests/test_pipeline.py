@@ -601,6 +601,51 @@ def test_pipeline_fail_open_labels_an_uninspected_page_as_the_gateway_does(site,
     assert uninspected.labels.to_doc() == inspected.labels.to_doc()
 
 
+@pytest.mark.parametrize("gateway", ["up", "stopped"])
+def test_pipeline_counts_a_refused_emission_once_and_stores_nothing(site, tmp_path, monkeypatch,
+                                                                    gateway):
+    # the gateway answers a refusal with 500, the fail-open proxy swallows it: either
+    # way the client gets the page and the pipeline's emit callback counts it
+    def refuse(*args):
+        raise KeyError("blacklist unavailable")
+
+    monkeypatch.setattr(pipeline_module, "fast_verdict", refuse)
+    with FlowStore(tmp_path / "store") as store:
+        pipeline = Pipeline(store, pipeline_sources(SITE),
+                            fail_policy="closed" if gateway == "up" else "open").start()
+        try:
+            if gateway == "stopped":
+                pipeline.gateway.stop()
+            status, _, body = fetch_via(pipeline, site.base_url + "/benign")
+        finally:
+            pipeline.stop_capture()
+        summary = pipeline.summary()
+    assert (status, body) == (200, render_page(site.pages["/benign"], site.seed))
+    assert (summary.records, summary.refused, summary.errors) == (0, 1, 0)
+    assert pipeline.refused == ["KeyError: 'blacklist unavailable'"]
+
+
+@pytest.mark.parametrize("fail_policy", ["closed", "open"])
+@pytest.mark.parametrize("target", ["ftp://a.test/x", "http:///x"])
+def test_pipeline_answers_a_target_no_exchange_can_hold_with_400(tmp_path, monkeypatch,
+                                                                 fail_policy, target):
+    # HttpExchange.validate refuses these URLs, so the proxy refuses them before any hop
+    transacts = []
+    real_transact = wire.icap_transact
+    monkeypatch.setattr(wire, "icap_transact",
+                        lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
+    with FlowStore(tmp_path / "store") as store:
+        pipeline = Pipeline(store, LabelSources(), fail_policy=fail_policy).start()
+        try:
+            status, _, body = proxy_fetch(pipeline.proxy_addr, target)
+        finally:
+            pipeline.stop_capture()
+        summary = pipeline.summary()
+    assert status == 400 and b"bad request target" in body
+    assert transacts == []
+    assert (summary.records, summary.refused, summary.errors) == (0, 0, 0)
+
+
 def test_run_crawl_records_match_origin_ledger(tmp_path):
     doc = generate_site(3, 1, seed=13)
     site = SynthWebServer(doc).start()

@@ -11,6 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import capture_servers
 from websift import wire
 from websift.synthweb import SynthWebServer
 from websift.wire import (
@@ -546,7 +547,7 @@ def test_exchange_doc_round_trip_drops_body():
 
 def test_serve_options_advertises_methods():
     msg = parse_icap(io.BytesIO(b"OPTIONS icap://g/respmod ICAP/1.0\r\nHost: g\r\n\r\n"))
-    resp = serve_icap(msg, "collect", istag='"tag-1"')
+    resp = serve_icap(msg, "collect", [].append, '"tag-1"', {})
     assert resp.status == 200
     assert resp.header("Methods") == "RESPMOD, REQMOD"
     assert resp.header("Preview") == "0"
@@ -557,7 +558,7 @@ def test_serve_reqmod_stashes_body_by_exchange_id():
     stash: dict[str, bytes] = {}
     msg = parse_icap(io.BytesIO(build_reqmod(HttpRequest("POST", "http://a.test/f", []),
                                   b"field=1", exchange_id="x9")))
-    resp = serve_icap(msg, "collect", reqmod_bodies=stash)
+    resp = serve_icap(msg, "collect", [].append, '"t"', stash)
     assert resp.status == 204
     assert stash == {"x9": b"field=1"}
 
@@ -566,7 +567,7 @@ def test_serve_reqmod_without_body_stashes_nothing():
     stash: dict[str, bytes] = {}
     msg = parse_icap(io.BytesIO(build_reqmod(HttpRequest("GET", "http://a.test/", []),
                                   exchange_id="x9")))
-    assert serve_icap(msg, "collect", reqmod_bodies=stash).status == 204
+    assert serve_icap(msg, "collect", [].append, '"t"', stash).status == 204
     assert stash == {}
 
 
@@ -574,7 +575,7 @@ def test_serve_respmod_collect_emits_once():
     emitted = []
     exchange = make_exchange()
     msg = parse_icap(io.BytesIO(encapsulate(exchange, exchange_id="e3")))
-    resp = serve_icap(msg, "collect", emit=emitted.append)
+    resp = serve_icap(msg, "collect", emitted.append, '"t"', {})
     assert resp.status == 204
     assert resp.sections == {}
     assert len(emitted) == 1
@@ -586,7 +587,7 @@ def test_serve_respmod_attaches_stashed_request_body():
     emitted = []
     stash = {"e4": b"posted-bytes"}
     msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e4")))
-    serve_icap(msg, "collect", emit=emitted.append, reqmod_bodies=stash)
+    serve_icap(msg, "collect", emitted.append, '"t"', stash)
     assert emitted[0].request_body == b"posted-bytes"
     assert stash == {}
 
@@ -594,7 +595,7 @@ def test_serve_respmod_attaches_stashed_request_body():
 def test_serve_respmod_collect_never_rewrites():
     emitted = []
     msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e5")))
-    resp = serve_icap(msg, "collect", emit=lambda e: emitted.append(e) or _Verdict(True))
+    resp = serve_icap(msg, "collect", lambda e: emitted.append(e) or _Verdict(True), '"t"', {})
     assert resp.status == 204
     assert len(emitted) == 1
 
@@ -603,7 +604,7 @@ def test_serve_respmod_enforce_rewrites_malicious():
     emitted = []
     exchange = make_exchange(body=b"<script>evil()</script>")
     msg = parse_icap(io.BytesIO(encapsulate(exchange, exchange_id="e6")))
-    resp = serve_icap(msg, "enforce", emit=lambda e: emitted.append(e) or _Verdict(True))
+    resp = serve_icap(msg, "enforce", lambda e: emitted.append(e) or _Verdict(True), '"t"', {})
     assert resp.status == 200
     assert resp.sections["res-body"] == WARNING_PAGE
     res_hdr = resp.sections["res-hdr"]
@@ -616,7 +617,7 @@ def test_serve_respmod_enforce_rewrites_malicious():
 
 def test_serve_respmod_enforce_passes_benign():
     msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e7")))
-    resp = serve_icap(msg, "enforce", emit=lambda e: _Verdict(False))
+    resp = serve_icap(msg, "enforce", lambda e: _Verdict(False), '"t"', {})
     assert resp.status == 204
 
 
@@ -625,7 +626,7 @@ def test_serve_respmod_pipeline_refusal_returns_500():
         raise KeyError("blacklist unavailable")
 
     msg = parse_icap(io.BytesIO(encapsulate(make_exchange(), exchange_id="e8")))
-    resp = serve_icap(msg, "enforce", emit=bad_emit)
+    resp = serve_icap(msg, "enforce", bad_emit, '"t"', {})
     assert resp.status == 500
     assert "refused" in resp.reason.lower()
 
@@ -633,30 +634,21 @@ def test_serve_respmod_pipeline_refusal_returns_500():
 def test_serve_respmod_bad_http_sections_returns_500():
     msg = parse_icap(io.BytesIO(build_fixture_respmod()))
     del msg.sections["req-hdr"]
-    assert serve_icap(msg, "collect").status == 500
+    assert serve_icap(msg, "collect", [].append, '"t"', {}).status == 500
 
 
 def test_serve_unknown_method_returns_405():
     msg = parse_icap(io.BytesIO(b"PURGE icap://g/x ICAP/1.0\r\nHost: g\r\n\r\n"))
-    assert serve_icap(msg, "collect").status == 405
-
-
-def test_serve_rejects_unknown_mode():
-    msg = parse_icap(io.BytesIO(b"OPTIONS icap://g/x ICAP/1.0\r\nHost: g\r\n\r\n"))
-    with pytest.raises(ValueError):
-        serve_icap(msg, "observe")
+    assert serve_icap(msg, "collect", [].append, '"t"', {}).status == 405
 
 
 # --- gateway over TCP ---
 
 @contextlib.contextmanager
 def running_gateway(**kw):
-    gw = IcapGateway(host="127.0.0.1", port=0, **kw)
-    gw.start()
-    try:
-        yield gw
-    finally:
-        gw.stop()
+    """The gateway of a capture_servers set, which collects what it emits unless told otherwise."""
+    with capture_servers(**kw) as servers:
+        yield servers.gateway
 
 
 def test_gateway_options_over_socket():
@@ -684,18 +676,6 @@ def test_gateway_rejects_garbage_with_400():
     assert resp.status == 400
 
 
-def test_gateway_keeps_refused_exchanges_reachable():
-    def bad_emit(emitted):
-        raise RuntimeError("pipeline down")
-
-    with running_gateway(emit=bad_emit) as gw:
-        resp = icap_transact(gw.address, encapsulate(make_exchange(), exchange_id="s2"))
-        refused = list(gw.refused)
-    assert resp.status == 500
-    assert len(refused) == 1
-    assert refused[0].markers["wire.emit_refused"] == "true"
-
-
 def test_gateway_enforce_over_socket():
     with running_gateway(mode="enforce", emit=lambda e: _Verdict(True)) as gw:
         resp = icap_transact(gw.address, encapsulate(make_exchange(), exchange_id="s3"))
@@ -705,7 +685,7 @@ def test_gateway_enforce_over_socket():
 
 def test_gateway_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        IcapGateway(mode="observe")
+        IcapGateway(mode="observe", emit=[].append)
 
 
 def test_gateway_answers_non_ascii_offset_with_400():
@@ -793,8 +773,7 @@ def test_gateway_closes_idle_connections(monkeypatch):
 
 
 def test_gateway_stop_closes_idle_client_connections():
-    gw = IcapGateway(host="127.0.0.1", port=0).start()
-    with socket.create_connection(gw.address, timeout=10) as sock:
+    with running_gateway() as gw, socket.create_connection(gw.address, timeout=10) as sock:
         sock.sendall(OPTIONS_RAW)
         rfile = sock.makefile("rb")
         assert parse_icap_response(rfile).status == 200
@@ -958,12 +937,9 @@ def origin_url(server, path="/hello"):
 
 @contextlib.contextmanager
 def running_proxy(**kw):
-    px = ProxyServer(host="127.0.0.1", port=0, **kw)
-    px.start()
-    try:
-        yield px
-    finally:
-        px.stop()
+    """The proxy of a capture_servers set: it inspects through a gateway of its own."""
+    with capture_servers(**kw) as servers:
+        yield servers.proxy
 
 
 def proxy_fetch(addr, url, method="GET", headers=(), body=b""):
@@ -991,7 +967,7 @@ def proxy_fetch(addr, url, method="GET", headers=(), body=b""):
     return status, received, rest
 
 
-# --- proxy without a gateway ---
+# --- proxy: relaying the origin ---
 
 def test_proxy_forwards_origin_body(origin):
     with running_proxy() as px:
@@ -1042,7 +1018,8 @@ def test_proxy_rejects_connect_and_relative_targets(origin):
 
 
 @pytest.mark.parametrize("target", [
-    "http://[x/", "http://a.test:99999/", "http://a.test:-1/", "http://a.test:abc/"])
+    "http://[x/", "http://a.test:99999/", "http://a.test:-1/", "http://a.test:abc/",
+    "ftp://a.test/x", "http:///x"])
 def test_proxy_answers_a_target_urllib_rejects_with_400(origin, target):
     with running_proxy() as px:
         status, _, body = proxy_fetch(px.address, target)
@@ -1077,11 +1054,10 @@ def test_proxy_truncates_oversized_bodies(origin, monkeypatch):
 
 def test_proxy_gateway_records_exchange(origin):
     emitted = []
-    with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            status, _, body = proxy_fetch(
-                px.address, origin_url(origin),
-                headers=[("X-Websift-Agent", "agent-7"), ("X-Websift-Seeder", "malware")])
+    with running_proxy(emit=emitted.append) as px:
+        status, _, body = proxy_fetch(
+            px.address, origin_url(origin),
+            headers=[("X-Websift-Agent", "agent-7"), ("X-Websift-Seeder", "malware")])
     assert status == 200
     assert body == b"origin fixture body"
     assert len(emitted) == 1
@@ -1096,18 +1072,16 @@ def test_proxy_gateway_records_exchange(origin):
 
 def test_proxy_gateway_unknown_seeder_coerced_to_benign(origin):
     emitted = []
-    with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            proxy_fetch(px.address, origin_url(origin),
-                        headers=[("X-Websift-Seeder", "parked")])
+    with running_proxy(emit=emitted.append) as px:
+        proxy_fetch(px.address, origin_url(origin),
+                    headers=[("X-Websift-Seeder", "parked")])
     assert emitted[0].exchange.seeder_tag == "benign"
 
 
 def test_proxy_gateway_emits_fetch_errors(origin, dead_port):
     emitted = []
-    with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            status, _, _ = proxy_fetch(px.address, f"http://127.0.0.1:{dead_port}/x")
+    with running_proxy(emit=emitted.append) as px:
+        status, _, _ = proxy_fetch(px.address, f"http://127.0.0.1:{dead_port}/x")
     assert status == 502
     assert len(emitted) == 1
     assert emitted[0].exchange.response.status == 502
@@ -1116,11 +1090,10 @@ def test_proxy_gateway_emits_fetch_errors(origin, dead_port):
 
 def test_proxy_gateway_captures_request_body(origin):
     emitted = []
-    with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            status, _, body = proxy_fetch(
-                px.address, origin_url(origin, "/echobody"),
-                method="POST", body=b"field=7&commit=yes")
+    with running_proxy(emit=emitted.append) as px:
+        status, _, body = proxy_fetch(
+            px.address, origin_url(origin, "/echobody"),
+            method="POST", body=b"field=7&commit=yes")
     assert status == 200
     assert body == b"field=7&commit=yes"
     assert len(emitted) == 1
@@ -1133,9 +1106,8 @@ def test_proxy_gateway_flags_truncation(origin, monkeypatch):
     # the gateway's own ICAP body cap, MAX_BODY_SIZE, stays as it is
     monkeypatch.setattr(wire, "PROXY_MAX_BODY", 64)
     emitted = []
-    with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            status, headers, body = proxy_fetch(px.address, origin_url(origin, "/big"))
+    with running_proxy(emit=emitted.append) as px:
+        status, headers, body = proxy_fetch(px.address, origin_url(origin, "/big"))
     assert status == 200
     assert body == b"x" * 64
     assert headers["content-length"] == "64"
@@ -1176,17 +1148,16 @@ def test_proxy_fail_open_flags_uninspected(origin, dead_port):
     assert fallback[0].exchange.body == b"origin fixture body"
 
 
-def test_proxy_rejects_unknown_fail_policy():
+def test_proxy_rejects_unknown_fail_policy(dead_port):
     with pytest.raises(ValueError):
-        ProxyServer(fail_policy="retry")
+        ProxyServer(gateway_addr=("127.0.0.1", dead_port), fail_policy="retry",
+                    emit_fallback=[].append)
 
 
 def test_proxy_gateway_enforce_rewrites_client_response(origin):
     emitted = []
-    with running_gateway(mode="enforce",
-                         emit=lambda e: emitted.append(e) or _Verdict(True)) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            status, headers, body = proxy_fetch(px.address, origin_url(origin))
+    with running_proxy(mode="enforce", emit=lambda e: emitted.append(e) or _Verdict(True)) as px:
+        status, headers, body = proxy_fetch(px.address, origin_url(origin))
     assert status == 200
     assert body == WARNING_PAGE
     assert headers["x-websift-blocked"] == "malware"
@@ -1196,9 +1167,8 @@ def test_proxy_gateway_enforce_rewrites_client_response(origin):
 
 
 def test_proxy_gateway_enforce_leaves_benign_untouched(origin):
-    with running_gateway(mode="enforce", emit=lambda e: _Verdict(False)) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            status, _, body = proxy_fetch(px.address, origin_url(origin))
+    with running_proxy(mode="enforce", emit=lambda e: _Verdict(False)) as px:
+        status, _, body = proxy_fetch(px.address, origin_url(origin))
     assert status == 200
     assert body == b"origin fixture body"
 
@@ -1207,12 +1177,11 @@ def test_proxy_exchanges_share_one_gateway_connection(origin, monkeypatch):
     monkeypatch.setattr(wire, "_Connection", _CountingConnection)
     monkeypatch.setattr(_CountingConnection, "opened", 0)
     emitted = []
-    with running_gateway(emit=emitted.append) as gw:
-        monkeypatch.setattr(_CountingConnection, "counted", gw.address)  # not origin fetches
-        with running_proxy(gateway_addr=gw.address) as px:
-            for _ in range(3):
-                status, _, _ = proxy_fetch(px.address, origin_url(origin))
-                assert status == 200
+    with running_proxy(emit=emitted.append) as px:
+        monkeypatch.setattr(_CountingConnection, "counted", px.gateway_addr)  # not origin fetches
+        for _ in range(3):
+            status, _, _ = proxy_fetch(px.address, origin_url(origin))
+            assert status == 200
     assert len(emitted) == 3
     assert _CountingConnection.opened == 1
 
@@ -1223,12 +1192,11 @@ def test_proxy_reads_a_pooled_gateway_connection_under_a_fresh_deadline(origin, 
     monkeypatch.setattr(_CountingConnection, "opened", 0)
     monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.3)
     emitted = []
-    with running_gateway(emit=emitted.append) as gw:
-        monkeypatch.setattr(_CountingConnection, "counted", gw.address)  # not origin fetches
-        with running_proxy(gateway_addr=gw.address) as px:
-            first, _, _ = proxy_fetch(px.address, origin_url(origin))
-            time.sleep(2.0)  # idle past one 6 x 0.3 s deadline
-            second, _, _ = proxy_fetch(px.address, origin_url(origin))
+    with running_proxy(emit=emitted.append) as px:
+        monkeypatch.setattr(_CountingConnection, "counted", px.gateway_addr)  # not origin fetches
+        first, _, _ = proxy_fetch(px.address, origin_url(origin))
+        time.sleep(2.0)  # idle past one 6 x 0.3 s deadline
+        second, _, _ = proxy_fetch(px.address, origin_url(origin))
     assert (first, second) == (200, 200)
     assert len(emitted) == 2
     assert _CountingConnection.opened == 1
@@ -1288,16 +1256,15 @@ def closed_by_peer(rfile) -> bool:
 def test_proxy_serves_several_requests_on_one_client_connection(origin, monkeypatch):
     emitted = []
     urls = [origin_url(origin, "/p0"), origin_url(origin, "/echobody"), origin_url(origin, "/p2")]
-    with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            accepted = count_accepted(monkeypatch, px)
-            with socket.create_connection(px.address, timeout=10) as sock, \
-                    sock.makefile("rb") as rfile:
-                replies = []
-                for method, url, body in zip(["GET", "POST", "GET"], urls, [b"", b"a=1", b""]):
-                    length = f"Content-Length: {len(body)}\r\n" if body else ""
-                    sock.sendall(f"{method} {url} HTTP/1.1\r\n{length}\r\n".encode() + body)
-                    replies.append(read_reply(rfile))
+    with running_proxy(emit=emitted.append) as px:
+        accepted = count_accepted(monkeypatch, px)
+        with socket.create_connection(px.address, timeout=10) as sock, \
+                sock.makefile("rb") as rfile:
+            replies = []
+            for method, url, body in zip(["GET", "POST", "GET"], urls, [b"", b"a=1", b""]):
+                length = f"Content-Length: {len(body)}\r\n" if body else ""
+                sock.sendall(f"{method} {url} HTTP/1.1\r\n{length}\r\n".encode() + body)
+                replies.append(read_reply(rfile))
     assert [(r.status, r.header("Connection"), body) for r, body in replies] == [
         (200, None, b"origin fixture body"), (200, None, b"a=1"),
         (200, None, b"origin fixture body")]
@@ -1378,14 +1345,13 @@ def test_proxy_closes_after_a_request_it_must_not_keep_reading(origin, dead_port
 
 
 def test_proxy_stop_ends_an_idle_persistent_client_at_once(origin, monkeypatch):
-    px = ProxyServer(host="127.0.0.1", port=0)  # its 10 s timeout would hold the client
-    handlers = record_handlers(monkeypatch, px)
-    px.start()
-    with socket.create_connection(px.address, timeout=10) as sock, sock.makefile("rb") as rfile:
+    with running_proxy() as px, socket.create_connection(px.address, timeout=10) as sock, \
+            sock.makefile("rb") as rfile:
+        handlers = record_handlers(monkeypatch, px)
         sock.sendall(f"GET {origin_url(origin)} HTTP/1.1\r\n\r\n".encode())
         assert read_reply(rfile)[0].status == 200
         started = time.monotonic()
-        px.stop()
+        px.stop()  # its 10 s timeout would hold the client
         assert time.monotonic() - started < 1
         assert closed_by_peer(rfile)
     assert len(handlers) == 1 and not handlers[0].is_alive()
@@ -1404,9 +1370,8 @@ def test_proxy_stop_lets_a_request_in_progress_finish(monkeypatch):
 
         origin_thread = threading.Thread(target=answer)
         origin_thread.start()
-        px = ProxyServer(host="127.0.0.1", port=0).start()
         host, port = slow_origin.getsockname()
-        with socket.create_connection(px.address, timeout=10) as sock, \
+        with running_proxy() as px, socket.create_connection(px.address, timeout=10) as sock, \
                 sock.makefile("rb") as rfile:
             sock.sendall(f"GET http://{host}:{port}/ HTTP/1.1\r\n\r\n".encode())
             time.sleep(0.2)  # the request is read and waits on the origin
@@ -1425,7 +1390,7 @@ def test_proxy_stop_lets_a_request_in_progress_finish(monkeypatch):
 def test_proxy_stop_gives_up_on_an_origin_that_trickles_its_body(monkeypatch):
     # one body byte per 0.1 s never trips the proxy's 0.5 s per-read bound
     done = threading.Event()
-    with socket.create_server(("127.0.0.1", 0)) as slow_origin:
+    with socket.create_server(("127.0.0.1", 0)) as slow_origin, contextlib.ExitStack() as stack:
         def trickle():
             conn, _ = slow_origin.accept()
             with conn:
@@ -1437,9 +1402,8 @@ def test_proxy_stop_gives_up_on_an_origin_that_trickles_its_body(monkeypatch):
         origin_thread = threading.Thread(target=trickle)
         origin_thread.start()
         monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.5)
-        px = ProxyServer(host="127.0.0.1", port=0)
+        px = stack.enter_context(running_proxy())
         handlers = record_handlers(monkeypatch, px)
-        px.start()
         host, port = slow_origin.getsockname()
         stopper = threading.Thread(target=px.stop)
         try:
@@ -1461,8 +1425,11 @@ def test_proxy_stop_gives_up_on_an_origin_that_trickles_its_body(monkeypatch):
 
 
 @pytest.mark.parametrize("server", [ProxyServer, IcapGateway])
-def test_stop_before_start_closes_the_listening_socket(server):
-    unstarted = server(host="127.0.0.1", port=0)
+def test_stop_before_start_closes_the_listening_socket(server, dead_port):
+    callbacks = {ProxyServer: {"gateway_addr": ("127.0.0.1", dead_port), "fail_policy": "closed",
+                               "emit_fallback": [].append},
+                 IcapGateway: {"emit": [].append}}
+    unstarted = server(host="127.0.0.1", port=0, **callbacks[server])
     stopper = threading.Thread(target=unstarted.stop, daemon=True)
     stopper.start()
     stopper.join(timeout=3)
@@ -1477,8 +1444,7 @@ def test_proxy_answers_a_body_over_max_body_with_413_at_once(origin, monkeypatch
                         lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
     monkeypatch.setattr(wire, "PROXY_MAX_BODY", 16)
     emitted = []
-    with running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px, \
+    with running_proxy(emit=emitted.append) as px, \
             socket.create_connection(px.address, timeout=10) as sock, \
             sock.makefile("rb") as rfile:
         started = time.monotonic()
@@ -1498,8 +1464,7 @@ def test_proxy_answers_a_request_body_cut_short_with_400_at_once(origin, monkeyp
     monkeypatch.setattr(wire, "icap_transact",
                         lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
     emitted = []
-    with running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px, \
+    with running_proxy(emit=emitted.append) as px, \
             socket.create_connection(px.address, timeout=30) as sock, \
             sock.makefile("rb") as rfile:
         started = time.monotonic()
@@ -1544,8 +1509,7 @@ def test_proxy_refuses_a_request_body_it_cannot_read_before_any_inspection(
     for name, value in settings.items():
         monkeypatch.setattr(wire, name, value)
     emitted = []
-    with running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px, \
+    with running_proxy(emit=emitted.append) as px, \
             socket.create_connection(px.address, timeout=10) as sock, \
             sock.makefile("rb") as rfile:
         sock.sendall(f"POST {origin_url(origin, '/echobody')} HTTP/1.1\r\n{framing}\r\n"
@@ -1558,8 +1522,7 @@ def test_proxy_refuses_a_request_body_it_cannot_read_before_any_inspection(
 
 def test_proxy_passes_a_chunked_request_body_on_with_its_length(origin):
     emitted = []
-    with running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px, \
+    with running_proxy(emit=emitted.append) as px, \
             socket.create_connection(px.address, timeout=10) as sock, \
             sock.makefile("rb") as rfile:
         sock.sendall(f"POST {origin_url(origin, '/echobody')} HTTP/1.1\r\n"
@@ -1621,8 +1584,7 @@ def test_proxy_and_site_refuse_a_request_framing_alike(monkeypatch, case):
     real_transact = wire.icap_transact
     monkeypatch.setattr(wire, "icap_transact",
                         lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
-    with running_site() as site, running_gateway() as gw, \
-            running_proxy(gateway_addr=gw.address) as px:
+    with running_site() as site, running_proxy() as px:
         # the site is the proxy's origin too, so its ledger shows any origin request
         got = [post_status(server.address, site.base_url + "/a", framing, body.encode())
                for server in (px, site)]
@@ -1659,8 +1621,7 @@ def test_proxy_and_site_answer_any_request_framing_alike(monkeypatch):
 def test_proxy_answers_an_origin_that_closes_at_once_with_502():
     emitted = []
     with socket.create_server(("127.0.0.1", 0)) as origin_sock, \
-            running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px:
+            running_proxy(emit=emitted.append) as px:
         origin_sock.settimeout(10)
         hang_up = threading.Thread(target=lambda: origin_sock.accept()[0].close())
         hang_up.start()
@@ -1677,8 +1638,7 @@ def test_proxy_relays_an_origin_that_answers_and_resets_with_its_address():
     # ends the socket before the proxy reads the answer queued ahead of it
     emitted = []
     with socket.create_server(("127.0.0.1", 0)) as origin_sock, \
-            running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px:
+            running_proxy(emit=emitted.append) as px:
         origin_sock.settimeout(10)
 
         def answer_unread():
@@ -1738,8 +1698,7 @@ def test_proxy_gives_up_on_an_origin_that_trickles_past_the_deadline(part, monke
     monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.3)
     emitted = []
     with trickling_peer(TRICKLES[part]) as (host, port), \
-            running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px:
+            running_proxy(emit=emitted.append) as px:
         started = time.monotonic()
         status, _, body = proxy_fetch(px.address, f"http://{host}:{port}/")
         took = time.monotonic() - started
@@ -1760,24 +1719,26 @@ def test_proxy_ends_a_bodiless_response_at_its_head(method, status, monkeypatch)
     assert (got, body) == (status, b"")
 
 
-@pytest.mark.parametrize("gateway", [False, True])
+@pytest.mark.parametrize("inspected", [False, True])
 @pytest.mark.parametrize("method,status,origin_length,relayed", [
     ("HEAD", 200, b"1234", "1234"), ("GET", 304, b"1234", "1234"),
     ("HEAD", 200, None, None), ("GET", 204, b"0", None), ("GET", 204, None, None)])
 def test_proxy_relays_the_length_of_a_bodiless_response(method, status, origin_length,
-                                                        relayed, gateway, monkeypatch):
+                                                        relayed, inspected, dead_port,
+                                                        monkeypatch):
     # RFC 9110 §8.6: a HEAD or 304 response keeps the length a GET would get,
-    # and a 204 carries none
+    # and a 204 carries none; uninspected, the proxy fails open past a dead gateway
     monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.5)
     head = b"HTTP/1.1 %d X\r\n" % status
     if origin_length is not None:
         head += b"Content-Length: " + origin_length + b"\r\n"
-    with contextlib.ExitStack() as stack:
-        host, port = stack.enter_context(trickling_peer(head + b"\r\n", every=30))
-        gw = stack.enter_context(running_gateway()) if gateway else None
-        px = stack.enter_context(running_proxy(gateway_addr=gw.address if gw else None))
+    emitted = []
+    proxy = {} if inspected else {"gateway_addr": ("127.0.0.1", dead_port), "fail_policy": "open"}
+    with trickling_peer(head + b"\r\n", every=30) as (host, port), \
+            running_proxy(emit=emitted.append, **proxy) as px:
         got, received, body = proxy_fetch(px.address, f"http://{host}:{port}/", method=method)
     assert (got, received.get("content-length"), body) == (status, relayed, b"")
+    assert [e.markers.get("wire.uninspected") for e in emitted] == [None if inspected else "true"]
 
 
 def test_client_response_bytes_of_a_head_response_keep_its_length():
@@ -1837,10 +1798,8 @@ def test_proxy_closes_a_client_that_trickles_its_request_past_the_deadline(monke
             pass  # the proxy closed the connection
 
     monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.3)
-    px = ProxyServer(host="127.0.0.1", port=0)
-    handlers = record_handlers(monkeypatch, px)
-    px.start()
-    try:
+    with running_proxy() as px:
+        handlers = record_handlers(monkeypatch, px)
         with socket.create_connection(px.address, timeout=10) as sock:
             sender = threading.Thread(target=trickle, args=(sock,))
             sender.start()
@@ -1852,8 +1811,6 @@ def test_proxy_closes_a_client_that_trickles_its_request_past_the_deadline(monke
                 done.set()
                 sender.join(timeout=10)
             assert not sender.is_alive()
-    finally:
-        px.stop()
 
 
 def test_gateway_gives_each_message_on_a_connection_a_deadline_of_its_own(monkeypatch):
@@ -1970,9 +1927,8 @@ def test_proxy_answers_an_overlong_request_line_with_400():
 def test_proxy_turns_an_overlong_origin_line_into_a_fetch_error(origin, monkeypatch):
     monkeypatch.setattr(wire, "MAX_LINE", 1024)
     emitted = []
-    with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            status, _, _ = proxy_fetch(px.address, origin_url(origin, "/longline"))
+    with running_proxy(emit=emitted.append) as px:
+        status, _, _ = proxy_fetch(px.address, origin_url(origin, "/longline"))
     assert status == 502
     assert "line longer than 1024 bytes" in emitted[0].markers["wire.fetch_error"]
 
@@ -1980,9 +1936,8 @@ def test_proxy_turns_an_overlong_origin_line_into_a_fetch_error(origin, monkeypa
 def test_origin_content_length_must_be_ascii_digits(origin):
     # "²".isdigit() is true, but int("²") raises
     emitted = []
-    with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            status, _, body = proxy_fetch(px.address, origin_url(origin, "/badlength"))
+    with running_proxy(emit=emitted.append) as px:
+        status, _, body = proxy_fetch(px.address, origin_url(origin, "/badlength"))
     assert status == 502
     assert b"bad Content-Length" in body
     assert "bad Content-Length" in emitted[0].markers["wire.fetch_error"]
@@ -2011,9 +1966,8 @@ def test_huge_origin_chunk_is_read_in_pieces_and_truncated():
 def test_proxy_truncates_and_flags_a_huge_origin_chunk(origin, monkeypatch):
     monkeypatch.setattr(wire, "PROXY_MAX_BODY", 64)
     emitted = []
-    with running_gateway(emit=emitted.append) as gw:
-        with running_proxy(gateway_addr=gw.address) as px:
-            status, headers, body = proxy_fetch(px.address, origin_url(origin, "/hugechunk"))
+    with running_proxy(emit=emitted.append) as px:
+        status, headers, body = proxy_fetch(px.address, origin_url(origin, "/hugechunk"))
     assert status == 200
     assert body == b"x" * 64
     assert headers["content-length"] == "64"
@@ -2060,8 +2014,7 @@ def test_proxy_skips_interim_origin_heads(method):
               b"HTTP/1.1 103 Early Hints\r\nLink: </s.css>\r\n\r\n" + FINAL_OK)
     emitted = []
     with answering_origin(answer) as (host, port), \
-            running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px:
+            running_proxy(emit=emitted.append) as px:
         status, headers, body = proxy_fetch(px.address, f"http://{host}:{port}/", method=method)
     assert (status, headers["content-length"]) == (200, "2")
     assert body == (b"ok" if method == "GET" else b"")
@@ -2081,8 +2034,7 @@ def test_proxy_skips_interim_origin_heads(method):
 def test_proxy_refuses_a_switch_or_differing_origin_lengths(answer, error):
     emitted = []
     with answering_origin(answer) as (host, port), \
-            running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px:
+            running_proxy(emit=emitted.append) as px:
         status, _, body = proxy_fetch(px.address, f"http://{host}:{port}/")
     assert status == 502
     assert error.encode() in body
@@ -2101,8 +2053,7 @@ def test_proxy_drops_the_headers_the_client_connection_header_names():
     heads, emitted = [], []
     sent = [("Connection", "X-Trace, Keep-Alive"), ("X-Trace", "1"), ("X-Kept", "2")]
     with answering_origin(FINAL_OK, heads) as (host, port), \
-            running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px:
+            running_proxy(emit=emitted.append) as px:
         status, _, body = proxy_fetch(px.address, f"http://{host}:{port}/", headers=sent)
     assert (status, body) == (200, b"ok")
     head = heads[0].lower()
@@ -2146,8 +2097,7 @@ def test_proxy_answers_a_request_with_differing_lengths_with_400_at_once(origin,
     monkeypatch.setattr(wire, "icap_transact",
                         lambda *a, **kw: transacts.append(a) or real_transact(*a, **kw))
     emitted = []
-    with running_gateway(emit=emitted.append) as gw, \
-            running_proxy(gateway_addr=gw.address) as px:
+    with running_proxy(emit=emitted.append) as px:
         status, _, body = proxy_fetch(px.address, origin_url(origin, "/echobody"),
                                       headers=[("Content-Length", "2"), ("Content-Length", "5")],
                                       body=b"hello")
@@ -2206,8 +2156,7 @@ def test_live_servers_answer_or_close_whatever_bytes_they_get(monkeypatch):
     monkeypatch.setattr(wire, "PROXY_TIMEOUT", 0.5)
     # the proxy inspects through a gateway of its own: its pooled connections
     # stay open there
-    with running_gateway() as gw, running_gateway() as inspector, \
-            running_proxy(gateway_addr=inspector.address) as px:
+    with running_gateway() as gw, running_proxy() as px:
         servers = {"gateway": gw, "proxy": px}
 
         @settings(max_examples=100, deadline=None)
